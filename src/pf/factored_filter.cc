@@ -1040,7 +1040,11 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
 
   const uint64_t t_weighted = telemetry ? MonotonicNanos() : 0;
 
-  // --- Reader resampling (rare; factored weights persist across epochs) ----
+  // --- Reader resampling ---------------------------------------------------
+  // Triggered by the reader ESS, not rare: factored weights persist across
+  // epochs, yet on a dense site (the 2,000-object warehouse workload) it
+  // fires on ~60% of epochs, and each firing queues a remap replay for
+  // every object.
   scratch_weights_.resize(readers_.size());
   for (size_t j = 0; j < readers_.size(); ++j) {
     scratch_weights_[j] = readers_[j].weight;

@@ -53,14 +53,7 @@ namespace rfid {
 class FactoredParticleFilter;
 Status SaveFilterSnapshot(const FactoredParticleFilter& filter,
                           std::ostream& os);
-Status SaveFilterSnapshotV2(const FactoredParticleFilter& filter,
-                            std::ostream& os);
 Status LoadFilterSnapshot(std::istream& is, FactoredParticleFilter* filter);
-namespace snapshot_internal {
-/// Version-parameterized writer shared by the public save entry points.
-Status SaveSnapshotImpl(const FactoredParticleFilter& filter,
-                        std::ostream& os, uint32_t version);
-}  // namespace snapshot_internal
 
 struct FactoredFilterConfig {
   int num_reader_particles = 100;
@@ -292,10 +285,8 @@ class FactoredParticleFilter final : public InferenceFilter {
   const EpochStageSeconds& last_epoch_stages() const { return stages_; }
 
  private:
-  friend Status snapshot_internal::SaveSnapshotImpl(
-      const FactoredParticleFilter&, std::ostream&, uint32_t);
-  friend Status SaveFilterSnapshotV2(const FactoredParticleFilter&,
-                                     std::ostream&);
+  friend Status SaveFilterSnapshot(const FactoredParticleFilter&,
+                                   std::ostream&);
   friend Status LoadFilterSnapshot(std::istream&, FactoredParticleFilter*);
 
   /// Reusable per-lane buffers for the parallel object updates; lane 0's

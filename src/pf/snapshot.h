@@ -11,11 +11,14 @@
 // serving layer's checkpoint/restore (src/serve/checkpoint.h) is built on.
 //
 // Format: same-architecture binary (magic + version header; the v4 payload
-// is CRC32-framed so corruption is detected before parsing). Not intended
-// as a cross-platform interchange format.
+// is CRC32-framed so corruption is detected before anything is committed).
+// Not intended as a cross-platform interchange format. The payload streams
+// through util/serialize.h's framed sections, so saving never stages a
+// copy of the belief: the sink must be seekable (a file or a string
+// stream), and a non-seekable sink fails with a non-OK Status.
 //
-// Version window: one back. The current writer emits v4; the loader accepts
-// v4 and v3 and rejects anything older with an error naming the oldest
+// Version window: one back. The writer emits v4 only; the loader accepts v4
+// and v3 and rejects anything older with an error naming the oldest
 // loadable version. Migrating older files means stepping through releases,
 // re-saving at each one.
 #pragma once
@@ -27,26 +30,17 @@
 
 namespace rfid {
 
-/// Writes the filter's belief state. The WorldModel and config are NOT
-/// serialized — the caller reconstructs the filter with the same model and
-/// config before restoring.
+/// Writes the filter's belief state into a seekable sink. The WorldModel and
+/// config are NOT serialized — the caller reconstructs the filter with the
+/// same model and config before restoring.
 Status SaveFilterSnapshot(const FactoredParticleFilter& filter,
                           std::ostream& os);
 
-/// Writes the legacy v2 layout (no hibernation tier), for the deprecation
-/// tests — v2 is now outside the one-back load window, so LoadFilterSnapshot
-/// rejects what this writes. Fails if the filter has hibernated objects —
-/// v2 cannot represent them faithfully.
-Status SaveFilterSnapshotV2(const FactoredParticleFilter& filter,
-                            std::ostream& os);
-
-/// Writes the legacy v3 layout (unframed payload), for downgrade paths and
-/// the cross-version compatibility tests.
-Status SaveFilterSnapshotV3(const FactoredParticleFilter& filter,
-                            std::ostream& os);
-
 /// Restores belief state into a freshly constructed filter (same model and
-/// config as the saved one). Fails on magic/version mismatch or truncation.
+/// config as the saved one). Fails on magic/version mismatch, truncation or
+/// a checksum mismatch, leaving the filter untouched. Read from inside a
+/// framed section (a site checkpoint's), it also verifies that section
+/// before committing anything.
 Status LoadFilterSnapshot(std::istream& is, FactoredParticleFilter* filter);
 
 }  // namespace rfid

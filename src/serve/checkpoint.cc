@@ -6,7 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <limits>
 #include <thread>
 
 #include "util/fault.h"
@@ -146,10 +146,11 @@ Status WriteManifestFile(const std::string& path,
       FaultPoint::kManifestWrite, [&manifest](std::ostream& os) -> Status {
         os.write(kManifestMagic, sizeof(kManifestMagic));
         WritePod(os, kManifestVersion);
-        std::ostringstream body;
-        WritePod(body, manifest.current);
-        WritePod(body, manifest.previous);
-        WriteFramedSection(os, body.str());
+        RFID_RETURN_NOT_OK(
+            WriteFramedSection(os, [&manifest](std::ostream& body) {
+              WritePod(body, manifest.current);
+              WritePod(body, manifest.previous);
+            }));
         if (!os.good()) return Status::IOError("failed writing manifest");
         return Status::OK();
       });
@@ -171,14 +172,13 @@ Status ReadManifestFile(const std::string& path, CheckpointManifest* manifest) {
     return Status::Invalid("unsupported manifest version " +
                            std::to_string(version) + " in " + path);
   }
-  std::string body;
-  RFID_RETURN_NOT_OK(ReadFramedSection(is, &body));
-  std::istringstream body_stream(body);
   CheckpointManifest parsed;
-  if (!ReadPod(body_stream, &parsed.current) ||
-      !ReadPod(body_stream, &parsed.previous)) {
-    return Status::IOError("truncated manifest body in " + path);
-  }
+  RFID_RETURN_NOT_OK(ReadFramedSection(is, [&](std::istream& body) {
+    if (!ReadPod(body, &parsed.current) || !ReadPod(body, &parsed.previous)) {
+      return Status::IOError("truncated manifest body in " + path);
+    }
+    return Status::OK();
+  }));
   if (parsed.current == 0) {
     return Status::Invalid("manifest " + path + " has no current generation");
   }
@@ -265,12 +265,16 @@ Status VerifySiteCheckpointFile(const std::string& path) {
     // field-by-field; verification just cannot be done ahead of parsing.
     return Status::OK();
   }
+  // Streams every section through its CRC without parsing or keeping it.
+  const auto skip = [](std::istream& section) {
+    section.ignore(std::numeric_limits<std::streamsize>::max());
+    return Status::OK();
+  };
   size_t sections = 0;
-  std::string scratch;
   while (true) {
     is.peek();
     if (is.eof()) break;
-    const Status section = ReadFramedSection(is, &scratch);
+    const Status section = ReadFramedSection(is, skip);
     if (!section.ok()) {
       return Status(section.code(), "checkpoint " + path +
                                         " failed verification: " +

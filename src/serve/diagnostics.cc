@@ -4,7 +4,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "util/serialize.h"
 
@@ -12,6 +11,8 @@ namespace rfid {
 
 namespace {
 
+using serialize::ReadBool;
+using serialize::ReadCount;
 using serialize::ReadFramedSection;
 using serialize::ReadPod;
 using serialize::WriteFramedSection;
@@ -36,8 +37,15 @@ void WriteRecord(std::ostream& os, const ServeRecord& record) {
   WritePod(os, record.location.heading);
 }
 
+/// Serialized size of one spilled entry with an empty reason: sequence,
+/// reason length, then WriteRecord's fields.
+constexpr uint64_t kMinEntryBytes =
+    sizeof(uint64_t) + sizeof(uint32_t) + sizeof(SiteId) + sizeof(uint8_t) +
+    sizeof(double) + sizeof(TagId) + 4 * sizeof(double) + sizeof(uint8_t) +
+    sizeof(double);
+
 bool ReadRecord(std::istream& is, ServeRecord* record) {
-  uint8_t kind = 0, has_heading = 0;
+  uint8_t kind = 0;
   if (!ReadPod(is, &record->site) || !ReadPod(is, &kind) ||
       !ReadPod(is, &record->reading.time) ||
       !ReadPod(is, &record->reading.tag) ||
@@ -45,11 +53,12 @@ bool ReadRecord(std::istream& is, ServeRecord* record) {
       !ReadPod(is, &record->location.location.x) ||
       !ReadPod(is, &record->location.location.y) ||
       !ReadPod(is, &record->location.location.z) ||
-      !ReadPod(is, &has_heading) || !ReadPod(is, &record->location.heading)) {
+      !ReadBool(is, &record->location.has_heading) ||
+      !ReadPod(is, &record->location.heading) ||
+      kind > static_cast<uint8_t>(ServeRecord::Kind::kLocation)) {
     return false;
   }
   record->kind = static_cast<ServeRecord::Kind>(kind);
-  record->location.has_heading = has_heading != 0;
   return true;
 }
 
@@ -58,18 +67,6 @@ bool ReadRecord(std::istream& is, ServeRecord* record) {
 Status WriteDeadLetterSpill(SiteId site,
                             const std::deque<DeadLetterEntry>& entries,
                             const std::string& path) {
-  std::ostringstream payload;
-  WritePod(payload, site);
-  WritePod(payload, static_cast<uint64_t>(entries.size()));
-  for (const DeadLetterEntry& entry : entries) {
-    WritePod(payload, entry.sequence);
-    const std::string reason = entry.reason != nullptr ? entry.reason : "";
-    WritePod(payload, static_cast<uint32_t>(reason.size()));
-    payload.write(reason.data(),
-                  static_cast<std::streamsize>(reason.size()));
-    WriteRecord(payload, entry.record);
-  }
-
   const std::string tmp = path + ".tmp";
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
@@ -78,8 +75,21 @@ Status WriteDeadLetterSpill(SiteId site,
     }
     os.write(kMagic, sizeof(kMagic));
     WritePod(os, kVersion);
-    WriteFramedSection(os, payload.str());
-    if (!os.good()) {
+    const Status written =
+        WriteFramedSection(os, [site, &entries](std::ostream& payload) {
+          WritePod(payload, site);
+          WritePod(payload, static_cast<uint64_t>(entries.size()));
+          for (const DeadLetterEntry& entry : entries) {
+            WritePod(payload, entry.sequence);
+            const std::string reason =
+                entry.reason != nullptr ? entry.reason : "";
+            WritePod(payload, static_cast<uint32_t>(reason.size()));
+            payload.write(reason.data(),
+                          static_cast<std::streamsize>(reason.size()));
+            WriteRecord(payload, entry.record);
+          }
+        });
+    if (!written.ok() || !os.good()) {
       return Status::IOError("failed writing dead-letter spill " + tmp);
     }
   }
@@ -111,36 +121,45 @@ Status ReadDeadLetterSpill(const std::string& path, SiteId* site,
     return Status::Invalid("unsupported dead-letter spill version " +
                            std::to_string(version));
   }
-  std::string payload_bytes;
-  RFID_RETURN_NOT_OK(ReadFramedSection(is, &payload_bytes));
-  std::istringstream payload(payload_bytes);
-  uint64_t count = 0;
-  if (!ReadPod(payload, site) || !ReadPod(payload, &count)) {
-    return Status::IOError("truncated dead-letter spill payload");
-  }
-  if (count > serialize::kMaxCount) {
-    return Status::Invalid("dead-letter spill count exceeds sanity cap");
-  }
-  entries->clear();
-  entries->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    SpilledDeadLetter entry;
-    uint32_t reason_len = 0;
-    if (!ReadPod(payload, &entry.sequence) || !ReadPod(payload, &reason_len)) {
-      return Status::IOError("truncated dead-letter spill entry");
+  SiteId parsed_site = 0;
+  std::vector<SpilledDeadLetter> parsed;
+  RFID_RETURN_NOT_OK(ReadFramedSection(is, [&](std::istream& payload) {
+    uint64_t count = 0;
+    if (!ReadPod(payload, &parsed_site) ||
+        !ReadCount(payload, &count, kMinEntryBytes)) {
+      return Status::IOError("truncated dead-letter spill payload");
     }
-    entry.reason.resize(reason_len);
-    if (reason_len > 0) {
-      payload.read(&entry.reason[0], reason_len);
-      if (!payload.good()) {
+    parsed.reserve(count);
+    for (uint64_t i = 0; i < count; ++i) {
+      SpilledDeadLetter entry;
+      uint32_t reason_len = 0;
+      if (!ReadPod(payload, &entry.sequence) ||
+          !ReadPod(payload, &reason_len)) {
+        return Status::IOError("truncated dead-letter spill entry");
+      }
+      if (reason_len > serialize::BytesLeft(payload)) {
         return Status::IOError("truncated dead-letter spill reason");
       }
+      entry.reason.resize(reason_len);
+      if (reason_len > 0) {
+        payload.read(&entry.reason[0], reason_len);
+        if (!payload.good()) {
+          return Status::IOError("truncated dead-letter spill reason");
+        }
+      }
+      // Reasons are C strings in memory: an embedded NUL was never written.
+      if (entry.reason.find('\0') != std::string::npos) {
+        return Status::Invalid("dead-letter spill reason holds a NUL byte");
+      }
+      if (!ReadRecord(payload, &entry.record)) {
+        return Status::IOError("truncated dead-letter spill record");
+      }
+      parsed.push_back(std::move(entry));
     }
-    if (!ReadRecord(payload, &entry.record)) {
-      return Status::IOError("truncated dead-letter spill record");
-    }
-    entries->push_back(std::move(entry));
-  }
+    return Status::OK();
+  }));
+  *site = parsed_site;
+  *entries = std::move(parsed);
   return Status::OK();
 }
 

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "obs/trace.h"
 #include "pf/snapshot.h"
@@ -16,6 +15,7 @@ namespace rfid {
 
 namespace {
 
+using serialize::ReadBool;
 using serialize::ReadFramedSection;
 using serialize::ReadPod;
 using serialize::WriteFramedSection;
@@ -197,6 +197,7 @@ void SitePipeline::FireScanComplete(SubscriptionBus* bus) {
   if (!event_scratch_.empty()) {
     if (bus != nullptr) bus->Dispatch(site_, event_scratch_);
     events_dispatched_ += event_scratch_.size();
+    events_c_->Add(event_scratch_.size());
   }
   ++scan_completes_;
   epochs_since_scan_ = false;
@@ -348,11 +349,17 @@ Status SitePipeline::SaveCheckpoint(std::ostream& os) const {
   // v4 layout: magic + version, then six CRC-framed sections in fixed
   // order — header/counters, scan-boundary detector, synchronizer, emitter,
   // engine stats, filter snapshot. Each section is verifiable before it is
-  // parsed.
+  // committed, and each streams straight into `os` (which must be seekable):
+  // the filter snapshot, by far the largest, nests its own framed body
+  // inside the last section without a staging copy.
+  const auto* filter =
+      dynamic_cast<const FactoredParticleFilter*>(&engine_->filter());
+  if (filter == nullptr) {
+    return Status::Internal("serving pipeline filter is not factored");
+  }
   os.write(kMagic, sizeof(kMagic));
   WritePod(os, kVersion);
-  {
-    std::ostringstream header;
+  RFID_RETURN_NOT_OK(WriteFramedSection(os, [this](std::ostream& header) {
     WritePod(header, site_);
     WritePod(header, records_processed_);
     WritePod(header, events_dispatched_);
@@ -361,10 +368,8 @@ Status SitePipeline::SaveCheckpoint(std::ostream& os) const {
     WritePod(header, records_quarantined_);
     WritePod(header, last_epoch_time_);
     WritePod(header, static_cast<uint8_t>(epochs_since_scan_ ? 1 : 0));
-    WriteFramedSection(os, header.str());
-  }
-  {
-    std::ostringstream detector;
+  }));
+  RFID_RETURN_NOT_OK(WriteFramedSection(os, [this](std::ostream& detector) {
     WritePod(detector, static_cast<uint8_t>(scan_origin_valid_ ? 1 : 0));
     WritePod(detector, scan_origin_.x);
     WritePod(detector, scan_origin_.y);
@@ -372,37 +377,22 @@ Status SitePipeline::SaveCheckpoint(std::ostream& os) const {
     WritePod(detector, static_cast<uint8_t>(scan_departed_ ? 1 : 0));
     WritePod(detector, static_cast<uint8_t>(activity_since_scan_ ? 1 : 0));
     WritePod(detector, last_activity_time_);
-    WriteFramedSection(os, detector.str());
-  }
-  {
-    std::ostringstream sync;
-    sync_.SaveState(sync);
-    WriteFramedSection(os, sync.str());
-  }
-  {
-    std::ostringstream emitter;
+  }));
+  RFID_RETURN_NOT_OK(WriteFramedSection(
+      os, [this](std::ostream& sync) { sync_.SaveState(sync); }));
+  RFID_RETURN_NOT_OK(WriteFramedSection(os, [this](std::ostream& emitter) {
     engine_->emitter().SaveState(emitter);
-    WriteFramedSection(os, emitter.str());
-  }
-  {
-    std::ostringstream stats_section;
+  }));
+  RFID_RETURN_NOT_OK(WriteFramedSection(os, [this](std::ostream& section) {
     const EngineStats& stats = engine_->stats();
-    WritePod(stats_section, stats.epochs_processed);
-    WritePod(stats_section, stats.readings_processed);
-    WritePod(stats_section, stats.events_emitted);
-    WritePod(stats_section, stats.processing_seconds);
-    WriteFramedSection(os, stats_section.str());
-  }
-  {
-    const auto* filter =
-        dynamic_cast<const FactoredParticleFilter*>(&engine_->filter());
-    if (filter == nullptr) {
-      return Status::Internal("serving pipeline filter is not factored");
-    }
-    std::ostringstream snapshot;
-    RFID_RETURN_NOT_OK(SaveFilterSnapshot(*filter, snapshot));
-    WriteFramedSection(os, snapshot.str());
-  }
+    WritePod(section, stats.epochs_processed);
+    WritePod(section, stats.readings_processed);
+    WritePod(section, stats.events_emitted);
+    WritePod(section, stats.processing_seconds);
+  }));
+  RFID_RETURN_NOT_OK(WriteFramedSection(os, [filter](std::ostream& snapshot) {
+    return SaveFilterSnapshot(*filter, snapshot);
+  }));
   if (!os.good()) return Status::IOError("failed writing site checkpoint");
   return Status::OK();
 }
@@ -435,75 +425,75 @@ Status SitePipeline::LoadCheckpoint(std::istream& is) {
   uint64_t records_shed = 0, scan_completes = 0;
   uint64_t records_quarantined = 0;
   double last_epoch_time = 0.0;
-  uint8_t epochs_since_scan = 0;
+  bool epochs_since_scan = false;
   // Detector defaults = "fresh scan": exactly what a v3 writer (which had
   // no mid-stream detector) implied.
-  uint8_t scan_origin_valid = 0, scan_departed = 0, activity_since_scan = 0;
+  bool scan_origin_valid = false, scan_departed = false;
+  bool activity_since_scan = false;
   Vec3 scan_origin;
   double last_activity_time = 0.0;
   StreamSynchronizer sync(MakeSyncConfig(config_));
   EventEmitter emitter(config_.engine.emitter);
   EngineStats stats;
-  // The filter snapshot is the final section; LoadFilterSnapshot itself
-  // parses fully before mutating the filter, so it is the commit point —
-  // after it succeeds, nothing can fail.
   auto* filter =
       dynamic_cast<FactoredParticleFilter*>(&engine_->mutable_filter());
   if (filter == nullptr) {
     return Status::Internal("serving pipeline filter is not factored");
   }
-  // Framed path (every supported version): each section's checksum is
-  // verified before its bytes are parsed, so a torn or bit-rotted
-  // checkpoint fails cleanly here.
-  std::string header_bytes, detector_bytes, sync_bytes, emitter_bytes;
-  std::string stats_bytes, snapshot_bytes;
-  RFID_RETURN_NOT_OK(ReadFramedSection(is, &header_bytes));
-  if (version >= 4) {
-    RFID_RETURN_NOT_OK(ReadFramedSection(is, &detector_bytes));
-  }
-  RFID_RETURN_NOT_OK(ReadFramedSection(is, &sync_bytes));
-  RFID_RETURN_NOT_OK(ReadFramedSection(is, &emitter_bytes));
-  RFID_RETURN_NOT_OK(ReadFramedSection(is, &stats_bytes));
-  RFID_RETURN_NOT_OK(ReadFramedSection(is, &snapshot_bytes));
-  std::istringstream header(header_bytes);
-  if (!ReadPod(header, &site) || !ReadPod(header, &records_processed) ||
-      !ReadPod(header, &events_dispatched) ||
-      !ReadPod(header, &records_shed) || !ReadPod(header, &scan_completes) ||
-      !ReadPod(header, &records_quarantined) ||
-      !ReadPod(header, &last_epoch_time) ||
-      !ReadPod(header, &epochs_since_scan)) {
-    return Status::IOError("truncated site checkpoint header section");
-  }
+  // Framed path (every supported version): each section is parsed through
+  // a CRC-checking view and its checksum verified before anything from it
+  // is committed, so a torn or bit-rotted checkpoint fails cleanly here.
+  RFID_RETURN_NOT_OK(ReadFramedSection(is, [&](std::istream& header) {
+    if (!ReadPod(header, &site) || !ReadPod(header, &records_processed) ||
+        !ReadPod(header, &events_dispatched) ||
+        !ReadPod(header, &records_shed) ||
+        !ReadPod(header, &scan_completes) ||
+        !ReadPod(header, &records_quarantined) ||
+        !ReadPod(header, &last_epoch_time) ||
+        !ReadBool(header, &epochs_since_scan)) {
+      return Status::IOError("truncated site checkpoint header section");
+    }
+    return Status::OK();
+  }));
   if (site != site_) {
     return Status::Invalid("site checkpoint is for site " +
                            std::to_string(site) + ", pipeline is site " +
                            std::to_string(site_));
   }
   if (version >= 4) {
-    std::istringstream detector(detector_bytes);
-    if (!ReadPod(detector, &scan_origin_valid) ||
-        !ReadPod(detector, &scan_origin.x) ||
-        !ReadPod(detector, &scan_origin.y) ||
-        !ReadPod(detector, &scan_origin.z) ||
-        !ReadPod(detector, &scan_departed) ||
-        !ReadPod(detector, &activity_since_scan) ||
-        !ReadPod(detector, &last_activity_time)) {
-      return Status::IOError("truncated site checkpoint detector section");
+    RFID_RETURN_NOT_OK(ReadFramedSection(is, [&](std::istream& detector) {
+      if (!ReadBool(detector, &scan_origin_valid) ||
+          !ReadPod(detector, &scan_origin.x) ||
+          !ReadPod(detector, &scan_origin.y) ||
+          !ReadPod(detector, &scan_origin.z) ||
+          !ReadBool(detector, &scan_departed) ||
+          !ReadBool(detector, &activity_since_scan) ||
+          !ReadPod(detector, &last_activity_time)) {
+        return Status::IOError("truncated site checkpoint detector section");
+      }
+      return Status::OK();
+    }));
+  }
+  RFID_RETURN_NOT_OK(ReadFramedSection(
+      is, [&sync](std::istream& section) { return sync.LoadState(section); }));
+  RFID_RETURN_NOT_OK(ReadFramedSection(is, [&emitter](std::istream& section) {
+    return emitter.LoadState(section);
+  }));
+  RFID_RETURN_NOT_OK(ReadFramedSection(is, [&stats](std::istream& section) {
+    if (!ReadPod(section, &stats.epochs_processed) ||
+        !ReadPod(section, &stats.readings_processed) ||
+        !ReadPod(section, &stats.events_emitted) ||
+        !ReadPod(section, &stats.processing_seconds)) {
+      return Status::IOError("truncated site checkpoint stats section");
     }
-  }
-  std::istringstream sync_stream(sync_bytes);
-  RFID_RETURN_NOT_OK(sync.LoadState(sync_stream));
-  std::istringstream emitter_stream(emitter_bytes);
-  RFID_RETURN_NOT_OK(emitter.LoadState(emitter_stream));
-  std::istringstream stats_stream(stats_bytes);
-  if (!ReadPod(stats_stream, &stats.epochs_processed) ||
-      !ReadPod(stats_stream, &stats.readings_processed) ||
-      !ReadPod(stats_stream, &stats.events_emitted) ||
-      !ReadPod(stats_stream, &stats.processing_seconds)) {
-    return Status::IOError("truncated site checkpoint stats section");
-  }
-  std::istringstream snapshot_stream(snapshot_bytes);
-  RFID_RETURN_NOT_OK(LoadFilterSnapshot(snapshot_stream, filter));
+    return Status::OK();
+  }));
+  // The filter snapshot is the final section and the commit point: it
+  // parses fully and checks its own checksum and then this section's
+  // before mutating the filter — after it succeeds, nothing can fail.
+  RFID_RETURN_NOT_OK(ReadFramedSection(is, [filter](std::istream& section) {
+    return LoadFilterSnapshot(section, filter);
+  }));
   sync_ = std::move(sync);
   engine_->emitter() = std::move(emitter);
   engine_->RestoreStats(stats);
@@ -513,11 +503,11 @@ Status SitePipeline::LoadCheckpoint(std::istream& is) {
   scan_completes_ = scan_completes;
   records_quarantined_ = records_quarantined;
   last_epoch_time_ = last_epoch_time;
-  epochs_since_scan_ = epochs_since_scan != 0;
-  scan_origin_valid_ = scan_origin_valid != 0;
+  epochs_since_scan_ = epochs_since_scan;
+  scan_origin_valid_ = scan_origin_valid;
   scan_origin_ = scan_origin;
-  scan_departed_ = scan_departed != 0;
-  activity_since_scan_ = activity_since_scan != 0;
+  scan_departed_ = scan_departed;
+  activity_since_scan_ = activity_since_scan;
   last_activity_time_ = last_activity_time;
   return Status::OK();
 }

@@ -7,7 +7,8 @@
 
 namespace rfid {
 
-using serialize::kMaxCount;
+using serialize::ReadBool;
+using serialize::ReadCount;
 using serialize::ReadPod;
 using serialize::WritePod;
 
@@ -144,29 +145,36 @@ void EventEmitter::SaveState(std::ostream& os) const {
 }
 
 Status EventEmitter::LoadState(std::istream& is) {
+  // Serialized size of one scope: tag, first read time, last read epoch and
+  // the two flags. Counts are bounded by the bytes left before allocating.
+  constexpr uint64_t kScopeBytes = sizeof(TagId) + sizeof(double) +
+                                   sizeof(int64_t) + 2 * sizeof(uint8_t);
   int64_t epoch_counter = 0;
   uint64_t scope_count = 0;
-  if (!ReadPod(is, &epoch_counter) || !ReadPod(is, &scope_count) ||
-      scope_count > kMaxCount) {
+  if (!ReadPod(is, &epoch_counter) ||
+      !ReadCount(is, &scope_count, kScopeBytes)) {
     return Status::IOError("truncated emitter state");
   }
   std::unordered_map<TagId, TagScope> scopes;
   scopes.reserve(scope_count);
+  TagId previous_tag = 0;
   for (uint64_t i = 0; i < scope_count; ++i) {
     TagId tag = 0;
     TagScope scope;
-    uint8_t emitted = 0, pending = 0;
     if (!ReadPod(is, &tag) || !ReadPod(is, &scope.first_read_time) ||
-        !ReadPod(is, &scope.last_read_epoch) || !ReadPod(is, &emitted) ||
-        !ReadPod(is, &pending)) {
+        !ReadPod(is, &scope.last_read_epoch) ||
+        !ReadBool(is, &scope.emitted) || !ReadBool(is, &scope.pending)) {
       return Status::IOError("truncated emitter state");
     }
-    scope.emitted = emitted != 0;
-    scope.pending = pending != 0;
+    // SaveState writes scopes sorted by tag, each once.
+    if (i > 0 && tag <= previous_tag) {
+      return Status::Invalid("emitter scopes out of order");
+    }
+    previous_tag = tag;
     scopes[tag] = scope;
   }
   uint64_t pending_count = 0;
-  if (!ReadPod(is, &pending_count) || pending_count > kMaxCount) {
+  if (!ReadCount(is, &pending_count, sizeof(TagId))) {
     return Status::IOError("truncated emitter state");
   }
   std::vector<TagId> pending(pending_count);

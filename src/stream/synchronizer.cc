@@ -8,7 +8,8 @@
 
 namespace rfid {
 
-using serialize::kMaxCount;
+using serialize::ReadBool;
+using serialize::ReadCount;
 using serialize::ReadPod;
 using serialize::WritePod;
 
@@ -372,21 +373,27 @@ void StreamSynchronizer::SaveState(std::ostream& os) const {
 }
 
 Status StreamSynchronizer::LoadState(std::istream& is) {
-  uint8_t any_seen = 0, any_closed = 0;
+  // Serialized size of one pending epoch with no tags. Counts are bounded
+  // by the bytes left before anything is allocated.
+  constexpr uint64_t kPendingBytes =
+      sizeof(PendingEpoch::index) + sizeof(uint64_t) + 3 * sizeof(double) +
+      sizeof(PendingEpoch::location_count) + 2 * sizeof(double) +
+      sizeof(PendingEpoch::heading_count);
+  bool any_seen = false, any_closed = false;
   double max_seen = 0.0;
   int64_t highest_closed = 0;
   uint64_t dropped = 0, skipped = 0, pending_count = 0;
-  if (!ReadPod(is, &any_seen) || !ReadPod(is, &max_seen) ||
-      !ReadPod(is, &any_closed) || !ReadPod(is, &highest_closed) ||
+  if (!ReadBool(is, &any_seen) || !ReadPod(is, &max_seen) ||
+      !ReadBool(is, &any_closed) || !ReadPod(is, &highest_closed) ||
       !ReadPod(is, &dropped) || !ReadPod(is, &skipped) ||
-      !ReadPod(is, &pending_count) || pending_count > kMaxCount) {
+      !ReadCount(is, &pending_count, kPendingBytes)) {
     return Status::IOError("truncated synchronizer state");
   }
   std::vector<PendingEpoch> pending(pending_count);
   for (auto& p : pending) {
     uint64_t tag_count = 0;
-    if (!ReadPod(is, &p.index) || !ReadPod(is, &tag_count) ||
-        tag_count > kMaxCount) {
+    if (!ReadPod(is, &p.index) ||
+        !ReadCount(is, &tag_count, sizeof(TagId))) {
       return Status::IOError("truncated synchronizer state");
     }
     p.tags.resize(tag_count);
@@ -402,9 +409,9 @@ Status StreamSynchronizer::LoadState(std::istream& is) {
       return Status::IOError("truncated synchronizer state");
     }
   }
-  any_seen_ = any_seen != 0;
+  any_seen_ = any_seen;
   max_seen_time_ = max_seen;
-  any_closed_ = any_closed != 0;
+  any_closed_ = any_closed;
   highest_closed_ = highest_closed;
   dropped_late_records_ = dropped;
   skipped_gap_epochs_ = skipped;

@@ -8,8 +8,10 @@
 #include <cmath>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "serve/server.h"
 #include "serve/site_pipeline.h"
 #include "serve/subscription_bus.h"
 #include "test_util.h"
@@ -240,6 +242,58 @@ TEST(ScanBoundaryTest, DetectorStateSurvivesCheckpoint) {
     EXPECT_EQ(clean_events[i].location, resumed_events[i].location)
         << "event " << i;
   }
+}
+
+/// The integer following `key` in `text` (a JSON field or a Prometheus
+/// sample line), or -1 when `key` is absent.
+long long ValueAfter(const std::string& text, const std::string& key) {
+  const size_t at = text.find(key);
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + key.size()));
+}
+
+TEST(ScanBoundaryTest, ScanCompleteEventsReachTheDispatchCounter) {
+  // Under kOnScanComplete every event leaves through a scan-complete flush.
+  // The stats surface and the Prometheus counter must count them alike,
+  // whether the flush came from a mid-stream boundary or from Flush().
+  const SitePipelineConfig site =
+      ScanConfig(ScanBoundaryConfig::Mode::kReaderReturn);
+  ServeConfig config;
+  config.num_shards = 1;
+  config.epoch_seconds = site.epoch_seconds;
+  config.max_lateness_seconds = site.max_lateness_seconds;
+  config.scan_boundary = site.scan_boundary;
+  config.engine = site.engine;
+  std::vector<SiteSpec> specs;
+  specs.push_back({kSite, MakeLineWorld()});
+  auto server = StreamingServer::Create(std::move(specs), config);
+  ASSERT_TRUE(server.ok());
+
+  auto expect_counts_agree = [&server](uint64_t scans) {
+    EXPECT_EQ(server.value()->FindSite(kSite)->Stats().scan_completes, scans);
+    const long long dispatched =
+        ValueAfter(server.value()->StatsJson(), "\"events_dispatched\": ");
+    EXPECT_GT(dispatched, 0);
+    EXPECT_EQ(ValueAfter(server.value()->MetricsPrometheus(),
+                         "\nrfid_events_dispatched_total "),
+              dispatched);
+  };
+
+  // A full out-and-back pass: the return to origin closes the scan.
+  for (const ServeRecord& r : OutAndBack(0.0)) {
+    ASSERT_TRUE(server.value()->Ingest(r));
+  }
+  server.value()->Pump();
+  expect_counts_agree(1);
+
+  // Half a pass, then the stream ends: Flush() closes the scan.
+  const std::vector<ServeRecord> outbound = OutAndBack(20.0);
+  for (size_t i = 0; i < 5; ++i) {
+    ASSERT_TRUE(server.value()->Ingest(outbound[i]));
+  }
+  server.value()->Pump();
+  server.value()->Flush();
+  expect_counts_agree(2);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "serve/checkpoint.h"
 #include "serve/server.h"
 #include "sim/lab.h"
+#include "util/crc32.h"
 
 namespace rfid {
 namespace {
@@ -289,6 +290,50 @@ TEST_F(ServeCheckpointTest, LoadsLegacyV3Checkpoints) {
   EXPECT_GT(stats.engine.epochs_processed, 0u);
   EXPECT_EQ(stats.records_quarantined, 0u);
   std::filesystem::remove_all(legacy_dir);
+}
+
+/// Checkpoint bytes with the one wall-clock field — the engine's
+/// processing_seconds, the last 8 bytes of the stats section (the fifth
+/// framed section) — zeroed and that section's CRC re-sealed, so the rest
+/// can be compared across runs.
+std::string WithoutWallClock(std::string bytes) {
+  size_t pos = 8 + sizeof(uint32_t);
+  for (int section = 0; section < 5; ++section) {
+    uint64_t length = 0;
+    std::memcpy(&length, bytes.data() + pos, sizeof(length));
+    const size_t payload = pos + sizeof(uint64_t) + sizeof(uint32_t);
+    if (section == 4) {
+      std::memset(&bytes[payload + length - sizeof(double)], 0,
+                  sizeof(double));
+      const uint32_t crc = Crc32(bytes.data() + payload, length);
+      std::memcpy(&bytes[pos + sizeof(uint64_t)], &crc, sizeof(crc));
+    }
+    pos = payload + length;
+  }
+  return bytes;
+}
+
+TEST_F(ServeCheckpointTest, StreamingWriterReproducesPinnedBytes) {
+  // Size and CRC-32 of this scenario's site checkpoint as the staging
+  // writer (which serialized every section into a string before framing
+  // it) wrote them: streaming the sections, and the filter snapshot nested
+  // in the last one, straight into the sink must not move a byte.
+  LabConfig lc;
+  lc.seed = 505;
+  lc.tags_per_row = 10;
+  const auto lab = BuildLabDeployment(lc);
+  ASSERT_TRUE(lab.ok());
+  auto server = MakeLabServer(lab.value());
+  ASSERT_TRUE(server.ok());
+  for (const ServeRecord& record : LabRecords(lab.value(), 60)) {
+    ASSERT_TRUE(server.value()->Ingest(record));
+  }
+  server.value()->Pump();
+  std::stringstream ss;
+  ASSERT_TRUE(server.value()->FindSite(kSite)->SaveCheckpoint(ss).ok());
+  const std::string bytes = WithoutWallClock(ss.str());
+  EXPECT_EQ(bytes.size(), 91766u);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0xE94AA9E5u);
 }
 
 TEST_F(ServeCheckpointTest, RejectsV2CheckpointsOutsideTheWindow) {

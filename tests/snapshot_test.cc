@@ -1,10 +1,13 @@
 // Tests for filter checkpoint / restore.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+#include <streambuf>
 
 #include "pf/snapshot.h"
 #include "test_util.h"
+#include "util/crc32.h"
 
 namespace rfid {
 namespace {
@@ -35,6 +38,16 @@ void Drive(FactoredParticleFilter* filter) {
     if (rng.Bernoulli(sensor.ProbReadAt(pose, obj_b))) tags.push_back(1001);
     filter->ObserveEpoch(MakeEpoch(t, y, tags));
   }
+}
+
+/// A snapshot of Drive()'s filter in a legacy layout, as the release that
+/// still wrote it recorded it (tests/fixtures/).
+std::string Fixture(const char* name) {
+  std::ifstream is(std::string(RFID_TEST_FIXTURE_DIR) + "/" + name,
+                   std::ios::binary);
+  std::stringstream buffer;
+  buffer << is.rdbuf();
+  return buffer.str();
 }
 
 TEST(SnapshotTest, RoundTripPreservesBeliefState) {
@@ -188,8 +201,8 @@ TEST(SnapshotTest, LoadsLegacyV3Snapshots) {
   FactoredParticleFilter original(MakeLineWorld(), Config());
   Drive(&original);
 
-  std::stringstream v3, v4;
-  ASSERT_TRUE(SaveFilterSnapshotV3(original, v3).ok());
+  std::stringstream v3(Fixture("snapshot_v3.bin")), v4;
+  ASSERT_GT(v3.str().size(), 12u);
   ASSERT_TRUE(SaveFilterSnapshot(original, v4).ok());
 
   FactoredParticleFilter from_v3(MakeLineWorld(), Config());
@@ -209,17 +222,19 @@ TEST(SnapshotTest, LoadsLegacyV3Snapshots) {
     EXPECT_EQ(a->support, b->support);
   }
   EXPECT_EQ(from_v3.EstimateReader().mean, from_v4.EstimateReader().mean);
+
+  // Re-saving the upgraded belief writes exactly today's v4 bytes.
+  std::stringstream resaved;
+  ASSERT_TRUE(SaveFilterSnapshot(from_v3, resaved).ok());
+  EXPECT_EQ(resaved.str(), v4.str());
 }
 
 TEST(SnapshotTest, RejectsV2SnapshotsOutsideTheWindow) {
   // v2 fell out of the one-back load window when v4 became the writer. The
   // rejection must be explicit and name the oldest loadable version — a
   // generic "bad file" error would read as corruption, not deprecation.
-  FactoredParticleFilter original(MakeLineWorld(), Config());
-  Drive(&original);
-
-  std::stringstream v2;
-  ASSERT_TRUE(SaveFilterSnapshotV2(original, v2).ok());
+  std::stringstream v2(Fixture("snapshot_v2.bin"));
+  ASSERT_GT(v2.str().size(), 12u);
 
   FactoredParticleFilter filter(MakeLineWorld(), Config());
   const Status status = LoadFilterSnapshot(v2, &filter);
@@ -234,14 +249,36 @@ TEST(SnapshotTest, RejectsV2SnapshotsOutsideTheWindow) {
   EXPECT_EQ(filter.current_step(), 0);
 }
 
-TEST(SnapshotTest, V2SaveRejectsHibernatedFilters) {
-  FactoredParticleFilter filter(MakeLineWorld(), HibernatingConfig());
-  Drive(&filter);
-  ASSERT_GT(filter.NumHibernatedObjects(), 0u);
+TEST(SnapshotTest, StreamingWriterReproducesPinnedBytes) {
+  // Size and CRC-32 of Drive()'s v4 snapshot as the staging writer (which
+  // serialized into a string before framing it) wrote them: streaming the
+  // payload straight into the sink must not move a byte.
+  FactoredParticleFilter original(MakeLineWorld(), Config());
+  Drive(&original);
   std::stringstream ss;
-  const Status status = SaveFilterSnapshotV2(filter, ss);
+  ASSERT_TRUE(SaveFilterSnapshot(original, ss).ok());
+  const std::string bytes = ss.str();
+  EXPECT_EQ(bytes.size(), 8506u);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0xC6533784u);
+}
+
+/// Accepts writes but cannot seek, like a pipe or a socket.
+class AppendOnlyBuf final : public std::streambuf {
+ protected:
+  int_type overflow(int_type ch) override { return traits_type::not_eof(ch); }
+  std::streamsize xsputn(const char*, std::streamsize n) override { return n; }
+};
+
+TEST(SnapshotTest, NonSeekableSinkIsRejected) {
+  // The header of a framed section is patched after its payload streams
+  // out; there is no buffered fallback for a sink that cannot seek back.
+  FactoredParticleFilter original(MakeLineWorld(), Config());
+  Drive(&original);
+  AppendOnlyBuf buf;
+  std::ostream os(&buf);
+  const Status status = SaveFilterSnapshot(original, os);
   EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.code(), StatusCode::kIOError);
 }
 
 TEST(SnapshotTest, RejectsBadMagic) {

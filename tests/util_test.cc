@@ -1,13 +1,20 @@
-// Tests for util/: Status, Result, Rng, TableWriter, Stopwatch.
+// Tests for util/: Status, Result, Rng, CRC-32, framed sections,
+// TableWriter, Stopwatch.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "util/crc32.h"
 #include "util/csv.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
 
@@ -204,6 +211,171 @@ TEST(RngTest, CategoricalZeroWeightNeverChosen) {
   Rng rng(15);
   const std::vector<double> weights = {0.0, 1.0, 0.0};
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(rng.Categorical(weights), 1u);
+}
+
+// ---------------------------------------------------------------- CRC-32 ---
+
+/// The textbook bitwise CRC-32 (reflected 0xEDB88320), independent of the
+/// tables the production code uses.
+uint32_t ReferenceCrc32(const unsigned char* data, size_t len) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> RandomBytes(Rng* rng, size_t len) {
+  std::vector<unsigned char> bytes(len);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng->UniformInt(256));
+  return bytes;
+}
+
+TEST(Crc32Test, StandardCheckValue) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceOnRandomBuffers) {
+  Rng rng(31);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t len = static_cast<size_t>(rng.UniformInt(4097));
+    const auto bytes = RandomBytes(&rng, len);
+    // Unaligned starts exercise the 8-byte main loop from every offset.
+    const size_t offset = std::min<size_t>(len, trial % 8);
+    ASSERT_EQ(Crc32(bytes.data() + offset, len - offset),
+              ReferenceCrc32(bytes.data() + offset, len - offset))
+        << "length " << len << " offset " << offset;
+  }
+}
+
+TEST(Crc32Test, ChainingEqualsOneShot) {
+  Rng rng(32);
+  const auto bytes = RandomBytes(&rng, 1000);
+  const uint32_t head = Crc32(bytes.data(), 333);
+  EXPECT_EQ(Crc32(bytes.data() + 333, 667, head),
+            Crc32(bytes.data(), bytes.size()));
+}
+
+TEST(Crc32Test, CombineEqualsCrcOfConcatenation) {
+  Rng rng(33);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t len = static_cast<size_t>(rng.UniformInt(4097));
+    const auto bytes = RandomBytes(&rng, len);
+    // Split points include both ends, so each side is sometimes empty.
+    const size_t split =
+        trial % 3 == 0 ? (trial % 2 == 0 ? 0 : len)
+                       : static_cast<size_t>(rng.UniformInt(len + 1));
+    const uint32_t a = Crc32(bytes.data(), split);
+    const uint32_t b = Crc32(bytes.data() + split, len - split);
+    ASSERT_EQ(Crc32Combine(a, b, len - split), Crc32(bytes.data(), len))
+        << "length " << len << " split " << split;
+  }
+}
+
+// -------------------------------------------------------- framed sections ---
+
+/// The framed layout spelled out by hand: [u64 length][u32 crc][payload].
+std::string Frame(const std::string& payload) {
+  std::string out(12, '\0');
+  const uint64_t length = payload.size();
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  std::memcpy(&out[0], &length, sizeof(length));
+  std::memcpy(&out[8], &crc, sizeof(crc));
+  return out + payload;
+}
+
+TEST(FramedSectionTest, NestedSectionsWriteTheStagedLayout) {
+  // A section nested in another streams to the sink directly; the outer
+  // frame must still carry the CRC of everything inside it, inner header
+  // included. Payloads span several section buffers.
+  const std::string before(50'000, 'a');
+  const std::string inner(70'000, 'b');
+  const std::string after = "tail";
+  std::stringstream ss;
+  ss << "head";
+  const Status status =
+      serialize::WriteFramedSection(ss, [&](std::ostream& outer) {
+        outer << before;
+        RFID_RETURN_NOT_OK(serialize::WriteFramedSection(
+            outer, [&](std::ostream& os) { os << inner; }));
+        outer << after;
+        return Status::OK();
+      });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(ss.str(), "head" + Frame(before + Frame(inner) + after));
+
+  std::string read_inner, read_after;
+  ss.seekg(4);
+  const auto read_inner_section = [&](std::istream& is) {
+    read_inner.assign(std::istreambuf_iterator<char>(is), {});
+    return Status::OK();
+  };
+  const auto read_outer_section = [&](std::istream& outer) {
+    std::string skipped(before.size(), '\0');
+    outer.read(&skipped[0], static_cast<std::streamsize>(skipped.size()));
+    RFID_RETURN_NOT_OK(
+        serialize::ReadFramedSection(outer, read_inner_section));
+    read_after.assign(std::istreambuf_iterator<char>(outer), {});
+    return Status::OK();
+  };
+  const Status read = serialize::ReadFramedSection(ss, read_outer_section);
+  ASSERT_TRUE(read.ok()) << read.ToString();
+  EXPECT_EQ(read_inner, inner);
+  EXPECT_EQ(read_after, after);
+}
+
+TEST(FramedSectionTest, BytesTheParserLeavesAreCorrupt) {
+  // Whatever a parser never reads would be dropped on re-save.
+  std::stringstream ss(Frame("payload bytes"));
+  const Status status = serialize::ReadFramedSection(ss, [](std::istream& is) {
+    char first = 0;
+    is.get(first);
+    return Status::OK();
+  });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+}
+
+TEST(FramedSectionTest, ReaderReportsChecksumOverParseErrors) {
+  std::string bytes = Frame("payload bytes");
+  bytes[14] ^= 0x10;
+  std::stringstream ss(bytes);
+  const Status status = serialize::ReadFramedSection(
+      ss, [](std::istream&) { return Status::IOError("parse failed"); });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+}
+
+TEST(FramedSectionTest, LengthBeyondTheSourceIsTruncation) {
+  std::string bytes = Frame("payload bytes");
+  bytes.resize(bytes.size() - 1);
+  std::stringstream ss(bytes);
+  bool parsed = false;
+  const Status status = serialize::ReadFramedSection(ss, [&](std::istream&) {
+    parsed = true;
+    return Status::OK();
+  });
+  EXPECT_EQ(status.code(), StatusCode::kIOError) << status.ToString();
+  EXPECT_FALSE(parsed);
+}
+
+TEST(FramedSectionTest, CountsAreBoundedByTheBytesLeft) {
+  // 3 elements of 8 bytes need 24 bytes; the section holds 16 after the
+  // count, so a claim of 3 is a lie and 2 is fine.
+  for (const uint64_t claimed : {uint64_t{2}, uint64_t{3}}) {
+    std::string payload(sizeof(claimed), '\0');
+    std::memcpy(&payload[0], &claimed, sizeof(claimed));
+    payload += std::string(16, 'x');
+    std::stringstream ss(Frame(payload));
+    bool fits = false;
+    ASSERT_TRUE(serialize::ReadFramedSection(ss, [&](std::istream& is) {
+                  uint64_t count = 0;
+                  fits = serialize::ReadCount(is, &count, 8);
+                  is.ignore(std::numeric_limits<std::streamsize>::max());
+                  return Status::OK();
+                }).ok());
+    EXPECT_EQ(fits, claimed == 2) << "claimed " << claimed;
+  }
 }
 
 // ----------------------------------------------------------- TableWriter ---
