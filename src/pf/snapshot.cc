@@ -27,14 +27,21 @@ constexpr char kMagic[8] = {'R', 'F', 'I', 'D', 'S', 'N', 'A', 'P'};
 // v4 wraps the entire belief payload in a CRC32 frame ([u64 len][u32 crc]
 // after the header): corruption anywhere in the body is detected before a
 // single field is committed. The payload layout itself is unchanged from v3.
+// v5 run-length codes each object's particle block. Unmoved particles are
+// bit-exact copies (ObjectLocationModel::Propagate returns its input unless
+// the tag jumps) and systematic resampling gathers ancestors in order, so
+// the copies sit next to each other. After the u64 particle count, every
+// maximal run of bit-equal positions is [LEB128 run length][x y z],
+// followed by each particle of the run as [reader index][f64 weight]; the
+// reader index is u8, u16 or u32, the narrowest that holds every index
+// below the snapshot's reader count.
 //
-// Version window: one back. Only v4 is written; v3 still loads (its body
-// is parsed directly from the stream, without frame verification); v2 and
+// Version window: one back. Only v5 is written; v4 still loads; v3 and
 // older are rejected with an error naming the oldest loadable version —
 // the deprecation story is "every release loads its predecessor's files,
 // so step through releases, re-saving, to migrate older state".
-constexpr uint32_t kVersion = 4;
-constexpr uint32_t kMinVersion = 3;
+constexpr uint32_t kVersion = 5;
+constexpr uint32_t kMinVersion = 4;
 
 void WriteVec3(std::ostream& os, const Vec3& v) {
   WritePod(os, v.x);
@@ -52,16 +59,190 @@ bool IsFinite(const Vec3& v) {
   return std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
 }
 
+bool IsWeight(double w) { return std::isfinite(w) && w >= 0.0; }
+
+bool SameBits(const Vec3& a, const Vec3& b) {
+  static_assert(sizeof(Vec3) == 3 * sizeof(double));
+  return std::memcmp(&a, &b, sizeof(Vec3)) == 0;
+}
+
 // Smallest serialized size of each counted element, for bounding counts by
 // the bytes left before anything is allocated.
 constexpr uint64_t kVec3Bytes = 3 * sizeof(double);
 constexpr uint64_t kReaderBytes = kVec3Bytes + 2 * sizeof(double);
-constexpr uint64_t kParticleBytes =
+constexpr uint64_t kV4ParticleBytes =
     kVec3Bytes + sizeof(uint32_t) + sizeof(double);
 constexpr uint64_t kStateBytes = sizeof(TagId) + 3 * sizeof(int64_t) +
                                  3 * kVec3Bytes + 2 * sizeof(uint8_t) +
                                  sizeof(uint64_t);
 constexpr uint64_t kIndexEntryBytes = 2 * kVec3Bytes + sizeof(uint64_t);
+
+/// Bytes of one v5 reader index: the narrowest width holding every index
+/// below `reader_count`.
+uint64_t ReaderIndexBytes(uint64_t reader_count) {
+  if (reader_count <= uint64_t{1} << 8) return sizeof(uint8_t);
+  if (reader_count <= uint64_t{1} << 16) return sizeof(uint16_t);
+  return sizeof(uint32_t);
+}
+
+/// Unsigned LEB128: seven bits per byte, low group first, the high bit set
+/// on every byte but the last.
+void WriteVarint(std::ostream& os, uint64_t value) {
+  char bytes[10] = {};
+  size_t n = 0;
+  for (; value >= 0x80; value >>= 7) {
+    bytes[n++] = static_cast<char>((value & 0x7F) | 0x80);
+  }
+  bytes[n++] = static_cast<char>(value);
+  os.write(bytes, static_cast<std::streamsize>(n));
+}
+
+/// Reads a v5 run length: a minimal varint (no zero final group after the
+/// first byte, so every length has exactly one encoding) in [1, max_run].
+Status ReadRunLength(std::istream& is, uint64_t max_run, uint64_t* run) {
+  uint64_t value = 0;
+  for (int shift = 0;; shift += 7) {
+    uint8_t byte = 0;
+    if (!ReadPod(is, &byte)) return Truncated();
+    const uint64_t group = byte & 0x7F;
+    // Ten or more groups overflow 63 bits: far past any possible run.
+    if (shift > 56) {
+      return Status::Invalid("snapshot particle run length overflows");
+    }
+    value |= group << shift;
+    if ((byte & 0x80) == 0) {
+      if (byte == 0 && shift > 0) {
+        return Status::Invalid("snapshot particle run length is not minimal");
+      }
+      break;
+    }
+  }
+  if (value == 0 || value > max_run) {
+    return Status::Invalid("snapshot particle run length " +
+                           std::to_string(value) + " outside [1, " +
+                           std::to_string(max_run) + "]");
+  }
+  *run = value;
+  return Status::OK();
+}
+
+Status CheckParticle(uint64_t reader_idx, uint64_t reader_count,
+                     double weight) {
+  if (reader_idx >= reader_count) {
+    return Status::Invalid("snapshot particle references invalid reader");
+  }
+  if (!IsWeight(weight)) {
+    return Status::Invalid("snapshot particle weight is negative or not "
+                           "finite");
+  }
+  return Status::OK();
+}
+
+Status InvalidPosition() {
+  return Status::Invalid("snapshot particle position is not finite");
+}
+
+/// v5 particle block after its count: maximal runs of bit-equal positions.
+template <typename Index>
+void WriteParticleRuns(std::ostream& os, const ParticleSoa& particles) {
+  const size_t n = particles.size();
+  size_t end = 0;
+  for (size_t begin = 0; begin < n; begin = end) {
+    const Vec3 position = particles.PositionAt(begin);
+    for (end = begin + 1;
+         end < n && SameBits(particles.PositionAt(end), position); ++end) {
+    }
+    WriteVarint(os, end - begin);
+    WriteVec3(os, position);
+    for (size_t k = begin; k < end; ++k) {
+      WritePod(os, static_cast<Index>(particles.ReaderIdxAt(k)));
+      WritePod(os, particles.WeightAt(k));
+    }
+  }
+}
+
+/// One object's v5 particle block, count included.
+void WriteParticles(std::ostream& os, uint64_t reader_count,
+                    const ParticleSoa& particles) {
+  WritePod(os, static_cast<uint64_t>(particles.size()));
+  switch (ReaderIndexBytes(reader_count)) {
+    case sizeof(uint8_t):
+      return WriteParticleRuns<uint8_t>(os, particles);
+    case sizeof(uint16_t):
+      return WriteParticleRuns<uint16_t>(os, particles);
+    default:
+      return WriteParticleRuns<uint32_t>(os, particles);
+  }
+}
+
+template <typename Index>
+Status ReadParticleRuns(std::istream& is, uint64_t count,
+                        uint64_t reader_count, ParticleSoa* particles) {
+  Vec3 previous;
+  for (uint64_t left = count; left > 0;) {
+    uint64_t run = 0;
+    RFID_RETURN_NOT_OK(ReadRunLength(is, left, &run));
+    Vec3 position;
+    if (!ReadVec3(is, &position)) return Truncated();
+    if (!IsFinite(position)) return InvalidPosition();
+    // Runs are maximal: a run equal to its predecessor would re-save as one.
+    if (left < count && SameBits(position, previous)) {
+      return Status::Invalid("snapshot particle runs are not maximal");
+    }
+    previous = position;
+    left -= run;
+    for (; run > 0; --run) {
+      Index reader_idx = 0;
+      double weight = 0.0;
+      if (!ReadPod(is, &reader_idx) || !ReadPod(is, &weight)) {
+        return Truncated();
+      }
+      RFID_RETURN_NOT_OK(CheckParticle(reader_idx, reader_count, weight));
+      particles->PushBack(position, reader_idx, weight);
+    }
+  }
+  return Status::OK();
+}
+
+/// v4 particle block after its count: 36 B per particle.
+Status ReadV4Particles(std::istream& is, uint64_t count,
+                       uint64_t reader_count, ParticleSoa* particles) {
+  for (uint64_t k = 0; k < count; ++k) {
+    Vec3 position;
+    uint32_t reader_idx = 0;
+    double weight = 0.0;
+    if (!ReadVec3(is, &position) || !ReadPod(is, &reader_idx) ||
+        !ReadPod(is, &weight)) {
+      return Truncated();
+    }
+    if (!IsFinite(position)) return InvalidPosition();
+    RFID_RETURN_NOT_OK(CheckParticle(reader_idx, reader_count, weight));
+    particles->PushBack(position, reader_idx, weight);
+  }
+  return Status::OK();
+}
+
+/// One object's particle block, count included, in `version`'s layout.
+Status ReadParticles(std::istream& is, uint32_t version,
+                     uint64_t reader_count, ParticleSoa* particles) {
+  const uint64_t index_bytes = ReaderIndexBytes(reader_count);
+  uint64_t count = 0;
+  if (!ReadCount(is, &count,
+                 version == 4 ? kV4ParticleBytes
+                              : index_bytes + sizeof(double))) {
+    return Truncated();
+  }
+  particles->reserve(count);
+  if (version == 4) return ReadV4Particles(is, count, reader_count, particles);
+  switch (index_bytes) {
+    case sizeof(uint8_t):
+      return ReadParticleRuns<uint8_t>(is, count, reader_count, particles);
+    case sizeof(uint16_t):
+      return ReadParticleRuns<uint16_t>(is, count, reader_count, particles);
+    default:
+      return ReadParticleRuns<uint32_t>(is, count, reader_count, particles);
+  }
+}
 
 }  // namespace
 
@@ -75,7 +256,7 @@ Status SaveFilterSnapshot(const FactoredParticleFilter& filter,
   WritePod(sink, kVersion);
   // CRC frame around the whole belief payload, streamed straight into the
   // sink: the loader verifies the checksum before committing a single
-  // field. The payload layout has been stable since v3.
+  // field.
   RFID_RETURN_NOT_OK(WriteFramedSection(sink, [&filter](std::ostream& os) {
     WritePod(os, filter.step_);
     WritePod(os, static_cast<uint8_t>(filter.readers_initialized_ ? 1 : 0));
@@ -102,12 +283,7 @@ Status SaveFilterSnapshot(const FactoredParticleFilter& filter,
         WriteVec3(os, state.compressed->mean());
         for (double c : state.compressed->covariance()) WritePod(os, c);
       }
-      WritePod(os, static_cast<uint64_t>(state.particles.size()));
-      for (const auto& p : state.particles) {
-        WriteVec3(os, p.position);
-        WritePod(os, p.reader_idx);
-        WritePod(os, p.weight);
-      }
+      WriteParticles(os, filter.readers_.size(), state.particles);
     }
 
     WritePod(os, static_cast<uint64_t>(filter.index_.num_entries()));
@@ -145,8 +321,25 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
   RngState rng_state;
   uint64_t particle_updates = 0;
 
-  // Body parser (everything after the header); its layout is the same in
-  // every loadable version.
+  char magic[8];
+  source.read(magic, sizeof(magic));
+  if (!source.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+    return Status::Invalid("not a filter snapshot (bad magic)");
+  }
+  uint32_t version = 0;
+  if (!ReadPod(source, &version)) return Truncated();
+  if (version < kMinVersion || version > kVersion) {
+    return Status::Invalid(
+        "unsupported snapshot version " + std::to_string(version) +
+        " (oldest loadable is v" + std::to_string(kMinVersion) +
+        "; load windows are one version back — migrate older snapshots by "
+        "re-saving them with the release that wrote them plus one)");
+  }
+
+  // Body parser (the framed payload after the header). Its layout is the
+  // same in every loadable version except for the particle blocks; floats
+  // that feed inference must be finite (the bounds box is exempt: an empty
+  // box is legitimately infinite).
   const auto parse_body = [&](std::istream& is) -> Status {
     if (!ReadPod(is, &step) || !ReadBool(is, &readers_initialized)) {
       return Truncated();
@@ -159,6 +352,11 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
       if (!ReadVec3(is, &r.pose.position) || !ReadPod(is, &r.pose.heading) ||
           !ReadPod(is, &r.weight)) {
         return Truncated();
+      }
+      if (!IsFinite(r.pose.position) || !std::isfinite(r.pose.heading) ||
+          !IsWeight(r.weight)) {
+        return Status::Invalid(
+            "snapshot reader particle is not finite or has a negative weight");
       }
     }
 
@@ -188,27 +386,18 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
         Vec3 mean;
         std::array<double, 6> cov;
         if (!ReadVec3(is, &mean)) return Truncated();
+        bool finite = IsFinite(mean);
         for (double& c : cov) {
           if (!ReadPod(is, &c)) return Truncated();
+          finite = finite && std::isfinite(c);
+        }
+        if (!finite) {
+          return Status::Invalid("snapshot object summary is not finite");
         }
         state.compressed = GaussianBelief(mean, cov);
       }
-      uint64_t particle_count = 0;
-      if (!ReadCount(is, &particle_count, kParticleBytes)) return Truncated();
-      state.particles.reserve(particle_count);
-      for (uint64_t k = 0; k < particle_count; ++k) {
-        Vec3 position;
-        uint32_t reader_idx = 0;
-        double weight = 0.0;
-        if (!ReadVec3(is, &position) || !ReadPod(is, &reader_idx) ||
-            !ReadPod(is, &weight)) {
-          return Truncated();
-        }
-        if (reader_idx >= reader_count) {
-          return Status::Invalid("snapshot particle references invalid reader");
-        }
-        state.particles.PushBack(position, reader_idx, weight);
-      }
+      RFID_RETURN_NOT_OK(
+          ReadParticles(is, version, reader_count, &state.particles));
     }
 
     uint64_t entry_count = 0;
@@ -247,25 +436,7 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
     return Status::OK();
   };
 
-  char magic[8];
-  source.read(magic, sizeof(magic));
-  if (!source.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::Invalid("not a filter snapshot (bad magic)");
-  }
-  uint32_t version = 0;
-  if (!ReadPod(source, &version)) return Truncated();
-  if (version < kMinVersion || version > kVersion) {
-    return Status::Invalid(
-        "unsupported snapshot version " + std::to_string(version) +
-        " (oldest loadable is v" + std::to_string(kMinVersion) +
-        "; load windows are one version back — migrate older snapshots by "
-        "re-saving them with the release that wrote them plus one)");
-  }
-  if (version >= 4) {
-    RFID_RETURN_NOT_OK(ReadFramedSection(source, parse_body));
-  } else {
-    RFID_RETURN_NOT_OK(parse_body(source));
-  }
+  RFID_RETURN_NOT_OK(ReadFramedSection(source, parse_body));
   RFID_RETURN_NOT_OK(serialize::VerifySection(source));
 
   SensingRegionIndex index(filter->config_.index);

@@ -10,17 +10,24 @@
 // restore is **bit-identical** to the uninterrupted run — the property the
 // serving layer's checkpoint/restore (src/serve/checkpoint.h) is built on.
 //
-// Format: same-architecture binary (magic + version header; the v4 payload
-// is CRC32-framed so corruption is detected before anything is committed).
-// Not intended as a cross-platform interchange format. The payload streams
-// through util/serialize.h's framed sections, so saving never stages a
-// copy of the belief: the sink must be seekable (a file or a string
-// stream), and a non-seekable sink fails with a non-OK Status.
+// Format: same-architecture binary (magic + version header, then the whole
+// belief payload in one CRC32 frame, so corruption is detected before
+// anything is committed). Not intended as a cross-platform interchange
+// format. Since v5 each object's particles are written as maximal runs of
+// bit-equal positions — one position per run, then every particle of the
+// run as a reader index (u8/u16/u32 by the reader count) and a weight —
+// because unmoved particles are exact copies and resampling keeps copies
+// adjacent. The payload streams through util/serialize.h's framed
+// sections, so saving never stages a copy of the belief: the sink must be
+// seekable (a file or a string stream), and a non-seekable sink fails with
+// a non-OK Status.
 //
-// Version window: one back. The writer emits v4 only; the loader accepts v4
-// and v3 and rejects anything older with an error naming the oldest
+// Version window: one back. The writer emits v5 only; the loader accepts v5
+// and v4 and rejects anything older with an error naming the oldest
 // loadable version. Migrating older files means stepping through releases,
-// re-saving at each one.
+// re-saving at each one. Decoding is canonical: whatever loads re-saves to
+// the same v5 bytes (a v4 file re-saves as v5), and non-finite reader
+// poses, particle positions or weights are rejected.
 #pragma once
 
 #include <iosfwd>

@@ -14,7 +14,7 @@
 // them, exactly as the offline Synchronize path does.
 //
 // Checkpointing captures the complete resume state: synchronizer pending
-// epochs and watermark bookkeeping, the filter belief + RNG (snapshot v2),
+// epochs and watermark bookkeeping, the filter belief + RNG (pf/snapshot.h),
 // the emitter's scope/work-list state, and the engine counters. Restoring
 // into a freshly built pipeline with the same config and feeding the same
 // remaining records reproduces the uninterrupted run's events bit for bit.

@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,7 +38,7 @@ using testing_util::MakeEpoch;
 using testing_util::MakeLineWorld;
 
 constexpr SiteId kSite = 7;
-constexpr int kCasesPerFormat = 2400;
+constexpr int kCasesPerFormat = 10000;
 /// Every format starts with an 8-byte magic and a u32 version.
 constexpr size_t kHeaderBytes = 12;
 /// A framed section's header: u64 length, u32 CRC.
@@ -241,6 +242,248 @@ TEST(FormatMutationTest, FilterSnapshot) {
           *resaved = out.str();
           return Status::OK();
         });
+}
+
+// ------------------------------------- v5 particle blocks, hand-built ---
+//
+// The seeded sweep rarely lands on the few bytes a particle run's framing
+// occupies, so the v5 block's rules get targeted cases: a hand-built
+// snapshot with one active object whose particle block is written here.
+// HandBuiltSnapshot mirrors the writer's layout (pf/snapshot.cc); the valid
+// baselines re-save to exactly their bytes, which checks that.
+
+template <typename T>
+void Put(std::string* out, const T& value) {
+  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+void PutVec3(std::string* out, const Vec3& v) {
+  Put(out, v.x);
+  Put(out, v.y);
+  Put(out, v.z);
+}
+
+/// LEB128 bytes of `value`, minimal.
+std::string Varint(uint64_t value) {
+  std::string out;
+  for (; value >= 0x80; value >>= 7) {
+    out.push_back(static_cast<char>((value & 0x7F) | 0x80));
+  }
+  out.push_back(static_cast<char>(value));
+  return out;
+}
+
+/// Reader-index width of a v5 snapshot with `readers` reader particles.
+int IndexWidth(uint64_t readers) {
+  return readers <= 256 ? 1 : readers <= 65536 ? 2 : 4;
+}
+
+/// Reader index `idx` at `width` bytes, native byte order like the writer.
+std::string ReaderIndex(uint64_t idx, int width) {
+  std::string out;
+  if (width == 1) Put(&out, static_cast<uint8_t>(idx));
+  if (width == 2) Put(&out, static_cast<uint16_t>(idx));
+  if (width == 4) Put(&out, static_cast<uint32_t>(idx));
+  return out;
+}
+
+struct HandParticle {
+  uint64_t reader_idx;
+  double weight;
+};
+
+/// One run: `length` bytes (normally Varint(particles.size())), the
+/// position, then each particle's reader index and weight.
+std::string ParticleRun(const std::string& length, const Vec3& position,
+                        const std::vector<HandParticle>& particles,
+                        int width) {
+  std::string out = length;
+  PutVec3(&out, position);
+  for (const HandParticle& p : particles) {
+    out += ReaderIndex(p.reader_idx, width);
+    Put(&out, p.weight);
+  }
+  return out;
+}
+
+std::string ParticleRun(const Vec3& position,
+                        const std::vector<HandParticle>& particles,
+                        int width) {
+  return ParticleRun(Varint(particles.size()), position, particles, width);
+}
+
+/// A v5 snapshot: `readers` reader particles, one active object holding
+/// `particle_count` particles encoded as `runs`, no index entries.
+std::string HandBuiltSnapshot(uint64_t readers, uint64_t particle_count,
+                              const std::string& runs) {
+  std::string payload;
+  Put(&payload, int64_t{3});   // Step.
+  Put(&payload, uint8_t{1});   // Readers initialized.
+  Put(&payload, readers);
+  for (uint64_t r = 0; r < readers; ++r) {
+    PutVec3(&payload, {0.0, 0.001 * static_cast<double>(r), 0.0});
+    Put(&payload, 0.0);  // Heading.
+    Put(&payload, 1.0 / static_cast<double>(readers));
+  }
+  Put(&payload, uint64_t{1});  // One object state.
+  Put(&payload, TagId{1000});
+  Put(&payload, int64_t{2});   // Last observed step.
+  Put(&payload, int64_t{2});   // Last processed step.
+  PutVec3(&payload, {0.0, 0.2, 0.0});
+  PutVec3(&payload, {1.5, 1.0, 0.0});  // Particle bounds.
+  PutVec3(&payload, {1.5, 1.25, 0.0});
+  Put(&payload, uint8_t{0});   // Not compressed.
+  Put(&payload, uint8_t{0});   // Not hibernated.
+  Put(&payload, int64_t{-1});  // Last revived step.
+  Put(&payload, particle_count);
+  payload += runs;
+  Put(&payload, uint64_t{0});  // No index entries.
+  for (uint64_t word : {1, 2, 3, 4}) Put(&payload, uint64_t{word});
+  Put(&payload, 0.0);          // Cached gaussian.
+  Put(&payload, uint8_t{0});   // ... not valid.
+  Put(&payload, uint64_t{0});  // Particle updates.
+
+  std::string out(kSnapshotMagic, 8);
+  Put(&out, uint32_t{5});
+  Put(&out, static_cast<uint64_t>(payload.size()));
+  Put(&out, Crc32(payload.data(), payload.size()));
+  return out + payload;
+}
+
+Status LoadHandBuilt(const std::string& bytes, std::string* resaved) {
+  std::stringstream in(bytes);
+  FactoredParticleFilter filter(MakeLineWorld(), FilterConfig());
+  RFID_RETURN_NOT_OK(LoadFilterSnapshot(in, &filter));
+  std::stringstream out;
+  RFID_RETURN_NOT_OK(SaveFilterSnapshot(filter, out));
+  *resaved = out.str();
+  return Status::OK();
+}
+
+TEST(FormatMutationTest, V5ParticleRunsAtEveryIndexWidth) {
+  // Two runs, the first of two copies, reaching the top reader index: each
+  // loads and re-saves to itself, so the writer picks the same width as
+  // HandBuiltSnapshot on both sides of each boundary.
+  const Vec3 a{1.5, 1.0, 0.0}, b{1.5, 1.25, 0.0};
+  for (uint64_t readers : {1, 100, 256, 257, 65536, 65537}) {
+    SCOPED_TRACE(readers);
+    const int width = IndexWidth(readers);
+    const std::string bytes = HandBuiltSnapshot(
+        readers, 3,
+        ParticleRun(a, {{0, 0.25}, {readers - 1, 0.25}}, width) +
+            ParticleRun(b, {{readers / 2, 0.5}}, width));
+    std::string resaved;
+    const Status status = LoadHandBuilt(bytes, &resaved);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(resaved, bytes);
+  }
+}
+
+TEST(FormatMutationTest, V5ParticleRunLengthsOfEveryVarintWidth) {
+  // Runs of 1, 127, 128, 16,383 and 16,384 particles: one-, two- and
+  // three-byte run lengths on either side of each boundary.
+  std::string runs;
+  uint64_t count = 0;
+  double y = 1.0;
+  for (uint64_t length : {1, 127, 128, 16383, 16384}) {
+    runs += ParticleRun({1.5, y, 0.0},
+                        std::vector<HandParticle>(length, {7, 1e-5}), 1);
+    count += length;
+    y += 0.125;
+  }
+  const std::string bytes = HandBuiltSnapshot(100, count, runs);
+  std::string resaved;
+  const Status status = LoadHandBuilt(bytes, &resaved);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(resaved, bytes);
+}
+
+TEST(FormatMutationTest, V5ParticleRunsRejectNonCanonicalBlocks) {
+  const Vec3 a{1.5, 1.0, 0.0}, b{1.5, 1.25, 0.0};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* what;
+    uint64_t readers;
+    uint64_t count;
+    std::string runs;
+    const char* message;
+  } kCases[] = {
+      {"zero-length run", 100, 1,
+       ParticleRun(Varint(0), a, {}, 1) + ParticleRun(a, {{0, 1.0}}, 1),
+       "outside [1, 1]"},
+      {"run overruns the count", 100, 2,
+       ParticleRun(a, {{0, 0.25}, {1, 0.25}, {2, 0.5}}, 1), "outside [1, 2]"},
+      {"runs fall short of the count", 100, 3,
+       ParticleRun(a, {{0, 0.5}, {1, 0.5}}, 1), "outside [1, 1]"},
+      {"adjacent equal runs", 100, 2,
+       ParticleRun(a, {{0, 0.5}}, 1) + ParticleRun(a, {{1, 0.5}}, 1),
+       "not maximal"},
+      {"non-minimal varint, two bytes", 100, 1,
+       ParticleRun(std::string("\x81\x00", 2), a, {{0, 1.0}}, 1),
+       "not minimal"},
+      {"non-minimal varint, three bytes", 100, 1,
+       ParticleRun(std::string("\x81\x80\x00", 3), a, {{0, 1.0}}, 1),
+       "not minimal"},
+      {"varint past 63 bits", 100, 1,
+       ParticleRun(std::string(9, '\x80') + std::string("\x01", 1), a,
+                   {{0, 1.0}}, 1),
+       "overflows"},
+      {"reader index = count, u8", 100, 1, ParticleRun(a, {{100, 1.0}}, 1),
+       "invalid reader"},
+      {"reader index 255, u8", 200, 1, ParticleRun(a, {{255, 1.0}}, 1),
+       "invalid reader"},
+      {"reader index = count, u16", 257, 1, ParticleRun(a, {{257, 1.0}}, 2),
+       "invalid reader"},
+      {"reader index 65535, u16", 300, 1, ParticleRun(a, {{65535, 1.0}}, 2),
+       "invalid reader"},
+      {"reader index = count, u32", 65537, 1,
+       ParticleRun(a, {{65537, 1.0}}, 4), "invalid reader"},
+      {"reader index 2^32-1, u32", 65537, 1,
+       ParticleRun(a, {{0xFFFFFFFFu, 1.0}}, 4), "invalid reader"},
+      {"NaN position", 100, 2,
+       ParticleRun(a, {{0, 0.5}}, 1) +
+           ParticleRun({1.5, nan, 0.0}, {{1, 0.5}}, 1),
+       "position is not finite"},
+      {"infinite position", 100, 1, ParticleRun({inf, 1.0, 0.0}, {{0, 1.0}}, 1),
+       "position is not finite"},
+      {"NaN weight", 100, 2,
+       ParticleRun(a, {{0, 0.5}}, 1) + ParticleRun(b, {{1, nan}}, 1),
+       "weight is negative or not finite"},
+      {"infinite weight", 100, 1, ParticleRun(a, {{0, inf}}, 1),
+       "weight is negative or not finite"},
+      {"negative weight", 100, 2, ParticleRun(a, {{0, 1.5}, {1, -0.5}}, 1),
+       "weight is negative or not finite"},
+  };
+  for (const auto& c : kCases) {
+    std::string resaved;
+    const Status status =
+        LoadHandBuilt(HandBuiltSnapshot(c.readers, c.count, c.runs), &resaved);
+    EXPECT_FALSE(status.ok()) << c.what;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.what;
+    EXPECT_NE(status.message().find(c.message), std::string::npos)
+        << c.what << ": " << status.message();
+  }
+
+  // Non-finite reader particles: the first reader's x, heading and weight.
+  const std::string valid =
+      HandBuiltSnapshot(100, 1, ParticleRun(a, {{0, 1.0}}, 1));
+  constexpr size_t kFirstReader = kHeaderBytes + kFrameHeaderBytes +
+                                  sizeof(int64_t) + sizeof(uint8_t) +
+                                  sizeof(uint64_t);
+  for (const auto& [field, value] :
+       {std::pair<size_t, double>{0, nan}, {3, inf}, {4, nan}, {4, -1.0}}) {
+    std::string bytes = valid;
+    std::memcpy(&bytes[kFirstReader + field * sizeof(double)], &value,
+                sizeof(value));
+    Reseal(&bytes);
+    std::string resaved;
+    const Status status = LoadHandBuilt(bytes, &resaved);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "reader field " << field << " = " << value;
+    EXPECT_NE(status.message().find("reader particle"), std::string::npos)
+        << status.message();
+  }
 }
 
 // ------------------------------------------------------ site checkpoint ---

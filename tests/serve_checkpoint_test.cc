@@ -4,7 +4,7 @@
 // from it produces, on the remaining records of a 200-epoch lab trace,
 // exactly the events the uninterrupted run produced — bit-identical times,
 // tags and coordinates. This requires the full resume state to round-trip:
-// factored-filter belief + RNG (snapshot v2), emitter scopes/work list,
+// factored-filter belief + RNG (pf/snapshot.h), emitter scopes/work list,
 // synchronizer pending epochs and watermark.
 #include <gtest/gtest.h>
 
@@ -314,10 +314,9 @@ std::string WithoutWallClock(std::string bytes) {
 }
 
 TEST_F(ServeCheckpointTest, StreamingWriterReproducesPinnedBytes) {
-  // Size and CRC-32 of this scenario's site checkpoint as the staging
-  // writer (which serialized every section into a string before framing
-  // it) wrote them: streaming the sections, and the filter snapshot nested
-  // in the last one, straight into the sink must not move a byte.
+  // Size and CRC-32 of this scenario's site checkpoint, with the filter
+  // snapshot nested in its last section at v5. The same checkpoint with a
+  // v4 snapshot was 91,766 B (tests/fixtures/site_checkpoint_v4.bin).
   LabConfig lc;
   lc.seed = 505;
   lc.tags_per_row = 10;
@@ -332,8 +331,96 @@ TEST_F(ServeCheckpointTest, StreamingWriterReproducesPinnedBytes) {
   std::stringstream ss;
   ASSERT_TRUE(server.value()->FindSite(kSite)->SaveCheckpoint(ss).ok());
   const std::string bytes = WithoutWallClock(ss.str());
-  EXPECT_EQ(bytes.size(), 91766u);
-  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0xE94AA9E5u);
+  EXPECT_EQ(bytes.size(), 57916u);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0x2F553AFAu);
+}
+
+TEST_F(ServeCheckpointTest, LoadsCheckpointsWithV4Snapshots) {
+  // The site checkpoint carries no version of its own for the snapshot it
+  // nests, so the previous release's files hold a v4 snapshot. This
+  // scenario's checkpoint as that release wrote it (wall clock zeroed,
+  // pinned below) must restore exactly like the live v5 round trip: same
+  // estimates, the same events on the replayed tail, and a re-save that
+  // writes today's bytes.
+  const std::string v4 =
+      Slurp(std::string(RFID_TEST_FIXTURE_DIR) + "/site_checkpoint_v4.bin");
+  ASSERT_EQ(v4.size(), 91766u);
+  ASSERT_EQ(Crc32(v4.data(), v4.size()), 0xE94AA9E5u);
+
+  LabConfig lc;
+  lc.seed = 505;
+  lc.tags_per_row = 10;
+  const auto lab = BuildLabDeployment(lc);
+  ASSERT_TRUE(lab.ok());
+  const std::vector<ServeRecord> head = LabRecords(lab.value(), 60);
+  const std::vector<ServeRecord> all = LabRecords(lab.value(), 120);
+  ASSERT_GT(all.size(), head.size());
+  {
+    auto live = MakeLabServer(lab.value());
+    ASSERT_TRUE(live.ok());
+    for (const ServeRecord& record : head) {
+      ASSERT_TRUE(live.value()->Ingest(record));
+    }
+    live.value()->Pump();
+    ASSERT_TRUE(live.value()->Checkpoint(Dir()).ok());
+  }
+  const std::string v4_dir = Dir() + "_v4";
+  std::filesystem::create_directories(v4_dir);
+  {
+    std::ofstream os(SiteCheckpointPath(v4_dir, kSite),
+                     std::ios::binary | std::ios::trunc);
+    os.write(v4.data(), static_cast<long>(v4.size()));
+  }
+
+  CollectedEvents from_v5_events, from_v4_events;
+  auto from_v5 = MakeLabServer(lab.value());
+  auto from_v4 = MakeLabServer(lab.value());
+  ASSERT_TRUE(from_v5.ok());
+  ASSERT_TRUE(from_v4.ok());
+  ASSERT_TRUE(from_v5.value()->Restore(Dir()).ok());
+  ASSERT_TRUE(from_v4.value()->Restore(v4_dir).ok());
+  std::filesystem::remove_all(v4_dir);
+
+  const SitePipeline* site_v5 = from_v5.value()->FindSite(kSite);
+  const SitePipeline* site_v4 = from_v4.value()->FindSite(kSite);
+  ASSERT_NE(site_v5, nullptr);
+  ASSERT_NE(site_v4, nullptr);
+  std::stringstream resaved_v5, resaved_v4;
+  ASSERT_TRUE(site_v5->SaveCheckpoint(resaved_v5).ok());
+  ASSERT_TRUE(site_v4->SaveCheckpoint(resaved_v4).ok());
+  EXPECT_EQ(WithoutWallClock(resaved_v4.str()),
+            WithoutWallClock(resaved_v5.str()));
+  EXPECT_EQ(WithoutWallClock(resaved_v4.str()).size(), 57916u);
+
+  size_t estimated = 0;
+  for (const ServeRecord& record : head) {
+    if (record.kind != ServeRecord::Kind::kReading) continue;
+    const TagId tag = record.reading.tag;
+    const auto a = site_v5->engine().EstimateObject(tag);
+    const auto b = site_v4->engine().EstimateObject(tag);
+    ASSERT_EQ(a.has_value(), b.has_value()) << "tag " << tag;
+    if (!a) continue;
+    ++estimated;
+    EXPECT_EQ(a->mean, b->mean) << "tag " << tag;
+    EXPECT_EQ(a->variance, b->variance) << "tag " << tag;
+    EXPECT_EQ(a->support, b->support) << "tag " << tag;
+  }
+  EXPECT_GT(estimated, 0u);
+  EXPECT_EQ(site_v5->engine().EstimateReader().mean,
+            site_v4->engine().EstimateReader().mean);
+
+  from_v5.value()->bus().SubscribeEvents(from_v5_events.Callback());
+  from_v4.value()->bus().SubscribeEvents(from_v4_events.Callback());
+  for (size_t i = head.size(); i < all.size(); ++i) {
+    ASSERT_TRUE(from_v5.value()->Ingest(all[i]));
+    ASSERT_TRUE(from_v4.value()->Ingest(all[i]));
+  }
+  for (auto* server : {&from_v5, &from_v4}) {
+    server->value()->Pump();
+    server->value()->Flush();
+  }
+  ASSERT_GT(from_v5_events.events.size(), 0u);
+  ExpectBitIdentical(from_v5_events.events, from_v4_events.events);
 }
 
 TEST_F(ServeCheckpointTest, RejectsV2CheckpointsOutsideTheWindow) {
