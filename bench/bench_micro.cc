@@ -83,24 +83,40 @@ void BM_ConeSensorProbRead(benchmark::State& state) {
 }
 BENCHMARK(BM_ConeSensorProbRead);
 
-/// The SoA batch kernel against the scalar loop above: one frame, a
-/// contiguous block of particle positions (the factored filter's hot path).
+/// The factored weighting's kernel against the scalar loop above: SoA
+/// particle positions, each attached to one of 100 reader frames (the
+/// paper's reader-particle count) and evaluated against its own frame.
+struct GatherBatch {
+  static constexpr size_t kFrames = 100;
+  std::vector<ReaderFrame> frames;
+  std::vector<double> xs, ys, zs, out;
+  std::vector<uint32_t> idx;
+
+  explicit GatherBatch(size_t n) : xs(n), ys(n), zs(n), out(n), idx(n) {
+    Rng rng(4);
+    for (size_t j = 0; j < kFrames; ++j) {
+      frames.push_back(ReaderFrame::From(
+          Pose({rng.Uniform(-0.2, 0.2), rng.Uniform(-0.2, 0.2), 0},
+               rng.Uniform(-0.1, 0.1))));
+    }
+    for (size_t k = 0; k < n; ++k) {
+      xs[k] = rng.Uniform(0, 6);
+      ys[k] = rng.Uniform(-3, 3);
+      zs[k] = 0.0;
+      idx[k] = static_cast<uint32_t>(rng.UniformInt(kFrames));
+    }
+  }
+};
+
 template <typename SensorT>
 void BM_SensorProbReadBatch(benchmark::State& state) {
   SensorT sensor;
-  Rng rng(4);
   const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<double> xs(n), ys(n), zs(n), out(n);
-  for (size_t k = 0; k < n; ++k) {
-    xs[k] = rng.Uniform(0, 6);
-    ys[k] = rng.Uniform(-3, 3);
-    zs[k] = 0.0;
-  }
-  const ReaderFrame frame = ReaderFrame::From(Pose({0, 0, 0}, 0.0));
+  GatherBatch b(n);
   for (auto _ : state) {
-    sensor.ProbReadBatch(frame, xs.data(), ys.data(), zs.data(), n,
-                         out.data());
-    benchmark::DoNotOptimize(out.data());
+    sensor.ProbReadBatchGather(b.frames.data(), b.idx.data(), b.xs.data(),
+                               b.ys.data(), b.zs.data(), n, b.out.data());
+    benchmark::DoNotOptimize(b.out.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
@@ -108,24 +124,18 @@ BENCHMARK(BM_SensorProbReadBatch<ConeSensorModel>)->Arg(1000);
 BENCHMARK(BM_SensorProbReadBatch<LogisticSensorModel>)->Arg(1000);
 BENCHMARK(BM_SensorProbReadBatch<SphericalSensorModel>)->Arg(1000);
 
-/// The SIMD lanes against the scalar batch above (same single-frame shape;
-/// backend in the label). Includes a remainder-lane size.
+/// The SIMD index-gather lanes against the scalar gather above (same
+/// shape; backend in the label). Includes a remainder-lane size.
 template <typename SensorT>
 void BM_SensorProbReadBatchSimd(benchmark::State& state) {
   SensorT sensor;
-  Rng rng(4);
   const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<double> xs(n), ys(n), zs(n), out(n);
-  for (size_t k = 0; k < n; ++k) {
-    xs[k] = rng.Uniform(0, 6);
-    ys[k] = rng.Uniform(-3, 3);
-    zs[k] = 0.0;
-  }
-  const ReaderFrame frame = ReaderFrame::From(Pose({0, 0, 0}, 0.0));
+  GatherBatch b(n);
   for (auto _ : state) {
-    sensor.ProbReadBatchSimd(frame, xs.data(), ys.data(), zs.data(), n,
-                             out.data());
-    benchmark::DoNotOptimize(out.data());
+    sensor.ProbReadBatchGatherSimd(b.frames.data(), b.idx.data(),
+                                   b.xs.data(), b.ys.data(), b.zs.data(), n,
+                                   b.out.data());
+    benchmark::DoNotOptimize(b.out.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
   state.SetLabel(std::string("backend = ") + simd::kBackendName);
@@ -133,36 +143,6 @@ void BM_SensorProbReadBatchSimd(benchmark::State& state) {
 BENCHMARK(BM_SensorProbReadBatchSimd<ConeSensorModel>)->Arg(1000)->Arg(10);
 BENCHMARK(BM_SensorProbReadBatchSimd<LogisticSensorModel>)->Arg(1000);
 BENCHMARK(BM_SensorProbReadBatchSimd<SphericalSensorModel>)->Arg(1000);
-
-/// The gather variant used by the factored weighting (per-particle reader
-/// attachment, 100 frames).
-void BM_ConeSensorProbReadBatchGather(benchmark::State& state) {
-  ConeSensorModel sensor;
-  Rng rng(4);
-  const size_t n = static_cast<size_t>(state.range(0));
-  constexpr size_t kFrames = 100;
-  std::vector<ReaderFrame> frames;
-  for (size_t j = 0; j < kFrames; ++j) {
-    frames.push_back(ReaderFrame::From(
-        Pose({rng.Uniform(-0.2, 0.2), rng.Uniform(-0.2, 0.2), 0},
-             rng.Uniform(-0.1, 0.1))));
-  }
-  std::vector<double> xs(n), ys(n), zs(n), out(n);
-  std::vector<uint32_t> idx(n);
-  for (size_t k = 0; k < n; ++k) {
-    xs[k] = rng.Uniform(0, 6);
-    ys[k] = rng.Uniform(-3, 3);
-    zs[k] = 0.0;
-    idx[k] = static_cast<uint32_t>(rng.UniformInt(kFrames));
-  }
-  for (auto _ : state) {
-    sensor.ProbReadBatchGather(frames.data(), idx.data(), xs.data(), ys.data(),
-                               zs.data(), n, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_ConeSensorProbReadBatchGather)->Arg(1000);
 
 void BM_LogisticSensorProbRead(benchmark::State& state) {
   LogisticSensorModel sensor;

@@ -52,12 +52,6 @@ double ConeSensorModel::ProbRead(double distance, double angle) const {
   return params_.major_read_rate * angle_factor * range_factor;
 }
 
-void ConeSensorModel::ProbReadBatch(const ReaderFrame& frame, const double* xs,
-                                    const double* ys, const double* zs,
-                                    size_t n, double* out) const {
-  batch_detail::BatchSoa(*this, frame, xs, ys, zs, n, out, MaxRange());
-}
-
 void ConeSensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
                                              const Vec3* positions, size_t n,
                                              double* out) const {
@@ -89,33 +83,6 @@ simd_kernel::ConeEval MakeConeEval(const ConeSensorParams& params,
 }
 
 }  // namespace
-
-void ConeSensorModel::ProbReadBatchRuns(const ReaderFrame* frames,
-                                        const uint32_t* offsets,
-                                        size_t num_frames, const double* xs,
-                                        const double* ys, const double* zs,
-                                        double* out) const {
-  batch_detail::BatchRuns(*this, frames, offsets, num_frames, xs, ys, zs, out,
-                          MaxRange());
-}
-
-void ConeSensorModel::ProbReadBatchSimd(const ReaderFrame& frame,
-                                        const double* xs, const double* ys,
-                                        const double* zs, size_t n,
-                                        double* out) const {
-  simd_kernel::BatchSimd(MakeConeEval(params_, MaxRange()), frame, xs, ys, zs,
-                         n, out);
-}
-
-void ConeSensorModel::ProbReadBatchRunsSimd(const ReaderFrame* frames,
-                                            const uint32_t* offsets,
-                                            size_t num_frames,
-                                            const double* xs, const double* ys,
-                                            const double* zs,
-                                            double* out) const {
-  simd_kernel::BatchRunsSimd(MakeConeEval(params_, MaxRange()), frames,
-                             offsets, num_frames, xs, ys, zs, out);
-}
 
 void ConeSensorModel::ProbReadBatchGatherSimd(const ReaderFrame* frames,
                                               const uint32_t* frame_idx,

@@ -43,25 +43,12 @@ class ConeSensorModel final : public SensorModel {
 
   // Devirtualized batch kernels; beyond MaxRange() the cone is exactly zero,
   // so out-of-range particles skip the bearing acos entirely.
-  void ProbReadBatch(const ReaderFrame& frame, const double* xs,
-                     const double* ys, const double* zs, size_t n,
-                     double* out) const override;
   void ProbReadBatchPositions(const ReaderFrame& frame, const Vec3* positions,
                               size_t n, double* out) const override;
   void ProbReadBatchGather(const ReaderFrame* frames, const uint32_t* frame_idx,
                            const double* xs, const double* ys,
                            const double* zs, size_t n,
                            double* out) const override;
-  void ProbReadBatchRuns(const ReaderFrame* frames, const uint32_t* offsets,
-                         size_t num_frames, const double* xs, const double* ys,
-                         const double* zs, double* out) const override;
-  void ProbReadBatchSimd(const ReaderFrame& frame, const double* xs,
-                         const double* ys, const double* zs, size_t n,
-                         double* out) const override;
-  void ProbReadBatchRunsSimd(const ReaderFrame* frames,
-                             const uint32_t* offsets, size_t num_frames,
-                             const double* xs, const double* ys,
-                             const double* zs, double* out) const override;
   void ProbReadBatchGatherSimd(const ReaderFrame* frames,
                                const uint32_t* frame_idx, const double* xs,
                                const double* ys, const double* zs, size_t n,

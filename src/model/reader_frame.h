@@ -9,8 +9,10 @@
 // The templated kernels below replicate ComputeRangeBearing (geometry/vec.h)
 // term for term — same expressions, same association order, same 1e-12
 // degenerate-distance guard — so a batched evaluation returns exactly what a
-// scalar ProbReadAt call would. When instantiated with a concrete `final`
-// sensor model the per-particle ProbRead call devirtualizes and inlines.
+// scalar ProbReadAt call would. There are two: one frame over AoS positions
+// (the basic filter) and a per-element frame gather over SoA positions (the
+// factored filter). When instantiated with a concrete `final` sensor model
+// the per-particle ProbRead call devirtualizes and inlines.
 #pragma once
 
 #include <algorithm>
@@ -69,17 +71,6 @@ inline double SquaredCutoff(double zero_beyond) {
   return zero_beyond * zero_beyond;
 }
 
-/// One frame, SoA positions.
-template <typename ModelT>
-inline void BatchSoa(const ModelT& model, const ReaderFrame& frame,
-                     const double* xs, const double* ys, const double* zs,
-                     size_t n, double* out, double zero_beyond) {
-  const double zb2 = SquaredCutoff(zero_beyond);
-  for (size_t k = 0; k < n; ++k) {
-    out[k] = EvalOne(model, frame, xs[k], ys[k], zs[k], zb2);
-  }
-}
-
 /// One frame, AoS positions (the basic filter's per-particle object lists).
 template <typename ModelT>
 inline void BatchAos(const ModelT& model, const ReaderFrame& frame,
@@ -102,24 +93,6 @@ inline void BatchGather(const ModelT& model, const ReaderFrame* frames,
   const double zb2 = SquaredCutoff(zero_beyond);
   for (size_t k = 0; k < n; ++k) {
     out[k] = EvalOne(model, frames[frame_idx[k]], xs[k], ys[k], zs[k], zb2);
-  }
-}
-
-/// Contiguous per-frame runs (the factored filter's reader-run bucketing):
-/// elements [offsets[j], offsets[j+1]) evaluate against frames[j]. One
-/// devirtualized call covers the whole particle set — the frame is hoisted
-/// per run instead of gathered per element.
-template <typename ModelT>
-inline void BatchRuns(const ModelT& model, const ReaderFrame* frames,
-                      const uint32_t* offsets, size_t num_frames,
-                      const double* xs, const double* ys, const double* zs,
-                      double* out, double zero_beyond) {
-  const double zb2 = SquaredCutoff(zero_beyond);
-  for (size_t j = 0; j < num_frames; ++j) {
-    const ReaderFrame& frame = frames[j];
-    for (uint32_t k = offsets[j]; k < offsets[j + 1]; ++k) {
-      out[k] = EvalOne(model, frame, xs[k], ys[k], zs[k], zb2);
-    }
   }
 }
 

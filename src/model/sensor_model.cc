@@ -19,13 +19,6 @@ constexpr double kRangeScanLimit = 25.0;
 constexpr double kPeakFraction = 0.1;
 }  // namespace
 
-void SensorModel::ProbReadBatch(const ReaderFrame& frame, const double* xs,
-                                const double* ys, const double* zs, size_t n,
-                                double* out) const {
-  batch_detail::BatchSoa(*this, frame, xs, ys, zs, n, out,
-                         batch_detail::kNoCutoff);
-}
-
 void SensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
                                          const Vec3* positions, size_t n,
                                          double* out) const {
@@ -42,41 +35,12 @@ void SensorModel::ProbReadBatchGather(const ReaderFrame* frames,
                             batch_detail::kNoCutoff);
 }
 
-void SensorModel::ProbReadBatchRuns(const ReaderFrame* frames,
-                                    const uint32_t* offsets, size_t num_frames,
-                                    const double* xs, const double* ys,
-                                    const double* zs, double* out) const {
-  batch_detail::BatchRuns(*this, frames, offsets, num_frames, xs, ys, zs, out,
-                          batch_detail::kNoCutoff);
-}
-
-void SensorModel::ProbReadBatchSimd(const ReaderFrame& frame, const double* xs,
-                                    const double* ys, const double* zs,
-                                    size_t n, double* out) const {
-  ProbReadBatch(frame, xs, ys, zs, n, out);
-}
-
-void SensorModel::ProbReadBatchRunsSimd(const ReaderFrame* frames,
-                                        const uint32_t* offsets,
-                                        size_t num_frames, const double* xs,
-                                        const double* ys, const double* zs,
-                                        double* out) const {
-  ProbReadBatchRuns(frames, offsets, num_frames, xs, ys, zs, out);
-}
-
 void SensorModel::ProbReadBatchGatherSimd(const ReaderFrame* frames,
                                           const uint32_t* frame_idx,
                                           const double* xs, const double* ys,
                                           const double* zs, size_t n,
                                           double* out) const {
   ProbReadBatchGather(frames, frame_idx, xs, ys, zs, n, out);
-}
-
-void LogisticSensorModel::ProbReadBatch(const ReaderFrame& frame,
-                                        const double* xs, const double* ys,
-                                        const double* zs, size_t n,
-                                        double* out) const {
-  batch_detail::BatchSoa(*this, frame, xs, ys, zs, n, out, negligible_range_);
 }
 
 void LogisticSensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
@@ -90,32 +54,6 @@ void LogisticSensorModel::ProbReadBatchGather(
     const double* ys, const double* zs, size_t n, double* out) const {
   batch_detail::BatchGather(*this, frames, frame_idx, xs, ys, zs, n, out,
                             negligible_range_);
-}
-
-void LogisticSensorModel::ProbReadBatchRuns(const ReaderFrame* frames,
-                                            const uint32_t* offsets,
-                                            size_t num_frames,
-                                            const double* xs, const double* ys,
-                                            const double* zs,
-                                            double* out) const {
-  batch_detail::BatchRuns(*this, frames, offsets, num_frames, xs, ys, zs, out,
-                          negligible_range_);
-}
-
-void LogisticSensorModel::ProbReadBatchSimd(const ReaderFrame& frame,
-                                            const double* xs, const double* ys,
-                                            const double* zs, size_t n,
-                                            double* out) const {
-  simd_kernel::BatchSimd(simd_kernel::LogisticEval(a_, b_, negligible_range_),
-                         frame, xs, ys, zs, n, out);
-}
-
-void LogisticSensorModel::ProbReadBatchRunsSimd(
-    const ReaderFrame* frames, const uint32_t* offsets, size_t num_frames,
-    const double* xs, const double* ys, const double* zs, double* out) const {
-  simd_kernel::BatchRunsSimd(
-      simd_kernel::LogisticEval(a_, b_, negligible_range_), frames, offsets,
-      num_frames, xs, ys, zs, out);
 }
 
 void LogisticSensorModel::ProbReadBatchGatherSimd(

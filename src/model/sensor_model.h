@@ -69,18 +69,15 @@ class SensorModel {
 
   // --- Batched evaluation -------------------------------------------------
   //
-  // All three variants produce exactly the scalar ProbReadAt result per
-  // element (same range/bearing arithmetic, see reader_frame.h); concrete
-  // models override them with devirtualized inner loops. The base
-  // implementations pay one virtual ProbRead per element and exist so new
-  // sensor models work unoptimized out of the box.
+  // The three entry points the filters call. Each produces exactly the
+  // scalar ProbReadAt result per element (same range/bearing arithmetic,
+  // see reader_frame.h), except the SIMD one, which carries its own error
+  // bound. Concrete models override them with devirtualized inner loops;
+  // the base implementations pay one virtual ProbRead per element and
+  // exist so new sensor models work unoptimized out of the box.
 
-  /// out[k] = p(read | frame, (xs[k], ys[k], zs[k])) for k in [0, n).
-  virtual void ProbReadBatch(const ReaderFrame& frame, const double* xs,
-                             const double* ys, const double* zs, size_t n,
-                             double* out) const;
-
-  /// Same, with array-of-structs positions.
+  /// One frame, array-of-structs positions (the basic filter's particles):
+  /// out[k] = p(read | frame, positions[k]) for k in [0, n).
   virtual void ProbReadBatchPositions(const ReaderFrame& frame,
                                       const Vec3* positions, size_t n,
                                       double* out) const;
@@ -92,33 +89,13 @@ class SensorModel {
                                    const double* ys, const double* zs,
                                    size_t n, double* out) const;
 
-  /// Contiguous per-frame runs in one call: elements [offsets[j],
-  /// offsets[j+1]) evaluate against frames[j]; `offsets` has num_frames + 1
-  /// entries covering the whole batch. This is the reader-run bucketed
-  /// weighting of the factored filter — one devirtualized call per object
-  /// with the frame hoisted per run (versus one call per run, whose
-  /// dispatch + constant setup dominates short runs).
-  virtual void ProbReadBatchRuns(const ReaderFrame* frames,
-                                 const uint32_t* offsets, size_t num_frames,
-                                 const double* xs, const double* ys,
-                                 const double* zs, double* out) const;
-
-  /// SIMD variants (4-wide lanes, util/simd.h). Results carry the
-  /// polynomial exp/acos error bound of <= 1e-9 relative per element
-  /// instead of the 1e-12 scalar-parity contract, so callers opt in
-  /// explicitly (FactoredFilterConfig::use_simd_kernels). The base
-  /// implementations fall back to the scalar kernels, so models without a
-  /// vector kernel stay correct.
-  virtual void ProbReadBatchSimd(const ReaderFrame& frame, const double* xs,
-                                 const double* ys, const double* zs, size_t n,
-                                 double* out) const;
-  virtual void ProbReadBatchRunsSimd(const ReaderFrame* frames,
-                                     const uint32_t* offsets,
-                                     size_t num_frames, const double* xs,
-                                     const double* ys, const double* zs,
-                                     double* out) const;
-  /// Per-element frames in original particle order, vectorized with index
-  /// gathers from the frame table (no bucketing pass needed).
+  /// ProbReadBatchGather on 4-wide SIMD lanes (util/simd.h), fetching each
+  /// lane's frame with an index gather. Results carry the polynomial
+  /// exp/acos error bound of <= 1e-9 relative per element instead of the
+  /// 1e-12 scalar-parity contract, so callers opt in explicitly
+  /// (FactoredFilterConfig::use_simd_kernels). The base implementation
+  /// falls back to the scalar gather, so models without a vector kernel
+  /// stay correct.
   virtual void ProbReadBatchGatherSimd(const ReaderFrame* frames,
                                        const uint32_t* frame_idx,
                                        const double* xs, const double* ys,
@@ -145,25 +122,12 @@ class LogisticSensorModel final : public SensorModel {
     return std::make_unique<LogisticSensorModel>(*this);
   }
 
-  void ProbReadBatch(const ReaderFrame& frame, const double* xs,
-                     const double* ys, const double* zs, size_t n,
-                     double* out) const override;
   void ProbReadBatchPositions(const ReaderFrame& frame, const Vec3* positions,
                               size_t n, double* out) const override;
   void ProbReadBatchGather(const ReaderFrame* frames, const uint32_t* frame_idx,
                            const double* xs, const double* ys,
                            const double* zs, size_t n,
                            double* out) const override;
-  void ProbReadBatchRuns(const ReaderFrame* frames, const uint32_t* offsets,
-                         size_t num_frames, const double* xs, const double* ys,
-                         const double* zs, double* out) const override;
-  void ProbReadBatchSimd(const ReaderFrame& frame, const double* xs,
-                         const double* ys, const double* zs, size_t n,
-                         double* out) const override;
-  void ProbReadBatchRunsSimd(const ReaderFrame* frames,
-                             const uint32_t* offsets, size_t num_frames,
-                             const double* xs, const double* ys,
-                             const double* zs, double* out) const override;
   void ProbReadBatchGatherSimd(const ReaderFrame* frames,
                                const uint32_t* frame_idx, const double* xs,
                                const double* ys, const double* zs, size_t n,

@@ -1,10 +1,9 @@
 // 4-wide SIMD inner loops for the three sensor models (simd.h lanes).
 //
-// Each kernel evaluates reader frames against SoA positions in two shapes:
-// one frame over a contiguous block (ProbReadBatchSimd), or many contiguous
-// per-frame runs in a single call (ProbReadBatchRunsSimd — the factored
-// filter's reader-run bucketing, where per-run overhead matters: model
-// constants are broadcast once per *call*, only the 5-value frame per run).
+// One shape, the factored weighting's (ProbReadBatchGatherSimd): SoA
+// positions in particle order, lane i evaluated against the reader frame
+// its particle is attached to, fetched from the frame table with index
+// gathers. Model constants are broadcast once per call into the evaluator.
 //
 // The geometry replicates batch_detail::EvalOne per lane: same 1e-12
 // degenerate-distance guard, same clamped bearing, same zero-beyond cutoff;
@@ -13,11 +12,12 @@
 // pin this down in tests/batch_kernel_test.cc).
 //
 // Far-field short circuit: when no lane of a 4-group is inside the cutoff
-// the evaluator stores zeros and skips the sqrt, the bearing acos and (for
-// the spherical and logistic models) the exp entirely. Remainder (n % 4)
-// lanes of blocks >= 4 run through one overlapped final group (same-frame
-// elements recompute to identical values); shorter blocks take a
-// zero-padded group whose padding lanes are computed but never stored.
+// the kernel stores zeros and skips the heading gathers, the sqrt, the
+// bearing acos and (for the spherical and logistic models) the exp
+// entirely, so the evaluators only ever see groups with a lane in range. Remainder (n % 4) lanes of batches >= 4 run through one
+// overlapped final group (same-index elements recompute to identical
+// values); shorter batches take one group padded with copies of the last
+// element, whose padding lanes are computed but never stored.
 #pragma once
 
 #include <array>
@@ -29,15 +29,9 @@
 namespace rfid {
 namespace simd_kernel {
 
-/// One reader frame broadcast across lanes.
+/// Four lanes' reader frames (origin and heading trig), one per lane.
 struct FrameConst {
   simd::Vec4d ox, oy, oz, cos_h, sin_h;
-
-  static FrameConst From(const ReaderFrame& f) {
-    return {simd::Set1(f.origin.x), simd::Set1(f.origin.y),
-            simd::Set1(f.origin.z), simd::Set1(f.cos_heading),
-            simd::Set1(f.sin_heading)};
-  }
 };
 
 /// Bearing against the frame heading; degenerate lanes (dist <= 1e-12) get
@@ -55,7 +49,7 @@ inline simd::Vec4d Bearing(const FrameConst& f, simd::Vec4d dx, simd::Vec4d dy,
 
 /// Cone model (cone_sensor.h): linear angle/range decay, zero past the
 /// major+minor extents. Constants are broadcast at construction; one
-/// evaluator serves every run of a bucketed batch.
+/// evaluator serves the whole batch.
 struct ConeEval {
   simd::Vec4d one, rate, theta_major, theta_max, r_major, r_max_sq, inv_ma,
       inv_mr;
@@ -88,7 +82,6 @@ struct ConeEval {
     const Vec4d dx = x - fc.ox, dy = y - fc.oy, dz = z - fc.oz;
     const Vec4d dist_sq = MulAdd(dx, dx, MulAdd(dy, dy, dz * dz));
     const Vec4d in_range = CmpLt(dist_sq, r_max_sq);
-    if (!AnyTrue(in_range)) return Zero();  // Far field: skip sqrt and acos.
     const Vec4d dist = Sqrt(dist_sq);
     const Vec4d angle = Bearing(fc, dx, dy, dist);
     const Vec4d af = Select(CmpLt(theta_major, angle),
@@ -128,7 +121,6 @@ struct SphericalEval {
     const Vec4d dx = x - fc.ox, dy = y - fc.oy, dz = z - fc.oz;
     const Vec4d dist_sq = MulAdd(dx, dx, MulAdd(dy, dy, dz * dz));
     const Vec4d in_range = CmpLt(dist_sq, cutoff_sq);
-    if (!AnyTrue(in_range)) return Zero();  // Far: skip sqrt, acos and exp.
     const Vec4d dist = Sqrt(dist_sq);
     const Vec4d angle = Bearing(fc, dx, dy, dist);
     const Vec4d d = dist * inv_range;
@@ -161,7 +153,6 @@ struct LogisticEval {
     const Vec4d dx = x - fc.ox, dy = y - fc.oy, dz = z - fc.oz;
     const Vec4d dist_sq = MulAdd(dx, dx, MulAdd(dy, dy, dz * dz));
     const Vec4d in_range = CmpLt(dist_sq, cutoff_sq);
-    if (!AnyTrue(in_range)) return Zero();  // Far: skip sqrt, acos and exp.
     const Vec4d dist = Sqrt(dist_sq);
     const Vec4d angle = Bearing(fc, dx, dy, dist);
     const Vec4d g = MulAdd(MulAdd(a2, dist, a1), dist, a0) +
@@ -173,69 +164,10 @@ struct LogisticEval {
   }
 };
 
-/// Runs `eval(fc, x, y, z)` over full 4-lane groups. A remainder of a
-/// block with n >= 4 is handled by one *overlapped* final group at n-4:
-/// the overlapping lanes recompute elements of the same frame, producing
-/// identical values, so re-storing them is safe and the copy-pad tail —
-/// which dominates short bucketed runs — is avoided. Only blocks shorter
-/// than one group (n < 4) take the zero-padded path.
-template <typename EvalT>
-inline void ForEachGroup(const EvalT& eval, const FrameConst& fc,
-                         const double* xs, const double* ys, const double* zs,
-                         size_t n, double* out) {
-  using namespace simd;
-  size_t k = 0;
-  for (; k + kLanes <= n; k += kLanes) {
-    Store(out + k, eval(fc, Load(xs + k), Load(ys + k), Load(zs + k)));
-  }
-  if (k == n) return;
-  if (n >= static_cast<size_t>(kLanes)) {
-    const size_t j = n - kLanes;
-    Store(out + j, eval(fc, Load(xs + j), Load(ys + j), Load(zs + j)));
-    return;
-  }
-  double tx[kLanes] = {0}, ty[kLanes] = {0}, tz[kLanes] = {0};
-  double tp[kLanes];
-  for (size_t i = k; i < n; ++i) {
-    tx[i - k] = xs[i];
-    ty[i - k] = ys[i];
-    tz[i - k] = zs[i];
-  }
-  Store(tp, eval(fc, Load(tx), Load(ty), Load(tz)));
-  for (size_t i = k; i < n; ++i) out[i] = tp[i - k];
-}
-
-/// One frame, one contiguous block (ProbReadBatchSimd).
-template <typename EvalT>
-inline void BatchSimd(const EvalT& eval, const ReaderFrame& frame,
-                      const double* xs, const double* ys, const double* zs,
-                      size_t n, double* out) {
-  ForEachGroup(eval, FrameConst::From(frame), xs, ys, zs, n, out);
-}
-
-/// Contiguous per-frame runs in one call (ProbReadBatchRunsSimd): elements
-/// [offsets[j], offsets[j+1]) evaluate against frames[j]. Model constants
-/// live in `eval` across all runs; only the frame re-broadcasts per run.
-template <typename EvalT>
-inline void BatchRunsSimd(const EvalT& eval, const ReaderFrame* frames,
-                          const uint32_t* offsets, size_t num_frames,
-                          const double* xs, const double* ys, const double* zs,
-                          double* out) {
-  for (size_t j = 0; j < num_frames; ++j) {
-    const uint32_t begin = offsets[j];
-    const uint32_t len = offsets[j + 1] - begin;
-    if (len == 0) continue;
-    ForEachGroup(eval, FrameConst::From(frames[j]), xs + begin, ys + begin,
-                 zs + begin, len, out + begin);
-  }
-}
-
 /// Per-element frames in original particle order (ProbReadBatchGatherSimd):
 /// lane i of a group evaluates against frames[frame_idx[k+i]], fetched with
 /// hardware index gathers from the frame table (L1-resident at the paper's
-/// ~100 reader particles). This vectorizes the factored weighting without
-/// any bucketing pass — the per-lane FrameConst has exactly the shape the
-/// evaluators already take.
+/// ~100 reader particles) into the per-lane FrameConst the evaluators take.
 template <typename EvalT>
 inline void BatchGatherSimd(const EvalT& eval, const ReaderFrame* frames,
                             const uint32_t* frame_idx, const double* xs,

@@ -45,13 +45,6 @@ void SphericalSensorModel::RecomputeNegligibleRange() {
       params_.range * std::sqrt(0.5 * std::log(bound / kBatchNegligibleProb));
 }
 
-void SphericalSensorModel::ProbReadBatch(const ReaderFrame& frame,
-                                         const double* xs, const double* ys,
-                                         const double* zs, size_t n,
-                                         double* out) const {
-  batch_detail::BatchSoa(*this, frame, xs, ys, zs, n, out, negligible_range_);
-}
-
 void SphericalSensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
                                                   const Vec3* positions,
                                                   size_t n,
@@ -79,33 +72,6 @@ simd_kernel::SphericalEval MakeSphericalEval(
 }
 
 }  // namespace
-
-void SphericalSensorModel::ProbReadBatchRuns(const ReaderFrame* frames,
-                                             const uint32_t* offsets,
-                                             size_t num_frames,
-                                             const double* xs,
-                                             const double* ys,
-                                             const double* zs,
-                                             double* out) const {
-  batch_detail::BatchRuns(*this, frames, offsets, num_frames, xs, ys, zs, out,
-                          negligible_range_);
-}
-
-void SphericalSensorModel::ProbReadBatchSimd(const ReaderFrame& frame,
-                                             const double* xs,
-                                             const double* ys,
-                                             const double* zs, size_t n,
-                                             double* out) const {
-  simd_kernel::BatchSimd(MakeSphericalEval(params_, negligible_range_), frame,
-                         xs, ys, zs, n, out);
-}
-
-void SphericalSensorModel::ProbReadBatchRunsSimd(
-    const ReaderFrame* frames, const uint32_t* offsets, size_t num_frames,
-    const double* xs, const double* ys, const double* zs, double* out) const {
-  simd_kernel::BatchRunsSimd(MakeSphericalEval(params_, negligible_range_),
-                             frames, offsets, num_frames, xs, ys, zs, out);
-}
 
 void SphericalSensorModel::ProbReadBatchGatherSimd(
     const ReaderFrame* frames, const uint32_t* frame_idx, const double* xs,

@@ -19,7 +19,7 @@ constexpr double kSupportFloor = 1e-12;
 constexpr uint64_t kRepointSalt = 0x5bd1e995u;
 
 /// Most reader-resample remap records retained before slots that never get
-/// touched force a deterministic sync-all (bounds lazy-remap memory).
+/// touched force a deterministic sync-all (bounds the deferred-remap memory).
 constexpr size_t kMaxRemapHistory = 32;
 
 double SafeLog(double p) { return std::log(std::max(p, kProbFloor)); }
@@ -466,33 +466,11 @@ bool FactoredParticleFilter::UpdateObject(ObjectState* state, bool observed,
   }
 
   // Factored weighting, Eq. (5): each particle is weighted against the
-  // current pose of the reader particle it is conditioned on, through the
-  // sensor's devirtualized kernels. Four interchangeable paths: per-element
-  // frame gather (default) or reader-run bucketing (counting-sort into
-  // contiguous single-frame runs, scatter back in original order), each in
-  // scalar or SIMD. Gather and bucketed scalar paths are bit-identical —
-  // same arithmetic per element, order restored before any accumulation.
+  // current pose of the reader particle it is conditioned on, fetched per
+  // element from the frame table by the sensor's devirtualized kernel
+  // (scalar, or the opt-in SIMD index-gather lanes).
   scratch->probs.resize(n);
-  if (config_.bucket_by_reader) {
-    const SensorModel& sensor = model_.sensor();
-    ParticleSoa::ReaderRunScratch& runs = scratch->runs;
-    particles.BucketByReader(reader_frames_.size(), &runs);
-    scratch->run_probs.resize(n);
-    if (config_.use_simd_kernels) {
-      sensor.ProbReadBatchRunsSimd(reader_frames_.data(), runs.offsets.data(),
-                                   reader_frames_.size(), runs.xs.data(),
-                                   runs.ys.data(), runs.zs.data(),
-                                   scratch->run_probs.data());
-    } else {
-      sensor.ProbReadBatchRuns(reader_frames_.data(), runs.offsets.data(),
-                               reader_frames_.size(), runs.xs.data(),
-                               runs.ys.data(), runs.zs.data(),
-                               scratch->run_probs.data());
-    }
-    for (size_t i = 0; i < n; ++i) {
-      scratch->probs[runs.order[i]] = scratch->run_probs[i];
-    }
-  } else if (config_.use_simd_kernels) {
+  if (config_.use_simd_kernels) {
     model_.sensor().ProbReadBatchGatherSimd(
         reader_frames_.data(), particles.reader_indices(), particles.xs(),
         particles.ys(), particles.zs(), n, scratch->probs.data());
@@ -641,10 +619,10 @@ void FactoredParticleFilter::ResampleReaders(
   // an approximation (their conditioning hypothesis changes), but those
   // particles belonged to down-weighted readers, so the bias is bounded by
   // the resampling threshold. The repoint map is recorded here; the remap
-  // itself replays in SyncReaderAttachments — immediately for every slot in
-  // eager mode, or when a slot is next touched in lazy mode. Either way each
-  // slot draws from its own stream keyed by the step recorded below, so the
-  // attachments come out bit-identical regardless of when the replay runs.
+  // itself replays in SyncReaderAttachments when a slot is next touched.
+  // Each slot draws from its own stream keyed by the step recorded below,
+  // so the attachments come out bit-identical regardless of when the
+  // replay runs.
   remap_history_.push_back({step_, std::move(new_slots_of)});
   ++reader_gen_;
   // Slots with no particles have nothing to remap and draw nothing (the
@@ -652,10 +630,6 @@ void FactoredParticleFilter::ResampleReaders(
   // compressed/hibernated tags never pins the history.
   for (ObjectState& state : states_) {
     if (state.particles.empty()) state.reader_gen = reader_gen_;
-  }
-  if (!config_.lazy_reader_remap) {
-    SyncAllReaderAttachments();
-    return;
   }
   PruneRemapHistory();
   // Bounded deferral: slots that are never touched again while resamples
@@ -666,10 +640,9 @@ void FactoredParticleFilter::ResampleReaders(
 
 void FactoredParticleFilter::SyncReaderAttachments(uint32_t slot) const {
   if (states_[slot].reader_gen == reader_gen_) return;
-  // Logically const: replaying the pending remaps is the lazy completion of
-  // ResampleReaders, and every observable read of the attachments goes
-  // through a sync first — a synced filter and an eager one are
-  // indistinguishable.
+  // Logically const: replaying the pending remaps is the deferred
+  // completion of ResampleReaders, and every observable read of the
+  // attachments goes through a sync first.
   auto* self = const_cast<FactoredParticleFilter*>(this);
   ObjectState& state = self->states_[slot];
   ParticleSoa& particles = state.particles;
@@ -679,7 +652,7 @@ void FactoredParticleFilter::SyncReaderAttachments(uint32_t slot) const {
     return;
   }
   assert(state.reader_gen >= remap_base_gen_);
-  // Telemetry: the replay below is the lazy-remap cost the serving layer
+  // Telemetry: the replay below is the remap cost the serving layer
   // reports as its own stage. Clock reads only on the slow path (pending
   // remaps exist) and only with telemetry on; the accumulator is a relaxed
   // atomic because lanes sync slots concurrently.
@@ -689,7 +662,7 @@ void FactoredParticleFilter::SyncReaderAttachments(uint32_t slot) const {
   for (size_t r = first; r < remap_history_.size(); ++r) {
     const ReaderRemapRecord& rec = remap_history_[r];
     const size_t num_readers = rec.new_slots_of.size();
-    // The exact stream the eager remap would have consumed at rec.step.
+    // Keyed at the step the resample fired, not the step replaying it.
     Rng rng(SlotStreamSeedAt(slot, kRepointSalt, rec.step));
     for (size_t k = 0; k < n; ++k) {
       const auto& slots = rec.new_slots_of[reader_idx[k]];
@@ -749,14 +722,11 @@ void FactoredParticleFilter::DispatchObjectUpdates(
     for (size_t i = 0; i < m; ++i) run_one(i, 0);
     return;
   }
-  if (!config_.work_stealing) {
-    pool_.ParallelFor(m, run_one);
-    return;
-  }
   // Cost-balanced chunked stealing: pack slots greedily into chunks of
-  // roughly `target` particles, so a handful of full-budget objects no
-  // longer serializes a static lane while hundreds of tiny
-  // revived/near-floor slots are batched instead of dispatched one by one.
+  // roughly `target` particles (about 8 chunks per lane, with a 512-particle
+  // floor on the target), so a handful of full-budget objects cannot serialize one
+  // lane while hundreds of tiny revived/near-floor slots are batched
+  // instead of dispatched one by one.
   // The chunking depends only on slot sizes (state), never on timing, and
   // every update still draws from its slot-keyed stream — which lane runs a
   // chunk cannot affect the result.
@@ -765,10 +735,7 @@ void FactoredParticleFilter::DispatchObjectUpdates(
     total += std::max<size_t>(1, states_[slot].particles.size());
   }
   const auto lanes = static_cast<size_t>(pool_.num_threads());
-  const size_t target =
-      config_.sched_chunk_particles > 0
-          ? static_cast<size_t>(config_.sched_chunk_particles)
-          : std::max<size_t>(512, total / (lanes * 8));
+  const size_t target = std::max<size_t>(512, total / (lanes * 8));
   std::vector<size_t>& starts = scratch_chunk_starts_;
   starts.clear();
   starts.push_back(0);
@@ -837,8 +804,8 @@ void FactoredParticleFilter::RunCompression() {
     }
     // The fit marginalizes over reader weights through the attachments, so
     // deferred remaps must be replayed first. Compression targets exactly
-    // the slots the epoch sweep has not touched — the ones lazy mode left
-    // stale.
+    // the slots the epoch sweep has not touched — the ones most likely to
+    // have remaps pending.
     SyncReaderAttachments(slot);
     const GaussianBelief fit = FitBelief(state);
     CompressionCandidate c;
@@ -1026,10 +993,10 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
     if (state.particles.empty()) continue;
     case2_updates.push_back(slot);
   }
-  // ...then the updates themselves fan out across the pool — cost-balanced
-  // stolen chunks (work_stealing) or the static per-lane partition. Given
-  // the frozen reader frames they are conditionally independent (§IV-B),
-  // and each draws from its own (seed, slot, step) stream.
+  // ...then the updates themselves fan out across the pool in cost-balanced
+  // stolen chunks. Given the frozen reader frames they are conditionally
+  // independent (§IV-B), and each draws from its own (seed, slot, step)
+  // stream.
   DispatchObjectUpdates(case2_updates);
   std::vector<uint32_t> processed = case1;
   processed.reserve(case1.size() + case2_updates.size());

@@ -128,55 +128,16 @@ struct FactoredFilterConfig {
   /// are bit-identical across thread counts at a fixed seed.
   int num_threads = 1;
 
-  /// Schedule the Case-2 fan-out through chunked work stealing
-  /// (ThreadPool::ParallelForDynamic): the slots are grouped into
-  /// cost-balanced chunks claimed through an atomic cursor, so one expensive
-  /// object no longer serializes a whole static lane. Which lane runs a
-  /// chunk is timing-dependent; results are not — every update draws from
-  /// its slot-keyed RNG stream, so estimates stay bit-identical across
-  /// schedules, chunk sizes and thread counts. false = the seed's static
-  /// one-block-per-lane partition.
-  bool work_stealing = true;
-  /// Target particle mass per stolen chunk (the unit of cost balancing).
-  /// Objects are greedily packed into chunks of roughly this many particles,
-  /// batching tiny hibernated/compressed slots into one task while an
-  /// expensive slot gets a chunk of its own. <= 0 picks a default giving
-  /// each lane several chunks. Scheduling-only: any value yields
-  /// bit-identical estimates.
-  int sched_chunk_particles = 0;
-
-  /// Defer the reader-resample remap (§IV-B repoint of every particle's
-  /// reader attachment) from "all active objects immediately" to "each slot
-  /// when it is next touched". On a large site most slots are cold, so the
-  /// eager remap is a full-population stall for attachments nobody reads
-  /// before the *next* resample overwrites them. Laziness is invisible:
-  /// every read of a slot's attachments syncs it first by replaying the
-  /// pending remaps with the same per-slot RNG stream, keyed by the step at
-  /// which each resample fired, so posteriors are bit-identical to eager.
-  bool lazy_reader_remap = true;
-
   /// Every this-many epochs, trim particle-vector capacity of objects whose
   /// elastic budget left them far below their old high-water allocation
   /// (capacity >= 2x size). Off-hot-path; 0 disables the sweep (capacity
   /// then tracks the high-water mark, the seed behavior).
   int shrink_interval_epochs = 64;
 
-  /// Weight Eq. (5) through reader-run bucketing: counting-sort each
-  /// object's particles by reader attachment, evaluate contiguous
-  /// single-frame runs in one ProbReadBatchRuns call, scatter weights back
-  /// in original particle order. Bit-identical to the per-element gather
-  /// path (same arithmetic per element, order restored before any
-  /// accumulation). Off by default: the counting sort costs ~3 ns/particle,
-  /// which the run-contiguity only repays when runs are long (few readers
-  /// or many particles per object) or the kernel is transcendental-heavy;
-  /// at the paper's 100-reader/1000-particle shape the gather path wins.
-  bool bucket_by_reader = false;
-
-  /// Evaluate the weighting with the 4-wide SIMD kernels (util/simd.h):
-  /// index-gather lanes on the gather path, run-contiguous lanes when
-  /// bucket_by_reader is set. Opt-in: the polynomial exp/acos carry a
-  /// <= 1e-9 relative-error bound, outside the default 1e-12 scalar-parity
-  /// / bit-identity contracts.
+  /// Evaluate the weighting with the 4-wide SIMD index-gather kernels
+  /// (util/simd.h). Opt-in: the polynomial exp/acos carry a <= 1e-9
+  /// relative-error bound, outside the default 1e-12 scalar-parity /
+  /// bit-identity contracts.
   bool use_simd_kernels = false;
 
   uint64_t seed = 1;
@@ -222,7 +183,7 @@ class FactoredParticleFilter final : public InferenceFilter {
     Aabb particle_bounds;
     /// Reader-resample generation this slot's particle attachments are
     /// synced to. When it lags the filter's reader_gen_, the pending remaps
-    /// are replayed (lazy_reader_remap) before the attachments are read.
+    /// are replayed before the attachments are read.
     uint64_t reader_gen = 0;
 
     bool IsCompressed() const { return compressed.has_value(); }
@@ -241,8 +202,8 @@ class FactoredParticleFilter final : public InferenceFilter {
   }
   const ObjectState* FindObject(TagId tag) const;
   /// All per-object states, indexed by slot (EM E-step iterates these).
-  /// Replays any deferred reader remaps first, so the attachments read here
-  /// are identical to an eager filter's.
+  /// Replays any deferred reader remaps first, so every attachment read
+  /// here is current.
   const std::vector<ObjectState>& object_states() const {
     SyncAllReaderAttachments();
     return states_;
@@ -295,8 +256,6 @@ class FactoredParticleFilter final : public InferenceFilter {
     std::vector<double> probs;        ///< Batched likelihoods.
     std::vector<uint32_t> ancestors;  ///< Resampling output.
     ParticleSoa gathered;             ///< Resampling gather target.
-    ParticleSoa::ReaderRunScratch runs;  ///< Reader-run bucketing buffers.
-    std::vector<double> run_probs;    ///< Likelihoods in bucketed order.
   };
 
   void InitializeReaders(const SyncedEpoch& epoch);
@@ -327,8 +286,8 @@ class FactoredParticleFilter final : public InferenceFilter {
   /// same slot within one step (the conflict retry).
   uint64_t SlotStreamSeed(uint32_t slot, uint64_t salt) const;
   /// Same stream keyed at an explicit step instead of the current step_ —
-  /// the lazy remap replays a resample recorded at step S with the exact
-  /// seed the eager remap would have used at step S.
+  /// the remap replay of a resample recorded at step S draws from the
+  /// stream keyed at S, whenever the replay runs.
   uint64_t SlotStreamSeedAt(uint32_t slot, uint64_t salt, int64_t step) const;
 
   /// Propagates, weights and (if needed) resamples one processed object.
@@ -342,14 +301,14 @@ class FactoredParticleFilter final : public InferenceFilter {
 
   /// Resamples reader particles, scoring each by its own weight times the
   /// support it receives from the processed objects' particles (§IV-B).
-  /// Records the old-reader -> new-readers repoint map; eager mode applies
-  /// it to every active slot immediately, lazy mode defers to
-  /// SyncReaderAttachments.
+  /// Records the old-reader -> new-readers repoint map; each slot applies
+  /// it in SyncReaderAttachments when it is next touched.
   void ResampleReaders(const std::vector<uint32_t>& processed_slots);
 
   /// Replays the reader-resample remaps a slot has not seen yet, in firing
-  /// order, using the same slot-keyed RNG streams the eager remap consumed —
-  /// bit-identical attachments, paid only when the slot is next touched.
+  /// order, each from the slot's stream keyed at the step it fired — so the
+  /// attachments do not depend on when the replay runs, and cold slots pay
+  /// nothing until they are touched.
   /// Logically const: syncing changes no observable state (every public
   /// reader of attachments syncs first), so const accessors may call it.
   void SyncReaderAttachments(uint32_t slot) const;
@@ -359,9 +318,9 @@ class FactoredParticleFilter final : public InferenceFilter {
   /// Drops remap records every synced slot has already replayed.
   void PruneRemapHistory();
 
-  /// Fans UpdateObject over the Case-2 slots: cost-balanced stolen chunks
-  /// (work_stealing) or the static per-lane partition. Each task syncs the
-  /// slot's reader attachments before updating it.
+  /// Fans UpdateObject over the Case-2 slots in cost-balanced chunks
+  /// claimed by work stealing. Each task syncs the slot's reader
+  /// attachments before updating it.
   void DispatchObjectUpdates(const std::vector<uint32_t>& slots);
 
   /// Off-hot-path capacity reclaim (shrink_interval_epochs): releases the
@@ -409,10 +368,9 @@ class FactoredParticleFilter final : public InferenceFilter {
   std::vector<ObjectState> states_;
   std::unordered_map<TagId, uint32_t> slot_of_tag_;
 
-  /// One deferred reader-resample remap (lazy_reader_remap). Replaying a
-  /// record at a slot repoints each attachment old -> one of
-  /// new_slots_of[old], drawing from the slot's stream keyed at `step` —
-  /// exactly what the eager remap did at that step.
+  /// One deferred reader-resample remap. Replaying a record at a slot
+  /// repoints each attachment old -> one of new_slots_of[old], drawing from
+  /// the slot's stream keyed at `step`.
   struct ReaderRemapRecord {
     int64_t step = 0;  ///< Step the resample fired (RNG stream key).
     std::vector<std::vector<uint32_t>> new_slots_of;

@@ -104,26 +104,6 @@ void ParticleSoa::GatherFrom(const ParticleSoa& src,
   }
 }
 
-void ParticleSoa::BucketByReader(size_t num_readers,
-                                 ReaderRunScratch* s) const {
-  const size_t n = size();
-  s->offsets.assign(num_readers + 1, 0);
-  for (size_t k = 0; k < n; ++k) ++s->offsets[reader_idx_[k] + 1];
-  for (size_t j = 0; j < num_readers; ++j) s->offsets[j + 1] += s->offsets[j];
-  s->cursor.assign(s->offsets.begin(), s->offsets.end() - 1);
-  s->order.resize(n);
-  s->xs.resize(n);
-  s->ys.resize(n);
-  s->zs.resize(n);
-  for (size_t k = 0; k < n; ++k) {
-    const uint32_t pos = s->cursor[reader_idx_[k]]++;
-    s->order[pos] = static_cast<uint32_t>(k);
-    s->xs[pos] = x_[k];
-    s->ys[pos] = y_[k];
-    s->zs[pos] = z_[k];
-  }
-}
-
 size_t ParticleSoa::ApproxMemoryBytes() const {
   return (x_.capacity() + y_.capacity() + z_.capacity() + weight_.capacity()) *
              sizeof(double) +

@@ -5,8 +5,8 @@
 // bounds maintenance) streams over positions and weights; keeping each
 // component in its own contiguous array lets those loops run out of three
 // cache-resident streams instead of striding over 40-byte
-// array-of-structs records, and hands the sensor batch kernels raw
-// x/y/z pointers with no gather step.
+// array-of-structs records, and hands the sensor's gather kernels the raw
+// x/y/z and reader-index arrays without a copy.
 //
 // Compatibility: tests, the EM E-step and the snapshot code historically
 // iterated `std::vector<ObjectParticle>` reading `.position`, `.reader_idx`
@@ -103,23 +103,6 @@ class ParticleSoa {
   void GatherFrom(const ParticleSoa& src,
                   const std::vector<uint32_t>& ancestors,
                   double uniform_weight);
-
-  /// Reusable buffers for BucketByReader (owned by the filter's per-lane
-  /// update scratch so bucketing allocates nothing per epoch).
-  struct ReaderRunScratch {
-    std::vector<uint32_t> offsets;  ///< Size R+1; run j = [offsets[j], offsets[j+1]).
-    std::vector<uint32_t> cursor;   ///< Counting-sort write cursors.
-    std::vector<uint32_t> order;    ///< Bucketed position -> original index.
-    std::vector<double> xs, ys, zs; ///< Positions in bucketed order.
-  };
-
-  /// Counting-sorts the particles by reader attachment into `s`: positions
-  /// land contiguously per reader (stable within a run, so re-ordering is a
-  /// pure permutation recorded in `s->order`). The factored weighting then
-  /// evaluates each run against its single reader frame — no per-element
-  /// frame gather — and scatters results back through `order`, which keeps
-  /// downstream arithmetic bit-identical to the gather path.
-  void BucketByReader(size_t num_readers, ReaderRunScratch* s) const;
 
   /// Bytes held by the component arrays (capacity-based, like
   /// vector<ObjectParticle> accounting did).

@@ -249,8 +249,8 @@ Status ReadParticles(std::istream& is, uint32_t version,
 Status SaveFilterSnapshot(const FactoredParticleFilter& filter,
                           std::ostream& sink) {
   // The on-disk format has no notion of a pending reader remap: replay any
-  // deferred ones so the persisted attachments equal an eager filter's (a
-  // restored filter then starts with an empty remap history).
+  // deferred ones so the persisted attachments are current (a restored
+  // filter then starts with an empty remap history).
   filter.SyncAllReaderAttachments();
   sink.write(kMagic, sizeof(kMagic));
   WritePod(sink, kVersion);

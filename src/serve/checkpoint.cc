@@ -26,12 +26,6 @@ using serialize::ReadPod;
 using serialize::WriteFramedSection;
 using serialize::WritePod;
 
-/// Mirrors site_pipeline.cc's checkpoint magic — VerifySiteCheckpointFile
-/// validates framing without constructing a pipeline.
-constexpr char kSiteMagic[8] = {'R', 'F', 'I', 'D', 'S', 'I', 'T', 'E'};
-/// First site-checkpoint version with CRC-framed sections.
-constexpr uint32_t kFirstFramedVersion = 3;
-
 constexpr char kManifestMagic[8] = {'R', 'F', 'I', 'D', 'M', 'A', 'N', 'I'};
 constexpr uint32_t kManifestVersion = 1;
 
@@ -173,12 +167,16 @@ Status ReadManifestFile(const std::string& path, CheckpointManifest* manifest) {
                            std::to_string(version) + " in " + path);
   }
   CheckpointManifest parsed;
-  RFID_RETURN_NOT_OK(ReadFramedSection(is, [&](std::istream& body) {
-    if (!ReadPod(body, &parsed.current) || !ReadPod(body, &parsed.previous)) {
-      return Status::IOError("truncated manifest body in " + path);
+  const Status body = ReadFramedSection(is, [&](std::istream& section) {
+    if (!ReadPod(section, &parsed.current) ||
+        !ReadPod(section, &parsed.previous)) {
+      return Status::IOError("truncated manifest body");
     }
     return Status::OK();
-  }));
+  });
+  if (!body.ok()) {
+    return Status(body.code(), "manifest " + path + ": " + body.message());
+  }
   if (parsed.current == 0) {
     return Status::Invalid("manifest " + path + " has no current generation");
   }
@@ -212,10 +210,6 @@ void RemoveStaleGenerations(const std::string& dir, SiteId site,
 }
 
 }  // namespace
-
-std::string SiteCheckpointPath(const std::string& dir, SiteId site) {
-  return dir + "/site_" + std::to_string(site) + ".ckpt";
-}
 
 std::string SiteGenerationPath(const std::string& dir, SiteId site,
                                uint64_t generation) {
@@ -251,19 +245,10 @@ Status ReadSiteCheckpointFile(const std::string& path, SitePipeline* pipeline) {
 Status VerifySiteCheckpointFile(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) return Status::IOError("cannot open checkpoint " + path);
-  char magic[8];
-  is.read(magic, sizeof(magic));
-  if (!is.good() || std::memcmp(magic, kSiteMagic, sizeof(magic)) != 0) {
-    return Status::Invalid("not a site checkpoint (bad magic): " + path);
-  }
   uint32_t version = 0;
-  if (!ReadPod(is, &version)) {
-    return Status::IOError("truncated site checkpoint " + path);
-  }
-  if (version < kFirstFramedVersion) {
-    // Unframed legacy layout: nothing to checksum. Loading still validates
-    // field-by-field; verification just cannot be done ahead of parsing.
-    return Status::OK();
+  const Status header = ReadSiteCheckpointHeader(is, &version);
+  if (!header.ok()) {
+    return Status(header.code(), header.message() + ": " + path);
   }
   // Streams every section through its CRC without parsing or keeping it.
   const auto skip = [](std::istream& section) {
@@ -366,16 +351,11 @@ Status LoadSiteCheckpoint(const std::string& dir, SiteId site,
   CheckpointManifest manifest;
   const Status manifest_status = ReadSiteManifest(dir, site, &manifest);
   if (!manifest_status.ok()) {
-    // No manifest: a directory written before the generation protocol
-    // existed. The bare per-site file is the only candidate.
-    const std::string legacy_path = SiteCheckpointPath(dir, site);
-    const Status legacy = ReadSiteCheckpointFile(legacy_path, pipeline);
-    if (legacy.ok() && report != nullptr) {
-      report->generation = 0;
-      report->used_fallback = false;
-      report->legacy = true;
-    }
-    return legacy;
+    // The manifest names the generations to load; without it there is
+    // nothing to fall back to.
+    return Status(manifest_status.code(),
+                  "no loadable checkpoint for site " + std::to_string(site) +
+                      ": " + manifest_status.message());
   }
   const std::string current_path =
       SiteGenerationPath(dir, site, manifest.current);
@@ -385,7 +365,6 @@ Status LoadSiteCheckpoint(const std::string& dir, SiteId site,
     if (report != nullptr) {
       report->generation = manifest.current;
       report->used_fallback = false;
-      report->legacy = false;
     }
     return Status::OK();
   }
@@ -406,7 +385,6 @@ Status LoadSiteCheckpoint(const std::string& dir, SiteId site,
   if (report != nullptr) {
     report->generation = manifest.previous;
     report->used_fallback = true;
-    report->legacy = false;
   }
   return Status::OK();
 }

@@ -18,9 +18,8 @@
 // retried with doubling backoff before the save is declared failed.
 //
 // Loading follows the manifest: current generation first, previous as
-// fallback if current fails verification or parsing. Directories written by
-// releases before the manifest existed (a bare `site_<id>.ckpt`) still
-// load, reported as `legacy`.
+// fallback if current fails verification or parsing. A missing or corrupt
+// manifest fails the load with an error naming it.
 #pragma once
 
 #include <cstdint>
@@ -30,10 +29,6 @@
 #include "util/status.h"
 
 namespace rfid {
-
-/// Legacy single-file layout: `<dir>/site_<id>.ckpt`. Still recognized by
-/// LoadSiteCheckpoint as a fallback when no manifest exists.
-std::string SiteCheckpointPath(const std::string& dir, SiteId site);
 
 /// `<dir>/site_<id>.gen<generation>.ckpt`.
 std::string SiteGenerationPath(const std::string& dir, SiteId site,
@@ -72,12 +67,10 @@ struct CheckpointWriteReport {
 };
 
 struct CheckpointLoadReport {
-  /// Generation actually loaded (0 for a legacy bare `site_<id>.ckpt`).
+  /// Generation actually loaded.
   uint64_t generation = 0;
   /// True when the current generation failed and the previous one loaded.
   bool used_fallback = false;
-  /// True when no manifest existed and the legacy single file was loaded.
-  bool legacy = false;
 };
 
 /// Writes one checkpoint file (tmp + fsync + rename + dir fsync). Single
@@ -89,9 +82,10 @@ Status WriteSiteCheckpointFile(const SitePipeline& pipeline,
 /// Restores a pipeline from one checkpoint file.
 Status ReadSiteCheckpointFile(const std::string& path, SitePipeline* pipeline);
 
-/// Re-reads a checkpoint file and verifies its framing: magic, version, and
-/// every section checksum. Does not construct a pipeline — this is the
-/// cheap post-write validation the manifest advance is gated on.
+/// Re-reads a checkpoint file and verifies its framing: magic, a version
+/// inside the load window (the same check LoadCheckpoint makes), and every
+/// section checksum. Does not construct a pipeline — this is the cheap
+/// post-write validation the manifest advance is gated on.
 Status VerifySiteCheckpointFile(const std::string& path);
 
 /// The full save protocol: write a new generation, verify it, atomically
@@ -103,8 +97,7 @@ Status SaveSiteCheckpoint(const SitePipeline& pipeline, const std::string& dir,
                           CheckpointWriteReport* report = nullptr);
 
 /// The full load protocol: manifest current generation, falling back to the
-/// previous generation, falling back to the legacy bare file when no
-/// manifest exists.
+/// previous generation.
 Status LoadSiteCheckpoint(const std::string& dir, SiteId site,
                           SitePipeline* pipeline,
                           CheckpointLoadReport* report = nullptr);

@@ -474,16 +474,15 @@ Status StreamingServer::ReviveSite(SiteId site) {
   for (auto& candidate : pipelines_) {
     if (candidate->site() == site) pipeline = candidate.get();
   }
-  // Only attempt a restore when some checkpoint artifact actually exists
-  // for this site — a site parked before its first successful save (every
-  // Checkpoint() skipped it) must still be revivable, with whatever state
-  // it has. A load that fails with data present is still an error: the
-  // operator asked for the last-good state and it is unreadable.
+  // Only attempt a restore when the site has a readable manifest — a site
+  // parked before its first successful save (every Checkpoint() skipped
+  // it) must still be revivable, with whatever state it has. A load that
+  // fails with a manifest present is still an error: the operator asked
+  // for the last-good state and it is unreadable.
   CheckpointManifest manifest;
   const bool has_data =
       !last_checkpoint_dir_.empty() &&
-      (ReadSiteManifest(last_checkpoint_dir_, site, &manifest).ok() ||
-       std::filesystem::exists(SiteCheckpointPath(last_checkpoint_dir_, site)));
+      ReadSiteManifest(last_checkpoint_dir_, site, &manifest).ok();
   if (has_data) {
     CheckpointLoadReport report;
     {

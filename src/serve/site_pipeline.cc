@@ -397,6 +397,25 @@ Status SitePipeline::SaveCheckpoint(std::ostream& os) const {
   return Status::OK();
 }
 
+Status ReadSiteCheckpointHeader(std::istream& is, uint32_t* version) {
+  char magic[8];
+  is.read(magic, sizeof(magic));
+  if (!is.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+    return Status::Invalid("not a site checkpoint (bad magic)");
+  }
+  if (!ReadPod(is, version)) {
+    return Status::IOError("truncated site checkpoint");
+  }
+  if (*version < kMinVersion || *version > kVersion) {
+    return Status::Invalid(
+        "unsupported site checkpoint version " + std::to_string(*version) +
+        " (oldest loadable is v" + std::to_string(kMinVersion) +
+        "; load windows are one version back — migrate older checkpoints by "
+        "re-saving them with the release that wrote them plus one)");
+  }
+  return Status::OK();
+}
+
 Status SitePipeline::LoadCheckpoint(std::istream& is) {
   // Everything is parsed into temporaries first and committed only after
   // the last read succeeded. The previous version restored sync_ and the
@@ -404,22 +423,8 @@ Status SitePipeline::LoadCheckpoint(std::istream& is) {
   // truncated on disk) left a half-restored pipeline: new synchronizer
   // state under the old filter belief, which then replayed garbage. A
   // failed load must leave the pipeline exactly as it was.
-  char magic[8];
-  is.read(magic, sizeof(magic));
-  if (!is.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::Invalid("not a site checkpoint (bad magic)");
-  }
   uint32_t version = 0;
-  if (!ReadPod(is, &version)) {
-    return Status::IOError("truncated site checkpoint");
-  }
-  if (version < kMinVersion || version > kVersion) {
-    return Status::Invalid(
-        "unsupported site checkpoint version " + std::to_string(version) +
-        " (oldest loadable is v" + std::to_string(kMinVersion) +
-        "; load windows are one version back — migrate older checkpoints by "
-        "re-saving them with the release that wrote them plus one)");
-  }
+  RFID_RETURN_NOT_OK(ReadSiteCheckpointHeader(is, &version));
   SiteId site = 0;
   uint64_t records_processed = 0, events_dispatched = 0;
   uint64_t records_shed = 0, scan_completes = 0;

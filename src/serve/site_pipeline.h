@@ -245,4 +245,11 @@ class SitePipeline {
   obs::Counter* slow_epochs_c_ = nullptr;
 };
 
+/// Reads a site checkpoint's magic and version from `is` and checks the
+/// version lies in the load window (v3–v4), leaving `is` at the first
+/// framed section. The one header check behind both
+/// SitePipeline::LoadCheckpoint and VerifySiteCheckpointFile, so a file
+/// the verifier passes is one the loader accepts.
+Status ReadSiteCheckpointHeader(std::istream& is, uint32_t* version);
+
 }  // namespace rfid

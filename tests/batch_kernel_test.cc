@@ -1,7 +1,9 @@
 // Parity tests for the batched sensor kernels (reader_frame.h): every batch
-// variant must reproduce the scalar ProbReadAt result to 1e-12 per element,
-// for the cone, spherical and logistic models, including the degenerate
-// tag-at-reader geometry and out-of-range positions.
+// entry point must reproduce the scalar ProbReadAt result to 1e-12 per
+// element, for the cone, spherical and logistic models, including the
+// degenerate tag-at-reader geometry and out-of-range positions. Single-frame
+// cases run through the gather entry points with every particle attached to
+// frame 0.
 //
 // The SIMD kernels (simd_kernels.h) carry a looser, explicitly documented
 // contract — |simd - scalar| <= 1e-9 * scalar + 1e-12 per element — because
@@ -54,9 +56,10 @@ void ExpectBatchMatchesScalar(const SensorModel& sensor, uint64_t seed) {
   const size_t n = soa.xs.size();
   const ReaderFrame frame = ReaderFrame::From(reader);
 
+  const std::vector<uint32_t> frame_idx(n, 0);
   std::vector<double> out(n, -1.0);
-  sensor.ProbReadBatch(frame, soa.xs.data(), soa.ys.data(), soa.zs.data(), n,
-                       out.data());
+  sensor.ProbReadBatchGather(&frame, frame_idx.data(), soa.xs.data(),
+                             soa.ys.data(), soa.zs.data(), n, out.data());
   std::vector<Vec3> positions(n);
   for (size_t k = 0; k < n; ++k) {
     positions[k] = {soa.xs[k], soa.ys[k], soa.zs[k]};
@@ -66,7 +69,7 @@ void ExpectBatchMatchesScalar(const SensorModel& sensor, uint64_t seed) {
 
   for (size_t k = 0; k < n; ++k) {
     const double scalar = sensor.ProbReadAt(reader, positions[k]);
-    EXPECT_NEAR(out[k], scalar, kTol) << "SoA batch, element " << k;
+    EXPECT_NEAR(out[k], scalar, kTol) << "single-frame gather, element " << k;
     EXPECT_NEAR(out_aos[k], scalar, kTol) << "AoS batch, element " << k;
   }
 }
@@ -135,9 +138,9 @@ TEST(BatchKernelTest, BaseClassDefaultMatchesScalar) {
   ExpectGatherMatchesScalar(PlainModel(), 502);
 }
 
-/// SIMD-vs-scalar parity sweep: random positions at every remainder-lane
-/// count (n % 4 in {0,1,2,3}), plus a large batch and the degenerate
-/// tag-at-reader geometry.
+/// SIMD-vs-scalar parity sweep on one frame (all frame indices 0): random
+/// positions at every remainder-lane count (n % 4 in {0,1,2,3}), plus a
+/// large batch and the degenerate tag-at-reader geometry.
 void ExpectSimdMatchesScalar(const SensorModel& sensor, uint64_t seed) {
   const Pose reader({0.7, -1.2, 0.3}, 0.9);
   const ReaderFrame frame = ReaderFrame::From(reader);
@@ -156,9 +159,11 @@ void ExpectSimdMatchesScalar(const SensorModel& sensor, uint64_t seed) {
     soa.ys.push_back(reader.position.y);
     soa.zs.push_back(reader.position.z);
 
+    const std::vector<uint32_t> frame_idx(n, 0);
     std::vector<double> out(n, -1.0);
-    sensor.ProbReadBatchSimd(frame, soa.xs.data(), soa.ys.data(),
-                             soa.zs.data(), n, out.data());
+    sensor.ProbReadBatchGatherSimd(&frame, frame_idx.data(), soa.xs.data(),
+                                   soa.ys.data(), soa.zs.data(), n,
+                                   out.data());
     for (size_t k = 0; k < n; ++k) {
       const double scalar = sensor.ProbReadAt(
           reader, {soa.xs[k], soa.ys[k], soa.zs[k]});
@@ -168,9 +173,8 @@ void ExpectSimdMatchesScalar(const SensorModel& sensor, uint64_t seed) {
   }
 }
 
-/// Same sweep for the index-gather SIMD variant (per-element frames, the
-/// factored filter's default SIMD path), including run-shaped attachment
-/// patterns and every remainder-lane count.
+/// Same sweep with per-element frames (the factored filter's SIMD path),
+/// including every remainder-lane count.
 void ExpectGatherSimdMatchesScalar(const SensorModel& sensor, uint64_t seed) {
   std::vector<Pose> poses = {Pose({0, 0, 0}, 0.0), Pose({1, 2, 0}, 1.3),
                              Pose({-2, 4, 0.5}, -2.7), Pose({3, -1, 0}, 3.1)};
@@ -200,60 +204,14 @@ void ExpectGatherSimdMatchesScalar(const SensorModel& sensor, uint64_t seed) {
   }
 }
 
-/// And the run-contiguous SIMD variant against the same scalar reference.
-void ExpectRunsSimdMatchesScalar(const SensorModel& sensor, uint64_t seed) {
-  std::vector<Pose> poses = {Pose({0, 0, 0}, 0.0), Pose({1, 2, 0}, 1.3),
-                             Pose({-2, 4, 0.5}, -2.7), Pose({3, -1, 0}, 3.1)};
-  std::vector<ReaderFrame> frames;
-  for (const Pose& p : poses) frames.push_back(ReaderFrame::From(p));
-  Rng rng(seed);
-  // Run lengths exercise empty runs and every n % 4 shape.
-  const std::vector<uint32_t> lengths = {0, 1, 2, 3, 4, 5, 9, 0, 30};
-  std::vector<uint32_t> offsets = {0};
-  Soa soa;
-  std::vector<uint32_t> owner;
-  for (size_t j = 0; j < lengths.size(); ++j) {
-    for (uint32_t i = 0; i < lengths[j]; ++i) {
-      soa.xs.push_back(rng.Uniform(-8.0, 8.0));
-      soa.ys.push_back(rng.Uniform(-8.0, 8.0));
-      soa.zs.push_back(rng.Uniform(-2.0, 2.0));
-      owner.push_back(static_cast<uint32_t>(j % poses.size()));
-    }
-    offsets.push_back(static_cast<uint32_t>(soa.xs.size()));
-  }
-  // Frames list parallel to runs: frame of run j is frames[j % 4].
-  std::vector<ReaderFrame> run_frames;
-  for (size_t j = 0; j < lengths.size(); ++j) {
-    run_frames.push_back(frames[j % poses.size()]);
-  }
-  const size_t n = soa.xs.size();
-  std::vector<double> out(n, -1.0);
-  sensor.ProbReadBatchRunsSimd(run_frames.data(), offsets.data(),
-                               run_frames.size(), soa.xs.data(), soa.ys.data(),
-                               soa.zs.data(), out.data());
-  std::vector<double> out_scalar(n, -2.0);
-  sensor.ProbReadBatchRuns(run_frames.data(), offsets.data(),
-                           run_frames.size(), soa.xs.data(), soa.ys.data(),
-                           soa.zs.data(), out_scalar.data());
-  for (size_t k = 0; k < n; ++k) {
-    const double scalar = sensor.ProbReadAt(
-        poses[owner[k]], {soa.xs[k], soa.ys[k], soa.zs[k]});
-    EXPECT_NEAR(out[k], scalar, kSimdRelTol * scalar + kSimdAbsTol)
-        << "runs-simd element " << k;
-    EXPECT_NEAR(out_scalar[k], scalar, kTol) << "runs-scalar element " << k;
-  }
-}
-
 TEST(BatchKernelTest, SimdConeMatchesScalar) {
   ExpectSimdMatchesScalar(ConeSensorModel(), 601);
   ExpectGatherSimdMatchesScalar(ConeSensorModel(), 611);
-  ExpectRunsSimdMatchesScalar(ConeSensorModel(), 621);
 }
 
 TEST(BatchKernelTest, SimdSphericalMatchesScalar) {
   ExpectSimdMatchesScalar(SphericalSensorModel(), 602);
   ExpectGatherSimdMatchesScalar(SphericalSensorModel(), 612);
-  ExpectRunsSimdMatchesScalar(SphericalSensorModel(), 622);
   for (double timeout : {250.0, 500.0, 750.0}) {
     ExpectSimdMatchesScalar(SphericalSensorModel::ForTimeoutMs(timeout), 603);
   }
@@ -262,12 +220,11 @@ TEST(BatchKernelTest, SimdSphericalMatchesScalar) {
 TEST(BatchKernelTest, SimdLogisticMatchesScalar) {
   ExpectSimdMatchesScalar(LogisticSensorModel(), 604);
   ExpectGatherSimdMatchesScalar(LogisticSensorModel(), 614);
-  ExpectRunsSimdMatchesScalar(LogisticSensorModel(), 624);
 }
 
 TEST(BatchKernelTest, SimdBaseClassFallbackMatchesScalarExactly) {
-  // A model without a vector kernel routes ProbReadBatchSimd through the
-  // scalar batch path — exact parity, not just 1e-9.
+  // A model without a vector kernel routes ProbReadBatchGatherSimd through
+  // the scalar gather — exact parity, not just 1e-9.
   class PlainModel final : public SensorModel {
    public:
     double ProbRead(double distance, double angle) const override {
@@ -283,11 +240,13 @@ TEST(BatchKernelTest, SimdBaseClassFallbackMatchesScalarExactly) {
   const ReaderFrame frame = ReaderFrame::From(reader);
   const Soa soa = MakePositions(reader, 605);
   const size_t n = soa.xs.size();
+  const std::vector<uint32_t> frame_idx(n, 0);
   std::vector<double> simd_out(n, -1.0), batch_out(n, -2.0);
-  plain.ProbReadBatchSimd(frame, soa.xs.data(), soa.ys.data(), soa.zs.data(),
-                          n, simd_out.data());
-  plain.ProbReadBatch(frame, soa.xs.data(), soa.ys.data(), soa.zs.data(), n,
-                      batch_out.data());
+  plain.ProbReadBatchGatherSimd(&frame, frame_idx.data(), soa.xs.data(),
+                                soa.ys.data(), soa.zs.data(), n,
+                                simd_out.data());
+  plain.ProbReadBatchGather(&frame, frame_idx.data(), soa.xs.data(),
+                            soa.ys.data(), soa.zs.data(), n, batch_out.data());
   for (size_t k = 0; k < n; ++k) EXPECT_EQ(simd_out[k], batch_out[k]);
 }
 
@@ -307,8 +266,9 @@ void ExpectFarFieldShortCircuit(const ModelT& sensor) {
                        cutoff * 100.0};
   const double ys[] = {0.0, 0.0, 0.0, 0.0};
   const double zs[] = {0.0, 0.0, 0.0, 0.0};
+  const uint32_t frame_idx[] = {0, 0, 0, 0};
   double out[4] = {-1, -1, -1, -1};
-  sensor.ProbReadBatch(frame, xs, ys, zs, 4, out);
+  sensor.ProbReadBatchGather(&frame, frame_idx, xs, ys, zs, 4, out);
   EXPECT_GT(out[0], 0.0);  // Just inside: true (tiny) probability.
   EXPECT_EQ(out[1], 0.0);  // At and beyond: exactly zero.
   EXPECT_EQ(out[2], 0.0);
@@ -321,7 +281,7 @@ void ExpectFarFieldShortCircuit(const ModelT& sensor) {
   EXPECT_EQ(1.0 - sensor.ProbRead(cutoff, 0.0), 1.0);
 
   double simd_out[4] = {-1, -1, -1, -1};
-  sensor.ProbReadBatchSimd(frame, xs, ys, zs, 4, simd_out);
+  sensor.ProbReadBatchGatherSimd(&frame, frame_idx, xs, ys, zs, 4, simd_out);
   EXPECT_GT(simd_out[0], 0.0);
   EXPECT_EQ(simd_out[1], 0.0);
   EXPECT_EQ(simd_out[2], 0.0);
@@ -345,8 +305,9 @@ TEST(BatchKernelTest, LogisticUpturnedFitNeverShortCircuits) {
   const double xs[] = {50.0};
   const double ys[] = {0.0};
   const double zs[] = {0.0};
+  const uint32_t frame_idx[] = {0};
   double out[1] = {-1};
-  sensor.ProbReadBatch(frame, xs, ys, zs, 1, out);
+  sensor.ProbReadBatchGather(&frame, frame_idx, xs, ys, zs, 1, out);
   EXPECT_NEAR(out[0], sensor.ProbRead(50.0, 0.0), kTol);
 }
 
@@ -360,8 +321,9 @@ TEST(BatchKernelTest, ConeZeroBeyondMaxRangeExactly) {
   const double xs[] = {far, -far, 100.0};
   const double ys[] = {0.0, 0.0, 100.0};
   const double zs[] = {0.0, 0.0, 0.0};
+  const uint32_t frame_idx[] = {0, 0, 0};
   double out[3] = {-1, -1, -1};
-  sensor.ProbReadBatch(frame, xs, ys, zs, 3, out);
+  sensor.ProbReadBatchGather(&frame, frame_idx, xs, ys, zs, 3, out);
   for (double p : out) EXPECT_EQ(p, 0.0);
 }
 

@@ -1,0 +1,212 @@
+// Golden digests of the factored filter's observable output.
+//
+// Each scenario runs the engine over a fixed trace with compression and
+// hibernation on, then folds everything a caller can observe into one
+// FNV-1a 64 value: the emitted event stream, the reader estimate, every
+// tag's EstimateObject (mean, variance, support), particle_updates() and the
+// compressed / hibernated object counts. The expected constants are pinned
+// bit for bit. They hold at one thread and at four, so this is also the
+// reference for the determinism contract: every per-object update draws
+// from its (seed, slot, step) stream, whichever lane runs it.
+//
+// A change that moves a constant changes what the filter computes. Re-pin
+// only when that is the intent, and say why in the change description.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <ios>
+#include <memory>
+#include <type_traits>
+#include <vector>
+
+#include "core/engine.h"
+#include "core/experiment.h"
+#include "model/cone_sensor.h"
+#include "model/spherical_sensor.h"
+#include "pf/factored_filter.h"
+#include "sim/lab.h"
+#include "sim/trace.h"
+#include "sim/warehouse.h"
+
+namespace rfid {
+namespace {
+
+/// FNV-1a 64 over raw bytes: doubles hash by bit pattern, so any change in
+/// the last ulp (or the sign of a zero) changes the digest.
+class Fnv1a64 {
+ public:
+  template <typename T>
+  void Pod(const T& value) {
+    static_assert(std::is_trivially_copyable<T>::value, "hash raw bytes");
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (unsigned char b : bytes) {
+      h_ ^= b;
+      h_ *= 1099511628211ULL;
+    }
+  }
+  void Add(const Vec3& v) {
+    Pod(v.x);
+    Pod(v.y);
+    Pod(v.z);
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 1469598103934665603ULL;
+};
+
+/// A trace, the world model to run it against and the filter settings.
+struct Scenario {
+  std::vector<SyncedEpoch> epochs;
+  std::vector<TagId> tags;
+  std::function<WorldModel()> make_model;
+  FactoredFilterConfig config;
+};
+
+/// Settings shared by both scenarios: compression of objects unprocessed for
+/// a few epochs, and hibernation of tags unread for 120, so both traces
+/// pass through both tiers (and reader resampling fires on ~1 epoch in 5).
+FactoredFilterConfig BaseConfig(uint64_t seed) {
+  FactoredFilterConfig config;
+  config.num_reader_particles = 40;
+  config.num_object_particles = 200;
+  config.seed = seed;
+  config.init.half_angle = M_PI;
+  config.compression.mode = CompressionMode::kUnseenEpochs;
+  config.compression.compress_after_epochs = 6;
+  config.compression.hibernate_after_epochs = 120;
+  return config;
+}
+
+/// The first 200 epochs of the lab deployment (80 tags, spherical antenna,
+/// drifting dead reckoning).
+Scenario LabScenario() {
+  LabConfig lc;
+  lc.seed = 906;
+  auto lab = BuildLabDeployment(lc);
+  EXPECT_TRUE(lab.ok());
+  Scenario s;
+  for (const SimEpoch& e : lab.value().trace.epochs) {
+    if (s.epochs.size() == 200) break;
+    s.epochs.push_back(e.observations);
+  }
+  EXPECT_EQ(s.epochs.size(), 200u);
+  for (const ObjectPlacement& o : lab.value().objects) s.tags.push_back(o.tag);
+  s.make_model = [deployment = lab.value()] {
+    ExperimentModelOptions options;
+    options.motion.delta = {};
+    options.motion.sigma = {0.05, 0.15, 0.0};
+    options.sensing.sigma = {0.3, 0.3, 0.0};
+    return MakeWorldModel(
+        deployment.shelf_boxes, deployment.shelf_tags,
+        std::make_unique<SphericalSensorModel>(deployment.sensor), options);
+  };
+  s.config = BaseConfig(77);
+  return s;
+}
+
+/// A small generated warehouse: two shelves of 15 objects scanned once by
+/// the robot through the cone antenna.
+Scenario WarehouseScenario() {
+  WarehouseConfig wc;
+  wc.num_shelves = 2;
+  wc.objects_per_shelf = 15;
+  wc.shelf_tags_per_shelf = 2;
+  auto layout = BuildWarehouse(wc);
+  EXPECT_TRUE(layout.ok());
+  TraceGenerator gen(layout.value(), RobotConfig{}, {}, ConeSensorModel(), 8);
+  const SimulatedTrace trace = gen.Generate();
+  Scenario s;
+  s.epochs = trace.ObservationsOnly();
+  for (const ObjectPlacement& o : layout.value().objects) {
+    s.tags.push_back(o.tag);
+  }
+  s.make_model = [layout = layout.value()] {
+    ExperimentModelOptions options;
+    options.motion.delta = {0.0, 0.1, 0.0};
+    options.motion.sigma = {0.02, 0.02, 0.0};
+    return MakeWorldModel(layout, std::make_unique<ConeSensorModel>(),
+                          options);
+  };
+  s.config = BaseConfig(21);
+  return s;
+}
+
+/// Runs the engine over the scenario and digests its observable output.
+uint64_t RunDigest(const Scenario& s, int num_threads) {
+  EngineConfig c;
+  c.factored = s.config;
+  c.factored.num_threads = num_threads;
+  c.emitter.delay_seconds = 2.0;
+  auto engine = RfidInferenceEngine::Create(s.make_model(), c);
+  EXPECT_TRUE(engine.ok());
+  const auto& filter =
+      dynamic_cast<const FactoredParticleFilter&>(engine.value()->filter());
+  Fnv1a64 h;
+  size_t events = 0;
+  bool reached_compressed = false;
+  for (const SyncedEpoch& epoch : s.epochs) {
+    engine.value()->ProcessEpoch(epoch);
+    reached_compressed |= filter.NumCompressedObjects() > 0;
+    for (const LocationEvent& ev : engine.value()->TakeEvents()) {
+      h.Pod(ev.time);
+      h.Pod(ev.tag);
+      h.Add(ev.location);
+      h.Pod(ev.stats.has_value());
+      if (ev.stats.has_value()) {
+        h.Add(ev.stats->variance);
+        h.Pod(ev.stats->rmse_radius);
+        h.Pod(ev.stats->support);
+      }
+      ++events;
+    }
+  }
+  // The scenario must reach what it claims to cover.
+  EXPECT_GT(events, 0u);
+  EXPECT_TRUE(reached_compressed);
+  EXPECT_GT(filter.NumHibernatedObjects(), 0u);
+
+  const ReaderEstimate reader = filter.EstimateReader();
+  h.Add(reader.mean);
+  h.Add(reader.variance);
+  h.Pod(reader.heading);
+  for (TagId tag : s.tags) {
+    const auto est = filter.EstimateObject(tag);
+    h.Pod(est.has_value());
+    if (!est.has_value()) continue;
+    h.Add(est->mean);
+    h.Add(est->variance);
+    h.Pod(est->support);
+  }
+  h.Pod(filter.particle_updates());
+  h.Pod(filter.NumCompressedObjects());
+  h.Pod(filter.NumHibernatedObjects());
+  return h.value();
+}
+
+constexpr uint64_t kLabGolden = 0x226e45b45a05638cULL;
+constexpr uint64_t kWarehouseGolden = 0x2cd47fc358d4eb5eULL;
+
+TEST(GoldenDigestTest, LabTrace200Epochs) {
+  const Scenario s = LabScenario();
+  for (int threads : {1, 4}) {
+    const uint64_t digest = RunDigest(s, threads);
+    EXPECT_EQ(digest, kLabGolden)
+        << "threads=" << threads << " digest=0x" << std::hex << digest;
+  }
+}
+
+TEST(GoldenDigestTest, GeneratedWarehouseTrace) {
+  const Scenario s = WarehouseScenario();
+  for (int threads : {1, 4}) {
+    const uint64_t digest = RunDigest(s, threads);
+    EXPECT_EQ(digest, kWarehouseGolden)
+        << "threads=" << threads << " digest=0x" << std::hex << digest;
+  }
+}
+
+}  // namespace
+}  // namespace rfid

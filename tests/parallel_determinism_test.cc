@@ -20,23 +20,12 @@ namespace {
 using testing_util::MakeEpoch;
 using testing_util::MakeLineWorld;
 
-/// Scheduling knobs for RunLabTrace beyond the thread count; defaults are
-/// the production defaults, so the pre-existing tests keep their meaning.
-struct SchedOptions {
-  bool bucket_by_reader = false;
-  bool work_stealing = true;
-  int sched_chunk_particles = 0;
-  bool lazy_reader_remap = true;
-};
-
 /// Runs the factored filter over the first `max_epochs` epochs of a lab
 /// trace at the given thread count and returns it for inspection.
-std::unique_ptr<FactoredParticleFilter> RunLabTrace(
-    const LabDeployment& lab, int num_threads, bool compression,
-    size_t max_epochs, const SchedOptions& sched = {}) {
-  // The default mirrors FactoredFilterConfig's production default (gather
-  // path), so the pre-existing thread-determinism tests keep covering the
-  // configuration users actually run; bucketing is an explicit opt-in.
+std::unique_ptr<FactoredParticleFilter> RunLabTrace(const LabDeployment& lab,
+                                                    int num_threads,
+                                                    bool compression,
+                                                    size_t max_epochs) {
   ExperimentModelOptions options;
   options.motion.delta = {};
   options.motion.sigma = {0.05, 0.15, 0.0};
@@ -47,10 +36,6 @@ std::unique_ptr<FactoredParticleFilter> RunLabTrace(
   config.num_object_particles = 200;
   config.seed = 77;
   config.num_threads = num_threads;
-  config.bucket_by_reader = sched.bucket_by_reader;
-  config.work_stealing = sched.work_stealing;
-  config.sched_chunk_particles = sched.sched_chunk_particles;
-  config.lazy_reader_remap = sched.lazy_reader_remap;
   config.init.half_angle = M_PI;
   if (compression) {
     config.compression.mode = CompressionMode::kUnseenEpochs;
@@ -123,32 +108,6 @@ TEST(ParallelDeterminismTest, LabTraceWithCompressionThreads1Vs4) {
   ExpectIdenticalEstimates(*serial, *parallel, lab.value().objects);
 }
 
-TEST(ParallelDeterminismTest, BucketedWeightingBitIdenticalToGatherPath) {
-  // Reader-run bucketing reorders the Eq. (5) evaluations into contiguous
-  // single-frame runs, but every element goes through the same arithmetic
-  // and weights are scattered back in original particle order before any
-  // accumulation — so 200 lab-trace epochs must be bit-identical to the
-  // per-element gather path, at one thread and at four.
-  LabConfig lc;
-  lc.seed = 902;
-  const auto lab = BuildLabDeployment(lc);
-  ASSERT_TRUE(lab.ok());
-  ASSERT_GE(lab.value().trace.epochs.size(), 200u);
-
-  SchedOptions bucketed_sched;
-  bucketed_sched.bucket_by_reader = true;
-  const auto gather = RunLabTrace(lab.value(), 1, /*compression=*/false, 200);
-  const auto bucketed =
-      RunLabTrace(lab.value(), 1, /*compression=*/false, 200, bucketed_sched);
-  EXPECT_EQ(gather->current_step(), 200);
-  ExpectIdenticalEstimates(*gather, *bucketed, lab.value().objects);
-  EXPECT_EQ(gather->particle_updates(), bucketed->particle_updates());
-
-  const auto bucketed_mt =
-      RunLabTrace(lab.value(), 4, /*compression=*/false, 200, bucketed_sched);
-  ExpectIdenticalEstimates(*gather, *bucketed_mt, lab.value().objects);
-}
-
 TEST(ParallelDeterminismTest, ThreadCountsTwoAndEightAgreeOnLineWorld) {
   // Denser thread matrix on the cheap scripted world: 1, 2, 3, 8 must agree
   // even when lanes outnumber objects.
@@ -191,12 +150,10 @@ TEST(ParallelDeterminismTest, ThreadCountsTwoAndEightAgreeOnLineWorld) {
 
 TEST(ParallelDeterminismTest, SchedulerSweepBitIdentical) {
   // The work-stealing scheduler's whole contract: which lane claims which
-  // chunk is a race, but the estimates cannot be. Every point of the
-  // schedule matrix — thread counts (including more lanes than cores and
-  // more lanes than hot objects), explicit tiny chunks vs auto-sized
-  // chunks, stealing on vs the static split — must reproduce the
-  // single-threaded reference bit for bit, with compression and
-  // hibernation in play.
+  // chunk is a race, but the estimates cannot be. Every thread count —
+  // including more lanes than cores and more lanes than hot objects — must
+  // reproduce the single-threaded reference bit for bit, with compression
+  // in play.
   LabConfig lc;
   lc.seed = 903;
   const auto lab = BuildLabDeployment(lc);
@@ -204,70 +161,31 @@ TEST(ParallelDeterminismTest, SchedulerSweepBitIdentical) {
   ASSERT_GE(lab.value().trace.epochs.size(), 200u);
 
   const auto reference = RunLabTrace(lab.value(), 1, /*compression=*/true, 200);
-  for (bool stealing : {true, false}) {
-    for (int chunk : {0, 1}) {
-      for (int threads : {1, 2, 3, 4, 8}) {
-        SchedOptions sched;
-        sched.work_stealing = stealing;
-        sched.sched_chunk_particles = chunk;
-        const auto run =
-            RunLabTrace(lab.value(), threads, /*compression=*/true, 200, sched);
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " chunk=" + std::to_string(chunk) +
-                     " stealing=" + std::to_string(stealing));
-        ExpectIdenticalEstimates(*reference, *run, lab.value().objects);
-        EXPECT_EQ(reference->particle_updates(), run->particle_updates());
-        EXPECT_EQ(reference->NumCompressedObjects(),
-                  run->NumCompressedObjects());
-      }
-    }
-  }
-}
-
-TEST(ParallelDeterminismTest, LazyRemapBitIdenticalToEager) {
-  // Lazy reader-remap defers repointing a slot's attachments until the slot
-  // is next touched, replaying the recorded resamples from the slot's RNG
-  // stream keyed at the step each resample fired. Deferral must be purely
-  // a scheduling choice: estimates identical to the eager mode that remaps
-  // every slot inside ResampleReaders, at one thread and at four, with the
-  // compression/hibernation tiers exercising the longest deferrals.
-  LabConfig lc;
-  lc.seed = 904;
-  const auto lab = BuildLabDeployment(lc);
-  ASSERT_TRUE(lab.ok());
-
-  SchedOptions eager;
-  eager.lazy_reader_remap = false;
-  for (bool compression : {false, true}) {
-    const auto eager_run =
-        RunLabTrace(lab.value(), 1, compression, 200, eager);
-    for (int threads : {1, 4}) {
-      const auto lazy_run = RunLabTrace(lab.value(), threads, compression, 200);
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " compression=" + std::to_string(compression));
-      ExpectIdenticalEstimates(*eager_run, *lazy_run, lab.value().objects);
-      EXPECT_EQ(eager_run->particle_updates(), lazy_run->particle_updates());
-    }
+  for (int threads : {2, 3, 4, 8}) {
+    const auto run =
+        RunLabTrace(lab.value(), threads, /*compression=*/true, 200);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectIdenticalEstimates(*reference, *run, lab.value().objects);
+    EXPECT_EQ(reference->particle_updates(), run->particle_updates());
+    EXPECT_EQ(reference->NumCompressedObjects(), run->NumCompressedObjects());
   }
 }
 
 TEST(ParallelDeterminismTest, EngineEventStreamIdenticalAcrossSchedules) {
   // End-to-end: the emitted event stream (what subscribers actually see),
   // not just the belief estimates, must be byte-for-byte stable across
-  // scheduling choices — thread count, stealing, and lazy remap.
+  // thread counts.
   LabConfig lc;
   lc.seed = 905;
   const auto lab = BuildLabDeployment(lc);
   ASSERT_TRUE(lab.ok());
 
-  auto run = [&lab](int threads, bool stealing, bool lazy) {
+  auto run = [&lab](int threads) {
     EngineConfig c;
     c.factored.num_reader_particles = 40;
     c.factored.num_object_particles = 200;
     c.factored.seed = 42;
     c.factored.num_threads = threads;
-    c.factored.work_stealing = stealing;
-    c.factored.lazy_reader_remap = lazy;
     c.factored.init.half_angle = M_PI;
     c.factored.compression.mode = CompressionMode::kUnseenEpochs;
     c.factored.compression.compress_after_epochs = 6;
@@ -297,21 +215,11 @@ TEST(ParallelDeterminismTest, EngineEventStreamIdenticalAcrossSchedules) {
     return events;
   };
 
-  const std::vector<LocationEvent> reference =
-      run(/*threads=*/1, /*stealing=*/true, /*lazy=*/true);
+  const std::vector<LocationEvent> reference = run(/*threads=*/1);
   EXPECT_GT(reference.size(), 0u);
-  const struct {
-    int threads;
-    bool stealing;
-    bool lazy;
-  } variants[] = {{4, true, true}, {4, false, true}, {1, true, false},
-                  {8, true, true}};
-  for (const auto& v : variants) {
-    const std::vector<LocationEvent> events =
-        run(v.threads, v.stealing, v.lazy);
-    SCOPED_TRACE("threads=" + std::to_string(v.threads) +
-                 " stealing=" + std::to_string(v.stealing) +
-                 " lazy=" + std::to_string(v.lazy));
+  for (int threads : {4, 8}) {
+    const std::vector<LocationEvent> events = run(threads);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     ASSERT_EQ(reference.size(), events.size());
     for (size_t i = 0; i < reference.size(); ++i) {
       EXPECT_EQ(reference[i].time, events[i].time) << "event " << i;

@@ -222,6 +222,32 @@ std::string Slurp(const std::string& path) {
   return buffer.str();
 }
 
+/// Replaces a file's contents with `bytes`.
+void Overwrite(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<long>(bytes.size()));
+}
+
+/// Checkpoints the first `epochs` lab epochs into `dir` through a real
+/// server (manifest plus generation 1).
+void CheckpointLabPrefix(const LabDeployment& lab, size_t epochs,
+                         const std::string& dir) {
+  auto server = MakeLabServer(lab);
+  ASSERT_TRUE(server.ok());
+  for (const ServeRecord& record : LabRecords(lab, epochs)) {
+    ASSERT_TRUE(server.value()->Ingest(record));
+  }
+  server.value()->Pump();
+  ASSERT_TRUE(server.value()->Checkpoint(dir).ok());
+}
+
+/// `bytes` with the site-checkpoint version field (after the 8-byte magic)
+/// set to `version`; the framed sections that follow stay valid.
+std::string WithVersion(std::string bytes, uint32_t version) {
+  std::memcpy(&bytes[8], &version, sizeof(version));
+  return bytes;
+}
+
 /// Converts current-format (v4) site-checkpoint bytes into the legacy v3
 /// layout: removes the scan-boundary detector section (the second CRC-framed
 /// section, which v4 inserted) and patches the version. The other sections
@@ -251,45 +277,28 @@ std::string DownconvertToV3(const std::string& v4_bytes) {
 TEST_F(ServeCheckpointTest, LoadsLegacyV3Checkpoints) {
   // v3 site checkpoints (the previous release's layout, no detector
   // section) must restore into today's pipeline — upgrading the binary
-  // cannot force a cold start. The v3 file is placed as a bare legacy
-  // `site_<id>.ckpt` with no manifest, exercising the legacy discovery
-  // path too.
+  // cannot force a cold start. The v3 bytes replace the generation a real
+  // Checkpoint() wrote, so they load through the manifest like any other.
   LabConfig lc;
   lc.seed = 505;
   lc.tags_per_row = 10;
   const auto lab = BuildLabDeployment(lc);
   ASSERT_TRUE(lab.ok());
-  const std::vector<ServeRecord> records = LabRecords(lab.value(), 60);
+  CheckpointLabPrefix(lab.value(), 60, Dir());
 
-  auto server = MakeLabServer(lab.value());
-  ASSERT_TRUE(server.ok());
-  for (const ServeRecord& record : records) {
-    ASSERT_TRUE(server.value()->Ingest(record));
-  }
-  server.value()->Pump();
-  ASSERT_TRUE(server.value()->Checkpoint(Dir()).ok());
-
-  const std::string v4_bytes =
-      Slurp(SiteGenerationPath(Dir(), kSite, 1));
+  const std::string gen1 = SiteGenerationPath(Dir(), kSite, 1);
+  const std::string v4_bytes = Slurp(gen1);
   ASSERT_FALSE(v4_bytes.empty());
-  const std::string legacy_dir = Dir() + "_legacy";
-  std::filesystem::create_directories(legacy_dir);
-  {
-    std::ofstream os(SiteCheckpointPath(legacy_dir, kSite),
-                     std::ios::binary | std::ios::trunc);
-    const std::string v3_bytes = DownconvertToV3(v4_bytes);
-    os.write(v3_bytes.data(), static_cast<long>(v3_bytes.size()));
-  }
+  Overwrite(gen1, DownconvertToV3(v4_bytes));
 
   auto fresh = MakeLabServer(lab.value());
   ASSERT_TRUE(fresh.ok());
-  ASSERT_TRUE(fresh.value()->Restore(legacy_dir).ok());
+  ASSERT_TRUE(fresh.value()->Restore(Dir()).ok());
   const SitePipeline* restored = fresh.value()->FindSite(kSite);
   ASSERT_NE(restored, nullptr);
   const SitePipelineStats stats = restored->Stats();
   EXPECT_GT(stats.engine.epochs_processed, 0u);
   EXPECT_EQ(stats.records_quarantined, 0u);
-  std::filesystem::remove_all(legacy_dir);
 }
 
 /// Checkpoint bytes with the one wall-clock field — the engine's
@@ -355,22 +364,12 @@ TEST_F(ServeCheckpointTest, LoadsCheckpointsWithV4Snapshots) {
   const std::vector<ServeRecord> head = LabRecords(lab.value(), 60);
   const std::vector<ServeRecord> all = LabRecords(lab.value(), 120);
   ASSERT_GT(all.size(), head.size());
-  {
-    auto live = MakeLabServer(lab.value());
-    ASSERT_TRUE(live.ok());
-    for (const ServeRecord& record : head) {
-      ASSERT_TRUE(live.value()->Ingest(record));
-    }
-    live.value()->Pump();
-    ASSERT_TRUE(live.value()->Checkpoint(Dir()).ok());
-  }
+  // The fixture replaces the generation a real Checkpoint() wrote into a
+  // second directory, so both restores go through the manifest.
   const std::string v4_dir = Dir() + "_v4";
-  std::filesystem::create_directories(v4_dir);
-  {
-    std::ofstream os(SiteCheckpointPath(v4_dir, kSite),
-                     std::ios::binary | std::ios::trunc);
-    os.write(v4.data(), static_cast<long>(v4.size()));
-  }
+  CheckpointLabPrefix(lab.value(), 60, Dir());
+  CheckpointLabPrefix(lab.value(), 60, v4_dir);
+  Overwrite(SiteGenerationPath(v4_dir, kSite, 1), v4);
 
   CollectedEvents from_v5_events, from_v4_events;
   auto from_v5 = MakeLabServer(lab.value());
@@ -433,13 +432,12 @@ TEST_F(ServeCheckpointTest, RejectsV2CheckpointsOutsideTheWindow) {
   const auto lab = BuildLabDeployment(lc);
   ASSERT_TRUE(lab.ok());
 
-  std::filesystem::create_directories(Dir());
+  CheckpointLabPrefix(lab.value(), 20, Dir());
   {
-    std::ofstream os(SiteCheckpointPath(Dir(), kSite),
-                     std::ios::binary | std::ios::trunc);
-    os.write("RFIDSITE", 8);
+    std::string v2_header = "RFIDSITE";
     const uint32_t version = 2;
-    os.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    v2_header.append(reinterpret_cast<const char*>(&version), sizeof(version));
+    Overwrite(SiteGenerationPath(Dir(), kSite, 1), v2_header);
   }
   auto server = MakeLabServer(lab.value());
   ASSERT_TRUE(server.ok());
@@ -449,6 +447,53 @@ TEST_F(ServeCheckpointTest, RejectsV2CheckpointsOutsideTheWindow) {
             std::string::npos)
       << status.message();
   EXPECT_NE(status.message().find("oldest loadable is v3"), std::string::npos)
+      << status.message();
+}
+
+TEST_F(ServeCheckpointTest, VerifyRejectsVersionsOutsideTheLoadWindow) {
+  // The post-write verifier and the loader share one header check: a file
+  // whose version the loader would refuse cannot pass verification, even
+  // when every framed section after the header checks out.
+  LabConfig lc;
+  lc.seed = 507;
+  lc.tags_per_row = 10;
+  const auto lab = BuildLabDeployment(lc);
+  ASSERT_TRUE(lab.ok());
+  CheckpointLabPrefix(lab.value(), 20, Dir());
+  const std::string gen1 = SiteGenerationPath(Dir(), kSite, 1);
+  const std::string v4_bytes = Slurp(gen1);
+  ASSERT_TRUE(VerifySiteCheckpointFile(gen1).ok());
+  for (uint32_t version : {2u, 5u}) {
+    Overwrite(gen1, WithVersion(v4_bytes, version));
+    const Status status = VerifySiteCheckpointFile(gen1);
+    EXPECT_FALSE(status.ok()) << "version " << version;
+    EXPECT_NE(status.message().find("unsupported site checkpoint version " +
+                                    std::to_string(version)),
+              std::string::npos)
+        << status.message();
+  }
+}
+
+TEST_F(ServeCheckpointTest, CorruptManifestFailsNamingTheManifest) {
+  // The manifest is the only way to a site's generations; when it is
+  // corrupt the restore fails with an error that names it.
+  LabConfig lc;
+  lc.seed = 508;
+  lc.tags_per_row = 10;
+  const auto lab = BuildLabDeployment(lc);
+  ASSERT_TRUE(lab.ok());
+  CheckpointLabPrefix(lab.value(), 20, Dir());
+  const std::string manifest_path = SiteManifestPath(Dir(), kSite);
+  std::string manifest = Slurp(manifest_path);
+  ASSERT_FALSE(manifest.empty());
+  manifest.back() ^= 0x5A;  // Inside the CRC-framed body.
+  Overwrite(manifest_path, manifest);
+
+  auto server = MakeLabServer(lab.value());
+  ASSERT_TRUE(server.ok());
+  const Status status = server.value()->Restore(Dir());
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find(manifest_path), std::string::npos)
       << status.message();
 }
 
