@@ -21,6 +21,7 @@ void EmCalibrator::EStep(const WorldModel& model,
   const double neg_range =
       model.sensor().MaxRange() * config_.negative_example_range_factor;
   const double neg_range_sq = neg_range * neg_range;
+  std::vector<double> reader_weights;
 
   for (const SyncedEpoch& epoch : trace) {
     filter.ObserveEpoch(epoch);
@@ -48,10 +49,15 @@ void EmCalibrator::EStep(const WorldModel& model,
     // examples) and misses of nearby objects (negative examples) carry
     // information, but only once the object's posterior has concentrated —
     // a freshly initialized cone-wide posterior would feed the fit
-    // mislabeled geometry.
+    // mislabeled geometry. Reading never advances attachments: a slot with
+    // reader remaps pending is read through the expected weight of the
+    // reader each attachment resolves to, and — its reader unresolved —
+    // against the posterior mean pose, as the shelf tags are.
     for (const auto& state : filter.object_states()) {
       if (state.particles.empty()) continue;
       const bool read = observed.count(state.tag) > 0;
+      filter.AttachedReaderWeights(state, &reader_weights);
+      const bool lagging = filter.RemapLag(state) > 0;
 
       // Posterior mean / spread under the combined factored weights. The
       // particle store is SoA; stream the component arrays directly.
@@ -62,8 +68,7 @@ void EmCalibrator::EStep(const WorldModel& model,
       Vec3 mean;
       double weight_total = 0.0;
       for (size_t k = 0; k < n; ++k) {
-        const double w =
-            weights[k] * filter.reader_particles()[reader_idx[k]].weight;
+        const double w = weights[k] * reader_weights[reader_idx[k]];
         mean += particles.PositionAt(k) * w;
         weight_total += w;
       }
@@ -71,8 +76,7 @@ void EmCalibrator::EStep(const WorldModel& model,
       mean = mean / weight_total;
       double spread = 0.0;
       for (size_t k = 0; k < n; ++k) {
-        const double w =
-            weights[k] * filter.reader_particles()[reader_idx[k]].weight;
+        const double w = weights[k] * reader_weights[reader_idx[k]];
         spread += (w / weight_total) * (particles.PositionAt(k) - mean).NormSq();
       }
       if (spread > config_.max_object_posterior_spread) continue;
@@ -82,15 +86,17 @@ void EmCalibrator::EStep(const WorldModel& model,
           1, n / static_cast<size_t>(config_.object_samples_per_epoch));
       double weight_scale = 0.0;
       for (size_t k = 0; k < n; k += stride) {
-        weight_scale +=
-            weights[k] * filter.reader_particles()[reader_idx[k]].weight;
+        weight_scale += weights[k] * reader_weights[reader_idx[k]];
       }
       if (weight_scale <= 0.0) continue;
       for (size_t k = 0; k < n; k += stride) {
-        const auto& rp = filter.reader_particles()[reader_idx[k]];
+        const Pose& pose =
+            lagging ? mean_pose
+                    : filter.reader_particles()[reader_idx[k]].pose;
         const RangeBearing rb =
-            ComputeRangeBearing(rp.pose, particles.PositionAt(k));
-        const double w = weights[k] * rp.weight / weight_scale;
+            ComputeRangeBearing(pose, particles.PositionAt(k));
+        const double w =
+            weights[k] * reader_weights[reader_idx[k]] / weight_scale;
         if (w <= 0.0) continue;
         examples->push_back({rb.distance, rb.angle, read, w});
       }

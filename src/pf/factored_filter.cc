@@ -18,10 +18,6 @@ constexpr double kSupportFloor = 1e-12;
 /// Salt separating the reader-repoint streams from the update streams.
 constexpr uint64_t kRepointSalt = 0x5bd1e995u;
 
-/// Most reader-resample remap records retained before slots that never get
-/// touched force a deterministic sync-all (bounds the deferred-remap memory).
-constexpr size_t kMaxRemapHistory = 32;
-
 double SafeLog(double p) { return std::log(std::max(p, kProbFloor)); }
 }  // namespace
 
@@ -603,14 +599,11 @@ void FactoredParticleFilter::ResampleReaders(
                     num_readers, config_.resample_scheme, rng_,
                     &scratch_ancestors_);
 
-  // Rebuild the reader list and a mapping old slot -> new slots.
   std::vector<ReaderParticle> next(num_readers);
-  std::vector<std::vector<uint32_t>> new_slots_of(num_readers);
   const double uniform = 1.0 / static_cast<double>(num_readers);
   for (size_t j = 0; j < num_readers; ++j) {
     next[j].pose = readers_[scratch_ancestors_[j]].pose;
     next[j].weight = uniform;
-    new_slots_of[scratch_ancestors_[j]].push_back(static_cast<uint32_t>(j));
   }
   readers_ = std::move(next);
 
@@ -618,12 +611,9 @@ void FactoredParticleFilter::ResampleReaders(
   // reader. Particles whose reader died are re-pointed to a random survivor:
   // an approximation (their conditioning hypothesis changes), but those
   // particles belonged to down-weighted readers, so the bias is bounded by
-  // the resampling threshold. The repoint map is recorded here; the remap
-  // itself replays in SyncReaderAttachments when a slot is next touched.
-  // Each slot draws from its own stream keyed by the step recorded below,
-  // so the attachments come out bit-identical regardless of when the
-  // replay runs.
-  remap_history_.push_back({step_, std::move(new_slots_of)});
+  // the resampling threshold. Only the repoint map is recorded here; each
+  // slot resolves it, together with any later records, at its next sync.
+  remap_history_.push_back({step_, scratch_ancestors_});
   ++reader_gen_;
   // Slots with no particles have nothing to remap and draw nothing (the
   // remap always skipped n == 0): fast-forward them so a population of
@@ -638,61 +628,79 @@ void FactoredParticleFilter::ResampleReaders(
   if (remap_history_.size() >= kMaxRemapHistory) SyncAllReaderAttachments();
 }
 
-void FactoredParticleFilter::SyncReaderAttachments(uint32_t slot) const {
-  if (states_[slot].reader_gen == reader_gen_) return;
-  // Logically const: replaying the pending remaps is the deferred
-  // completion of ResampleReaders, and every observable read of the
-  // attachments goes through a sync first.
-  auto* self = const_cast<FactoredParticleFilter*>(this);
-  ObjectState& state = self->states_[slot];
-  ParticleSoa& particles = state.particles;
-  const size_t n = particles.size();
-  if (n == 0) {
+void FactoredParticleFilter::SyncReaderAttachments(
+    const std::vector<uint32_t>& slots) {
+  if (remap_history_.empty()) return;
+  // Bucket the lagging slots by the record they lag from, with a counting
+  // sort that keeps the caller's order within a bucket: bucket[r] counts,
+  // then holds bucket r's end, and placing back to front leaves its start.
+  // Marking a slot synced as it is bucketed makes a repeated slot resolve
+  // once.
+  const size_t records = remap_history_.size();
+  std::vector<std::pair<uint32_t, uint32_t>>& lagging = scratch_lagging_;
+  std::vector<uint32_t>& bucket = scratch_bucket_;
+  lagging.clear();
+  bucket.assign(records, 0);
+  for (uint32_t slot : slots) {
+    ObjectState& state = states_[slot];
+    if (state.reader_gen == reader_gen_) continue;
+    const auto first =
+        static_cast<uint32_t>(state.reader_gen - remap_base_gen_);
     state.reader_gen = reader_gen_;
-    return;
+    if (state.particles.empty()) continue;  // Nothing to resolve.
+    lagging.emplace_back(slot, first);
+    ++bucket[first];
   }
-  assert(state.reader_gen >= remap_base_gen_);
-  // Telemetry: the replay below is the remap cost the serving layer
-  // reports as its own stage. Clock reads only on the slow path (pending
-  // remaps exist) and only with telemetry on; the accumulator is a relaxed
-  // atomic because lanes sync slots concurrently.
+  if (lagging.empty()) return;
   const uint64_t sync_start = obs::TelemetryEnabled() ? MonotonicNanos() : 0;
-  uint32_t* reader_idx = particles.mutable_reader_indices();
-  const size_t first = static_cast<size_t>(state.reader_gen - remap_base_gen_);
-  for (size_t r = first; r < remap_history_.size(); ++r) {
-    const ReaderRemapRecord& rec = remap_history_[r];
-    const size_t num_readers = rec.new_slots_of.size();
-    // Keyed at the step the resample fired, not the step replaying it.
-    Rng rng(SlotStreamSeedAt(slot, kRepointSalt, rec.step));
-    for (size_t k = 0; k < n; ++k) {
-      const auto& slots = rec.new_slots_of[reader_idx[k]];
-      if (slots.empty()) {
-        reader_idx[k] = static_cast<uint32_t>(rng.UniformInt(num_readers));
-      } else if (slots.size() == 1) {
-        reader_idx[k] = slots[0];
-      } else {
-        reader_idx[k] = slots[rng.UniformInt(slots.size())];
+  for (size_t r = 1; r < records; ++r) bucket[r] += bucket[r - 1];
+  std::vector<uint32_t>& order = scratch_sync_order_;
+  order.resize(lagging.size());
+  for (size_t i = lagging.size(); i-- > 0;) {
+    order[--bucket[lagging[i].second]] = lagging[i].first;
+  }
+
+  // One backward sweep: the composite grows from the newest record down,
+  // and each bucket resolves once it covers exactly the records the bucket
+  // missed. Tables are built here, serially; pool lanes only read them.
+  // They live for this sweep only: kept per filter, a fleet of small
+  // filters would hold every filter's largest (history-cap) tables.
+  // Every draw of a slot comes from its stream keyed at the newest
+  // record's step, unique per sync of the slot.
+  const int64_t key_step = remap_history_.back().step;
+  CompositeRemap composite(remap_history_);
+  for (size_t first = records; first-- > 0;) {
+    const size_t lo = bucket[first];
+    const size_t hi = first + 1 < records ? bucket[first + 1] : order.size();
+    if (lo == hi) continue;
+    composite.ExtendTo(first);
+    const auto resolve = [this, &composite, &order, lo, key_step](size_t i,
+                                                                  int) {
+      const uint32_t slot = order[lo + i];
+      ParticleSoa& particles = states_[slot].particles;
+      const size_t n = particles.size();
+      Rng rng(SlotStreamSeedAt(slot, kRepointSalt, key_step));
+      uint32_t* reader_idx = particles.mutable_reader_indices();
+      for (size_t k = 0; k < n; ++k) {
+        reader_idx[k] = composite.Draw(reader_idx[k], rng);
       }
+      remap_resolves_.fetch_add(n, std::memory_order_relaxed);
+    };
+    if (hi - lo == 1) {
+      resolve(0, 0);
+    } else {
+      pool_.ParallelFor(hi - lo, resolve);
     }
   }
-  state.reader_gen = reader_gen_;
-  if (sync_start != 0) {
-    remap_sync_ns_.fetch_add(MonotonicNanos() - sync_start,
-                             std::memory_order_relaxed);
-  }
+  if (sync_start != 0) remap_sync_ns_ += MonotonicNanos() - sync_start;
 }
 
-void FactoredParticleFilter::SyncAllReaderAttachments() const {
-  // The history is pruned to empty whenever every slot is synced, so this
-  // emptiness test is the cheap "nothing pending" fast path.
+void FactoredParticleFilter::SyncAllReaderAttachments() {
   if (remap_history_.empty()) return;
-  auto* self = const_cast<FactoredParticleFilter*>(this);
-  // Slots are independent under the replay (each writes only its own
-  // attachments from its own stream), so the catch-up fans out too.
-  self->pool_.ParallelFor(states_.size(), [this](size_t slot, int) {
-    SyncReaderAttachments(static_cast<uint32_t>(slot));
-  });
-  self->PruneRemapHistory();
+  std::vector<uint32_t> all(states_.size());
+  for (uint32_t slot = 0; slot < all.size(); ++slot) all[slot] = slot;
+  SyncReaderAttachments(all);
+  PruneRemapHistory();
 }
 
 void FactoredParticleFilter::PruneRemapHistory() {
@@ -714,7 +722,6 @@ void FactoredParticleFilter::DispatchObjectUpdates(
   if (m == 0) return;
   auto run_one = [this, &slots](size_t i, int lane) {
     const uint32_t slot = slots[i];
-    SyncReaderAttachments(slot);
     UpdateObject(&states_[slot], /*observed=*/false, slot, /*salt=*/0,
                  &lane_scratch_[lane]);
   };
@@ -790,10 +797,9 @@ GaussianBelief FactoredParticleFilter::FitBelief(
 
 void FactoredParticleFilter::RunCompression() {
   if (!compression_.enabled()) return;
-  std::vector<CompressionCandidate> candidates;
-  std::vector<GaussianBelief> fits;
+  std::vector<uint32_t> fit_slots;
   for (uint32_t slot = 0; slot < states_.size(); ++slot) {
-    ObjectState& state = states_[slot];
+    const ObjectState& state = states_[slot];
     if (state.IsCompressed() || state.particles.size() < 2) continue;
     // Cheap pre-filter for the unseen-epochs mode: skip in-scope objects
     // before paying for a Gaussian fit.
@@ -802,11 +808,16 @@ void FactoredParticleFilter::RunCompression() {
             compression_.config().compress_after_epochs) {
       continue;
     }
-    // The fit marginalizes over reader weights through the attachments, so
-    // deferred remaps must be replayed first. Compression targets exactly
-    // the slots the epoch sweep has not touched — the ones most likely to
-    // have remaps pending.
-    SyncReaderAttachments(slot);
+    fit_slots.push_back(slot);
+  }
+  // The fits marginalize over reader weights through the attachments, so
+  // pending remaps are resolved first. Compression targets exactly the
+  // slots the epoch sweep has not touched — the ones most likely to lag.
+  SyncReaderAttachments(fit_slots);
+  std::vector<CompressionCandidate> candidates;
+  std::vector<GaussianBelief> fits;
+  for (uint32_t slot : fit_slots) {
+    const ObjectState& state = states_[slot];
     const GaussianBelief fit = FitBelief(state);
     CompressionCandidate c;
     c.slot = slot;
@@ -850,11 +861,12 @@ void FactoredParticleFilter::RunHibernation() {
     candidates.push_back(
         {slot, std::max(state.last_observed_step, state.last_revived_step)});
   }
-  for (uint32_t slot :
-       compression_.SelectForHibernation(step_, candidates, after)) {
+  const std::vector<uint32_t> selected =
+      compression_.SelectForHibernation(step_, candidates, after);
+  SyncReaderAttachments(selected);  // The fits read the attachments.
+  for (uint32_t slot : selected) {
     ObjectState& state = states_[slot];
     if (!state.IsCompressed()) {
-      SyncReaderAttachments(slot);  // The fit reads the attachments.
       state.compressed = FitBelief(state);
       state.particles.clear();
       state.particles.ShrinkToFit();
@@ -873,7 +885,7 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
   // never inside the sampled loops, and nothing below branches on them —
   // estimates stay bit-identical with telemetry on or off.
   const bool telemetry = obs::TelemetryEnabled();
-  if (telemetry) remap_sync_ns_.store(0, std::memory_order_relaxed);
+  remap_sync_ns_ = 0;
   const uint64_t t_start = telemetry ? MonotonicNanos() : 0;
 
   // --- Reader update -------------------------------------------------------
@@ -926,13 +938,13 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
   }
 
   // --- Case 1: initialize / revive / re-initialize, then update ------------
+  // Resolve pending remaps before anything reads or keeps the attachments
+  // (re-init keeps half, the update weights against them).
+  SyncReaderAttachments(case1);
   // Serial: initialization and re-initialization sample from the shared
   // stream, and the set is small (bounded by the tags read in one epoch).
   for (uint32_t slot : case1) {
     ObjectState& state = states_[slot];
-    // Catch up on deferred reader remaps before anything reads or keeps the
-    // attachments (re-init keeps half, the update weights against them).
-    SyncReaderAttachments(slot);
     const bool brand_new =
         state.particles.empty() && !state.IsCompressed();
     if (brand_new) {
@@ -994,9 +1006,10 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
     case2_updates.push_back(slot);
   }
   // ...then the updates themselves fan out across the pool in cost-balanced
-  // stolen chunks. Given the frozen reader frames they are conditionally
-  // independent (§IV-B), and each draws from its own (seed, slot, step)
-  // stream.
+  // stolen chunks, once their pending remaps are resolved. Given the frozen
+  // reader frames they are conditionally independent (§IV-B), and each
+  // draws from its own (seed, slot, step) stream.
+  SyncReaderAttachments(case2_updates);
   DispatchObjectUpdates(case2_updates);
   std::vector<uint32_t> processed = case1;
   processed.reserve(case1.size() + case2_updates.size());
@@ -1006,6 +1019,7 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
   }
 
   const uint64_t t_weighted = telemetry ? MonotonicNanos() : 0;
+  const uint64_t remap_weighted = remap_sync_ns_;
 
   // --- Reader resampling ---------------------------------------------------
   // Triggered by the reader ESS, not rare: factored weights persist across
@@ -1022,6 +1036,7 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
   }
 
   const uint64_t t_resampled = telemetry ? MonotonicNanos() : 0;
+  const uint64_t remap_resampled = remap_sync_ns_;
 
   // --- Spatial-index maintenance -------------------------------------------
   if (config_.use_spatial_index) {
@@ -1046,22 +1061,26 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
   RunCompression();
   RunHibernation();
   RunCapacityReclaim();
+  // Records this epoch's syncs left unneeded go now, so the filter never
+  // holds (or saves) a remap no slot still needs.
+  PruneRemapHistory();
 
   if (telemetry) {
     const uint64_t t_end = MonotonicNanos();
-    const double remap =
-        static_cast<double>(remap_sync_ns_.load(std::memory_order_relaxed)) *
-        1e-9;
-    // The remap replay runs inside the weighting phase (attachment syncs on
-    // lanes); report it separately and subtract it from `weight` so the two
-    // never double-count.
+    // Syncs run inside the weighting (Case-1/Case-2 touches), the reader
+    // resample (the history cap) and the compression stage (fits); report
+    // them as their own stage and take each out of the stage it ran in, so
+    // the stages add up to the epoch.
     stages_.weight =
-        static_cast<double>(t_weighted - t_start) * 1e-9 - remap;
-    if (stages_.weight < 0) stages_.weight = 0;
+        static_cast<double>(t_weighted - t_start - remap_weighted) * 1e-9;
     stages_.reader_resample =
-        static_cast<double>(t_resampled - t_weighted) * 1e-9;
-    stages_.remap_replay = remap;
-    stages_.compress = static_cast<double>(t_end - t_resampled) * 1e-9;
+        static_cast<double>(t_resampled - t_weighted -
+                            (remap_resampled - remap_weighted)) *
+        1e-9;
+    stages_.remap_replay = static_cast<double>(remap_sync_ns_) * 1e-9;
+    stages_.compress = static_cast<double>(t_end - t_resampled -
+                                           (remap_sync_ns_ - remap_resampled)) *
+                       1e-9;
   }
 
   ++step_;
@@ -1071,8 +1090,6 @@ std::optional<LocationEstimate> FactoredParticleFilter::EstimateObject(
     TagId tag) const {
   auto it = slot_of_tag_.find(tag);
   if (it == slot_of_tag_.end()) return std::nullopt;
-  // The marginal weights below read the reader attachments.
-  SyncReaderAttachments(it->second);
   const ObjectState& state = states_[it->second];
 
   LocationEstimate est;
@@ -1087,13 +1104,16 @@ std::optional<LocationEstimate> FactoredParticleFilter::EstimateObject(
   if (n == 0) return std::nullopt;
 
   // Marginal weight of a particle is its factored weight times the weight of
-  // the reader hypothesis it is conditioned on.
+  // the reader hypothesis it is conditioned on — for a lagging slot, the
+  // expected weight of the reader its attachment resolves to.
+  std::vector<double> reader_w;
+  AttachedReaderWeights(state, &reader_w);
   const double* weights = particles.weights();
   const uint32_t* reader_idx = particles.reader_indices();
   double total = 0.0;
   Vec3 mean;
   for (size_t k = 0; k < n; ++k) {
-    const double w = weights[k] * readers_[reader_idx[k]].weight;
+    const double w = weights[k] * reader_w[reader_idx[k]];
     mean += particles.PositionAt(k) * w;
     total += w;
   }
@@ -1110,7 +1130,7 @@ std::optional<LocationEstimate> FactoredParticleFilter::EstimateObject(
   }
   Vec3 var;
   for (size_t k = 0; k < n; ++k) {
-    const double w = weights[k] * readers_[reader_idx[k]].weight / total;
+    const double w = weights[k] * reader_w[reader_idx[k]] / total;
     const Vec3 d = particles.PositionAt(k) - est.mean;
     var.x += w * d.x * d.x;
     var.y += w * d.y * d.y;
@@ -1143,8 +1163,18 @@ const FactoredParticleFilter::ObjectState* FactoredParticleFilter::FindObject(
     TagId tag) const {
   auto it = slot_of_tag_.find(tag);
   if (it == slot_of_tag_.end()) return nullptr;
-  SyncReaderAttachments(it->second);  // Callers read the attachments.
   return &states_[it->second];
+}
+
+void FactoredParticleFilter::AttachedReaderWeights(
+    const ObjectState& state, std::vector<double>* weights) const {
+  weights->resize(readers_.size());
+  for (size_t j = 0; j < readers_.size(); ++j) {
+    (*weights)[j] = readers_[j].weight;
+  }
+  const uint64_t lag = RemapLag(state);
+  if (lag == 0) return;
+  ExpectedRemapWeights(remap_history_, remap_history_.size() - lag, weights);
 }
 
 size_t FactoredParticleFilter::NumActiveObjects() const {

@@ -34,12 +34,14 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "index/sensing_index.h"
 #include "model/reader_frame.h"
 #include "model/world_model.h"
 #include "pf/belief.h"
+#include "pf/composite_remap.h"
 #include "pf/compression_policy.h"
 #include "pf/filter.h"
 #include "pf/initializer.h"
@@ -145,6 +147,11 @@ struct FactoredFilterConfig {
 
 class FactoredParticleFilter final : public InferenceFilter {
  public:
+  /// Most reader-resample remap records retained before slots that never
+  /// get touched force a deterministic sync-all (bounds the deferred-remap
+  /// memory).
+  static constexpr size_t kMaxRemapHistory = 32;
+
   /// A reader-location hypothesis (Fig. 3(b), left table).
   struct ReaderParticle {
     Pose pose;
@@ -182,8 +189,9 @@ class FactoredParticleFilter final : public InferenceFilter {
     /// particle within the bounding box", Fig. 4(b)).
     Aabb particle_bounds;
     /// Reader-resample generation this slot's particle attachments are
-    /// synced to. When it lags the filter's reader_gen_, the pending remaps
-    /// are replayed before the attachments are read.
+    /// synced to. While it lags the filter's reader_gen_, the attachments
+    /// index the reader numbering of the slot's last sync; the filter
+    /// resolves the pending remaps at its own sync points in ObserveEpoch.
     uint64_t reader_gen = 0;
 
     bool IsCompressed() const { return compressed.has_value(); }
@@ -200,14 +208,27 @@ class FactoredParticleFilter final : public InferenceFilter {
   const std::vector<ReaderParticle>& reader_particles() const {
     return readers_;
   }
+  /// The tag's state, or null. A lagging slot's attachments index the
+  /// reader numbering of its last sync, not reader_particles(): read them
+  /// through AttachedReaderWeights().
   const ObjectState* FindObject(TagId tag) const;
   /// All per-object states, indexed by slot (EM E-step iterates these).
-  /// Replays any deferred reader remaps first, so every attachment read
-  /// here is current.
-  const std::vector<ObjectState>& object_states() const {
-    SyncAllReaderAttachments();
-    return states_;
+  /// Reading never advances attachments, so a lagging slot's reader indices
+  /// refer to the reader numbering of its last sync (RemapLag() > 0).
+  const std::vector<ObjectState>& object_states() const { return states_; }
+  /// Reader resamples `state`'s attachments have not been resolved through.
+  uint64_t RemapLag(const ObjectState& state) const {
+    return reader_gen_ - state.reader_gen;
   }
+  /// Weight of the reader hypothesis each attachment of `state` stands for,
+  /// indexed by reader index: the reader weights for a synced slot; for one
+  /// lagging L remaps, E[w | a] = (P·w)(a) over their composite P (L sparse
+  /// mat-vecs, O(L·N)). A particle's marginal weight is its own weight
+  /// times this. Draws nothing and advances nothing.
+  void AttachedReaderWeights(const ObjectState& state,
+                             std::vector<double>* weights) const;
+  /// Remap records still pending for some lagging slot.
+  size_t pending_remaps() const { return remap_history_.size(); }
   size_t NumActiveObjects() const;
   size_t NumCompressedObjects() const;
   size_t NumHibernatedObjects() const;
@@ -232,6 +253,12 @@ class FactoredParticleFilter final : public InferenceFilter {
   uint64_t particle_updates() const {
     return particle_updates_.load(std::memory_order_relaxed);
   }
+  /// Cumulative count of particle attachments resolved through pending
+  /// reader remaps: one per particle per sync, whatever its lag. Exact and
+  /// identical at any thread count.
+  uint64_t remap_resolves() const {
+    return remap_resolves_.load(std::memory_order_relaxed);
+  }
 
   /// Stage breakdown of the most recent ObserveEpoch, for the serving
   /// layer's stage histograms and flight recorder. Pure telemetry: all
@@ -239,8 +266,12 @@ class FactoredParticleFilter final : public InferenceFilter {
   /// and never consulted by inference itself.
   struct EpochStageSeconds {
     double weight = 0.0;          ///< Reader update + object weighting.
-    double reader_resample = 0.0; ///< ResampleReaders (rare).
-    double remap_replay = 0.0;    ///< Lazy remap replay, summed over lanes.
+    /// ResampleReaders, triggered by the reader ESS (on ~60% of epochs of
+    /// a dense site).
+    double reader_resample = 0.0;
+    /// Remap resolution (tables + draws), taken out of the stage it ran
+    /// in.
+    double remap_replay = 0.0;
     double compress = 0.0;        ///< Index + compression + hibernation.
   };
   const EpochStageSeconds& last_epoch_stages() const { return stages_; }
@@ -286,8 +317,8 @@ class FactoredParticleFilter final : public InferenceFilter {
   /// same slot within one step (the conflict retry).
   uint64_t SlotStreamSeed(uint32_t slot, uint64_t salt) const;
   /// Same stream keyed at an explicit step instead of the current step_ —
-  /// the remap replay of a resample recorded at step S draws from the
-  /// stream keyed at S, whenever the replay runs.
+  /// a remap resolution draws from the stream keyed at the step of the
+  /// newest record it collapses, unique per sync of a slot.
   uint64_t SlotStreamSeedAt(uint32_t slot, uint64_t salt, int64_t step) const;
 
   /// Propagates, weights and (if needed) resamples one processed object.
@@ -301,26 +332,26 @@ class FactoredParticleFilter final : public InferenceFilter {
 
   /// Resamples reader particles, scoring each by its own weight times the
   /// support it receives from the processed objects' particles (§IV-B).
-  /// Records the old-reader -> new-readers repoint map; each slot applies
-  /// it in SyncReaderAttachments when it is next touched.
+  /// Records the repoint map (the ancestor array); slots resolve it at
+  /// their next sync.
   void ResampleReaders(const std::vector<uint32_t>& processed_slots);
 
-  /// Replays the reader-resample remaps a slot has not seen yet, in firing
-  /// order, each from the slot's stream keyed at the step it fired — so the
-  /// attachments do not depend on when the replay runs, and cold slots pay
-  /// nothing until they are touched.
-  /// Logically const: syncing changes no observable state (every public
-  /// reader of attachments syncs first), so const accessors may call it.
-  void SyncReaderAttachments(uint32_t slot) const;
-  /// Syncs every slot and prunes the remap history (bulk readers: snapshot
-  /// save, object_states(), history-cap overflow).
-  void SyncAllReaderAttachments() const;
-  /// Drops remap records every synced slot has already replayed.
+  /// Resolves the pending remaps of every lagging slot in `slots` with one
+  /// draw per particle from the composite of the records it missed, keyed
+  /// at (slot, kRepointSalt, step of the newest record). Slots are bucketed
+  /// by the record they lag from; one backward sweep builds each bucket's
+  /// table serially, then the bucket's draws fan out across the pool.
+  /// Called only at ObserveEpoch's deterministic sync points (Case-1/Case-2
+  /// touches, compression and hibernation fits, the history cap): the draws
+  /// depend on how many records a sync collapses.
+  void SyncReaderAttachments(const std::vector<uint32_t>& slots);
+  /// Syncs every slot and prunes the remap history (the history cap).
+  void SyncAllReaderAttachments();
+  /// Drops remap records no lagging slot still needs.
   void PruneRemapHistory();
 
   /// Fans UpdateObject over the Case-2 slots in cost-balanced chunks
-  /// claimed by work stealing. Each task syncs the slot's reader
-  /// attachments before updating it.
+  /// claimed by work stealing.
   void DispatchObjectUpdates(const std::vector<uint32_t>& slots);
 
   /// Off-hot-path capacity reclaim (shrink_interval_epochs): releases the
@@ -368,17 +399,10 @@ class FactoredParticleFilter final : public InferenceFilter {
   std::vector<ObjectState> states_;
   std::unordered_map<TagId, uint32_t> slot_of_tag_;
 
-  /// One deferred reader-resample remap. Replaying a record at a slot
-  /// repoints each attachment old -> one of new_slots_of[old], drawing from
-  /// the slot's stream keyed at `step`.
-  struct ReaderRemapRecord {
-    int64_t step = 0;  ///< Step the resample fired (RNG stream key).
-    std::vector<std::vector<uint32_t>> new_slots_of;
-  };
   /// Pending remaps, oldest first; record i is generation
   /// remap_base_gen_ + i + 1. Bounded: slots that fall behind by
   /// kMaxRemapHistory force a sync-all (deterministic — count-based).
-  mutable std::vector<ReaderRemapRecord> remap_history_;
+  std::vector<ReaderRemapRecord> remap_history_;
   /// Generation of the newest reader resample (0 = none yet).
   uint64_t reader_gen_ = 0;
   /// Generation of the oldest retained record minus the records before it;
@@ -402,12 +426,12 @@ class FactoredParticleFilter final : public InferenceFilter {
   Aabb reader_reach_;
 
   std::atomic<uint64_t> particle_updates_{0};
+  std::atomic<uint64_t> remap_resolves_{0};
 
-  /// Telemetry only (see EpochStageSeconds). remap_sync_ns_ is mutable and
-  /// atomic because SyncReaderAttachments is logically const and runs
-  /// concurrently on pool lanes during DispatchObjectUpdates.
+  /// Telemetry only (see EpochStageSeconds); remap_sync_ns_ is the wall
+  /// time of this epoch's sync sweeps so far.
   EpochStageSeconds stages_;
-  mutable std::atomic<uint64_t> remap_sync_ns_{0};
+  uint64_t remap_sync_ns_ = 0;
 
   // Scratch buffers reused across epochs to avoid per-epoch allocation.
   std::vector<double> scratch_weights_;
@@ -417,6 +441,11 @@ class FactoredParticleFilter final : public InferenceFilter {
   std::vector<uint32_t> scratch_case2_;
   std::vector<uint32_t> scratch_case2_updates_;
   std::vector<size_t> scratch_chunk_starts_;  ///< DispatchObjectUpdates.
+  // SyncReaderAttachments: lagging (slot, first record) pairs, the slots
+  // ordered by bucket, and each bucket's start.
+  std::vector<std::pair<uint32_t, uint32_t>> scratch_lagging_;
+  std::vector<uint32_t> scratch_sync_order_;
+  std::vector<uint32_t> scratch_bucket_;
 };
 
 }  // namespace rfid

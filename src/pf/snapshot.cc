@@ -1,5 +1,6 @@
 #include "pf/snapshot.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <istream>
@@ -35,13 +36,21 @@ constexpr char kMagic[8] = {'R', 'F', 'I', 'D', 'S', 'N', 'A', 'P'};
 // followed by each particle of the run as [reader index][f64 weight]; the
 // reader index is u8, u16 or u32, the narrowest that holds every index
 // below the snapshot's reader count.
+// v6 carries the reader remaps still pending instead of resolving them at
+// save time (a save must not advance attachments: where a slot resolves
+// its remaps decides its draws). After the v5 body: the u64 record count,
+// each record as its i64 step and its ancestor array (one reader index per
+// reader, at the v5 width), each slot's u32 lag (how many of the newest
+// records its attachments have not been resolved through), and the u64
+// remap-resolve counter.
 //
-// Version window: one back. Only v5 is written; v4 still loads; v3 and
-// older are rejected with an error naming the oldest loadable version —
-// the deprecation story is "every release loads its predecessor's files,
-// so step through releases, re-saving, to migrate older state".
-constexpr uint32_t kVersion = 5;
-constexpr uint32_t kMinVersion = 4;
+// Version window: one back. Only v6 is written; v5 still loads (with no
+// pending remaps — v5 saves resolved them); v4 and older are rejected with
+// an error naming the oldest loadable version — the deprecation story is
+// "every release loads its predecessor's files, so step through releases,
+// re-saving, to migrate older state".
+constexpr uint32_t kVersion = 6;
+constexpr uint32_t kMinVersion = 5;
 
 void WriteVec3(std::ostream& os, const Vec3& v) {
   WritePod(os, v.x);
@@ -70,8 +79,6 @@ bool SameBits(const Vec3& a, const Vec3& b) {
 // the bytes left before anything is allocated.
 constexpr uint64_t kVec3Bytes = 3 * sizeof(double);
 constexpr uint64_t kReaderBytes = kVec3Bytes + 2 * sizeof(double);
-constexpr uint64_t kV4ParticleBytes =
-    kVec3Bytes + sizeof(uint32_t) + sizeof(double);
 constexpr uint64_t kStateBytes = sizeof(TagId) + 3 * sizeof(int64_t) +
                                  3 * kVec3Bytes + 2 * sizeof(uint8_t) +
                                  sizeof(uint64_t);
@@ -83,6 +90,33 @@ uint64_t ReaderIndexBytes(uint64_t reader_count) {
   if (reader_count <= uint64_t{1} << 8) return sizeof(uint8_t);
   if (reader_count <= uint64_t{1} << 16) return sizeof(uint16_t);
   return sizeof(uint32_t);
+}
+
+/// Writes `value` as a reader index of `bytes` width.
+void WriteReaderIndex(std::ostream& os, uint64_t bytes, uint32_t value) {
+  switch (bytes) {
+    case sizeof(uint8_t):
+      return WritePod(os, static_cast<uint8_t>(value));
+    case sizeof(uint16_t):
+      return WritePod(os, static_cast<uint16_t>(value));
+    default:
+      return WritePod(os, value);
+  }
+}
+
+bool ReadReaderIndex(std::istream& is, uint64_t bytes, uint32_t* value) {
+  if (bytes == sizeof(uint8_t)) {
+    uint8_t v = 0;
+    if (!ReadPod(is, &v)) return false;
+    *value = v;
+  } else if (bytes == sizeof(uint16_t)) {
+    uint16_t v = 0;
+    if (!ReadPod(is, &v)) return false;
+    *value = v;
+  } else if (!ReadPod(is, value)) {
+    return false;
+  }
+  return true;
 }
 
 /// Unsigned LEB128: seven bits per byte, low group first, the high bit set
@@ -204,36 +238,15 @@ Status ReadParticleRuns(std::istream& is, uint64_t count,
   return Status::OK();
 }
 
-/// v4 particle block after its count: 36 B per particle.
-Status ReadV4Particles(std::istream& is, uint64_t count,
-                       uint64_t reader_count, ParticleSoa* particles) {
-  for (uint64_t k = 0; k < count; ++k) {
-    Vec3 position;
-    uint32_t reader_idx = 0;
-    double weight = 0.0;
-    if (!ReadVec3(is, &position) || !ReadPod(is, &reader_idx) ||
-        !ReadPod(is, &weight)) {
-      return Truncated();
-    }
-    if (!IsFinite(position)) return InvalidPosition();
-    RFID_RETURN_NOT_OK(CheckParticle(reader_idx, reader_count, weight));
-    particles->PushBack(position, reader_idx, weight);
-  }
-  return Status::OK();
-}
-
-/// One object's particle block, count included, in `version`'s layout.
-Status ReadParticles(std::istream& is, uint32_t version,
-                     uint64_t reader_count, ParticleSoa* particles) {
+/// One object's particle block, count included.
+Status ReadParticles(std::istream& is, uint64_t reader_count,
+                     ParticleSoa* particles) {
   const uint64_t index_bytes = ReaderIndexBytes(reader_count);
   uint64_t count = 0;
-  if (!ReadCount(is, &count,
-                 version == 4 ? kV4ParticleBytes
-                              : index_bytes + sizeof(double))) {
+  if (!ReadCount(is, &count, index_bytes + sizeof(double))) {
     return Truncated();
   }
   particles->reserve(count);
-  if (version == 4) return ReadV4Particles(is, count, reader_count, particles);
   switch (index_bytes) {
     case sizeof(uint8_t):
       return ReadParticleRuns<uint8_t>(is, count, reader_count, particles);
@@ -244,14 +257,68 @@ Status ReadParticles(std::istream& is, uint32_t version,
   }
 }
 
+/// v6's pending remaps after the v5 body. Canonical: what loads is exactly
+/// what the filter can hold — fewer records than its history cap, steps
+/// strictly increasing and before the snapshot's step, ancestors below the
+/// reader count, lags at most the record count, lag 0 for slots without
+/// particles (they have nothing to resolve), and the oldest record needed
+/// by some slot (the filter prunes records no slot needs).
+Status ReadPendingRemaps(
+    std::istream& is, int64_t step, uint64_t reader_count,
+    const std::vector<FactoredParticleFilter::ObjectState>& states,
+    std::vector<ReaderRemapRecord>* remaps, std::vector<uint32_t>* lags,
+    uint64_t* remap_resolves) {
+  const uint64_t index_bytes = ReaderIndexBytes(reader_count);
+  uint64_t count = 0;
+  if (!ReadCount(is, &count, sizeof(int64_t) + reader_count * index_bytes)) {
+    return Truncated();
+  }
+  if (count >= FactoredParticleFilter::kMaxRemapHistory) {
+    return Status::Invalid("snapshot holds " + std::to_string(count) +
+                           " pending remaps, past the history cap");
+  }
+  remaps->resize(count);
+  for (size_t r = 0; r < count; ++r) {
+    ReaderRemapRecord& record = (*remaps)[r];
+    if (!ReadPod(is, &record.step)) return Truncated();
+    if (record.step < (r == 0 ? 0 : (*remaps)[r - 1].step + 1) ||
+        record.step >= step) {
+      return Status::Invalid("snapshot remap steps out of order");
+    }
+    record.ancestors.resize(reader_count);
+    for (uint32_t& a : record.ancestors) {
+      if (!ReadReaderIndex(is, index_bytes, &a)) return Truncated();
+      if (a >= reader_count) {
+        return Status::Invalid("snapshot remap references invalid reader");
+      }
+    }
+  }
+  lags->resize(states.size());
+  uint32_t oldest_needed = 0;
+  for (size_t slot = 0; slot < states.size(); ++slot) {
+    uint32_t& lag = (*lags)[slot];
+    if (!ReadPod(is, &lag)) return Truncated();
+    if (lag > count) {
+      return Status::Invalid("snapshot slot lags past its pending remaps");
+    }
+    if (lag > 0 && states[slot].particles.empty()) {
+      return Status::Invalid("snapshot slot without particles lags");
+    }
+    oldest_needed = std::max(oldest_needed, lag);
+  }
+  if (oldest_needed != count) {
+    return Status::Invalid("snapshot keeps a remap no slot needs");
+  }
+  if (!ReadPod(is, remap_resolves)) return Truncated();
+  return Status::OK();
+}
+
 }  // namespace
 
 Status SaveFilterSnapshot(const FactoredParticleFilter& filter,
                           std::ostream& sink) {
-  // The on-disk format has no notion of a pending reader remap: replay any
-  // deferred ones so the persisted attachments are current (a restored
-  // filter then starts with an empty remap history).
-  filter.SyncAllReaderAttachments();
+  // Saving reads the filter and changes nothing: pending reader remaps are
+  // written as they are, not resolved.
   sink.write(kMagic, sizeof(kMagic));
   WritePod(sink, kVersion);
   // CRC frame around the whole belief payload, streamed straight into the
@@ -300,6 +367,17 @@ Status SaveFilterSnapshot(const FactoredParticleFilter& filter,
     WritePod(os, rng_state.cached_gaussian);
     WritePod(os, static_cast<uint8_t>(rng_state.cached_gaussian_valid ? 1 : 0));
     WritePod(os, filter.particle_updates_.load(std::memory_order_relaxed));
+
+    const uint64_t index_bytes = ReaderIndexBytes(filter.readers_.size());
+    WritePod(os, static_cast<uint64_t>(filter.remap_history_.size()));
+    for (const ReaderRemapRecord& record : filter.remap_history_) {
+      WritePod(os, record.step);
+      for (uint32_t a : record.ancestors) WriteReaderIndex(os, index_bytes, a);
+    }
+    for (const auto& state : filter.states_) {
+      WritePod(os, static_cast<uint32_t>(filter.RemapLag(state)));
+    }
+    WritePod(os, filter.remap_resolves_.load(std::memory_order_relaxed));
   }));
   if (!sink.good()) return Status::IOError("failed writing snapshot");
   return Status::OK();
@@ -320,6 +398,9 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
   std::vector<std::pair<Aabb, std::vector<uint32_t>>> entries;
   RngState rng_state;
   uint64_t particle_updates = 0;
+  std::vector<ReaderRemapRecord> remaps;
+  std::vector<uint32_t> lags;
+  uint64_t remap_resolves = 0;
 
   char magic[8];
   source.read(magic, sizeof(magic));
@@ -336,10 +417,10 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
         "re-saving them with the release that wrote them plus one)");
   }
 
-  // Body parser (the framed payload after the header). Its layout is the
-  // same in every loadable version except for the particle blocks; floats
-  // that feed inference must be finite (the bounds box is exempt: an empty
-  // box is legitimately infinite).
+  // Body parser (the framed payload after the header). v6 appends the
+  // pending remaps to the v5 body; floats that feed inference must be
+  // finite (the bounds box is exempt: an empty box is legitimately
+  // infinite).
   const auto parse_body = [&](std::istream& is) -> Status {
     if (!ReadPod(is, &step) || !ReadBool(is, &readers_initialized)) {
       return Truncated();
@@ -396,8 +477,7 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
         }
         state.compressed = GaussianBelief(mean, cov);
       }
-      RFID_RETURN_NOT_OK(
-          ReadParticles(is, version, reader_count, &state.particles));
+      RFID_RETURN_NOT_OK(ReadParticles(is, reader_count, &state.particles));
     }
 
     uint64_t entry_count = 0;
@@ -433,7 +513,12 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
         !ReadPod(is, &particle_updates)) {
       return Truncated();
     }
-    return Status::OK();
+    if (version == 5) {
+      lags.assign(state_count, 0);
+      return Status::OK();
+    }
+    return ReadPendingRemaps(is, step, reader_count, states, &remaps, &lags,
+                             &remap_resolves);
   };
 
   RFID_RETURN_NOT_OK(ReadFramedSection(source, parse_body));
@@ -455,11 +540,16 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
   filter->states_ = std::move(states);
   filter->index_ = std::move(index);
   filter->slot_of_tag_ = std::move(slot_of_tag);
-  // Snapshots are saved fully synced, so the restored filter starts with no
-  // pending remaps (every loaded state carries the default reader_gen 0).
-  filter->remap_history_.clear();
-  filter->reader_gen_ = 0;
+  // Generations restart at the oldest pending record: record i is
+  // generation i + 1, and a slot lagging L records is synced to
+  // generation count - L.
+  filter->reader_gen_ = remaps.size();
   filter->remap_base_gen_ = 0;
+  for (size_t slot = 0; slot < lags.size(); ++slot) {
+    filter->states_[slot].reader_gen = remaps.size() - lags[slot];
+  }
+  filter->remap_history_ = std::move(remaps);
+  filter->remap_resolves_.store(remap_resolves, std::memory_order_relaxed);
   // The index's hibernation bits are derived state; rebuild them so the
   // all-hibernated entry skip resumes exactly where the saved filter was.
   for (uint32_t slot = 0; slot < filter->states_.size(); ++slot) {

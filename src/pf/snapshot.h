@@ -17,17 +17,21 @@
 // bit-equal positions — one position per run, then every particle of the
 // run as a reader index (u8/u16/u32 by the reader count) and a weight —
 // because unmoved particles are exact copies and resampling keeps copies
-// adjacent. The payload streams through util/serialize.h's framed
-// sections, so saving never stages a copy of the belief: the sink must be
-// seekable (a file or a string stream), and a non-seekable sink fails with
-// a non-OK Status.
+// adjacent. Since v6 the reader remaps still pending are written as they
+// are (each record's step and ancestor array, every slot's lag, then the
+// remap-resolve counter), so a save never advances attachments and a
+// restored filter resolves them exactly where the uninterrupted one would. The payload streams through
+// util/serialize.h's framed sections, so saving never stages a copy of the
+// belief: the sink must be seekable (a file or a string stream), and a
+// non-seekable sink fails with a non-OK Status.
 //
-// Version window: one back. The writer emits v5 only; the loader accepts v5
-// and v4 and rejects anything older with an error naming the oldest
+// Version window: one back. The writer emits v6 only; the loader accepts v6
+// and v5 and rejects anything older with an error naming the oldest
 // loadable version. Migrating older files means stepping through releases,
 // re-saving at each one. Decoding is canonical: whatever loads re-saves to
-// the same v5 bytes (a v4 file re-saves as v5), and non-finite reader
-// poses, particle positions or weights are rejected.
+// the same v6 bytes (a v5 file re-saves as its body plus an empty remap
+// block), and non-finite reader poses, particle positions or weights are
+// rejected.
 #pragma once
 
 #include <iosfwd>

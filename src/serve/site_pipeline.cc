@@ -58,6 +58,8 @@ SitePipeline::SitePipeline(SiteId site, const SitePipelineConfig& config,
       config_(config),
       sync_(MakeSyncConfig(config)),
       engine_(std::move(engine)),
+      filter_(&dynamic_cast<FactoredParticleFilter&>(
+          engine_->mutable_filter())),
       flight_(new obs::FlightRecorder(config.flight)) {
   // Metric handles are resolved once here and written lock-free forever.
   // Stage series are labeled by stage only (not site) so cardinality stays
@@ -165,15 +167,11 @@ void SitePipeline::RecordEpochTelemetry(const SyncedEpoch& epoch,
   const EngineEpochTimings& engine_t = engine_->last_epoch_timings();
   t.emit = engine_t.emit_seconds;
   t.dispatch = static_cast<double>(dispatch_ns) * 1e-9;
-  const auto* filter =
-      dynamic_cast<const FactoredParticleFilter*>(&engine_->filter());
-  if (filter != nullptr) {
-    const auto& stages = filter->last_epoch_stages();
-    t.weight = stages.weight;
-    t.resample = stages.reader_resample;
-    t.remap = stages.remap_replay;
-    t.compress = stages.compress;
-  }
+  const auto& stages = filter_->last_epoch_stages();
+  t.weight = stages.weight;
+  t.resample = stages.reader_resample;
+  t.remap = stages.remap_replay;
+  t.compress = stages.compress;
   t.readings = static_cast<uint32_t>(epoch.tags.size());
   t.events = static_cast<uint32_t>(events);
 
@@ -312,12 +310,7 @@ void SitePipeline::Flush(SubscriptionBus* bus) {
 
 void SitePipeline::ApplyLoadShed(const LoadShedDecision& decision) {
   shed_ = decision;
-  // Serving pipelines are factored-filter only (enforced in Create).
-  auto* filter =
-      dynamic_cast<FactoredParticleFilter*>(&engine_->mutable_filter());
-  if (filter != nullptr) {
-    filter->SetLoadShed(decision.budget_scale, decision.hibernate_scale);
-  }
+  filter_->SetLoadShed(decision.budget_scale, decision.hibernate_scale);
 }
 
 SitePipelineStats SitePipeline::Stats() const {
@@ -334,14 +327,10 @@ SitePipelineStats SitePipeline::Stats() const {
   stats.shed_level = static_cast<int>(shed_.level);
   stats.watermark = sync_.watermark();
   stats.engine = engine_->stats();
-  const auto* filter =
-      dynamic_cast<const FactoredParticleFilter*>(&engine_->filter());
-  if (filter != nullptr) {
-    stats.active_objects = filter->NumActiveObjects();
-    stats.compressed_objects = filter->NumCompressedObjects();
-    stats.hibernated_objects = filter->NumHibernatedObjects();
-    stats.filter_memory_bytes = filter->ApproxMemoryBytes();
-  }
+  stats.active_objects = filter_->NumActiveObjects();
+  stats.compressed_objects = filter_->NumCompressedObjects();
+  stats.hibernated_objects = filter_->NumHibernatedObjects();
+  stats.filter_memory_bytes = filter_->ApproxMemoryBytes();
   return stats;
 }
 
@@ -352,11 +341,6 @@ Status SitePipeline::SaveCheckpoint(std::ostream& os) const {
   // committed, and each streams straight into `os` (which must be seekable):
   // the filter snapshot, by far the largest, nests its own framed body
   // inside the last section without a staging copy.
-  const auto* filter =
-      dynamic_cast<const FactoredParticleFilter*>(&engine_->filter());
-  if (filter == nullptr) {
-    return Status::Internal("serving pipeline filter is not factored");
-  }
   os.write(kMagic, sizeof(kMagic));
   WritePod(os, kVersion);
   RFID_RETURN_NOT_OK(WriteFramedSection(os, [this](std::ostream& header) {
@@ -390,8 +374,8 @@ Status SitePipeline::SaveCheckpoint(std::ostream& os) const {
     WritePod(section, stats.events_emitted);
     WritePod(section, stats.processing_seconds);
   }));
-  RFID_RETURN_NOT_OK(WriteFramedSection(os, [filter](std::ostream& snapshot) {
-    return SaveFilterSnapshot(*filter, snapshot);
+  RFID_RETURN_NOT_OK(WriteFramedSection(os, [this](std::ostream& snapshot) {
+    return SaveFilterSnapshot(*filter_, snapshot);
   }));
   if (!os.good()) return Status::IOError("failed writing site checkpoint");
   return Status::OK();
@@ -440,11 +424,6 @@ Status SitePipeline::LoadCheckpoint(std::istream& is) {
   StreamSynchronizer sync(MakeSyncConfig(config_));
   EventEmitter emitter(config_.engine.emitter);
   EngineStats stats;
-  auto* filter =
-      dynamic_cast<FactoredParticleFilter*>(&engine_->mutable_filter());
-  if (filter == nullptr) {
-    return Status::Internal("serving pipeline filter is not factored");
-  }
   // Framed path (every supported version): each section is parsed through
   // a CRC-checking view and its checksum verified before anything from it
   // is committed, so a torn or bit-rotted checkpoint fails cleanly here.
@@ -496,8 +475,8 @@ Status SitePipeline::LoadCheckpoint(std::istream& is) {
   // The filter snapshot is the final section and the commit point: it
   // parses fully and checks its own checksum and then this section's
   // before mutating the filter — after it succeeds, nothing can fail.
-  RFID_RETURN_NOT_OK(ReadFramedSection(is, [filter](std::istream& section) {
-    return LoadFilterSnapshot(section, filter);
+  RFID_RETURN_NOT_OK(ReadFramedSection(is, [this](std::istream& section) {
+    return LoadFilterSnapshot(section, filter_);
   }));
   sync_ = std::move(sync);
   engine_->emitter() = std::move(emitter);

@@ -201,6 +201,9 @@ class SitePipeline {
   SitePipelineConfig config_;
   StreamSynchronizer sync_;
   std::unique_ptr<RfidInferenceEngine> engine_;
+  /// The engine's filter, resolved once at construction: Create() admits
+  /// only factored engines.
+  FactoredParticleFilter* filter_;
   std::vector<LocationEvent> event_scratch_;
   uint64_t records_processed_ = 0;
   uint64_t events_dispatched_ = 0;

@@ -1,8 +1,10 @@
 #include "stream/trace_io.h"
 
-#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace rfid {
@@ -11,6 +13,8 @@ namespace {
 
 constexpr char kReadingsHeader[] = "time,tag";
 constexpr char kLocationsHeader[] = "time,x,y,z,heading";
+/// Significant digits that read every double back bit for bit.
+constexpr int kExactDigits = std::numeric_limits<double>::max_digits10;
 
 Status MalformedLine(const char* what, size_t line_no, const std::string& line) {
   return Status::Invalid(std::string(what) + " at line " +
@@ -27,20 +31,25 @@ std::vector<std::string> SplitCsv(const std::string& line) {
   return cells;
 }
 
+/// A finite number filling the whole cell. The writers never produce
+/// NaN or infinities, so neither does a well-formed trace.
 bool ParseDouble(const std::string& s, double* out) {
   if (s.empty()) return false;
   char* end = nullptr;
-  errno = 0;
   *out = std::strtod(s.c_str(), &end);
-  return errno == 0 && end == s.c_str() + s.size();
+  return end == s.c_str() + s.size() && std::isfinite(*out);
 }
 
+/// Plain decimal digits, at most UINT32_MAX: no sign, space or wrap-around
+/// (strtoul would read "-1" as 4294967295).
 bool ParseTag(const std::string& s, TagId* out) {
   if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long v = std::strtoul(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
+  uint64_t v = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') return false;
+    v = v * 10 + static_cast<uint64_t>(c - '0');
+    if (v > std::numeric_limits<TagId>::max()) return false;
+  }
   *out = static_cast<TagId>(v);
   return true;
 }
@@ -49,16 +58,19 @@ bool ParseTag(const std::string& s, TagId* out) {
 
 Status WriteReadingsCsv(const std::vector<TagReading>& readings,
                         std::ostream& os) {
+  const std::streamsize saved = os.precision(kExactDigits);
   os << kReadingsHeader << '\n';
   for (const TagReading& r : readings) {
     os << r.time << ',' << r.tag << '\n';
   }
+  os.precision(saved);
   if (!os.good()) return Status::IOError("failed writing readings CSV");
   return Status::OK();
 }
 
 Status WriteLocationsCsv(const std::vector<ReaderLocationReport>& reports,
                          std::ostream& os) {
+  const std::streamsize saved = os.precision(kExactDigits);
   os << kLocationsHeader << '\n';
   for (const ReaderLocationReport& r : reports) {
     os << r.time << ',' << r.location.x << ',' << r.location.y << ','
@@ -66,6 +78,7 @@ Status WriteLocationsCsv(const std::vector<ReaderLocationReport>& reports,
     if (r.has_heading) os << r.heading;
     os << '\n';
   }
+  os.precision(saved);
   if (!os.good()) return Status::IOError("failed writing locations CSV");
   return Status::OK();
 }

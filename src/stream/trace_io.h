@@ -5,6 +5,10 @@
 // Formats (header line + rows):
 //   readings:  time,tag
 //   locations: time,x,y,z,heading   (heading column empty when unavailable)
+// Numbers are written with max_digits10 (17) significant digits, so a trace
+// reads back bit for bit. The readers accept only what a writer can
+// produce: finite numbers, and tags of plain decimal digits up to
+// UINT32_MAX.
 #pragma once
 
 #include <iosfwd>

@@ -17,8 +17,8 @@
 // one function. Every use MUST carry a `// SAFETY:` comment directly above
 // it justifying why the access pattern is safe despite being invisible to
 // the analysis (typically: ownership handoff through a fork/join barrier).
-// tools/lint_invariants.py counts the escapes and fails CI on any without
-// a justification.
+// `tools/rfid_verify --fast` counts the escapes and fails CI on any
+// without a justification.
 //
 // The attribute vocabulary mirrors Abseil's (capability/guarded_by/
 // requires_capability/...); see

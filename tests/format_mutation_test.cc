@@ -1,5 +1,6 @@
-// Seeded mutation sweep over every CRC-framed binary format: filter
-// snapshots, site checkpoints, checkpoint manifests and dead-letter spills.
+// Seeded mutation sweep over every decoder: the CRC-framed binary formats
+// (filter snapshots, site checkpoints, checkpoint manifests, dead-letter
+// spills) and the two trace CSVs.
 //
 // Framed sections are parsed through a CRC-computing view and the checksum
 // is checked only once the parser is done, so decoders see corrupt bytes
@@ -27,6 +28,7 @@
 #include "serve/checkpoint.h"
 #include "serve/diagnostics.h"
 #include "serve/site_pipeline.h"
+#include "stream/trace_io.h"
 #include "test_util.h"
 #include "util/crc32.h"
 #include "util/rng.h"
@@ -231,26 +233,14 @@ std::string FilterSnapshotAfter(int epochs) {
   return ss.str();
 }
 
-TEST(FormatMutationTest, FilterSnapshot) {
-  Sweep("filter snapshot", {FilterSnapshotAfter(40), FilterSnapshotAfter(110)},
-        101, [](const std::string& bytes, std::string* resaved) {
-          std::stringstream in(bytes);
-          FactoredParticleFilter filter(MakeLineWorld(), FilterConfig());
-          RFID_RETURN_NOT_OK(LoadFilterSnapshot(in, &filter));
-          std::stringstream out;
-          RFID_RETURN_NOT_OK(SaveFilterSnapshot(filter, out));
-          *resaved = out.str();
-          return Status::OK();
-        });
-}
-
-// ------------------------------------- v5 particle blocks, hand-built ---
+// ------------------------- v5 particle blocks and v6 remaps, hand-built ---
 //
 // The seeded sweep rarely lands on the few bytes a particle run's framing
-// occupies, so the v5 block's rules get targeted cases: a hand-built
-// snapshot with one active object whose particle block is written here.
-// HandBuiltSnapshot mirrors the writer's layout (pf/snapshot.cc); the valid
-// baselines re-save to exactly their bytes, which checks that.
+// or a remap record occupies, so their rules get targeted cases: a
+// hand-built snapshot with one object whose particle block and remap block
+// are written here. HandBuiltSnapshot mirrors the writer's layout
+// (pf/snapshot.cc); the valid baselines re-save to exactly their bytes,
+// which checks that.
 
 template <typename T>
 void Put(std::string* out, const T& value) {
@@ -312,10 +302,41 @@ std::string ParticleRun(const Vec3& position,
   return ParticleRun(Varint(particles.size()), position, particles, width);
 }
 
-/// A v5 snapshot: `readers` reader particles, one active object holding
-/// `particle_count` particles encoded as `runs`, no index entries.
+/// A v6 remap block after the v5 body: `records` as (step, ancestors),
+/// then one lag per object and the resolve counter.
+std::string RemapBlock(
+    uint64_t readers,
+    const std::vector<std::pair<int64_t, std::vector<uint64_t>>>& records,
+    const std::vector<uint32_t>& lags) {
+  std::string out;
+  Put(&out, static_cast<uint64_t>(records.size()));
+  for (const auto& [step, ancestors] : records) {
+    Put(&out, step);
+    for (uint64_t a : ancestors) out += ReaderIndex(a, IndexWidth(readers));
+  }
+  for (uint32_t lag : lags) Put(&out, lag);
+  Put(&out, uint64_t{0});  // Remap resolves.
+  return out;
+}
+
+/// No pending remaps, for a snapshot of one object.
+std::string NoRemaps() { return RemapBlock(0, {}, {0}); }
+
+/// `readers` ancestors where reader 0 is copied twice, reader 1 never, and
+/// every other reader once.
+std::vector<uint64_t> Ancestors(uint64_t readers) {
+  std::vector<uint64_t> ancestors(readers);
+  for (uint64_t j = 0; j < readers; ++j) ancestors[j] = j;
+  if (readers > 1) ancestors[1] = 0;
+  return ancestors;
+}
+
+/// A v6 snapshot at step 3: `readers` reader particles, one object holding
+/// `particle_count` particles encoded as `runs`, no index entries, then
+/// `remaps` (a RemapBlock).
 std::string HandBuiltSnapshot(uint64_t readers, uint64_t particle_count,
-                              const std::string& runs) {
+                              const std::string& runs,
+                              const std::string& remaps = NoRemaps()) {
   std::string payload;
   Put(&payload, int64_t{3});   // Step.
   Put(&payload, uint8_t{1});   // Readers initialized.
@@ -342,9 +363,10 @@ std::string HandBuiltSnapshot(uint64_t readers, uint64_t particle_count,
   Put(&payload, 0.0);          // Cached gaussian.
   Put(&payload, uint8_t{0});   // ... not valid.
   Put(&payload, uint64_t{0});  // Particle updates.
+  payload += remaps;
 
   std::string out(kSnapshotMagic, 8);
-  Put(&out, uint32_t{5});
+  Put(&out, uint32_t{6});
   Put(&out, static_cast<uint64_t>(payload.size()));
   Put(&out, Crc32(payload.data(), payload.size()));
   return out + payload;
@@ -484,6 +506,115 @@ TEST(FormatMutationTest, V5ParticleRunsRejectNonCanonicalBlocks) {
     EXPECT_NE(status.message().find("reader particle"), std::string::npos)
         << status.message();
   }
+}
+
+/// A one-object snapshot over 12 readers with `records` pending and the
+/// object lagging `lag` of them.
+std::string WithRemaps(
+    const std::vector<std::pair<int64_t, std::vector<uint64_t>>>& records,
+    uint32_t lag, uint64_t readers = 12) {
+  const Vec3 a{1.5, 1.0, 0.0};
+  return HandBuiltSnapshot(
+      readers, 2,
+      ParticleRun(a, {{0, 0.5}, {readers - 1, 0.5}}, IndexWidth(readers)),
+      RemapBlock(readers, records, {lag}));
+}
+
+TEST(FormatMutationTest, V6PendingRemapsRoundTrip) {
+  // One or two pending records at the u8 and u16 reader-index widths, the
+  // object lagging all of them: each loads with the same pending remaps
+  // and re-saves to itself.
+  for (uint64_t readers : {12, 300}) {
+    for (uint32_t lag : {1u, 2u}) {
+      SCOPED_TRACE(testing::Message() << readers << " readers, lag " << lag);
+      std::vector<std::pair<int64_t, std::vector<uint64_t>>> records;
+      if (lag == 2) records.emplace_back(0, Ancestors(readers));
+      records.emplace_back(2, Ancestors(readers));
+      const std::string bytes = WithRemaps(records, lag, readers);
+      std::stringstream in(bytes);
+      FactoredFilterConfig config = FilterConfig();
+      config.num_reader_particles = static_cast<int>(readers);
+      FactoredParticleFilter filter(MakeLineWorld(), config);
+      ASSERT_TRUE(LoadFilterSnapshot(in, &filter).ok());
+      EXPECT_EQ(filter.pending_remaps(), lag);
+      EXPECT_EQ(filter.RemapLag(filter.object_states()[0]), lag);
+      std::stringstream out;
+      ASSERT_TRUE(SaveFilterSnapshot(filter, out).ok());
+      EXPECT_EQ(out.str(), bytes);
+    }
+  }
+}
+
+TEST(FormatMutationTest, V6PendingRemapsRejectNonCanonicalBlocks) {
+  const std::vector<uint64_t> anc = Ancestors(12);
+  std::vector<uint64_t> past_count = anc, past_u8 = anc;
+  past_count[5] = 12;
+  past_u8[5] = 255;
+  std::vector<std::pair<int64_t, std::vector<uint64_t>>> at_cap;
+  for (int64_t step = 0; step < 32; ++step) at_cap.emplace_back(step, anc);
+  const Vec3 a{1.5, 1.0, 0.0};
+  const struct {
+    const char* what;
+    std::string bytes;
+    const char* message;
+  } kCases[] = {
+      {"lag past the record count", WithRemaps({{0, anc}}, 2), "lags past"},
+      {"a record no slot needs", WithRemaps({{0, anc}, {2, anc}}, 1),
+       "no slot needs"},
+      {"no slot lags", WithRemaps({{0, anc}}, 0), "no slot needs"},
+      {"repeated step", WithRemaps({{1, anc}, {1, anc}}, 2), "out of order"},
+      {"decreasing steps", WithRemaps({{2, anc}, {1, anc}}, 2),
+       "out of order"},
+      {"step at the snapshot's step", WithRemaps({{3, anc}}, 1),
+       "out of order"},
+      {"negative step", WithRemaps({{-1, anc}}, 1), "out of order"},
+      {"ancestor = reader count", WithRemaps({{0, past_count}}, 1),
+       "invalid reader"},
+      {"ancestor 255, u8", WithRemaps({{0, past_u8}}, 1), "invalid reader"},
+      {"as many records as the history cap", WithRemaps(at_cap, 32),
+       "history cap"},
+      {"a slot without particles lags",
+       HandBuiltSnapshot(12, 0, "", RemapBlock(12, {{0, anc}}, {1})),
+       "without particles"},
+  };
+  for (const auto& c : kCases) {
+    std::string resaved;
+    const Status status = LoadHandBuilt(c.bytes, &resaved);
+    EXPECT_FALSE(status.ok()) << c.what;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.what;
+    EXPECT_NE(status.message().find(c.message), std::string::npos)
+        << c.what << ": " << status.message();
+  }
+
+  // Lags cut short: the lag of the one object is missing.
+  std::string remaps = RemapBlock(12, {{0, anc}}, {});
+  const std::string truncated = HandBuiltSnapshot(
+      12, 2, ParticleRun(a, {{0, 0.5}, {11, 0.5}}, 1), remaps);
+  std::string resaved;
+  EXPECT_FALSE(LoadHandBuilt(truncated, &resaved).ok());
+}
+
+TEST(FormatMutationTest, FilterSnapshot) {
+  // The live scans hold at most one pending record; the hand-built base
+  // holds two, with the object lagging both, so the sweep mutates remap
+  // records and lags too.
+  const Vec3 a{1.5, 1.0, 0.0}, b{1.5, 1.25, 0.0};
+  const std::string pending = HandBuiltSnapshot(
+      12, 3,
+      ParticleRun(a, {{0, 0.25}, {11, 0.25}}, 1) +
+          ParticleRun(b, {{1, 0.5}}, 1),
+      RemapBlock(12, {{0, Ancestors(12)}, {2, Ancestors(12)}}, {2}));
+  Sweep("filter snapshot",
+        {FilterSnapshotAfter(40), FilterSnapshotAfter(110), pending}, 101,
+        [](const std::string& bytes, std::string* resaved) {
+          std::stringstream in(bytes);
+          FactoredParticleFilter filter(MakeLineWorld(), FilterConfig());
+          RFID_RETURN_NOT_OK(LoadFilterSnapshot(in, &filter));
+          std::stringstream out;
+          RFID_RETURN_NOT_OK(SaveFilterSnapshot(filter, out));
+          *resaved = out.str();
+          return Status::OK();
+        });
 }
 
 // ------------------------------------------------------ site checkpoint ---
@@ -644,6 +775,205 @@ TEST_F(FileFormatMutationTest, DeadLetterSpill) {
           *resaved = Slurp(again);
           return Status::OK();
         });
+}
+
+// ------------------------------------------------------------ trace CSVs ---
+//
+// The trace CSVs are text, so their mutations work on cells and lines:
+// byte flips into the characters numbers are made of, truncations, lines
+// dropped or repeated, splices, and cells replaced by the tokens a reader
+// must judge (non-finite numbers, signed, spaced or overflowing tags, hex,
+// exponents, empty cells). Each case must be rejected, or read back —
+// written and read again — to bit-equal values.
+
+const char* const kCsvTokens[] = {
+    "nan", "-inf", "inf", "1e400", "1e-400", "-1", "+5", " 5", "5 ", "0x1p3",
+    "4294967295", "4294967296", "", "-0", "007", "1.5e3", ".5", "5.",
+    "2.2250738585072014e-308", "4.9e-324", "1,2", "\r"};
+
+class CsvMutator {
+ public:
+  CsvMutator(std::vector<std::string> originals, uint64_t seed)
+      : originals_(std::move(originals)), rng_(seed) {}
+
+  std::string Next(int i) {
+    std::string out = Pick();
+    switch (i % 5) {
+      case 0: {  // Flips into the characters a row is made of.
+        static const char kChars[] = "0123456789.,-+eEnaifx \n";
+        for (int k = 0, n = 1 + static_cast<int>(rng_.UniformInt(3)); k < n;
+             ++k) {
+          out[rng_.UniformInt(out.size())] =
+              kChars[rng_.UniformInt(sizeof(kChars) - 1)];
+        }
+        return out;
+      }
+      case 1:  // Truncation.
+        out.resize(rng_.UniformInt(out.size()));
+        return out;
+      case 2: {  // A line dropped or repeated.
+        std::vector<std::string> lines = Lines(out);
+        const size_t at = rng_.UniformInt(lines.size());
+        if (rng_.UniformInt(2) == 0) {
+          lines.erase(lines.begin() + static_cast<long>(at));
+        } else {
+          lines.insert(lines.begin() + static_cast<long>(at), lines[at]);
+        }
+        return Join(lines);
+      }
+      case 3: {  // Splice.
+        const std::string& other = Pick();
+        return out.substr(0, rng_.UniformInt(out.size() + 1)) +
+               other.substr(rng_.UniformInt(other.size() + 1));
+      }
+      default: {  // One cell replaced by a token.
+        std::vector<std::string> lines = Lines(out);
+        const size_t line = 1 + rng_.UniformInt(lines.size() - 1);
+        std::vector<std::string> cells;
+        std::stringstream split(lines[line]);
+        for (std::string c; std::getline(split, c, ',');) cells.push_back(c);
+        if (cells.empty()) cells.emplace_back();
+        cells[rng_.UniformInt(cells.size())] = kCsvTokens[rng_.UniformInt(
+            sizeof(kCsvTokens) / sizeof(kCsvTokens[0]))];
+        lines[line] = cells[0];
+        for (size_t k = 1; k < cells.size(); ++k) lines[line] += "," + cells[k];
+        return Join(lines);
+      }
+    }
+  }
+
+ private:
+  const std::string& Pick() {
+    return originals_[rng_.UniformInt(originals_.size())];
+  }
+  static std::vector<std::string> Lines(const std::string& text) {
+    std::vector<std::string> lines;
+    std::stringstream ss(text);
+    for (std::string line; std::getline(ss, line);) lines.push_back(line);
+    return lines;
+  }
+  static std::string Join(const std::vector<std::string>& lines) {
+    std::string out;
+    for (const std::string& line : lines) out += line + "\n";
+    return out;
+  }
+
+  std::vector<std::string> originals_;
+  Rng rng_;
+};
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool SameReadings(const std::vector<TagReading>& a,
+                  const std::vector<TagReading>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!SameBits(a[i].time, b[i].time) || a[i].tag != b[i].tag) return false;
+  }
+  return true;
+}
+
+bool SameReports(const std::vector<ReaderLocationReport>& a,
+                 const std::vector<ReaderLocationReport>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!SameBits(a[i].time, b[i].time) ||
+        !SameBits(a[i].location.x, b[i].location.x) ||
+        !SameBits(a[i].location.y, b[i].location.y) ||
+        !SameBits(a[i].location.z, b[i].location.z) ||
+        a[i].has_heading != b[i].has_heading ||
+        (a[i].has_heading && !SameBits(a[i].heading, b[i].heading))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Sweeps kCasesPerFormat mutations of `originals` through a CSV reader:
+/// each must fail, or write and read back to bit-equal values.
+template <typename Row>
+void SweepCsv(
+    const char* format, std::vector<std::string> originals, uint64_t seed,
+    const std::function<Result<std::vector<Row>>(std::istream&)>& read,
+    const std::function<Status(const std::vector<Row>&, std::ostream&)>& write,
+    const std::function<bool(const std::vector<Row>&,
+                             const std::vector<Row>&)>& same) {
+  CsvMutator mutator(originals, seed);
+  int rejected = 0, accepted = 0, reported = 0;
+  for (int i = 0; i < kCasesPerFormat; ++i) {
+    std::stringstream in(mutator.Next(i));
+    const auto rows = read(in);
+    if (!rows.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    std::stringstream written;
+    ASSERT_TRUE(write(rows.value(), written).ok());
+    const auto again = read(written);
+    if (!again.ok() || !same(rows.value(), again.value())) {
+      if (++reported <= 5) {
+        ADD_FAILURE() << format << " case " << i << " (kind " << i % 5
+                      << ") loaded but did not read back bit-equal";
+      }
+    }
+  }
+  EXPECT_EQ(reported, 0) << format;
+  EXPECT_GT(rejected, kCasesPerFormat / 10) << format;
+  EXPECT_GT(accepted, kCasesPerFormat / 10) << format;
+}
+
+TEST(FormatMutationTest, ReadingsCsv) {
+  std::vector<std::string> originals;
+  Rng rng(505);
+  for (int count : {12, 40}) {
+    std::vector<TagReading> readings;
+    double time = 0.0;
+    for (int i = 0; i < count; ++i) {
+      time += rng.NextDouble();
+      readings.push_back(
+          {time, static_cast<TagId>(rng.UniformInt(uint64_t{1} << 32))});
+    }
+    std::stringstream ss;
+    ASSERT_TRUE(WriteReadingsCsv(readings, ss).ok());
+    originals.push_back(ss.str());
+  }
+  SweepCsv<TagReading>(
+      "readings CSV", originals, 505,
+      [](std::istream& is) { return ReadReadingsCsv(is); },
+      [](const std::vector<TagReading>& rows, std::ostream& os) {
+        return WriteReadingsCsv(rows, os);
+      },
+      SameReadings);
+}
+
+TEST(FormatMutationTest, LocationsCsv) {
+  std::vector<std::string> originals;
+  Rng rng(606);
+  for (int count : {12, 40}) {
+    std::vector<ReaderLocationReport> reports;
+    for (int i = 0; i < count; ++i) {
+      ReaderLocationReport r;
+      r.time = 0.5 * i + 1e-3 * rng.NextDouble();
+      r.location = {rng.Gaussian(0.0, 10.0), rng.Gaussian(0.0, 10.0),
+                    rng.Gaussian(0.0, 0.1)};
+      r.has_heading = i % 3 != 0;
+      r.heading = r.has_heading ? rng.Uniform(-M_PI, M_PI) : 0.0;
+      reports.push_back(r);
+    }
+    std::stringstream ss;
+    ASSERT_TRUE(WriteLocationsCsv(reports, ss).ok());
+    originals.push_back(ss.str());
+  }
+  SweepCsv<ReaderLocationReport>(
+      "locations CSV", originals, 606,
+      [](std::istream& is) { return ReadLocationsCsv(is); },
+      [](const std::vector<ReaderLocationReport>& rows, std::ostream& os) {
+        return WriteLocationsCsv(rows, os);
+      },
+      SameReports);
 }
 
 }  // namespace

@@ -3,11 +3,19 @@
 // Each scenario runs the engine over a fixed trace with compression and
 // hibernation on, then folds everything a caller can observe into one
 // FNV-1a 64 value: the emitted event stream, the reader estimate, every
-// tag's EstimateObject (mean, variance, support), particle_updates() and the
-// compressed / hibernated object counts. The expected constants are pinned
-// bit for bit. They hold at one thread and at four, so this is also the
-// reference for the determinism contract: every per-object update draws
-// from its (seed, slot, step) stream, whichever lane runs it.
+// tag's EstimateObject (mean, variance, support), particle_updates(),
+// remap_resolves() and the compressed / hibernated object counts. The
+// expected constants are pinned bit for bit. They hold at one thread and at
+// four, so this is also the reference for the determinism contract: every
+// per-object update draws from its (seed, slot, step) stream, whichever
+// lane runs it. Because remap_resolves() is folded in, a change in how much
+// remap work the filter does fails here by equality.
+//
+// Attachments advance only at the filter's own sync points, so reading the
+// filter must not change what it computes: the same constants hold when
+// every epoch is followed by estimates of every tag, FindObject,
+// object_states() and a snapshot save/load round trip of the running
+// filter.
 //
 // A change that moves a constant changes what the filter computes. Re-pin
 // only when that is the intent, and say why in the change description.
@@ -18,6 +26,7 @@
 #include <functional>
 #include <ios>
 #include <memory>
+#include <sstream>
 #include <type_traits>
 #include <vector>
 
@@ -26,6 +35,7 @@
 #include "model/cone_sensor.h"
 #include "model/spherical_sensor.h"
 #include "pf/factored_filter.h"
+#include "pf/snapshot.h"
 #include "sim/lab.h"
 #include "sim/trace.h"
 #include "sim/warehouse.h"
@@ -135,22 +145,50 @@ Scenario WarehouseScenario() {
   return s;
 }
 
-/// Runs the engine over the scenario and digests its observable output.
-uint64_t RunDigest(const Scenario& s, int num_threads) {
+/// Every read a caller can make of the running filter, then a snapshot
+/// round trip that replaces it with its own restored copy. Returns the
+/// remap records the snapshot carried.
+size_t ReadEverything(const Scenario& s, FactoredParticleFilter* filter) {
+  Fnv1a64 sink;
+  for (TagId tag : s.tags) {
+    if (const auto est = filter->EstimateObject(tag)) sink.Add(est->mean);
+    if (const auto* state = filter->FindObject(tag)) {
+      sink.Pod(state->particles.size());
+    }
+  }
+  for (const auto& state : filter->object_states()) {
+    sink.Pod(filter->RemapLag(state));
+  }
+  std::stringstream snapshot;
+  EXPECT_TRUE(SaveFilterSnapshot(*filter, snapshot).ok());
+  const size_t pending = filter->pending_remaps();
+  EXPECT_TRUE(LoadFilterSnapshot(snapshot, filter).ok());
+  EXPECT_EQ(filter->pending_remaps(), pending);
+  return pending;
+}
+
+/// Runs the engine over the scenario and digests its observable output;
+/// with `read_every_epoch`, ReadEverything() runs after every epoch.
+uint64_t RunDigest(const Scenario& s, int num_threads,
+                   bool read_every_epoch = false) {
   EngineConfig c;
   c.factored = s.config;
   c.factored.num_threads = num_threads;
   c.emitter.delay_seconds = 2.0;
   auto engine = RfidInferenceEngine::Create(s.make_model(), c);
   EXPECT_TRUE(engine.ok());
-  const auto& filter =
-      dynamic_cast<const FactoredParticleFilter&>(engine.value()->filter());
+  auto& filter =
+      dynamic_cast<FactoredParticleFilter&>(engine.value()->mutable_filter());
   Fnv1a64 h;
   size_t events = 0;
   bool reached_compressed = false;
+  size_t restored_with_pending = 0;
   for (const SyncedEpoch& epoch : s.epochs) {
     engine.value()->ProcessEpoch(epoch);
     reached_compressed |= filter.NumCompressedObjects() > 0;
+    if (read_every_epoch && ReadEverything(s, &filter) > 0) {
+      ++restored_with_pending;
+    }
     for (const LocationEvent& ev : engine.value()->TakeEvents()) {
       h.Pod(ev.time);
       h.Pod(ev.tag);
@@ -168,6 +206,12 @@ uint64_t RunDigest(const Scenario& s, int num_threads) {
   EXPECT_GT(events, 0u);
   EXPECT_TRUE(reached_compressed);
   EXPECT_GT(filter.NumHibernatedObjects(), 0u);
+  EXPECT_GT(filter.remap_resolves(), 0u);
+  // A good share of the restores must carry pending remaps, or the round
+  // trip proves little about them.
+  if (read_every_epoch) {
+    EXPECT_GT(restored_with_pending * 4, s.epochs.size());
+  }
 
   const ReaderEstimate reader = filter.EstimateReader();
   h.Add(reader.mean);
@@ -182,13 +226,14 @@ uint64_t RunDigest(const Scenario& s, int num_threads) {
     h.Pod(est->support);
   }
   h.Pod(filter.particle_updates());
+  h.Pod(filter.remap_resolves());
   h.Pod(filter.NumCompressedObjects());
   h.Pod(filter.NumHibernatedObjects());
   return h.value();
 }
 
-constexpr uint64_t kLabGolden = 0x226e45b45a05638cULL;
-constexpr uint64_t kWarehouseGolden = 0x2cd47fc358d4eb5eULL;
+constexpr uint64_t kLabGolden = 0xe11aee42e60f2b4cULL;
+constexpr uint64_t kWarehouseGolden = 0xeae0dcf03d3da3ebULL;
 
 TEST(GoldenDigestTest, LabTrace200Epochs) {
   const Scenario s = LabScenario();
@@ -205,6 +250,24 @@ TEST(GoldenDigestTest, GeneratedWarehouseTrace) {
     const uint64_t digest = RunDigest(s, threads);
     EXPECT_EQ(digest, kWarehouseGolden)
         << "threads=" << threads << " digest=0x" << std::hex << digest;
+  }
+}
+
+TEST(GoldenDigestTest, ReadsAndSnapshotRoundTripsDoNotPerturb) {
+  // Estimates, FindObject, object_states() and a save/load round trip of
+  // the running filter after every epoch: reads never advance attachments,
+  // and a filter restored from a snapshot holding pending remaps continues
+  // bit-identically, so both constants hold unchanged.
+  const Scenario lab = LabScenario();
+  const Scenario warehouse = WarehouseScenario();
+  for (int threads : {1, 4}) {
+    const uint64_t lab_digest = RunDigest(lab, threads, true);
+    EXPECT_EQ(lab_digest, kLabGolden)
+        << "threads=" << threads << " digest=0x" << std::hex << lab_digest;
+    const uint64_t warehouse_digest = RunDigest(warehouse, threads, true);
+    EXPECT_EQ(warehouse_digest, kWarehouseGolden)
+        << "threads=" << threads << " digest=0x" << std::hex
+        << warehouse_digest;
   }
 }
 

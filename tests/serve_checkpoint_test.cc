@@ -324,8 +324,10 @@ std::string WithoutWallClock(std::string bytes) {
 
 TEST_F(ServeCheckpointTest, StreamingWriterReproducesPinnedBytes) {
   // Size and CRC-32 of this scenario's site checkpoint, with the filter
-  // snapshot nested in its last section at v5. The same checkpoint with a
-  // v4 snapshot was 91,766 B (tests/fixtures/site_checkpoint_v4.bin).
+  // snapshot nested in its last section at v6. The same checkpoint was
+  // 91,766 B with a v4 snapshot (tests/fixtures/site_checkpoint_v4.bin)
+  // and 57,916 B with a v5 one (site_checkpoint_v5.bin); v6 adds the
+  // pending remap block.
   LabConfig lc;
   lc.seed = 505;
   lc.tags_per_row = 10;
@@ -340,21 +342,22 @@ TEST_F(ServeCheckpointTest, StreamingWriterReproducesPinnedBytes) {
   std::stringstream ss;
   ASSERT_TRUE(server.value()->FindSite(kSite)->SaveCheckpoint(ss).ok());
   const std::string bytes = WithoutWallClock(ss.str());
-  EXPECT_EQ(bytes.size(), 57916u);
-  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0x2F553AFAu);
+  EXPECT_EQ(bytes.size(), 58050u);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0x67A194F0u);
 }
 
-TEST_F(ServeCheckpointTest, LoadsCheckpointsWithV4Snapshots) {
+TEST_F(ServeCheckpointTest, LoadsCheckpointsWithV5Snapshots) {
   // The site checkpoint carries no version of its own for the snapshot it
-  // nests, so the previous release's files hold a v4 snapshot. This
+  // nests, so the previous release's files hold a v5 snapshot. This
   // scenario's checkpoint as that release wrote it (wall clock zeroed,
-  // pinned below) must restore exactly like the live v5 round trip: same
-  // estimates, the same events on the replayed tail, and a re-save that
-  // writes today's bytes.
-  const std::string v4 =
-      Slurp(std::string(RFID_TEST_FIXTURE_DIR) + "/site_checkpoint_v4.bin");
-  ASSERT_EQ(v4.size(), 91766u);
-  ASSERT_EQ(Crc32(v4.data(), v4.size()), 0xE94AA9E5u);
+  // pinned below) restores with no pending remaps and re-saves with a v6
+  // snapshot: the same checkpoint plus an empty remap block. A server
+  // restored from that re-save serves the tail exactly like the one
+  // restored from the v5 file.
+  const std::string v5 =
+      Slurp(std::string(RFID_TEST_FIXTURE_DIR) + "/site_checkpoint_v5.bin");
+  ASSERT_EQ(v5.size(), 57916u);
+  ASSERT_EQ(Crc32(v5.data(), v5.size()), 0x2F553AFAu);
 
   LabConfig lc;
   lc.seed = 505;
@@ -364,39 +367,45 @@ TEST_F(ServeCheckpointTest, LoadsCheckpointsWithV4Snapshots) {
   const std::vector<ServeRecord> head = LabRecords(lab.value(), 60);
   const std::vector<ServeRecord> all = LabRecords(lab.value(), 120);
   ASSERT_GT(all.size(), head.size());
-  // The fixture replaces the generation a real Checkpoint() wrote into a
-  // second directory, so both restores go through the manifest.
-  const std::string v4_dir = Dir() + "_v4";
+  // Each fixture replaces the generation a real Checkpoint() wrote, so
+  // both restores go through the manifest.
   CheckpointLabPrefix(lab.value(), 60, Dir());
-  CheckpointLabPrefix(lab.value(), 60, v4_dir);
-  Overwrite(SiteGenerationPath(v4_dir, kSite, 1), v4);
-
-  CollectedEvents from_v5_events, from_v4_events;
+  Overwrite(SiteGenerationPath(Dir(), kSite, 1), v5);
   auto from_v5 = MakeLabServer(lab.value());
-  auto from_v4 = MakeLabServer(lab.value());
   ASSERT_TRUE(from_v5.ok());
-  ASSERT_TRUE(from_v4.ok());
   ASSERT_TRUE(from_v5.value()->Restore(Dir()).ok());
-  ASSERT_TRUE(from_v4.value()->Restore(v4_dir).ok());
-  std::filesystem::remove_all(v4_dir);
-
   const SitePipeline* site_v5 = from_v5.value()->FindSite(kSite);
-  const SitePipeline* site_v4 = from_v4.value()->FindSite(kSite);
   ASSERT_NE(site_v5, nullptr);
-  ASSERT_NE(site_v4, nullptr);
-  std::stringstream resaved_v5, resaved_v4;
-  ASSERT_TRUE(site_v5->SaveCheckpoint(resaved_v5).ok());
-  ASSERT_TRUE(site_v4->SaveCheckpoint(resaved_v4).ok());
-  EXPECT_EQ(WithoutWallClock(resaved_v4.str()),
-            WithoutWallClock(resaved_v5.str()));
-  EXPECT_EQ(WithoutWallClock(resaved_v4.str()).size(), 57916u);
+  const auto& filter_v5 =
+      dynamic_cast<const FactoredParticleFilter&>(site_v5->engine().filter());
+  EXPECT_EQ(filter_v5.pending_remaps(), 0u);
+
+  std::stringstream resaved;
+  ASSERT_TRUE(site_v5->SaveCheckpoint(resaved).ok());
+  const std::string v6 = WithoutWallClock(resaved.str());
+  // An empty remap block: the u64 record count, a u32 lag per tracked
+  // object, the u64 resolve counter.
+  EXPECT_EQ(v6.size(), v5.size() + 2 * sizeof(uint64_t) +
+                           filter_v5.NumTrackedObjects() * sizeof(uint32_t));
+  const std::string v6_dir = Dir() + "_v6";
+  CheckpointLabPrefix(lab.value(), 60, v6_dir);
+  Overwrite(SiteGenerationPath(v6_dir, kSite, 1), v6);
+  auto from_v6 = MakeLabServer(lab.value());
+  ASSERT_TRUE(from_v6.ok());
+  ASSERT_TRUE(from_v6.value()->Restore(v6_dir).ok());
+  std::filesystem::remove_all(v6_dir);
+  const SitePipeline* site_v6 = from_v6.value()->FindSite(kSite);
+  ASSERT_NE(site_v6, nullptr);
+  std::stringstream resaved_v6;
+  ASSERT_TRUE(site_v6->SaveCheckpoint(resaved_v6).ok());
+  EXPECT_EQ(WithoutWallClock(resaved_v6.str()), v6);
 
   size_t estimated = 0;
   for (const ServeRecord& record : head) {
     if (record.kind != ServeRecord::Kind::kReading) continue;
     const TagId tag = record.reading.tag;
     const auto a = site_v5->engine().EstimateObject(tag);
-    const auto b = site_v4->engine().EstimateObject(tag);
+    const auto b = site_v6->engine().EstimateObject(tag);
     ASSERT_EQ(a.has_value(), b.has_value()) << "tag " << tag;
     if (!a) continue;
     ++estimated;
@@ -405,21 +414,47 @@ TEST_F(ServeCheckpointTest, LoadsCheckpointsWithV4Snapshots) {
     EXPECT_EQ(a->support, b->support) << "tag " << tag;
   }
   EXPECT_GT(estimated, 0u);
-  EXPECT_EQ(site_v5->engine().EstimateReader().mean,
-            site_v4->engine().EstimateReader().mean);
 
+  CollectedEvents from_v5_events, from_v6_events;
   from_v5.value()->bus().SubscribeEvents(from_v5_events.Callback());
-  from_v4.value()->bus().SubscribeEvents(from_v4_events.Callback());
+  from_v6.value()->bus().SubscribeEvents(from_v6_events.Callback());
   for (size_t i = head.size(); i < all.size(); ++i) {
     ASSERT_TRUE(from_v5.value()->Ingest(all[i]));
-    ASSERT_TRUE(from_v4.value()->Ingest(all[i]));
+    ASSERT_TRUE(from_v6.value()->Ingest(all[i]));
   }
-  for (auto* server : {&from_v5, &from_v4}) {
+  for (auto* server : {&from_v5, &from_v6}) {
     server->value()->Pump();
     server->value()->Flush();
   }
   ASSERT_GT(from_v5_events.events.size(), 0u);
-  ExpectBitIdentical(from_v5_events.events, from_v4_events.events);
+  ExpectBitIdentical(from_v5_events.events, from_v6_events.events);
+}
+
+TEST_F(ServeCheckpointTest, RejectsCheckpointsWithV4Snapshots) {
+  // A v4 site checkpoint is still inside its own v3–v4 window, but the v4
+  // snapshot nested in the release-before-last's files is outside the
+  // snapshot's one-back window: the restore fails naming the snapshot
+  // version and the oldest loadable one.
+  const std::string v4 =
+      Slurp(std::string(RFID_TEST_FIXTURE_DIR) + "/site_checkpoint_v4.bin");
+  ASSERT_EQ(v4.size(), 91766u);
+  ASSERT_EQ(Crc32(v4.data(), v4.size()), 0xE94AA9E5u);
+  LabConfig lc;
+  lc.seed = 505;
+  lc.tags_per_row = 10;
+  const auto lab = BuildLabDeployment(lc);
+  ASSERT_TRUE(lab.ok());
+  CheckpointLabPrefix(lab.value(), 60, Dir());
+  Overwrite(SiteGenerationPath(Dir(), kSite, 1), v4);
+  auto server = MakeLabServer(lab.value());
+  ASSERT_TRUE(server.ok());
+  const Status status = server.value()->Restore(Dir());
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("unsupported snapshot version 4"),
+            std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("oldest loadable is v5"), std::string::npos)
+      << status.message();
 }
 
 TEST_F(ServeCheckpointTest, RejectsV2CheckpointsOutsideTheWindow) {

@@ -130,26 +130,34 @@ TEST(SnapshotTest, RestoredFilterReplaysBitIdentically) {
     }
   };
 
+  // Cut right after a reader resample (epoch 60), before any slot has
+  // resolved it.
+  constexpr int kCut = 61;
   FactoredParticleFilter uninterrupted(MakeLineWorld(), Config());
   Rng trace_rng_a(21);
-  feed(&uninterrupted, &trace_rng_a, 0, 60);
+  feed(&uninterrupted, &trace_rng_a, 0, kCut);
 
+  // The snapshot carries reader remaps some slots have not resolved yet;
+  // the restored filter must resolve them exactly where the uninterrupted
+  // one does.
+  ASSERT_GT(uninterrupted.pending_remaps(), 0u);
   std::stringstream ss;
   ASSERT_TRUE(SaveFilterSnapshot(uninterrupted, ss).ok());
   FactoredParticleFilter restored(MakeLineWorld(), Config());
   ASSERT_TRUE(LoadFilterSnapshot(ss, &restored).ok());
+  EXPECT_EQ(restored.pending_remaps(), uninterrupted.pending_remaps());
 
-  // Same tail on both: advance a second trace RNG through the first 60
-  // epochs' draws, then regenerate identical readings for the tail.
+  // Same tail on both: advance a second trace RNG through the head's
+  // draws, then regenerate identical readings for the tail.
   Rng trace_rng_b(21);
-  for (int t = 0; t < 60; ++t) {
+  for (int t = 0; t < kCut; ++t) {
     const double y = 0.1 * t;
     const Pose pose({0.0, y, 0.0}, 0.0);
     (void)trace_rng_b.Bernoulli(sensor.ProbReadAt(pose, obj_a));
     (void)trace_rng_b.Bernoulli(sensor.ProbReadAt(pose, obj_b));
   }
-  feed(&uninterrupted, &trace_rng_a, 60, 110);
-  feed(&restored, &trace_rng_b, 60, 110);
+  feed(&uninterrupted, &trace_rng_a, kCut, 110);
+  feed(&restored, &trace_rng_b, kCut, 110);
 
   for (TagId tag : {1000u, 1001u}) {
     const auto a = uninterrupted.EstimateObject(tag);
@@ -163,6 +171,7 @@ TEST(SnapshotTest, RestoredFilterReplaysBitIdentically) {
   EXPECT_EQ(uninterrupted.EstimateReader().mean,
             restored.EstimateReader().mean);
   EXPECT_EQ(uninterrupted.particle_updates(), restored.particle_updates());
+  EXPECT_EQ(uninterrupted.remap_resolves(), restored.remap_resolves());
 }
 
 FactoredFilterConfig HibernatingConfig() {
@@ -210,18 +219,26 @@ void ExpectOutsideTheWindow(const std::string& bytes, int version) {
                                   std::to_string(version)),
             std::string::npos)
       << status.message();
-  EXPECT_NE(status.message().find("oldest loadable is v4"), std::string::npos)
+  EXPECT_NE(status.message().find("oldest loadable is v5"), std::string::npos)
       << status.message();
   // The filter must be untouched by the rejected load.
   EXPECT_EQ(filter.current_step(), 0);
   EXPECT_EQ(filter.NumTrackedObjects(), 0u);
 }
 
+TEST(SnapshotTest, RejectsV4SnapshotsOutsideTheWindow) {
+  // v4 fell out of the one-back load window when v6 became the writer (its
+  // 36-byte particle layout is gone). The rejection must be explicit and
+  // name the oldest loadable version — a generic "bad file" error would
+  // read as corruption, not deprecation.
+  for (const char* fixture : {"snapshot_v4.bin", "snapshot_v4_distinct_40.bin",
+                              "snapshot_v4_distinct_257.bin"}) {
+    SCOPED_TRACE(fixture);
+    ExpectOutsideTheWindow(Fixture(fixture), 4);
+  }
+}
+
 TEST(SnapshotTest, RejectsV3SnapshotsOutsideTheWindow) {
-  // v3 fell out of the one-back load window when v5 became the writer (its
-  // unframed body path is gone). The rejection must be explicit and name
-  // the oldest loadable version — a generic "bad file" error would read as
-  // corruption, not deprecation.
   ExpectOutsideTheWindow(Fixture("snapshot_v3.bin"), 3);
 }
 
@@ -236,6 +253,8 @@ void ExpectSameEstimates(const FactoredParticleFilter& a,
   EXPECT_EQ(a.NumTrackedObjects(), b.NumTrackedObjects());
   EXPECT_EQ(a.NumCompressedObjects(), b.NumCompressedObjects());
   EXPECT_EQ(a.particle_updates(), b.particle_updates());
+  EXPECT_EQ(a.remap_resolves(), b.remap_resolves());
+  EXPECT_EQ(a.pending_remaps(), b.pending_remaps());
   for (const auto& state : a.object_states()) {
     const auto ea = a.EstimateObject(state.tag);
     const auto eb = b.EstimateObject(state.tag);
@@ -248,44 +267,80 @@ void ExpectSameEstimates(const FactoredParticleFilter& a,
   EXPECT_EQ(a.EstimateReader().mean, b.EstimateReader().mean);
 }
 
-TEST(SnapshotTest, LoadsV4Snapshots) {
-  // The one-back window: the previous release's v4 bytes of Drive()'s
-  // filter (recorded by it, pinned below) must load into today's filter
-  // exactly as the live v5 round trip does, and re-save as today's bytes.
-  const std::string v4 = Fixture("snapshot_v4.bin");
-  ASSERT_EQ(v4.size(), 8506u);
-  ASSERT_EQ(Crc32(v4.data(), v4.size()), 0xC6533784u);
+/// The v6 bytes a v5 snapshot re-saves to: the same body, version 6, and
+/// an empty remap block (no records, every slot's lag 0, no resolves).
+std::string AsV6WithoutPendingRemaps(std::string v5, size_t states) {
+  const uint32_t version = 6;
+  std::memcpy(&v5[8], &version, sizeof(version));
+  v5.append(sizeof(uint64_t) + states * sizeof(uint32_t) + sizeof(uint64_t),
+            '\0');
+  const uint64_t length = v5.size() - 24;
+  std::memcpy(&v5[12], &length, sizeof(length));
+  const uint32_t crc = Crc32(v5.data() + 24, length);
+  std::memcpy(&v5[20], &crc, sizeof(crc));
+  return v5;
+}
 
-  FactoredParticleFilter original(MakeLineWorld(), Config());
-  Drive(&original);
-  std::stringstream v5;
-  ASSERT_TRUE(SaveFilterSnapshot(original, v5).ok());
+TEST(SnapshotTest, LoadsV5Snapshots) {
+  // The one-back window: the previous release's v5 bytes of Drive()'s
+  // filter (recorded by it, pinned below) load with no pending remaps — v5
+  // saves resolved them — and re-save as the same body plus an empty remap
+  // block. The migrated filter then runs on exactly like the original.
+  const std::string v5 = Fixture("snapshot_v5.bin");
+  ASSERT_EQ(v5.size(), 4781u);
+  ASSERT_EQ(Crc32(v5.data(), v5.size()), 0x6256A763u);
 
-  std::stringstream v4_in(v4);
-  FactoredParticleFilter from_v4(MakeLineWorld(), Config());
-  ASSERT_TRUE(LoadFilterSnapshot(v4_in, &from_v4).ok());
+  std::stringstream v5_in(v5);
   FactoredParticleFilter from_v5(MakeLineWorld(), Config());
-  ASSERT_TRUE(LoadFilterSnapshot(v5, &from_v5).ok());
-  ExpectSameEstimates(from_v5, from_v4);
-  ExpectSameEstimates(original, from_v4);
+  ASSERT_TRUE(LoadFilterSnapshot(v5_in, &from_v5).ok());
+  EXPECT_EQ(from_v5.pending_remaps(), 0u);
+  EXPECT_EQ(from_v5.current_step(), 110);
 
   std::stringstream resaved;
-  ASSERT_TRUE(SaveFilterSnapshot(from_v4, resaved).ok());
-  EXPECT_EQ(resaved.str(), v5.str());
+  ASSERT_TRUE(SaveFilterSnapshot(from_v5, resaved).ok());
+  const std::string v6 = resaved.str();
+  EXPECT_EQ(v6, AsV6WithoutPendingRemaps(v5, from_v5.NumTrackedObjects()));
+
+  // At a lag of one the collapsed draw is the per-record one
+  // (CompositeRemapTest.LagOneDrawsAreThePerRecordReplays), and this scan
+  // keeps at most one record pending, so today's Drive() reaches exactly
+  // the state the v5 file holds: its v6 bytes differ from the migrated
+  // ones only in the trailing resolve counter (and so the CRC).
+  FactoredParticleFilter original(MakeLineWorld(), Config());
+  Drive(&original);
+  std::stringstream live;
+  ASSERT_TRUE(SaveFilterSnapshot(original, live).ok());
+  const std::string live_bytes = live.str();
+  ASSERT_EQ(live_bytes.size(), v6.size());
+  constexpr size_t kPayload = 24;  // Header, then the frame's length + CRC.
+  const size_t compared = v6.size() - kPayload - sizeof(uint64_t);
+  EXPECT_EQ(live_bytes.compare(kPayload, compared, v6, kPayload, compared), 0);
+  EXPECT_GT(original.remap_resolves(), 0u);
+
+  std::stringstream v6_in(v6);
+  FactoredParticleFilter from_v6(MakeLineWorld(), Config());
+  ASSERT_TRUE(LoadFilterSnapshot(v6_in, &from_v6).ok());
+  ExpectSameEstimates(from_v5, from_v6);
+  for (int t = 110; t < 130; ++t) {
+    const SyncedEpoch epoch = MakeEpoch(t, 0.1 * t, {1001});
+    from_v5.ObserveEpoch(epoch);
+    from_v6.ObserveEpoch(epoch);
+  }
+  ExpectSameEstimates(from_v5, from_v6);
 }
 
 TEST(SnapshotTest, StreamingWriterReproducesPinnedBytes) {
-  // Size and CRC-32 of Drive()'s v5 snapshot. The v4 bytes of the same
-  // filter (tests/fixtures/snapshot_v4.bin) were 8,506 B: its 150 active
-  // particles fall into 13 runs of bit-equal positions, so their block
-  // shrinks from 5,400 B to 1,675 B.
+  // Size and CRC-32 of Drive()'s v6 snapshot: its v5 bytes
+  // (tests/fixtures/snapshot_v5.bin, 4,781 B) plus the remap block — no
+  // record pending at the last epoch (an 8 B count and two 4 B lags) and
+  // the 8 B resolve counter.
   FactoredParticleFilter original(MakeLineWorld(), Config());
   Drive(&original);
   std::stringstream ss;
   ASSERT_TRUE(SaveFilterSnapshot(original, ss).ok());
   const std::string bytes = ss.str();
-  EXPECT_EQ(bytes.size(), 4781u);
-  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0x6256A763u);
+  EXPECT_EQ(bytes.size(), 4805u);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0x5BC96662u);
 }
 
 bool SameBits(const Vec3& a, const Vec3& b) {
@@ -305,62 +360,6 @@ void ExpectSameParticles(const FactoredParticleFilter& a,
       ASSERT_EQ(pa.ReaderIdxAt(k), pb.ReaderIdxAt(k));
       ASSERT_EQ(pa.WeightAt(k), pb.WeightAt(k));
     }
-  }
-}
-
-TEST(SnapshotTest, AllDistinctPositionsNeverGrowPastV4) {
-  // Worst case for the run coding: no two particles share a position, so
-  // every run holds one particle and costs 1 B of run length + 24 B of
-  // position + the reader index + 8 B of weight — 34 B (u8 index) or 35 B
-  // (u16) against v4's 36 B. The v4 bytes were recorded by the previous
-  // release from filters that never resample objects (threshold 0, 50
-  // particles per object), run for twenty epochs past two tags a foot
-  // apart.
-  struct Case {
-    int readers;
-    const char* fixture;
-    size_t v4_size;
-    uint32_t v4_crc;
-    size_t saved_per_particle;
-  };
-  for (const Case& c : {Case{40, "snapshot_v4_distinct_40.bin", 5770,
-                             0xAF830213u, 2},
-                        Case{257, "snapshot_v4_distinct_257.bin", 14450,
-                             0xF6A1D388u, 1}}) {
-    SCOPED_TRACE(c.readers);
-    const std::string v4 = Fixture(c.fixture);
-    ASSERT_EQ(v4.size(), c.v4_size);
-    ASSERT_EQ(Crc32(v4.data(), v4.size()), c.v4_crc);
-
-    FactoredFilterConfig config;
-    config.num_reader_particles = c.readers;
-    std::stringstream v4_in(v4);
-    FactoredParticleFilter from_v4(MakeLineWorld(), config);
-    ASSERT_TRUE(LoadFilterSnapshot(v4_in, &from_v4).ok());
-    size_t particles = 0;
-    for (const auto& state : from_v4.object_states()) {
-      for (size_t k = 1; k < state.particles.size(); ++k) {
-        for (size_t j = 0; j < k; ++j) {
-          ASSERT_FALSE(SameBits(state.particles.PositionAt(j),
-                                state.particles.PositionAt(k)));
-        }
-      }
-      particles += state.particles.size();
-    }
-    ASSERT_EQ(particles, 100u);
-
-    std::stringstream v5;
-    ASSERT_TRUE(SaveFilterSnapshot(from_v4, v5).ok());
-    const std::string v5_bytes = v5.str();
-    EXPECT_LE(v5_bytes.size(), v4.size());
-    EXPECT_EQ(v4.size() - v5_bytes.size(), c.saved_per_particle * particles);
-
-    FactoredParticleFilter from_v5(MakeLineWorld(), config);
-    ASSERT_TRUE(LoadFilterSnapshot(v5, &from_v5).ok());
-    ExpectSameParticles(from_v4, from_v5);
-    std::stringstream resaved;
-    ASSERT_TRUE(SaveFilterSnapshot(from_v5, resaved).ok());
-    EXPECT_EQ(resaved.str(), v5_bytes);
   }
 }
 
@@ -422,8 +421,8 @@ size_t FindBytes(const std::string& bytes, const T& value, size_t from = 0) {
 TEST(SnapshotTest, RejectsNonFiniteValues) {
   // A snapshot whose CRC was re-sealed over a NaN must not inject it into
   // the filter: reader poses and weights, particle positions and particle
-  // weights are validated, in both loadable layouts (v5 as written today,
-  // v4 as the previous release wrote Drive()'s filter).
+  // weights are validated, in both loadable layouts (v6 as written today,
+  // v5 as the previous release wrote Drive()'s filter).
   FactoredParticleFilter original(MakeLineWorld(), Config());
   Drive(&original);
   std::stringstream ss;
@@ -431,7 +430,7 @@ TEST(SnapshotTest, RejectsNonFiniteValues) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
 
-  for (const std::string& bytes : {ss.str(), Fixture("snapshot_v4.bin")}) {
+  for (const std::string& bytes : {ss.str(), Fixture("snapshot_v5.bin")}) {
     // Locate the fields by the values they decode to.
     std::stringstream in(bytes);
     FactoredParticleFilter loaded(MakeLineWorld(), Config());

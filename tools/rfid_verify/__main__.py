@@ -2,10 +2,9 @@
 """rfid-verify: call-graph-aware semantic linter for determinism, RNG-stream
 and serialization invariants.
 
-Where tools/lint_invariants.py matches file-local regexes, rfid-verify
-parses every first-party translation unit (enumerated from the build's
-compile_commands.json), builds a project-wide call graph, and enforces the
-repo's hardest invariants *by reachability*:
+rfid-verify parses every first-party translation unit (enumerated from the
+build's compile_commands.json), builds a project-wide call graph, and
+enforces the repo's hardest invariants *by reachability*:
 
   rng-discipline  every Rng construction/seed must flow from the
                   SlotStreamSeed/SlotStreamSeedAt/SplitMix64 chain; bare
@@ -31,6 +30,10 @@ mandatory, unused suppressions are errors):
 
     // RFID_VERIFY_ALLOW(ordered-emit): rows are sorted by site before emit
 
+--fast runs only the file-local comment-hygiene rules (fast.py: SAFETY
+justifications on thread-safety escapes, NOLINT and RFID_VERIFY_ALLOW
+reason formats) in well under a second, with no build tree and no parse.
+
 The frontend is the self-contained lexer/parser in this package: the CI and
 dev containers ship gcc without libclang, so rfid-verify depends on nothing
 beyond the Python stdlib. compile_commands.json still drives the TU list so
@@ -54,6 +57,7 @@ sys.path.insert(0, str(TOOL_DIR))
 
 import checks as checks_mod  # noqa: E402
 import config  # noqa: E402
+import fast  # noqa: E402
 import graph as graph_mod  # noqa: E402
 import lexer  # noqa: E402
 import parse as parse_mod  # noqa: E402
@@ -139,7 +143,11 @@ def main() -> int:
                     metavar="CHECK=N",
                     help="fail unless exactly N suppressions are in use")
     ap.add_argument("--verbose", action="store_true")
+    ap.add_argument("--fast", action="store_true",
+                    help="only the file-local comment-hygiene rules")
     args = ap.parse_args()
+    if args.fast:
+        return fast.run(REPO, (REPO / args.src_root).resolve())
 
     t0 = time.monotonic()
     active_checks = tuple(c.strip() for c in args.checks.split(",") if c)

@@ -32,8 +32,8 @@ ORDERED_EMIT_ROOTS = (
 # derivation helpers and the splitmix chain primitive.
 SEED_CHAIN_HELPERS = ("SlotStreamSeed", "SlotStreamSeedAt", "SplitMix64")
 
-# Files allowed to own nondeterminism primitives (mirrors the retired
-# lint_invariants allowlist): the deterministic RNG and the monotonic clock.
+# Files allowed to own nondeterminism primitives: the deterministic RNG and
+# the monotonic clock.
 NONDET_ALLOWED_FILES = ("util/rng.h", "util/stopwatch.h")
 
 # ---- format-window --------------------------------------------------------

@@ -1,32 +1,16 @@
-#!/usr/bin/env python3
-"""Fast escape-hatch accounting linter.
+"""--fast: the sub-second, file-local comment-hygiene rules.
 
-Sub-second, zero-dependency, file-local checks — the fast path of the
-repo's two-tier lint stack:
-
-  tools/lint_invariants.py   (this file) comment-hygiene rules that need no
-                             parsing: SAFETY justifications, NOLINT and
-                             RFID_VERIFY_ALLOW reason formats.
-  tools/rfid_verify/         the call-graph-aware semantic linter. Owns the
-                             invariants that need reachability: rng-stream
-                             discipline, ordered emission, lock-held IO and
-                             serialization format windows. The nondeterminism
-                             and unordered-emit regex checks that used to
-                             live here migrated there — rfid-verify sees
-                             every function reachable from an emit root, not
-                             just three hard-coded files.
-
-Enforced here:
+They need no parsing, so they run without a build tree:
 
 1. Escape-hatch accounting: every RFID_NO_THREAD_SAFETY_ANALYSIS outside
    the defining header needs a "// SAFETY:" justification comment within
    the preceding few lines, and every NOLINT must name a check and carry a
    reason ("NOLINT(check-name): why").
 
-2. RFID_VERIFY_ALLOW format: suppressions for rfid-verify must name a known
-   check and carry a reason ("// RFID_VERIFY_ALLOW(check): why"). The deep
-   linter re-validates (and rejects *unused* suppressions); this fast path
-   catches malformed ones without waiting for a full analysis.
+2. RFID_VERIFY_ALLOW format: suppressions must name a known check and carry
+   a reason ("// RFID_VERIFY_ALLOW(check): why"). The full analysis
+   re-validates them (and rejects *unused* ones); this pass catches
+   malformed ones without waiting for it.
 """
 
 from __future__ import annotations
@@ -35,10 +19,7 @@ import re
 import sys
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
-SRC = REPO / "src"
-
-# --- Invariant 1: escape-hatch accounting --------------------------------
+import config
 
 NO_TSA = "RFID_NO_THREAD_SAFETY_ANALYSIS"
 # The header that defines the macro (and documents the policy).
@@ -52,26 +33,20 @@ SAFETY_WINDOW = 12
 NOLINT_RE = re.compile(r"//\s*NOLINT(NEXTLINE)?\b(?P<rest>[^\n]*)")
 NOLINT_OK_RE = re.compile(r"^\([\w\-.,* ]+\)\s*:\s*\S")
 
-# --- Invariant 2: RFID_VERIFY_ALLOW format -------------------------------
-
-# Kept in sync with tools/rfid_verify/config.py CHECKS.
-VERIFY_CHECKS = {"rng-discipline", "ordered-emit", "lock-hold-io",
-                 "format-window"}
 ALLOW_RE = re.compile(r"RFID_VERIFY_ALLOW\b(?P<rest>[^\n]*)")
 ALLOW_OK_RE = re.compile(r"^\(\s*(?P<check>[\w-]+)\s*\)\s*:\s*\S")
 
 
 def strip_line_comments(line: str) -> str:
-    """Code part of a line (comments removed). Good enough for our
-    patterns; block comments spanning lines are rare in this tree and the
-    banned tokens never legitimately appear inside them anyway."""
+    """Code part of a line (comments removed). Good enough for these
+    patterns; block comments spanning lines are rare in this tree."""
     idx = line.find("//")
     return line[:idx] if idx >= 0 else line
 
 
-def lint_file(path: Path, findings: list[str]) -> int:
-    rel = path.relative_to(REPO).as_posix()
-    rel_src = path.relative_to(SRC).as_posix() if SRC in path.parents else rel
+def lint_file(path: Path, repo: Path, src: Path, findings: list) -> int:
+    rel = path.relative_to(repo).as_posix()
+    rel_src = path.relative_to(src).as_posix() if src in path.parents else rel
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError:
@@ -103,35 +78,34 @@ def lint_file(path: Path, findings: list[str]) -> int:
                 findings.append(
                     f"{rel}:{i}: RFID_VERIFY_ALLOW must name a check and a "
                     "reason: // RFID_VERIFY_ALLOW(check): why")
-            elif ok.group("check") not in VERIFY_CHECKS:
+            elif ok.group("check") not in config.CHECKS:
                 findings.append(
                     f"{rel}:{i}: RFID_VERIFY_ALLOW names unknown check "
                     f"'{ok.group('check')}' (known: "
-                    f"{', '.join(sorted(VERIFY_CHECKS))})")
+                    f"{', '.join(sorted(config.CHECKS))})")
     return escapes
 
 
-def main() -> int:
+def run(repo: Path, src: Path) -> int:
+    """Lints every source under `src`. Exit status: 0 clean, 1 findings,
+    2 no sources."""
     files = sorted(
-        p for p in SRC.rglob("*")
+        p for p in src.rglob("*")
         if p.suffix in {".h", ".cc", ".cpp", ".hpp"} and p.is_file())
     if not files:
-        print("lint_invariants: no sources found under src/", file=sys.stderr)
+        print("rfid-verify --fast: no sources found under src/",
+              file=sys.stderr)
         return 2
 
-    findings: list[str] = []
+    findings: list = []
     total_escapes = 0
     for path in files:
-        total_escapes += lint_file(path, findings)
+        total_escapes += lint_file(path, repo, src, findings)
 
     for finding in findings:
         print(finding)
     print(
-        f"lint_invariants: {len(files)} files, "
+        f"rfid-verify --fast: {len(files)} files, "
         f"{total_escapes} justified thread-safety escapes, "
         f"{len(findings)} findings")
     return 1 if findings else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
