@@ -52,18 +52,19 @@ int main() {
   std::printf("raw streams: %zu RFID readings, %zu location reports\n",
               readings.size(), reports.size());
 
-  // Online synchronization: push records in time order, poll for closed
-  // epochs, feed them to the engine immediately.
+  // Online synchronization: push records in time order, poll the watermark
+  // for closed epochs, feed them to the engine immediately.
   EngineConfig config;
   config.factored.seed = 55;
   config.emitter.delay_seconds = 45.0;
   auto engine = RfidInferenceEngine::Create(
       MakeWorldModel(layout.value(), sensor.Clone()), config);
 
-  StreamSynchronizer sync(/*epoch_seconds=*/1.0);
+  // Default config: 1 s epochs, records admitted in time order.
+  StreamSynchronizer sync;
   size_t r = 0, l = 0, epochs = 0, events = 0;
-  auto drain = [&](double now) {
-    for (const SyncedEpoch& epoch : sync.Poll(now)) {
+  auto process = [&](const std::vector<SyncedEpoch>& closed) {
+    for (const SyncedEpoch& epoch : closed) {
       engine.value()->ProcessEpoch(epoch);
       events += engine.value()->TakeEvents().size();
       ++epochs;
@@ -73,18 +74,13 @@ int main() {
     const double tr = r < readings.size() ? readings[r].time : 1e18;
     const double tl = l < reports.size() ? reports[l].time : 1e18;
     if (tr <= tl) {
-      drain(tr);
       sync.Push(readings[r++]);
     } else {
-      drain(tl);
       sync.Push(reports[l++]);
     }
+    process(sync.PollWatermark());
   }
-  for (const SyncedEpoch& epoch : sync.Finish()) {
-    engine.value()->ProcessEpoch(epoch);
-    events += engine.value()->TakeEvents().size();
-    ++epochs;
-  }
+  process(sync.Finish());
 
   ErrorStats err;
   const double end_time = trace.epochs.back().observations.time;

@@ -45,20 +45,8 @@ Status ValidateConfig(const EngineConfig& config) {
       return Status::Invalid(
           "min_object_particles must be in [0, num_object_particles]");
     }
-    if (f.elastic_resize_tolerance < 0) {
-      return Status::Invalid("elastic_resize_tolerance must be non-negative");
-    }
     if (f.compression.hibernate_after_epochs < 0) {
       return Status::Invalid("hibernate_after_epochs must be non-negative");
-    }
-    if (f.hibernate_neg_evidence_prob < 0 || f.hibernate_neg_evidence_prob > 1) {
-      return Status::Invalid(
-          "hibernate_neg_evidence_prob must be a probability");
-    }
-    if (f.reinit_keep_fraction < 0 ||
-        f.reinit_full_fraction < f.reinit_keep_fraction) {
-      return Status::Invalid(
-          "require 0 <= reinit_keep_fraction <= reinit_full_fraction");
     }
     if (f.num_threads < 1) {
       return Status::Invalid("factored.num_threads must be >= 1");

@@ -4,8 +4,11 @@
 
 namespace rfid {
 
-SensingRegionIndex::SensingRegionIndex(const SensingIndexConfig& config)
-    : config_(config), tree_(config.rtree_max_entries) {}
+namespace {
+/// Consecutive epoch boxes whose centers moved less than this fraction of
+/// the box radius merge into one entry.
+constexpr double kMergeDistanceFraction = 0.25;
+}  // namespace
 
 void SensingRegionIndex::Insert(const Aabb& box,
                                 const std::vector<uint32_t>& object_slots) {
@@ -13,7 +16,7 @@ void SensingRegionIndex::Insert(const Aabb& box,
     Entry& last = entries_[last_entry_];
     const Vec3 d = box.Center() - last.box.Center();
     const double radius = 0.5 * std::max({box.Extent().x, box.Extent().y, 1e-9});
-    if (d.Norm() < config_.merge_distance_fraction * radius) {
+    if (d.Norm() < kMergeDistanceFraction * radius) {
       // Merge into the previous entry: union the object sets. The entry box
       // stays as inserted into the tree (boxes this close are interchangeable
       // for probing; the small positional slack is covered by the overlap of
@@ -90,9 +93,7 @@ void SensingRegionIndex::Probe(const Aabb& box, ProbeScratch* scratch,
     // An aisle of parked tags: skip the whole entry on one cached test
     // instead of surfacing every hibernated slot to the filter's per-slot
     // revive check.
-    if (config_.skip_all_hibernated_entries && EntryAllHibernated(entry)) {
-      continue;
-    }
+    if (EntryAllHibernated(entry)) continue;
     for (uint32_t slot : entry.object_slots) {
       if (slot >= scratch->stamp.size()) scratch->stamp.resize(slot + 1, 0u);
       if (scratch->stamp[slot] == scratch->probe_id) continue;

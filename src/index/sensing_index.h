@@ -20,26 +20,12 @@
 
 namespace rfid {
 
-struct SensingIndexConfig {
-  /// Consecutive epoch boxes whose centers moved less than
-  /// merge_distance_fraction * box-radius are merged into one entry, keeping
-  /// the entry count proportional to path length instead of epoch count.
-  double merge_distance_fraction = 0.25;
-  int rtree_max_entries = 16;
-  /// Probes skip entries whose recorded slots are all hibernated (see
-  /// SetSlotHibernated): a reader passing an aisle of parked tags pays one
-  /// cached entry test instead of one revive check per tag per epoch. Slots
-  /// behind a skipped entry get no negative-evidence revive check until
-  /// some entry holding them wakes; reads (Case 1) always revive.
-  bool skip_all_hibernated_entries = true;
-};
-
 class SensingRegionIndex {
  public:
-  explicit SensingRegionIndex(const SensingIndexConfig& config = {});
-
   /// Records that the objects in `object_slots` were processed while the
-  /// sensing region covered `box`.
+  /// sensing region covered `box`. A box whose center lies within a quarter
+  /// box-radius of the previous entry's is merged into that entry, keeping
+  /// the entry count proportional to path length instead of epoch count.
   void Insert(const Aabb& box, const std::vector<uint32_t>& object_slots);
 
   /// Caller-provided probe buffers: the R*-tree hit list plus a per-slot
@@ -54,6 +40,11 @@ class SensingRegionIndex {
 
   /// Collects the deduplicated, sorted union of object slots recorded in
   /// boxes overlapping `box` (the Case-2 candidate set). Appends to `out`.
+  /// Entries whose recorded slots are all hibernated (SetSlotHibernated) are
+  /// skipped: a reader passing an aisle of parked tags pays one cached entry
+  /// test instead of one revive check per tag per epoch. Slots behind a
+  /// skipped entry get no negative-evidence revive check until some entry
+  /// holding them wakes; reads (Case 1) always revive.
   void Probe(const Aabb& box, ProbeScratch* scratch,
              std::vector<uint32_t>* out) const;
 
@@ -90,7 +81,6 @@ class SensingRegionIndex {
   /// until the next hibernation-state transition).
   bool EntryAllHibernated(const Entry& e) const;
 
-  SensingIndexConfig config_;
   RStarTree tree_;
   std::vector<Entry> entries_;
   int last_entry_ = -1;  ///< Candidate for merge with the next insert.

@@ -29,7 +29,7 @@ struct EpochStageTimings {
   uint64_t step = 0;         // filter step index after this epoch
   double epoch_time = 0.0;   // stream time of the epoch boundary
   double total = 0.0;        // whole ProcessEpoch for this epoch
-  double synchronize = 0.0;  // ingest-side Push/Poll attributed to the epoch
+  double synchronize = 0.0;  // ingest-side Push/PollWatermark for the epoch
   double weight = 0.0;       // reader+object weighting phases
   double resample = 0.0;     // reader resampling
   double remap = 0.0;        // lazy-remap replay inside attachment sync

@@ -10,8 +10,8 @@
 // longer collapse to the same Gaussian summary but are additionally removed
 // from the per-epoch sweep — no negative-evidence updates, no compression
 // re-fits — until their tag is read again or the negative evidence at their
-// summary mean is strong (see FactoredFilterConfig::hibernate_neg_evidence_
-// prob). Compression trades accuracy for memory; hibernation trades
+// summary mean is strong (kHibernateNegEvidenceProb in factored_filter.cc).
+// Compression trades accuracy for memory; hibernation trades
 // responsiveness for epoch cost, making per-site cost proportional to
 // *active* tags rather than tags ever seen.
 #pragma once

@@ -15,6 +15,41 @@ namespace {
 constexpr double kProbFloor = 1e-9;
 constexpr double kSupportFloor = 1e-12;
 
+/// Objects and readers resample once their effective sample size falls
+/// below this fraction of their particle count.
+constexpr double kObjectResampleThreshold = 0.5;
+constexpr double kReaderResampleThreshold = 0.5;
+
+/// Elastic hysteresis band: outside an ESS-triggered resample, an object is
+/// only resized when the spread-implied target deviates from the current
+/// count by more than this fraction. Resizing costs a resample, so drift
+/// within the band is left alone; when the ESS threshold forces a resample
+/// anyway, the resize is free and snaps straight to the target.
+constexpr double kElasticResizeTolerance = 0.25;
+
+/// Compressed Case-2 objects are revived for negative evidence only when the
+/// read probability at their mean exceeds this (otherwise the miss is
+/// uninformative and decompression would thrash).
+constexpr double kDecompressNegEvidenceProb = 0.1;
+/// The same gate for a hibernated tag, deliberately stricter: hibernation
+/// means "stop paying for this tag", so only a reading or a strong
+/// contradiction (the reader is parked where the tag supposedly sits, yet
+/// it stays silent) may wake it.
+constexpr double kHibernateNegEvidenceProb = 0.5;
+
+/// Re-initialization rules of §IV-A, as fractions of the sensor max range:
+/// observing an object from a reader position closer than
+/// kReinitKeepFraction * range to the previous observation position keeps
+/// the particles; at kReinitFullFraction * range or farther recreates them;
+/// in between, half are kept and half re-initialized.
+constexpr double kReinitKeepFraction = 0.75;
+constexpr double kReinitFullFraction = 2.0;
+
+/// Every this-many epochs, trim the particle-vector capacity of objects
+/// whose elastic budget left them far below their old high-water
+/// allocation; the sweep is off the hot path.
+constexpr int64_t kShrinkIntervalEpochs = 64;
+
 /// Salt separating the reader-repoint streams from the update streams.
 constexpr uint64_t kRepointSalt = 0x5bd1e995u;
 
@@ -29,11 +64,10 @@ FactoredParticleFilter::FactoredParticleFilter(
                    &model_.object_model().shelves()),
       compression_(config.compression),
       rng_(config.seed),
-      index_(config.index),
       pool_(config.num_threads) {
-  elastic_spread_full_ = config_.elastic_spread_full > 0.0
-                             ? config_.elastic_spread_full
-                             : model_.sensor().MaxRange();
+  // A belief as wide as the read range is maximally uncertain for this
+  // sensor.
+  elastic_spread_full_ = model_.sensor().MaxRange();
   if (!(elastic_spread_full_ > 0.0) || !std::isfinite(elastic_spread_full_)) {
     elastic_spread_full_ = 1.0;  // Unbounded sensor: any finite scale works.
   }
@@ -221,8 +255,8 @@ uint32_t FactoredParticleFilter::GetOrCreateSlot(TagId tag) {
   return slot;
 }
 
-void FactoredParticleFilter::InitializeObjectParticles(ObjectState* state,
-                                                       int count) {
+const std::vector<uint32_t>& FactoredParticleFilter::SampleAttachments(
+    size_t count) {
   scratch_weights_.resize(readers_.size());
   for (size_t j = 0; j < readers_.size(); ++j) {
     scratch_weights_[j] = readers_[j].weight;
@@ -231,12 +265,18 @@ void FactoredParticleFilter::InitializeObjectParticles(ObjectState* state,
   // to reader weight, so the implied joint matches the reader posterior.
   ResampleAncestors(scratch_weights_.data(), scratch_weights_.size(), count,
                     ResampleScheme::kSystematic, rng_, &scratch_ancestors_);
+  return scratch_ancestors_;
+}
+
+void FactoredParticleFilter::InitializeObjectParticles(ObjectState* state,
+                                                       int count) {
+  const std::vector<uint32_t>& attachments = SampleAttachments(count);
   state->particles.clear();
   state->particles.reserve(count);
   const double uniform = 1.0 / count;
   state->particle_bounds = Aabb::Empty();
   for (int k = 0; k < count; ++k) {
-    const uint32_t reader_idx = scratch_ancestors_[k];
+    const uint32_t reader_idx = attachments[k];
     const Vec3 position = initializer_.Sample(readers_[reader_idx].pose, rng_);
     state->particle_bounds.Extend(position);
     state->particles.PushBack(position, reader_idx, uniform);
@@ -308,13 +348,8 @@ void FactoredParticleFilter::DecompressObject(ObjectState* state,
     index_.SetSlotHibernated(slot, false);
   }
   const GaussianBelief belief = *state->compressed;
-  scratch_weights_.resize(readers_.size());
-  for (size_t j = 0; j < readers_.size(); ++j) {
-    scratch_weights_[j] = readers_[j].weight;
-  }
   const int count = config_.num_decompress_particles;
-  ResampleAncestors(scratch_weights_.data(), scratch_weights_.size(), count,
-                    ResampleScheme::kSystematic, rng_, &scratch_ancestors_);
+  const std::vector<uint32_t>& attachments = SampleAttachments(count);
   state->particles.clear();
   state->particles.reserve(count);
   const double uniform = 1.0 / count;
@@ -322,7 +357,7 @@ void FactoredParticleFilter::DecompressObject(ObjectState* state,
   for (int k = 0; k < count; ++k) {
     const Vec3 position = belief.Sample(rng_);
     state->particle_bounds.Extend(position);
-    state->particles.PushBack(position, scratch_ancestors_[k], uniform);
+    state->particles.PushBack(position, attachments[k], uniform);
   }
   state->compressed.reset();
   state->hibernated = false;
@@ -335,10 +370,10 @@ void FactoredParticleFilter::MaybeReinitialize(ObjectState* state,
                                                const Vec3& reader_ref) {
   const double range = model_.sensor().MaxRange();
   const double d = (reader_ref - state->last_observed_reader_position).Norm();
-  if (d < config_.reinit_keep_fraction * range) {
+  if (d < kReinitKeepFraction * range) {
     return;  // Same neighbourhood: existing particles remain valid.
   }
-  if (d >= config_.reinit_full_fraction * range) {
+  if (d >= kReinitFullFraction * range) {
     // Far away: the object clearly moved; discard all old particles
     // ("we create new particles ... at a location far away"). A full
     // re-initialization is maximal uncertainty, so it always gets the full
@@ -355,18 +390,12 @@ void FactoredParticleFilter::MaybeReinitialize(ObjectState* state,
 void FactoredParticleFilter::HalfReinitialize(ObjectState* state) {
   // Keep half of the particles and re-initialize the other half at the new
   // location; weighting/resampling will pick the winning hypothesis.
-  scratch_weights_.resize(readers_.size());
-  for (size_t j = 0; j < readers_.size(); ++j) {
-    scratch_weights_[j] = readers_[j].weight;
-  }
   ParticleSoa& particles = state->particles;
   const size_t n = particles.size();
-  ResampleAncestors(scratch_weights_.data(), scratch_weights_.size(),
-                    (n + 1) / 2, ResampleScheme::kSystematic, rng_,
-                    &scratch_ancestors_);
+  const std::vector<uint32_t>& attachments = SampleAttachments((n + 1) / 2);
   size_t a = 0;
   for (size_t k = 1; k < n; k += 2) {  // Every other particle moves.
-    const uint32_t reader_idx = scratch_ancestors_[a++];
+    const uint32_t reader_idx = attachments[a++];
     particles.SetReaderIdx(k, reader_idx);
     particles.SetPosition(k, initializer_.Sample(readers_[reader_idx].pose,
                                                  rng_));
@@ -432,7 +461,7 @@ bool FactoredParticleFilter::UpdateObject(ObjectState* state, bool observed,
       for (size_t k = 0; k < n; ++k) weights[k] /= total;
     }
     if (EffectiveSampleSize(particles.weights(), n) <
-        config_.object_resample_threshold * static_cast<double>(n)) {
+        kObjectResampleThreshold * static_cast<double>(n)) {
       const size_t count = ElasticTargetForParticles(particles);
       ResampleAncestors(particles.weights(), n, count, config_.resample_scheme,
                         rng, &scratch->ancestors);
@@ -534,14 +563,14 @@ bool FactoredParticleFilter::UpdateObject(ObjectState* state, bool observed,
   bool resampled = false;
   const bool ess_collapsed =
       EffectiveSampleSize(particles.weights(), n) <
-      config_.object_resample_threshold * static_cast<double>(n);
-  const double tol = config_.elastic_resize_tolerance;
+      kObjectResampleThreshold * static_cast<double>(n);
   const bool resize =
       target != n &&
       (ess_collapsed ||
        static_cast<double>(target) <
-           static_cast<double>(n) * (1.0 - tol) ||
-       static_cast<double>(target) > static_cast<double>(n) * (1.0 + tol));
+           static_cast<double>(n) * (1.0 - kElasticResizeTolerance) ||
+       static_cast<double>(target) >
+           static_cast<double>(n) * (1.0 + kElasticResizeTolerance));
   if (ess_collapsed || resize) {
     const size_t count = resize ? target : n;
     ResampleAncestors(particles.weights(), n, count, config_.resample_scheme,
@@ -765,8 +794,7 @@ void FactoredParticleFilter::DispatchObjectUpdates(
 }
 
 void FactoredParticleFilter::RunCapacityReclaim() {
-  if (config_.shrink_interval_epochs <= 0) return;
-  if ((step_ + 1) % config_.shrink_interval_epochs != 0) return;
+  if ((step_ + 1) % kShrinkIntervalEpochs != 0) return;
   // Objects that settled at a small elastic budget (or compressed away their
   // particles before the compression path existed to shrink them) keep their
   // high-water vector capacity forever; release it when at least half the
@@ -783,16 +811,16 @@ void FactoredParticleFilter::RunCapacityReclaim() {
 }
 
 GaussianBelief FactoredParticleFilter::FitBelief(
-    const ObjectState& state) const {
-  std::vector<WeightedPoint> points;
-  points.reserve(state.particles.size());
+    const ObjectState& state, std::vector<WeightedPoint>* points) const {
+  points->clear();
+  points->reserve(state.particles.size());
   for (size_t k = 0; k < state.particles.size(); ++k) {
-    points.push_back(
+    points->push_back(
         {state.particles.PositionAt(k),
          state.particles.WeightAt(k) *
              readers_[state.particles.ReaderIdxAt(k)].weight});
   }
-  return GaussianBelief::Fit(points);
+  return GaussianBelief::Fit(*points);
 }
 
 void FactoredParticleFilter::RunCompression() {
@@ -816,23 +844,14 @@ void FactoredParticleFilter::RunCompression() {
   SyncReaderAttachments(fit_slots);
   std::vector<CompressionCandidate> candidates;
   std::vector<GaussianBelief> fits;
+  std::vector<WeightedPoint> points;
   for (uint32_t slot : fit_slots) {
     const ObjectState& state = states_[slot];
-    const GaussianBelief fit = FitBelief(state);
+    const GaussianBelief fit = FitBelief(state, &points);
     CompressionCandidate c;
     c.slot = slot;
     c.last_processed_step = state.last_processed_step;
-    {
-      std::vector<WeightedPoint> points;
-      points.reserve(state.particles.size());
-      for (size_t k = 0; k < state.particles.size(); ++k) {
-        points.push_back(
-            {state.particles.PositionAt(k),
-             state.particles.WeightAt(k) *
-                 readers_[state.particles.ReaderIdxAt(k)].weight});
-      }
-      c.kl = fit.CompressionErrorFrom(points);
-    }
+    c.kl = fit.CompressionErrorFrom(points);
     candidates.push_back(c);
     fits.push_back(fit);
   }
@@ -864,10 +883,11 @@ void FactoredParticleFilter::RunHibernation() {
   const std::vector<uint32_t> selected =
       compression_.SelectForHibernation(step_, candidates, after);
   SyncReaderAttachments(selected);  // The fits read the attachments.
+  std::vector<WeightedPoint> points;
   for (uint32_t slot : selected) {
     ObjectState& state = states_[slot];
     if (!state.IsCompressed()) {
-      state.compressed = FitBelief(state);
+      state.compressed = FitBelief(state, &points);
       state.particles.clear();
       state.particles.ShrinkToFit();
     }
@@ -970,7 +990,7 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
       cloud_mean = cloud_mean / static_cast<double>(state.particles.size());
       const double explain = model_.sensor().ProbReadAt(
           Pose(reader_ref, reader_est.heading), cloud_mean);
-      if (explain < config_.decompress_neg_evidence_prob) {
+      if (explain < kDecompressNegEvidenceProb) {
         HalfReinitialize(&state);
         UpdateObject(&state, /*observed=*/true, slot, /*salt=*/1,
                      &lane_scratch_[0]);
@@ -995,8 +1015,8 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
       // pointing at them, and the whole point of the tier is that a passing
       // reader does not pull every parked tag back into the sweep.
       const double revive_prob = state.hibernated
-                                     ? config_.hibernate_neg_evidence_prob
-                                     : config_.decompress_neg_evidence_prob;
+                                     ? kHibernateNegEvidenceProb
+                                     : kDecompressNegEvidenceProb;
       const double pr = model_.sensor().ProbReadAt(
           Pose(reader_ref, reader_est.heading), state.compressed->mean());
       if (pr < revive_prob) continue;
@@ -1031,7 +1051,7 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
     scratch_weights_[j] = readers_[j].weight;
   }
   if (EffectiveSampleSize(scratch_weights_) <
-      config_.reader_resample_threshold * static_cast<double>(readers_.size())) {
+      kReaderResampleThreshold * static_cast<double>(readers_.size())) {
     ResampleReaders(processed);
   }
 

@@ -8,11 +8,14 @@
 // linear in the number of objects (Fig. 3). Weights factor per Eq. (5), so
 // every weighting step runs on the factored representation directly.
 //
-// Optional extensions, toggled in the config:
-//  * spatial indexing (§IV-C): only objects read now (Case 1) or recorded
-//    near the current reader location before (Case 2) are processed;
-//  * belief compression (§IV-D): objects out of scope collapse to a Gaussian
-//    and are revived with a small particle count when read again;
+// Optional extensions, each switched by one config field (their tuning
+// constants are fixed in factored_filter.cc):
+//  * spatial indexing (use_spatial_index, §IV-C): only objects read now
+//    (Case 1) or recorded near the current reader location before (Case 2)
+//    are processed;
+//  * belief compression (compression.mode, §IV-D): objects out of scope
+//    collapse to a Gaussian and are revived with a small particle count when
+//    read again;
 //  * elastic budgets (min_object_particles): per-object particle counts
 //    resize with posterior spread, so a settled tag costs a fraction of an
 //    ambiguous one;
@@ -67,52 +70,22 @@ struct FactoredFilterConfig {
   /// Elastic per-object budgets (adaptive inference scheduling). When set to
   /// a positive value, each object's particle count resizes between
   /// [min_object_particles, num_object_particles] in proportion to its
-  /// posterior spread: a tag whose belief has collapsed to a shelf slot
-  /// keeps min_object_particles, one in a fresh/ambiguous state keeps the
-  /// full budget. Resizing rides the existing resample machinery (a
-  /// systematic resample to the target count from the slot's private RNG
-  /// stream), so estimates stay deterministic at a fixed seed and at any
-  /// thread count. 0 disables elastic budgets (every object keeps
-  /// num_object_particles, the seed behavior).
+  /// posterior spread, relative to the sensor's max range: a tag whose
+  /// belief has collapsed to a shelf slot keeps min_object_particles, one in
+  /// a fresh/ambiguous state keeps the full budget. Resizing rides the
+  /// existing resample machinery (a systematic resample to the target count
+  /// from the slot's private RNG stream), so estimates stay deterministic at
+  /// a fixed seed and at any thread count. 0 disables elastic budgets (every
+  /// object keeps num_object_particles, the seed behavior).
   int min_object_particles = 0;
-  /// Posterior RMS spread (feet) at or above which an object earns the full
-  /// budget; the budget scales linearly below it. <= 0 derives the scale
-  /// from the sensor's max range at construction (a belief as wide as the
-  /// read range is maximally uncertain for this sensor).
-  double elastic_spread_full = 0.0;
-  /// Hysteresis band: outside an ESS-triggered resample, an object is only
-  /// resized when the spread-implied target deviates from the current count
-  /// by more than this fraction. Resizing costs a resample, so drift within
-  /// the band is left alone; when the ESS threshold forces a resample
-  /// anyway, the resize is free and snaps straight to the target.
-  double elastic_resize_tolerance = 0.25;
 
-  /// A hibernated tag (compression.hibernate_after_epochs) revives for
-  /// negative evidence only when the read probability at its summary mean
-  /// exceeds this. Deliberately stricter than decompress_neg_evidence_prob:
-  /// hibernation means "stop paying for this tag", so only a reading or a
-  /// strong contradiction (the reader is parked where the tag supposedly
-  /// sits, yet it stays silent) may wake it.
-  double hibernate_neg_evidence_prob = 0.5;
-
-  double object_resample_threshold = 0.5;
-  double reader_resample_threshold = 0.5;
   ResampleScheme resample_scheme = ResampleScheme::kSystematic;
 
   InitializerConfig init;
 
   bool use_spatial_index = true;
-  SensingIndexConfig index;
 
   CompressionPolicyConfig compression;  ///< Disabled by default.
-
-  /// Re-initialization rules of §IV-A, as fractions of the sensor max range:
-  /// observing an object from a reader position closer than
-  /// `reinit_keep_fraction * range` to the previous observation position
-  /// keeps the particles; farther than `reinit_full_fraction * range`
-  /// recreates them; in between, half are kept and half re-initialized.
-  double reinit_keep_fraction = 0.75;
-  double reinit_full_fraction = 2.0;
 
   /// Exponent on the object-support term in reader resampling (§IV-B).
   /// 1.0 reproduces the paper's "favor reader particles associated with good
@@ -121,20 +94,9 @@ struct FactoredFilterConfig {
   /// dead-reckoning drift); 0 resamples readers by their own weights only.
   double reader_support_weight = 1.0;
 
-  /// Compressed Case-2 objects are revived for negative evidence only when
-  /// the read probability at their mean exceeds this (otherwise the miss is
-  /// uninformative and decompression would thrash).
-  double decompress_neg_evidence_prob = 0.1;
-
   /// Worker-pool width for per-object updates (1 = fully serial). Estimates
   /// are bit-identical across thread counts at a fixed seed.
   int num_threads = 1;
-
-  /// Every this-many epochs, trim particle-vector capacity of objects whose
-  /// elastic budget left them far below their old high-water allocation
-  /// (capacity >= 2x size). Off-hot-path; 0 disables the sweep (capacity
-  /// then tracks the high-water mark, the seed behavior).
-  int shrink_interval_epochs = 64;
 
   /// Evaluate the weighting with the 4-wide SIMD index-gather kernels
   /// (util/simd.h). Opt-in: the polynomial exp/acos carry a <= 1e-9
@@ -172,8 +134,8 @@ class FactoredParticleFilter final : public InferenceFilter {
     /// Hibernation tier below compression (implies IsCompressed()): the
     /// epoch sweep skips this object entirely — no negative-evidence
     /// updates, no compression re-fits — until its tag is read again or
-    /// negative evidence at the summary mean is strong
-    /// (hibernate_neg_evidence_prob).
+    /// negative evidence at the summary mean is strong (a stricter revive
+    /// gate than a compressed tag's).
     bool hibernated = false;
     int64_t last_observed_step = -1;
     int64_t last_processed_step = -1;
@@ -299,6 +261,10 @@ class FactoredParticleFilter final : public InferenceFilter {
   void BuildReaderFrames();
 
   uint32_t GetOrCreateSlot(TagId tag);
+  /// Draws `count` reader attachments from the shared stream, spread across
+  /// the readers in proportion to their weights. The result lives in
+  /// scratch_ancestors_ until the next draw.
+  const std::vector<uint32_t>& SampleAttachments(size_t count);
   /// Builds a fresh particle set of `count` particles for a slot, sampling
   /// reader attachments proportionally to reader weights.
   void InitializeObjectParticles(ObjectState* state, int count);
@@ -354,14 +320,16 @@ class FactoredParticleFilter final : public InferenceFilter {
   /// claimed by work stealing.
   void DispatchObjectUpdates(const std::vector<uint32_t>& slots);
 
-  /// Off-hot-path capacity reclaim (shrink_interval_epochs): releases the
+  /// Off-hot-path capacity reclaim, every few dozen epochs: releases the
   /// high-water vector capacity of objects whose elastic budget has settled
   /// far below it.
   void RunCapacityReclaim();
 
   /// Fits the current Gaussian to an object's particles (weights combined
-  /// with reader weights, i.e. the true marginal).
-  GaussianBelief FitBelief(const ObjectState& state) const;
+  /// with reader weights, i.e. the true marginal), leaving those weighted
+  /// points in `points` for the caller's compression error.
+  GaussianBelief FitBelief(const ObjectState& state,
+                           std::vector<WeightedPoint>* points) const;
 
   void RunCompression();
   /// Collapses tags unread for EffectiveHibernateAfter() epochs into the
@@ -387,7 +355,8 @@ class FactoredParticleFilter final : public InferenceFilter {
   CompressionPolicy compression_;
   Rng rng_;
 
-  /// Resolved elastic_spread_full (config value, or the sensor max range).
+  /// Posterior spread at which an object earns the full elastic budget: the
+  /// sensor's max range (1 for a sensor without a finite one).
   double elastic_spread_full_ = 0.0;
   /// Governor knobs (SetLoadShed); 1.0 = configured behavior.
   double budget_scale_ = 1.0;

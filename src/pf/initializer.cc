@@ -4,6 +4,11 @@
 
 namespace rfid {
 
+namespace {
+/// Cone samples tried for a shelf hit before the unclipped fallback.
+constexpr int kMaxRejectionTries = 64;
+}  // namespace
+
 Vec3 ParticleInitializer::SampleCone(const Pose& reader, Rng& rng) const {
   const double range = sensor_->MaxRange() * config_.range_overestimate;
   // Area-uniform over the planar cone: radius ~ range * sqrt(u).
@@ -20,7 +25,7 @@ Vec3 ParticleInitializer::Sample(const Pose& reader, Rng& rng) const {
   if (!config_.clip_to_shelves || shelves_ == nullptr || shelves_->empty()) {
     return SampleCone(reader, rng);
   }
-  for (int attempt = 0; attempt < config_.max_rejection_tries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxRejectionTries; ++attempt) {
     const Vec3 p = SampleCone(reader, rng);
     if (shelves_->Contains(p)) return p;
   }

@@ -22,10 +22,9 @@ struct InitializerConfig {
   /// 60-degree half-angle so even poorly calibrated sensor models are covered.
   double half_angle = M_PI / 3.0;
   /// When true and shelf regions exist, rejection-sample until the particle
-  /// lies on a shelf (up to `max_rejection_tries`), then fall back to the
+  /// lies on a shelf (up to a fixed number of tries), then fall back to the
   /// plain cone sample.
   bool clip_to_shelves = true;
-  int max_rejection_tries = 64;
 };
 
 /// Draws initial object-particle positions from the overestimated sensing

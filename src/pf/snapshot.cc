@@ -524,7 +524,7 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
   RFID_RETURN_NOT_OK(ReadFramedSection(source, parse_body));
   RFID_RETURN_NOT_OK(serialize::VerifySection(source));
 
-  SensingRegionIndex index(filter->config_.index);
+  SensingRegionIndex index;
   for (const auto& [box, slots] : entries) index.Insert(box, slots);
   // Saved entries were distinct when first inserted, so re-inserting them
   // in order merges none; a merge means the boxes were tampered with.

@@ -93,8 +93,8 @@ Result<std::unique_ptr<SitePipeline>> SitePipeline::Create(
     return Status::Invalid("epoch_seconds must be positive");
   }
   if (config.max_lateness_seconds < 0) {
-    // A negative value is the synchronizer's strict-mode sentinel; coercing
-    // it would silently give zero-tolerance dropping instead.
+    // The synchronizer would clamp it to 0, silently giving zero-tolerance
+    // dropping instead of the bound the operator asked for.
     return Status::Invalid("max_lateness_seconds must be non-negative");
   }
   if (config.engine.filter != EngineConfig::FilterKind::kFactored) {
@@ -302,8 +302,8 @@ void SitePipeline::Flush(SubscriptionBus* bus) {
     // The stream end is always a scan boundary (regardless of the
     // mid-stream detector mode). Without this call the kOnScanComplete
     // policy was dead through the serving path: nothing ever told the
-    // engine a scan finished, so subscriptions saw zero events while the
-    // offline Synchronize runs of the same trace emitted.
+    // engine a scan finished, so subscriptions saw zero events while
+    // offline runs of the same trace emitted.
     FireScanComplete(bus);
   }
 }

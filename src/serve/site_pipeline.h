@@ -11,7 +11,7 @@
 // engine once the site's watermark (newest record time minus the lateness
 // bound) passes the end of an epoch, and epochs close contiguously — quiet
 // gaps synthesize empty epochs so the filter keeps aging beliefs through
-// them, exactly as the offline Synchronize path does.
+// them.
 //
 // Checkpointing captures the complete resume state: synchronizer pending
 // epochs and watermark bookkeeping, the filter belief + RNG (pf/snapshot.h),
@@ -64,8 +64,8 @@ struct SitePipelineConfig {
   double epoch_seconds = 1.0;
   /// Out-of-order admission slack; records older than the site's newest
   /// record by more than this are dropped and counted, never processed.
-  /// Must be non-negative (serving always runs the synchronizer's bounded
-  /// mode; negative is its strict-mode sentinel and is rejected here).
+  /// Must be non-negative (a negative bound is rejected here rather than
+  /// clamped to 0 by the synchronizer).
   double max_lateness_seconds = 2.0;
   /// Most recent quarantined records retained for inspection (the ring is
   /// diagnostic state: counted forever, contents bounded, not checkpointed).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "util/serialize.h"
@@ -14,47 +15,40 @@ using serialize::ReadPod;
 using serialize::WritePod;
 
 namespace {
-/// Bounded mode rejects timestamps beyond this magnitude as corrupt: they
-/// would produce astronomic epoch indices (and int64 cast overflow is UB).
-/// 1e15 seconds is ~31 million years of stream time.
-constexpr double kMaxAbsTime = 1e15;
+/// Admission drops records whose epoch index would exceed this magnitude,
+/// so every index and every difference of two stays far inside int64_t
+/// (casting an out-of-range double is undefined behaviour). At 1 s epochs
+/// that is ~31 million years of stream time.
+constexpr double kMaxAbsEpochIndex = 1e15;
 
-bool SaneTime(double time) {
-  return std::isfinite(time) && std::fabs(time) <= kMaxAbsTime;
+/// Most empty epochs one quiet gap may synthesize (see PollWatermark).
+constexpr int64_t kMaxGapEpochs = 100'000;
+
+bool IndexInBound(int64_t index) {
+  return std::fabs(static_cast<double>(index)) <= kMaxAbsEpochIndex;
 }
 }  // namespace
-
-StreamSynchronizer::StreamSynchronizer(double epoch_seconds) {
-  config_.epoch_seconds = epoch_seconds > 0 ? epoch_seconds : 1.0;
-}
 
 StreamSynchronizer::StreamSynchronizer(const SynchronizerConfig& config)
     : config_(config) {
   if (config_.epoch_seconds <= 0) config_.epoch_seconds = 1.0;
+  if (config_.max_lateness_seconds < 0) config_.max_lateness_seconds = 0.0;
 }
 
 double StreamSynchronizer::watermark() const {
-  if (strict() || !any_seen_) {
-    return -std::numeric_limits<double>::infinity();
-  }
+  if (!any_seen_) return -std::numeric_limits<double>::infinity();
   return max_seen_time_ - config_.max_lateness_seconds;
 }
 
 StreamSynchronizer::PendingEpoch& StreamSynchronizer::Pending(int64_t index) {
-  for (auto& p : pending_) {
-    if (p.index == index) return p;
+  auto it = std::lower_bound(
+      pending_.begin(), pending_.end(), index,
+      [](const PendingEpoch& p, int64_t i) { return p.index < i; });
+  if (it == pending_.end() || it->index != index) {
+    it = pending_.insert(it, PendingEpoch{});
+    it->index = index;
   }
-  PendingEpoch p;
-  p.index = index;
-  pending_.push_back(p);
-  std::sort(pending_.begin(), pending_.end(),
-            [](const PendingEpoch& a, const PendingEpoch& b) {
-              return a.index < b.index;
-            });
-  for (auto& q : pending_) {
-    if (q.index == index) return q;
-  }
-  return pending_.back();  // Unreachable.
+  return *it;
 }
 
 SyncedEpoch StreamSynchronizer::Close(PendingEpoch&& pending) const {
@@ -86,9 +80,13 @@ SyncedEpoch StreamSynchronizer::EmptyEpoch(int64_t index) const {
   return epoch;
 }
 
+bool StreamSynchronizer::AdmissibleTime(double time) const {
+  // False for NaN and infinities too.
+  return std::fabs(time / config_.epoch_seconds) <= kMaxAbsEpochIndex;
+}
+
 bool StreamSynchronizer::Admit(double time) {
-  if (strict()) return true;
-  if (!SaneTime(time)) {
+  if (!AdmissibleTime(time)) {
     ++dropped_late_records_;
     return false;
   }
@@ -106,107 +104,6 @@ bool StreamSynchronizer::Admit(double time) {
     max_seen_time_ = time;
   }
   return true;
-}
-
-Result<std::vector<SyncedEpoch>> StreamSynchronizer::Synchronize(
-    const std::vector<TagReading>& readings,
-    const std::vector<ReaderLocationReport>& locations) {
-  if (strict()) {
-    for (size_t i = 1; i < readings.size(); ++i) {
-      if (readings[i].time < readings[i - 1].time) {
-        return Status::Invalid("RFID reading stream is not time-ordered");
-      }
-    }
-    for (size_t i = 1; i < locations.size(); ++i) {
-      if (locations[i].time < locations[i - 1].time) {
-        return Status::Invalid("location stream is not time-ordered");
-      }
-    }
-  }
-  if (readings.empty() && locations.empty()) {
-    return std::vector<SyncedEpoch>{};
-  }
-
-  // Bounded-lateness admission: walk each stream in arrival order against a
-  // running newest-time, dropping records beyond the bound (the same policy
-  // the online path applies, minus the epoch-granular closing).
-  std::vector<char> admit_reading(readings.size(), 1);
-  std::vector<char> admit_location(locations.size(), 1);
-  if (!strict()) {
-    double newest = -std::numeric_limits<double>::infinity();
-    size_t r = 0, l = 0;
-    // Merge by position: streams arrive independently, so judge each record
-    // against the newest time across both, taken in time order of arrival.
-    while (r < readings.size() || l < locations.size()) {
-      const double tr =
-          r < readings.size() ? readings[r].time
-                              : std::numeric_limits<double>::infinity();
-      const double tl =
-          l < locations.size() ? locations[l].time
-                               : std::numeric_limits<double>::infinity();
-      // NaN comparisons are false, so decide exhaustion explicitly or a NaN
-      // time could select an exhausted stream's index.
-      const bool take_reading =
-          l >= locations.size() || (r < readings.size() && tr <= tl);
-      const double t = take_reading ? tr : tl;
-      if (!SaneTime(t) || t + config_.max_lateness_seconds < newest) {
-        ++dropped_late_records_;
-        (take_reading ? admit_reading[r] : admit_location[l]) = 0;
-      } else {
-        newest = std::max(newest, t);
-      }
-      take_reading ? ++r : ++l;
-    }
-  }
-
-  int64_t first = std::numeric_limits<int64_t>::max();
-  int64_t last = std::numeric_limits<int64_t>::min();
-  auto update_bounds = [&](double time) {
-    const int64_t idx = EpochIndex(time);
-    first = std::min(first, idx);
-    last = std::max(last, idx);
-  };
-  size_t admitted = 0;
-  for (size_t i = 0; i < readings.size(); ++i) {
-    if (admit_reading[i]) {
-      update_bounds(readings[i].time);
-      ++admitted;
-    }
-  }
-  for (size_t i = 0; i < locations.size(); ++i) {
-    if (admit_location[i]) {
-      update_bounds(locations[i].time);
-      ++admitted;
-    }
-  }
-  if (admitted == 0) return std::vector<SyncedEpoch>{};
-
-  std::vector<PendingEpoch> epochs(static_cast<size_t>(last - first + 1));
-  for (size_t i = 0; i < epochs.size(); ++i) {
-    epochs[i].index = first + static_cast<int64_t>(i);
-  }
-  for (size_t i = 0; i < readings.size(); ++i) {
-    if (!admit_reading[i]) continue;
-    epochs[static_cast<size_t>(EpochIndex(readings[i].time) - first)]
-        .tags.push_back(readings[i].tag);
-  }
-  for (size_t i = 0; i < locations.size(); ++i) {
-    if (!admit_location[i]) continue;
-    const auto& l = locations[i];
-    auto& e = epochs[static_cast<size_t>(EpochIndex(l.time) - first)];
-    e.location_sum += l.location;
-    ++e.location_count;
-    if (l.has_heading) {
-      e.heading_sin_sum += std::sin(l.heading);
-      e.heading_cos_sum += std::cos(l.heading);
-      ++e.heading_count;
-    }
-  }
-
-  std::vector<SyncedEpoch> out;
-  out.reserve(epochs.size());
-  for (auto& e : epochs) out.push_back(Close(std::move(e)));
-  return out;
 }
 
 bool StreamSynchronizer::Push(const TagReading& reading) {
@@ -228,34 +125,16 @@ bool StreamSynchronizer::Push(const ReaderLocationReport& report) {
   return true;
 }
 
-std::vector<SyncedEpoch> StreamSynchronizer::Poll(double time) {
-  const int64_t open_from = EpochIndex(time);
-  std::vector<SyncedEpoch> out;
-  size_t kept = 0;
-  for (auto& p : pending_) {
-    if (p.index < open_from) {
-      out.push_back(Close(std::move(p)));
-    } else {
-      pending_[kept++] = std::move(p);
-    }
-  }
-  pending_.resize(kept);
-  if (!out.empty()) {
-    const int64_t newest = out.back().step;
-    highest_closed_ = any_closed_ ? std::max(highest_closed_, newest) : newest;
-    any_closed_ = true;
-  }
-  return out;
-}
-
 std::vector<SyncedEpoch> StreamSynchronizer::PollWatermark() {
   std::vector<SyncedEpoch> out;
-  if (strict() || !any_seen_) return out;
+  if (!any_seen_) return out;
   // Epoch i covers [i*es, (i+1)*es): closeable once its end passed the
-  // watermark. Clamp before the cast: admission bounds |time| but a tiny
-  // epoch_seconds could still push the quotient past int64 range (UB).
-  double raw_close = std::floor(watermark() / config_.epoch_seconds) - 1.0;
-  if (raw_close > 9.0e18) raw_close = 9.0e18;
+  // watermark. The newest admitted time bounds the watermark from above; a
+  // watermark below every admissible index (a huge lateness bound) closes
+  // nothing, and is not cast.
+  const double raw_close =
+      std::floor(watermark() / config_.epoch_seconds) - 1.0;
+  if (!(raw_close >= -kMaxAbsEpochIndex)) return out;
   const int64_t close_through = static_cast<int64_t>(raw_close);
   // First index to emit: right after the last closed epoch, so the output
   // step sequence is contiguous (gaps synthesize empty epochs); at stream
@@ -266,30 +145,29 @@ std::vector<SyncedEpoch> StreamSynchronizer::PollWatermark() {
   } else {
     from = std::numeric_limits<int64_t>::max();
     for (const auto& p : pending_) from = std::min(from, p.index);
-    if (from > close_through) return out;
   }
   if (from > close_through) return out;
 
-  size_t kept = 0;
-  std::vector<PendingEpoch> closeable;
-  for (auto& p : pending_) {
-    if (p.index <= close_through) {
-      closeable.push_back(std::move(p));
-    } else {
-      pending_[kept++] = std::move(p);
-    }
-  }
-  pending_.resize(kept);
+  // pending_ is sorted by index, so the closeable epochs are a prefix.
+  // (Compacting the rest in place would move-assign an epoch onto itself,
+  // which empties its tag list.)
+  const auto split = std::partition_point(
+      pending_.begin(), pending_.end(),
+      [close_through](const PendingEpoch& p) {
+        return p.index <= close_through;
+      });
+  std::vector<PendingEpoch> closeable(std::make_move_iterator(pending_.begin()),
+                                      std::make_move_iterator(split));
+  pending_.erase(pending_.begin(), split);
 
-  // Discontinuity guard: only the trailing max_gap_epochs indices of the
+  // Discontinuity guard: only the trailing kMaxGapEpochs indices of the
   // range are eligible for empty-epoch synthesis; a far-future record can
   // therefore not make this loop materialize (and the filter process)
   // billions of quiet epochs. Non-empty pending epochs always emit.
-  const int64_t cap = std::max<int64_t>(0, config_.max_gap_epochs);
-  const int64_t empty_from =
-      close_through - from >= cap ? close_through - cap + 1 : from;
+  const int64_t empty_from = close_through - from >= kMaxGapEpochs
+                                 ? close_through - kMaxGapEpochs + 1
+                                 : from;
 
-  // closeable is sorted (pending_ is kept sorted by index).
   size_t c = 0;
   int64_t next_index = from;
   while (c < closeable.size() && closeable[c].index < empty_from) {
@@ -318,35 +196,24 @@ std::vector<SyncedEpoch> StreamSynchronizer::PollWatermark() {
 
 std::vector<SyncedEpoch> StreamSynchronizer::Finish() {
   std::vector<SyncedEpoch> out;
-  for (auto& p : pending_) out.push_back(Close(std::move(p)));
-  pending_.clear();
-  std::sort(out.begin(), out.end(),
-            [](const SyncedEpoch& a, const SyncedEpoch& b) {
-              return a.step < b.step;
-            });
-  // In bounded-lateness mode keep the contiguous-step contract: fill gaps
-  // from the last closed epoch through the tail, under the same
-  // discontinuity cap as PollWatermark.
-  if (!strict() && !out.empty()) {
-    const int64_t cap = std::max<int64_t>(0, config_.max_gap_epochs);
-    std::vector<SyncedEpoch> filled;
-    int64_t next = any_closed_ ? highest_closed_ + 1 : out.front().step;
-    for (auto& e : out) {
-      if (e.step - next > cap) {
-        skipped_gap_epochs_ += static_cast<uint64_t>(e.step - next - cap);
-        next = e.step - cap;
-      }
-      for (; next < e.step; ++next) filled.push_back(EmptyEpoch(next));
-      next = e.step + 1;
-      filled.push_back(std::move(e));
+  if (pending_.empty()) return out;
+  // Keep the contiguous-step contract: fill gaps from the last closed epoch
+  // through the tail, under the same discontinuity cap as PollWatermark.
+  // Pending epochs are sorted and all above the last closed one.
+  int64_t next = any_closed_ ? highest_closed_ + 1 : pending_.front().index;
+  for (auto& p : pending_) {
+    if (p.index - next > kMaxGapEpochs) {
+      skipped_gap_epochs_ +=
+          static_cast<uint64_t>(p.index - next - kMaxGapEpochs);
+      next = p.index - kMaxGapEpochs;
     }
-    out = std::move(filled);
+    for (; next < p.index; ++next) out.push_back(EmptyEpoch(next));
+    next = p.index + 1;
+    out.push_back(Close(std::move(p)));
   }
-  if (!out.empty()) {
-    const int64_t newest = out.back().step;
-    highest_closed_ = any_closed_ ? std::max(highest_closed_, newest) : newest;
-    any_closed_ = true;
-  }
+  pending_.clear();
+  highest_closed_ = out.back().step;
+  any_closed_ = true;
   return out;
 }
 
@@ -389,12 +256,29 @@ Status StreamSynchronizer::LoadState(std::istream& is) {
       !ReadCount(is, &pending_count, kPendingBytes)) {
     return Status::IOError("truncated synchronizer state");
   }
+  // Admission under this config never produces the states rejected below;
+  // restoring one would stall the site (a NaN newest time never lets the
+  // watermark advance again) or misnumber its epochs.
+  if (!AdmissibleTime(max_seen)) {
+    return Status::Invalid("synchronizer newest time out of range");
+  }
+  if (!IndexInBound(highest_closed)) {
+    return Status::Invalid("synchronizer closed epoch out of range");
+  }
   std::vector<PendingEpoch> pending(pending_count);
-  for (auto& p : pending) {
+  for (size_t i = 0; i < pending.size(); ++i) {
+    PendingEpoch& p = pending[i];
     uint64_t tag_count = 0;
     if (!ReadPod(is, &p.index) ||
         !ReadCount(is, &tag_count, sizeof(TagId))) {
       return Status::IOError("truncated synchronizer state");
+    }
+    if (!IndexInBound(p.index)) {
+      return Status::Invalid("synchronizer pending epoch out of range");
+    }
+    if ((i > 0 && p.index <= pending[i - 1].index) ||
+        (any_closed && p.index <= highest_closed)) {
+      return Status::Invalid("synchronizer pending epochs out of order");
     }
     p.tags.resize(tag_count);
     for (auto& tag : p.tags) {
@@ -407,6 +291,14 @@ Status StreamSynchronizer::LoadState(std::istream& is) {
         !ReadPod(is, &p.heading_sin_sum) || !ReadPod(is, &p.heading_cos_sum) ||
         !ReadPod(is, &p.heading_count)) {
       return Status::IOError("truncated synchronizer state");
+    }
+    if (!std::isfinite(p.location_sum.x) || !std::isfinite(p.location_sum.y) ||
+        !std::isfinite(p.location_sum.z) || !std::isfinite(p.heading_sin_sum) ||
+        !std::isfinite(p.heading_cos_sum)) {
+      return Status::Invalid("synchronizer pending sums are not finite");
+    }
+    if (p.location_count < 0 || p.heading_count < 0) {
+      return Status::Invalid("synchronizer pending counts are negative");
     }
   }
   any_seen_ = any_seen;

@@ -129,9 +129,13 @@ inline Idx4 MulIdx(Idx4 a, int32_t m) {
   return {_mm_mullo_epi32(a.v, _mm_set1_epi32(m))};
 }
 /// out[i] = base[idx[i]] — a hardware vgatherdpd; tables that fit L1 (the
-/// ~100-frame reader table) gather at a few cycles per element.
+/// ~100-frame reader table) gather at a few cycles per element. The masked
+/// form with a zero source and an all-ones mask is the same instruction;
+/// the unmasked intrinsic passes GCC an uninitialized source register,
+/// which -Werror=maybe-uninitialized rejects once inlined.
 inline Vec4d Gather(const double* base, Idx4 idx) {
-  return {_mm256_i32gather_pd(base, idx.v, 8)};
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  return {_mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, idx.v, all, 8)};
 }
 
 #elif defined(RFID_SIMD_BACKEND_NEON)

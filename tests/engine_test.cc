@@ -39,13 +39,6 @@ TEST(EngineTest, CreateRejectsCompressionWithoutIndex) {
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(EngineTest, CreateRejectsBadReinitFractions) {
-  EngineConfig c = SmallEngineConfig();
-  c.factored.reinit_keep_fraction = 2.0;
-  c.factored.reinit_full_fraction = 1.0;
-  EXPECT_FALSE(RfidInferenceEngine::Create(MakeLineWorld(), c).ok());
-}
-
 TEST(EngineTest, CreateRejectsNegativeDelay) {
   EngineConfig c = SmallEngineConfig();
   c.emitter.delay_seconds = -1.0;

@@ -3,6 +3,8 @@
 // decompression cycle.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "pf/factored_filter.h"
 #include "test_util.h"
 
@@ -146,7 +148,7 @@ TEST(FactoredFilterTest, FullReinitWhenSeenFarAway) {
   FactoredFilterConfig c = SmallConfig();
   FactoredParticleFilter filter(MakeLineWorld(), c);
   // Seen around y=2 first, then the reader travels (without reading the
-  // object) to y=14, far beyond reinit_full_fraction * 4.5 ft.
+  // object) to y=14, far beyond the full re-initialization band (2 x 4.5 ft).
   RunPass(&filter, {1.5, 2.0, 0.0}, 1000, 30, 47);
   int64_t step = filter.current_step();
   for (double y = 3.0; y < 14.0; y += 0.1) {
@@ -160,31 +162,90 @@ TEST(FactoredFilterTest, FullReinitWhenSeenFarAway) {
   EXPECT_GT(est->mean.y, 8.0);
 }
 
+/// Reads every tag with the same probability wherever it sits: a read
+/// cannot tell one neighbourhood from another, so an update leaves uniform
+/// weights uniform and never resamples. MaxRange() still sets the §IV-A
+/// re-initialization bands (4.5 ft, as the cone).
+class FlatSensorModel final : public SensorModel {
+ public:
+  double ProbRead(double, double) const override { return 0.5; }
+  double MaxRange() const override { return 4.5; }
+  std::unique_ptr<SensorModel> Clone() const override {
+    return std::make_unique<FlatSensorModel>(*this);
+  }
+};
+
+struct ReinitOutcome {
+  std::vector<Vec3> before;  ///< Particle positions before the second read.
+  std::vector<Vec3> after;   ///< ...and after it.
+};
+
+/// Reads tag 1000 with the reader at y = 0, walks the reader to `y1`
+/// without reading it, then reads it once more there. Objects never move
+/// and reads are uninformative, so only the re-initialization rule can
+/// change a particle's position.
+ReinitOutcome ReadAgainAt(double y1) {
+  FactoredParticleFilter filter(
+      MakeLineWorld(/*move_probability=*/0.0, {}, {0.01, 0.01, 0.0},
+                    std::make_unique<FlatSensorModel>()),
+      SmallConfig());
+  int64_t step = 0;
+  filter.ObserveEpoch(MakeEpoch(step++, 0.0, {1000}));
+  for (int i = 1; i < static_cast<int>(std::lround(y1 * 10)); ++i) {
+    filter.ObserveEpoch(MakeEpoch(step++, 0.1 * i, {}));
+  }
+  const auto positions = [&filter] {
+    std::vector<Vec3> out;
+    for (const auto& p : filter.FindObject(1000)->particles) {
+      out.push_back(p.position);
+    }
+    return out;
+  };
+  ReinitOutcome outcome;
+  outcome.before = positions();
+  filter.ObserveEpoch(MakeEpoch(step, y1, {1000}));
+  outcome.after = positions();
+  return outcome;
+}
+
+/// Initialization samples lie within 1.2 max ranges of the reader
+/// particle that drew them; the slack covers the reader cloud's spread.
+bool DrawnAtReader(const Vec3& p, double reader_y) {
+  return p.DistanceXYTo({0.0, reader_y, 0.0}) <= 1.2 * 4.5 + 0.2;
+}
+
 TEST(FactoredFilterTest, HalfReinitKeepsBothHypotheses) {
-  FactoredFilterConfig c = SmallConfig();
-  c.reinit_keep_fraction = 0.2;   // Force the half-reinit branch at ~4 ft.
-  c.reinit_full_fraction = 2.0;
-  // Disable object resampling so the kept (low-likelihood) half remains
-  // visible in the particle positions for this inspection.
-  c.object_resample_threshold = 0.0;
-  FactoredParticleFilter filter(MakeLineWorld(), c);
-  RunPass(&filter, {1.5, 2.0, 0.0}, 1000, 25, 53);
-  int64_t step = filter.current_step();
-  for (double y = 2.5; y < 6.0; y += 0.1) {
-    filter.ObserveEpoch(MakeEpoch(step++, y, {}));
+  // 6 ft from the first read: in [0.75, 2) max ranges, the half band.
+  const ReinitOutcome o = ReadAgainAt(6.0);
+  ASSERT_EQ(o.before.size(), 400u);
+  ASSERT_EQ(o.after.size(), o.before.size());
+  for (size_t k = 0; k < o.after.size(); ++k) {
+    SCOPED_TRACE(k);
+    if (k % 2 == 0) {
+      // Kept: the old neighbourhood's hypothesis survives untouched.
+      EXPECT_EQ(o.after[k], o.before[k]);
+    } else {
+      // Redrawn at the new reader.
+      EXPECT_FALSE(o.after[k] == o.before[k]);
+      EXPECT_TRUE(DrawnAtReader(o.after[k], 6.0));
+    }
   }
-  // One read from ~4 ft down the aisle: ambiguous.
-  filter.ObserveEpoch(MakeEpoch(step, 6.0, {1000}));
-  const auto* state = filter.FindObject(1000);
-  ASSERT_NE(state, nullptr);
-  // Particles should now straddle both neighbourhoods.
-  int low = 0, high = 0;
-  for (const auto& p : state->particles) {
-    if (p.position.y < 4.0) ++low;
-    if (p.position.y >= 4.0) ++high;
+}
+
+TEST(FactoredFilterTest, ReinitBandsAroundTheHalfBand) {
+  // 2 ft away (under 0.75 max ranges): every particle is kept.
+  const ReinitOutcome keep = ReadAgainAt(2.0);
+  ASSERT_FALSE(keep.before.empty());
+  EXPECT_EQ(keep.after, keep.before);
+  // 10 ft away (2 max ranges or more): every particle is redrawn at the new
+  // reader, out of reach of the old neighbourhood.
+  const ReinitOutcome full = ReadAgainAt(10.0);
+  ASSERT_EQ(full.after.size(), 400u);
+  for (size_t k = 0; k < full.after.size(); ++k) {
+    SCOPED_TRACE(k);
+    EXPECT_TRUE(DrawnAtReader(full.after[k], 10.0));
+    EXPECT_FALSE(DrawnAtReader(full.before[k], 10.0));
   }
-  EXPECT_GT(low, 0);
-  EXPECT_GT(high, 0);
 }
 
 // ---------------------------------------------------------- Compression ---

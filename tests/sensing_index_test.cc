@@ -26,9 +26,7 @@ TEST(SensingIndexTest, ProbeReturnsOverlappingEntries) {
 }
 
 TEST(SensingIndexTest, ProbeDeduplicatesAcrossEntries) {
-  SensingIndexConfig config;
-  config.merge_distance_fraction = 0.0;  // No merging for this test.
-  SensingRegionIndex index(config);
+  SensingRegionIndex index;
   index.Insert(Aabb({0, 0, 0}, {2, 2, 0}), {7, 8});
   index.Insert(Aabb({1, 1, 0}, {3, 3, 0}), {8, 9});
   std::vector<uint32_t> out;
@@ -37,9 +35,7 @@ TEST(SensingIndexTest, ProbeDeduplicatesAcrossEntries) {
 }
 
 TEST(SensingIndexTest, ResultIsSorted) {
-  SensingIndexConfig config;
-  config.merge_distance_fraction = 0.0;
-  SensingRegionIndex index(config);
+  SensingRegionIndex index;
   index.Insert(Aabb({0, 0, 0}, {2, 2, 0}), {9, 3, 5});
   std::vector<uint32_t> out;
   index.Probe(Aabb({0, 0, 0}, {1, 1, 0}), &out);
@@ -47,9 +43,7 @@ TEST(SensingIndexTest, ResultIsSorted) {
 }
 
 TEST(SensingIndexTest, NearbyInsertsMerge) {
-  SensingIndexConfig config;
-  config.merge_distance_fraction = 0.25;
-  SensingRegionIndex index(config);
+  SensingRegionIndex index;
   // Boxes of radius 4.5 whose centers move 0.1 per epoch: all merge.
   for (int i = 0; i < 10; ++i) {
     const Vec3 c{0.0, i * 0.1, 0.0};
@@ -62,9 +56,7 @@ TEST(SensingIndexTest, NearbyInsertsMerge) {
 }
 
 TEST(SensingIndexTest, DistantInsertsDoNotMerge) {
-  SensingIndexConfig config;
-  config.merge_distance_fraction = 0.25;
-  SensingRegionIndex index(config);
+  SensingRegionIndex index;
   for (int i = 0; i < 5; ++i) {
     const Vec3 c{0.0, i * 10.0, 0.0};
     index.Insert(Aabb::FromCenterRadius(c, 2.0), {static_cast<uint32_t>(i)});

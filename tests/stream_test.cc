@@ -5,96 +5,86 @@
 #include "stream/emitter.h"
 #include "stream/query.h"
 #include "stream/synchronizer.h"
+#include "test_util.h"
 
 namespace rfid {
 namespace {
 
+using testing_util::SynchronizeAll;
+
 // ---------------------------------------------------------- Synchronizer ---
 
 TEST(SynchronizerTest, EmptyStreamsYieldNothing) {
-  StreamSynchronizer sync(1.0);
-  const auto epochs = sync.Synchronize({}, {});
-  ASSERT_TRUE(epochs.ok());
-  EXPECT_TRUE(epochs.value().empty());
+  StreamSynchronizer sync;
+  EXPECT_TRUE(SynchronizeAll(&sync, {}, {}).empty());
 }
 
 TEST(SynchronizerTest, GroupsReadingsByEpoch) {
-  StreamSynchronizer sync(1.0);
+  StreamSynchronizer sync;
   const std::vector<TagReading> readings = {
       {0.1, 5}, {0.7, 6}, {1.2, 7}, {2.9, 8}};
-  const auto epochs = sync.Synchronize(readings, {});
-  ASSERT_TRUE(epochs.ok());
-  ASSERT_EQ(epochs.value().size(), 3u);
-  EXPECT_EQ(epochs.value()[0].tags, (std::vector<TagId>{5, 6}));
-  EXPECT_EQ(epochs.value()[1].tags, (std::vector<TagId>{7}));
-  EXPECT_EQ(epochs.value()[2].tags, (std::vector<TagId>{8}));
+  const auto epochs = SynchronizeAll(&sync, readings, {});
+  ASSERT_EQ(epochs.size(), 3u);
+  EXPECT_EQ(epochs[0].tags, (std::vector<TagId>{5, 6}));
+  EXPECT_EQ(epochs[1].tags, (std::vector<TagId>{7}));
+  EXPECT_EQ(epochs[2].tags, (std::vector<TagId>{8}));
 }
 
 TEST(SynchronizerTest, DeduplicatesTagsWithinEpoch) {
-  StreamSynchronizer sync(1.0);
+  StreamSynchronizer sync;
   const std::vector<TagReading> readings = {{0.1, 5}, {0.5, 5}, {0.9, 5}};
-  const auto epochs = sync.Synchronize(readings, {});
-  ASSERT_TRUE(epochs.ok());
-  ASSERT_EQ(epochs.value().size(), 1u);
-  EXPECT_EQ(epochs.value()[0].tags, (std::vector<TagId>{5}));
+  const auto epochs = SynchronizeAll(&sync, readings, {});
+  ASSERT_EQ(epochs.size(), 1u);
+  EXPECT_EQ(epochs[0].tags, (std::vector<TagId>{5}));
 }
 
 TEST(SynchronizerTest, AveragesLocationReports) {
-  StreamSynchronizer sync(1.0);
+  StreamSynchronizer sync;
   const std::vector<ReaderLocationReport> locs = {{0.2, {1, 2, 0}},
                                                   {0.8, {3, 4, 0}}};
-  const auto epochs = sync.Synchronize({}, locs);
-  ASSERT_TRUE(epochs.ok());
-  ASSERT_EQ(epochs.value().size(), 1u);
-  EXPECT_TRUE(epochs.value()[0].has_location);
-  EXPECT_EQ(epochs.value()[0].reported_location, Vec3(2, 3, 0));
+  const auto epochs = SynchronizeAll(&sync, {}, locs);
+  ASSERT_EQ(epochs.size(), 1u);
+  EXPECT_TRUE(epochs[0].has_location);
+  EXPECT_EQ(epochs[0].reported_location, Vec3(2, 3, 0));
 }
 
 TEST(SynchronizerTest, EmitsEmptyEpochsBetweenRecords) {
-  StreamSynchronizer sync(1.0);
+  StreamSynchronizer sync;
   const std::vector<TagReading> readings = {{0.5, 1}, {3.5, 2}};
-  const auto epochs = sync.Synchronize(readings, {});
-  ASSERT_TRUE(epochs.ok());
-  ASSERT_EQ(epochs.value().size(), 4u);
-  EXPECT_TRUE(epochs.value()[1].tags.empty());
-  EXPECT_FALSE(epochs.value()[1].has_location);
+  const auto epochs = SynchronizeAll(&sync, readings, {});
+  ASSERT_EQ(epochs.size(), 4u);
+  EXPECT_TRUE(epochs[1].tags.empty());
+  EXPECT_FALSE(epochs[1].has_location);
 }
 
 TEST(SynchronizerTest, SlightlyOutOfSyncStreamsLandInSameEpoch) {
   // The paper's motivation for coarse epochs: streams slightly out of sync.
-  StreamSynchronizer sync(1.0);
+  StreamSynchronizer sync;
   const std::vector<TagReading> readings = {{1.05, 9}};
   const std::vector<ReaderLocationReport> locs = {{1.95, {5, 5, 0}}};
-  const auto epochs = sync.Synchronize(readings, locs);
-  ASSERT_TRUE(epochs.ok());
-  ASSERT_EQ(epochs.value().size(), 1u);
-  EXPECT_EQ(epochs.value()[0].tags.size(), 1u);
-  EXPECT_TRUE(epochs.value()[0].has_location);
-}
-
-TEST(SynchronizerTest, RejectsUnorderedStreams) {
-  StreamSynchronizer sync(1.0);
-  EXPECT_FALSE(sync.Synchronize({{2.0, 1}, {1.0, 2}}, {}).ok());
-  EXPECT_FALSE(
-      sync.Synchronize({}, {{2.0, {0, 0, 0}}, {1.0, {0, 0, 0}}}).ok());
+  const auto epochs = SynchronizeAll(&sync, readings, locs);
+  ASSERT_EQ(epochs.size(), 1u);
+  EXPECT_EQ(epochs[0].tags.size(), 1u);
+  EXPECT_TRUE(epochs[0].has_location);
 }
 
 TEST(SynchronizerTest, CustomEpochLength) {
-  StreamSynchronizer sync(2.0);
+  SynchronizerConfig config;
+  config.epoch_seconds = 2.0;
+  StreamSynchronizer sync(config);
   const std::vector<TagReading> readings = {{0.5, 1}, {1.5, 2}, {2.5, 3}};
-  const auto epochs = sync.Synchronize(readings, {});
-  ASSERT_TRUE(epochs.ok());
-  ASSERT_EQ(epochs.value().size(), 2u);
-  EXPECT_EQ(epochs.value()[0].tags.size(), 2u);
+  const auto epochs = SynchronizeAll(&sync, readings, {});
+  ASSERT_EQ(epochs.size(), 2u);
+  EXPECT_EQ(epochs[0].tags.size(), 2u);
 }
 
 TEST(SynchronizerTest, OnlinePollReturnsClosedEpochs) {
-  StreamSynchronizer sync(1.0);
+  StreamSynchronizer sync;
   sync.Push(TagReading{0.3, 1});
   sync.Push(ReaderLocationReport{0.5, {1, 1, 0}});
   sync.Push(TagReading{1.2, 2});
-  // Epoch 0 closes once time passes 1.0.
-  const auto closed = sync.Poll(1.5);
+  // Epoch 0 closes once the watermark passes 1.0.
+  const auto closed = sync.PollWatermark();
   ASSERT_EQ(closed.size(), 1u);
   EXPECT_EQ(closed[0].step, 0);
   EXPECT_EQ(closed[0].tags, (std::vector<TagId>{1}));
@@ -106,10 +96,12 @@ TEST(SynchronizerTest, OnlinePollReturnsClosedEpochs) {
 }
 
 TEST(SynchronizerTest, PollTwiceDoesNotDuplicate) {
-  StreamSynchronizer sync(1.0);
+  StreamSynchronizer sync;
   sync.Push(TagReading{0.3, 1});
-  EXPECT_EQ(sync.Poll(2.0).size(), 1u);
-  EXPECT_TRUE(sync.Poll(3.0).empty());
+  EXPECT_TRUE(sync.PollWatermark().empty());
+  sync.Push(TagReading{1.5, 2});
+  EXPECT_EQ(sync.PollWatermark().size(), 1u);
+  EXPECT_TRUE(sync.PollWatermark().empty());
 }
 
 // --------------------------------------------------------------- Emitter ---

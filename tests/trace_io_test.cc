@@ -6,6 +6,7 @@
 
 #include "stream/synchronizer.h"
 #include "stream/trace_io.h"
+#include "test_util.h"
 
 namespace rfid {
 namespace {
@@ -194,16 +195,15 @@ TEST(TraceIoTest, FlattenThenResynchronizeRoundTrips) {
   EXPECT_EQ(readings.size(), 3u);
   EXPECT_EQ(reports.size(), 3u);
 
-  StreamSynchronizer sync(1.0);
-  const auto back = sync.Synchronize(readings, reports);
-  ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back.value().size(), 3u);
-  EXPECT_EQ(back.value()[0].tags, (std::vector<TagId>{5, 7}));
-  EXPECT_TRUE(back.value()[1].tags.empty());
-  EXPECT_EQ(back.value()[2].tags, (std::vector<TagId>{9}));
-  EXPECT_TRUE(back.value()[1].has_location);
-  EXPECT_TRUE(back.value()[2].has_heading);
-  EXPECT_NEAR(back.value()[2].reported_heading, 0.25, 1e-9);
+  StreamSynchronizer sync;
+  const auto back = testing_util::SynchronizeAll(&sync, readings, reports);
+  ASSERT_EQ(back.size(), 3u);
+  EXPECT_EQ(back[0].tags, (std::vector<TagId>{5, 7}));
+  EXPECT_TRUE(back[1].tags.empty());
+  EXPECT_EQ(back[2].tags, (std::vector<TagId>{9}));
+  EXPECT_TRUE(back[1].has_location);
+  EXPECT_TRUE(back[2].has_heading);
+  EXPECT_NEAR(back[2].reported_heading, 0.25, 1e-9);
 }
 
 }  // namespace
