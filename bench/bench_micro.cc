@@ -10,6 +10,7 @@
 #include "model/spherical_sensor.h"
 #include "pf/belief.h"
 #include "pf/factored_filter.h"
+#include "pf/initializer.h"
 #include "pf/resample.h"
 #include "sim/trace.h"
 #include "core/experiment.h"
@@ -123,6 +124,69 @@ void BM_SensorProbReadBatch(benchmark::State& state) {
 BENCHMARK(BM_SensorProbReadBatch<ConeSensorModel>)->Arg(1000);
 BENCHMARK(BM_SensorProbReadBatch<LogisticSensorModel>)->Arg(1000);
 BENCHMARK(BM_SensorProbReadBatch<SphericalSensorModel>)->Arg(1000);
+
+/// The cone gather on the element mix a site's priming round weights
+/// (PERF.md "Priming cost"): 45% past MaxRange, 38% in range but outside
+/// the cone's bearing, the rest inside it; 100 reader frames. The first
+/// two classes return 0 without the model, the bearing class without the
+/// sqrt and acos.
+void BM_ConeGatherSetupMix(benchmark::State& state) {
+  const ConeSensorModel sensor;
+  const size_t n = static_cast<size_t>(state.range(0));
+  GatherBatch b(n);
+  Rng rng(9);
+  const double range = sensor.MaxRange();
+  const double theta0 = sensor.BatchZeroAngle();
+  for (size_t k = 0; k < n; ++k) {
+    const double u = rng.NextDouble();
+    const double r = u < 0.45 ? rng.Uniform(range, 2 * range)
+                              : rng.Uniform(0.1, range);
+    const double theta = u < 0.45   ? rng.Uniform(0.0, M_PI)
+                         : u < 0.83 ? rng.Uniform(theta0, M_PI)
+                                    : rng.Uniform(0.0, theta0);
+    const double side = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+    const ReaderFrame& f = b.frames[b.idx[k]];
+    const double along = r * std::cos(theta);
+    const double across = side * r * std::sin(theta);
+    b.xs[k] = f.origin.x + along * f.cos_heading - across * f.sin_heading;
+    b.ys[k] = f.origin.y + along * f.sin_heading + across * f.cos_heading;
+  }
+  for (auto _ : state) {
+    sensor.ProbReadBatchGather(b.frames.data(), b.idx.data(), b.xs.data(),
+                               b.ys.data(), b.zs.data(), n, b.out.data());
+    benchmark::DoNotOptimize(b.out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_ConeGatherSetupMix)->Arg(1000);
+
+/// One §IV-A initial particle on the end-to-end warehouse layout (40
+/// shelves of 10 ft): cone samples from reader poses along the aisle,
+/// rejected until one lands on a shelf. Shelf lookups are most of it.
+void BM_InitializerSample(benchmark::State& state) {
+  WarehouseConfig wc;
+  wc.num_shelves = 40;
+  wc.shelf_length = 10.0;
+  const ShelfRegions shelves = BuildWarehouse(wc).value().MakeShelfRegions();
+  const ConeSensorModel sensor;
+  const ParticleInitializer initializer(InitializerConfig{}, &sensor,
+                                        &shelves);
+  Rng rng(10);
+  std::vector<Pose> poses;
+  for (int i = 0; i < 256; ++i) {
+    poses.emplace_back(Vec3{0.0, rng.Uniform(0.0, shelves.BoundingBox().max.y),
+                            0.0},
+                       0.0);
+  }
+  size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        initializer.Sample(poses[k++ % poses.size()], rng));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InitializerSample);
 
 /// The SIMD index-gather lanes against the scalar gather above (same
 /// shape; backend in the label). Includes a remainder-lane size.

@@ -1,7 +1,9 @@
 #include "core/engine.h"
 
+#include <cmath>
 #include <cstdio>
 #include <iterator>
+#include <string>
 
 namespace rfid {
 
@@ -18,8 +20,25 @@ std::string EngineStats::ToJson() const {
 }
 
 namespace {
+// The initialization cone must be a real cone in front of the reader: an
+// infinite or NaN depth puts non-finite positions into the belief (which no
+// snapshot can hold), a negative one mirrors the cone behind the reader, and
+// a half-angle past pi covers some bearings twice.
+Status ValidateInit(const InitializerConfig& init, const std::string& name) {
+  if (!(std::isfinite(init.range_overestimate) &&
+        init.range_overestimate > 0)) {
+    return Status::Invalid(name +
+                           ".init.range_overestimate must be finite and > 0");
+  }
+  if (!(init.half_angle > 0 && init.half_angle <= M_PI)) {
+    return Status::Invalid(name + ".init.half_angle must be in (0, pi]");
+  }
+  return Status::OK();
+}
+
 Status ValidateConfig(const EngineConfig& config) {
   if (config.filter == EngineConfig::FilterKind::kBasic) {
+    RFID_RETURN_NOT_OK(ValidateInit(config.basic.init, "basic"));
     if (config.basic.num_particles <= 0) {
       return Status::Invalid("basic.num_particles must be positive");
     }
@@ -29,6 +48,7 @@ Status ValidateConfig(const EngineConfig& config) {
     }
   } else {
     const FactoredFilterConfig& f = config.factored;
+    RFID_RETURN_NOT_OK(ValidateInit(f.init, "factored"));
     if (f.num_reader_particles <= 0 || f.num_object_particles <= 0 ||
         f.num_decompress_particles <= 0) {
       return Status::Invalid("factored particle counts must be positive");

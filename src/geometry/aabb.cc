@@ -21,11 +21,6 @@ void Aabb::Extend(const Aabb& other) {
   Extend(other.max);
 }
 
-bool Aabb::Contains(const Vec3& p) const {
-  return p.x >= min.x && p.x <= max.x && p.y >= min.y && p.y <= max.y &&
-         p.z >= min.z && p.z <= max.z;
-}
-
 bool Aabb::Intersects(const Aabb& other) const {
   if (IsEmpty() || other.IsEmpty()) return false;
   return min.x <= other.max.x && max.x >= other.min.x && min.y <= other.max.y &&

@@ -33,7 +33,10 @@ struct Aabb {
   void Extend(const Vec3& p);
   void Extend(const Aabb& other);
 
-  bool Contains(const Vec3& p) const;
+  bool Contains(const Vec3& p) const {
+    return p.x >= min.x && p.x <= max.x && p.y >= min.y && p.y <= max.y &&
+           p.z >= min.z && p.z <= max.z;
+  }
   bool Intersects(const Aabb& other) const;
 
   /// Intersection box; empty if disjoint.

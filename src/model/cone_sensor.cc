@@ -8,7 +8,7 @@ namespace rfid {
 
 Aabb ConeSensorModel::SensingBounds(const Pose& reader) const {
   const double r = MaxRange();
-  const double theta_max = params_.major_half_angle + params_.minor_extra_angle;
+  const double theta_max = MaxAngle();
   Aabb box;
   box.Extend(reader.position);
   // Sample the bounding arc: the extremes of the cone's planar footprint are
@@ -32,14 +32,10 @@ Aabb ConeSensorModel::SensingBounds(const Pose& reader) const {
 }
 
 double ConeSensorModel::ProbRead(double distance, double angle) const {
+  if (angle >= MaxAngle() || distance >= MaxRange()) return 0.0;
+
   const double theta_major = params_.major_half_angle;
-  const double theta_max = theta_major + params_.minor_extra_angle;
-  if (angle >= theta_max) return 0.0;
-
   const double r_major = params_.major_range;
-  const double r_max = r_major + params_.minor_extra_range;
-  if (distance >= r_max) return 0.0;
-
   // Linear decay factors in the minor wedge / minor range; 1 inside major.
   double angle_factor = 1.0;
   if (angle > theta_major) {
@@ -55,7 +51,8 @@ double ConeSensorModel::ProbRead(double distance, double angle) const {
 void ConeSensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
                                              const Vec3* positions, size_t n,
                                              double* out) const {
-  batch_detail::BatchAos(*this, frame, positions, n, out, MaxRange());
+  batch_detail::BatchAos(*this, frame, positions, n, out, MaxRange(),
+                         MaxAngle());
 }
 
 void ConeSensorModel::ProbReadBatchGather(const ReaderFrame* frames,
@@ -64,17 +61,17 @@ void ConeSensorModel::ProbReadBatchGather(const ReaderFrame* frames,
                                           const double* zs, size_t n,
                                           double* out) const {
   batch_detail::BatchGather(*this, frames, frame_idx, xs, ys, zs, n, out,
-                            MaxRange());
+                            MaxRange(), MaxAngle());
 }
 
 namespace {
 
 simd_kernel::ConeEval MakeConeEval(const ConeSensorParams& params,
-                                   double max_range) {
+                                   double max_range, double max_angle) {
   simd_kernel::ConeEval::Params p;
   p.major_read_rate = params.major_read_rate;
   p.major_half_angle = params.major_half_angle;
-  p.theta_max = params.major_half_angle + params.minor_extra_angle;
+  p.theta_max = max_angle;
   p.major_range = params.major_range;
   p.r_max = max_range;
   p.inv_minor_angle = 1.0 / params.minor_extra_angle;
@@ -90,8 +87,8 @@ void ConeSensorModel::ProbReadBatchGatherSimd(const ReaderFrame* frames,
                                               const double* ys,
                                               const double* zs, size_t n,
                                               double* out) const {
-  simd_kernel::BatchGatherSimd(MakeConeEval(params_, MaxRange()), frames,
-                               frame_idx, xs, ys, zs, n, out);
+  simd_kernel::BatchGatherSimd(MakeConeEval(params_, MaxRange(), MaxAngle()),
+                               frames, frame_idx, xs, ys, zs, n, out);
 }
 
 }  // namespace rfid

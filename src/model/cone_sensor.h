@@ -32,8 +32,15 @@ class ConeSensorModel final : public SensorModel {
   double MaxRange() const override {
     return params_.major_range + params_.minor_extra_range;
   }
-  /// The cone is exactly zero past MaxRange, so batch kernels zero there.
+  /// Total half-angle of the cone (major + minor wedge); ProbRead is
+  /// exactly 0 at and past it.
+  double MaxAngle() const {
+    return params_.major_half_angle + params_.minor_extra_angle;
+  }
+  /// The cone is exactly zero past MaxRange and past MaxAngle, so batch
+  /// kernels zero there.
   double BatchZeroRadius() const override { return MaxRange(); }
+  double BatchZeroAngle() const override { return MaxAngle(); }
   /// Tight bounding box of the cone (apex at the reader, opening along the
   /// heading, total half-angle major + minor).
   Aabb SensingBounds(const Pose& reader) const override;
@@ -41,8 +48,8 @@ class ConeSensorModel final : public SensorModel {
     return std::make_unique<ConeSensorModel>(*this);
   }
 
-  // Devirtualized batch kernels; beyond MaxRange() the cone is exactly zero,
-  // so out-of-range particles skip the bearing acos entirely.
+  // Devirtualized batch kernels; beyond MaxRange() or MaxAngle() the cone is
+  // exactly zero, so such particles skip the sqrt and the bearing acos.
   void ProbReadBatchPositions(const ReaderFrame& frame, const Vec3* positions,
                               size_t n, double* out) const override;
   void ProbReadBatchGather(const ReaderFrame* frames, const uint32_t* frame_idx,

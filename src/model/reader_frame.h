@@ -9,9 +9,14 @@
 // The templated kernels below replicate ComputeRangeBearing (geometry/vec.h)
 // term for term — same expressions, same association order, same 1e-12
 // degenerate-distance guard — so a batched evaluation returns exactly what a
-// scalar ProbReadAt call would. There are two: one frame over AoS positions
-// (the basic filter) and a per-element frame gather over SoA positions (the
-// factored filter). When instantiated with a concrete `final` sensor model
+// scalar ProbReadAt call would. Two cuts return 0 before that arithmetic
+// (ZeroCuts): past the model's zero range (exact for the cone, a negligible
+// rounding for the smooth models, see kBatchNegligibleProb), and past its
+// zero bearing with a margin that keeps the result bit-identical (the
+// cone's wedge edge, see kBearingCutMargin). There are two kernels: one
+// frame over AoS positions (the basic filter) and a per-element frame
+// gather over SoA positions (the factored filter); both take their cuts
+// from MakeZeroCuts. When instantiated with a concrete `final` sensor model
 // the per-particle ProbRead call devirtualizes and inlines.
 #pragma once
 
@@ -42,44 +47,95 @@ struct ReaderFrame {
 
 namespace batch_detail {
 
-/// Range/bearing of one offset against one frame, then the model's ProbRead.
-/// `zero_beyond_sq` is the *squared* cutoff distance past which the model's
-/// probability is (exactly or negligibly) zero — the squared comparison
-/// lets far-field elements skip the sqrt as well as the acos; pass +inf for
-/// no cutoff. Comparing squares can disagree with comparing distances by
-/// one ulp exactly at the cutoff, where every model's probability is below
-/// the 1e-12 parity tolerance by construction.
+inline constexpr double kNoCutoff = std::numeric_limits<double>::infinity();
+
+/// Slack subtracted from cos(θ0) for the bearing cut, θ0 being the bearing
+/// at and past which the model's ProbRead is exactly 0.
+///
+/// The cut zeroes an element when dot <= 0 or dot² <= c²·dist_sq, with
+/// c = cos(θ0) − kBearingCutMargin. dot and dist_sq are the very values the
+/// exact path divides and takes the sqrt of, so only these roundings count:
+/// cos(θ0) (glibc, ≤ 1 ulp), the subtraction, c², c²·dist_sq and dot² on
+/// the cut's side; the sqrt, the division and acos (glibc, ≤ 1 ulp) on the
+/// exact side. Each is a relative error of at most ~2.2e-16, about 1e-15 on
+/// the cosine in all. So the cosine the exact path computes for a zeroed
+/// element is at most cos(θ0) − 1e-9 + 1e-15 (and at most 0 when dot <= 0,
+/// past a right angle since c > 0 needs θ0 < π/2), the clamp keeps it under
+/// that bound, and acos falls at least as fast as its argument rises
+/// (|acos'| >= 1): the angle is at least θ0 + 1e-9 − 2e-15 after its own
+/// rounding — still past θ0, where ProbRead returns exactly 0.
+/// An element at or past θ0 but inside the 1e-9 band is not cut; it takes
+/// the exact path and gets its 0 from ProbRead.
+inline constexpr double kBearingCutMargin = 1e-9;
+
+/// The cut applies only above this squared distance. EvalOne computes a
+/// bearing only for dist > 1e-12 (below it the angle is 0); dist_sq just
+/// above 1e-24 can round its sqrt to exactly 1e-12, so the cut stays a
+/// hundredfold clear of that guard and every element near it takes the
+/// exact path.
+inline constexpr double kBearingCutMinDistSq = 1e-22;
+
+/// Where the batch kernels may return exactly 0 without calling ProbRead:
+/// past a squared range, and past a bearing (see kBearingCutMargin).
+struct ZeroCuts {
+  double range_sq = kNoCutoff;  ///< dist_sq >= range_sq → 0.
+  bool bearing = false;         ///< Whether the bearing cut applies.
+  double bearing_cos_sq = 0.0;  ///< c², c = cos(θ0) − kBearingCutMargin.
+};
+
+/// The cuts for a model that is zero past `zero_beyond` (its
+/// BatchZeroRadius()) and at bearings >= `zero_angle` (its
+/// BatchZeroAngle()); +inf for either means no cut. The bearing cut needs
+/// c > 0, i.e. θ0 short of a right angle. Comparing squared distances can
+/// disagree with comparing distances by one ulp exactly at the range
+/// cutoff, where every model's probability is below the 1e-12 parity
+/// tolerance by construction.
+inline ZeroCuts MakeZeroCuts(double zero_beyond, double zero_angle) {
+  ZeroCuts cuts;
+  cuts.range_sq = zero_beyond * zero_beyond;
+  if (zero_angle < M_PI / 2) {
+    const double c = std::cos(zero_angle) - kBearingCutMargin;
+    cuts.bearing = c > 0.0;
+    cuts.bearing_cos_sq = c * c;
+  }
+  return cuts;
+}
+
+/// Range/bearing of one offset against one frame, then the model's
+/// ProbRead — or exactly 0 where `cuts` prove ProbRead would return it.
+/// Skipping the sqrt and acos matters: in a priming round most particles
+/// lie past the cone's range or outside its bearing.
 template <typename ModelT>
 inline double EvalOne(const ModelT& model, const ReaderFrame& f, double tx,
-                      double ty, double tz, double zero_beyond_sq) {
+                      double ty, double tz, const ZeroCuts& cuts) {
   const double dx = tx - f.origin.x;
   const double dy = ty - f.origin.y;
   const double dz = tz - f.origin.z;
   const double dist_sq = dx * dx + dy * dy + dz * dz;
-  if (dist_sq >= zero_beyond_sq) return 0.0;
+  if (dist_sq >= cuts.range_sq) return 0.0;
+  const double dot = dx * f.cos_heading + dy * f.sin_heading;
+  if (cuts.bearing && dist_sq > kBearingCutMinDistSq &&
+      (dot <= 0.0 || dot * dot <= cuts.bearing_cos_sq * dist_sq)) {
+    return 0.0;
+  }
   const double dist = std::sqrt(dist_sq);
   double angle = 0.0;
   if (dist > 1e-12) {
-    const double cos_theta = (dx * f.cos_heading + dy * f.sin_heading) / dist;
+    const double cos_theta = dot / dist;
     angle = std::acos(std::clamp(cos_theta, -1.0, 1.0));
   }
   return model.ProbRead(dist, angle);
-}
-
-/// Squares a cutoff for EvalOne (inf stays inf).
-inline double SquaredCutoff(double zero_beyond) {
-  return zero_beyond * zero_beyond;
 }
 
 /// One frame, AoS positions (the basic filter's per-particle object lists).
 template <typename ModelT>
 inline void BatchAos(const ModelT& model, const ReaderFrame& frame,
                      const Vec3* positions, size_t n, double* out,
-                     double zero_beyond) {
-  const double zb2 = SquaredCutoff(zero_beyond);
+                     double zero_beyond, double zero_angle) {
+  const ZeroCuts cuts = MakeZeroCuts(zero_beyond, zero_angle);
   for (size_t k = 0; k < n; ++k) {
     out[k] = EvalOne(model, frame, positions[k].x, positions[k].y,
-                     positions[k].z, zb2);
+                     positions[k].z, cuts);
   }
 }
 
@@ -89,14 +145,12 @@ template <typename ModelT>
 inline void BatchGather(const ModelT& model, const ReaderFrame* frames,
                         const uint32_t* frame_idx, const double* xs,
                         const double* ys, const double* zs, size_t n,
-                        double* out, double zero_beyond) {
-  const double zb2 = SquaredCutoff(zero_beyond);
+                        double* out, double zero_beyond, double zero_angle) {
+  const ZeroCuts cuts = MakeZeroCuts(zero_beyond, zero_angle);
   for (size_t k = 0; k < n; ++k) {
-    out[k] = EvalOne(model, frames[frame_idx[k]], xs[k], ys[k], zs[k], zb2);
+    out[k] = EvalOne(model, frames[frame_idx[k]], xs[k], ys[k], zs[k], cuts);
   }
 }
-
-inline constexpr double kNoCutoff = std::numeric_limits<double>::infinity();
 
 }  // namespace batch_detail
 

@@ -23,7 +23,7 @@ void SensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
                                          const Vec3* positions, size_t n,
                                          double* out) const {
   batch_detail::BatchAos(*this, frame, positions, n, out,
-                         batch_detail::kNoCutoff);
+                         batch_detail::kNoCutoff, batch_detail::kNoCutoff);
 }
 
 void SensorModel::ProbReadBatchGather(const ReaderFrame* frames,
@@ -32,7 +32,7 @@ void SensorModel::ProbReadBatchGather(const ReaderFrame* frames,
                                       const double* zs, size_t n,
                                       double* out) const {
   batch_detail::BatchGather(*this, frames, frame_idx, xs, ys, zs, n, out,
-                            batch_detail::kNoCutoff);
+                            batch_detail::kNoCutoff, batch_detail::kNoCutoff);
 }
 
 void SensorModel::ProbReadBatchGatherSimd(const ReaderFrame* frames,
@@ -46,14 +46,15 @@ void SensorModel::ProbReadBatchGatherSimd(const ReaderFrame* frames,
 void LogisticSensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
                                                  const Vec3* positions,
                                                  size_t n, double* out) const {
-  batch_detail::BatchAos(*this, frame, positions, n, out, negligible_range_);
+  batch_detail::BatchAos(*this, frame, positions, n, out, negligible_range_,
+                         batch_detail::kNoCutoff);
 }
 
 void LogisticSensorModel::ProbReadBatchGather(
     const ReaderFrame* frames, const uint32_t* frame_idx, const double* xs,
     const double* ys, const double* zs, size_t n, double* out) const {
   batch_detail::BatchGather(*this, frames, frame_idx, xs, ys, zs, n, out,
-                            negligible_range_);
+                            negligible_range_, batch_detail::kNoCutoff);
 }
 
 void LogisticSensorModel::ProbReadBatchGatherSimd(

@@ -50,6 +50,17 @@ class SensorModel {
     return std::numeric_limits<double>::infinity();
   }
 
+  /// Bearing θ0 at and past which ProbRead is exactly 0 for every distance
+  /// (the cone's outer wedge edge). The scalar batch kernels return 0 for
+  /// elements whose bearing is provably past it without the sqrt and acos;
+  /// a 1e-9 margin on the cosine keeps every output bit-identical (see
+  /// batch_detail::kBearingCutMargin in reader_frame.h). The cut applies
+  /// only below a right angle; +infinity (the default) means no cut, for
+  /// models that read at every bearing.
+  virtual double BatchZeroAngle() const {
+    return std::numeric_limits<double>::infinity();
+  }
+
   virtual std::unique_ptr<SensorModel> Clone() const = 0;
 
   /// Axis-aligned bounding box of the sensing region at `reader` (paper

@@ -49,14 +49,15 @@ void SphericalSensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
                                                   const Vec3* positions,
                                                   size_t n,
                                                   double* out) const {
-  batch_detail::BatchAos(*this, frame, positions, n, out, negligible_range_);
+  batch_detail::BatchAos(*this, frame, positions, n, out, negligible_range_,
+                         batch_detail::kNoCutoff);
 }
 
 void SphericalSensorModel::ProbReadBatchGather(
     const ReaderFrame* frames, const uint32_t* frame_idx, const double* xs,
     const double* ys, const double* zs, size_t n, double* out) const {
   batch_detail::BatchGather(*this, frames, frame_idx, xs, ys, zs, n, out,
-                            negligible_range_);
+                            negligible_range_, batch_detail::kNoCutoff);
 }
 
 namespace {

@@ -17,9 +17,11 @@ namespace rfid {
 
 struct InitializerConfig {
   /// Multiplier on SensorModel::MaxRange() for the initialization cone depth.
+  /// Finite and > 0 (RfidInferenceEngine::Create checks).
   double range_overestimate = 1.2;
-  /// Half-angle of the initialization cone (radians). Defaults to a wide
-  /// 60-degree half-angle so even poorly calibrated sensor models are covered.
+  /// Half-angle of the initialization cone (radians), in (0, pi]. Defaults
+  /// to a wide 60-degree half-angle so even poorly calibrated sensor models
+  /// are covered.
   double half_angle = M_PI / 3.0;
   /// When true and shelf regions exist, rejection-sample until the particle
   /// lies on a shelf (up to a fixed number of tries), then fall back to the

@@ -176,36 +176,68 @@ Status InvalidPosition() {
   return Status::Invalid("snapshot particle position is not finite");
 }
 
+// The value checks below run on both sides: a save refuses what the loader
+// would reject, so a belief gone non-finite fails its checkpoint (the last
+// good one stays) instead of writing bytes no restore accepts.
+
+Status CheckReader(const FactoredParticleFilter::ReaderParticle& r) {
+  if (!IsFinite(r.pose.position) || !std::isfinite(r.pose.heading) ||
+      !IsWeight(r.weight)) {
+    return Status::Invalid(
+        "snapshot reader particle is not finite or has a negative weight");
+  }
+  return Status::OK();
+}
+
+Status CheckSummary(const Vec3& mean, const std::array<double, 6>& cov) {
+  bool finite = IsFinite(mean);
+  for (double c : cov) finite = finite && std::isfinite(c);
+  if (!finite) return Status::Invalid("snapshot object summary is not finite");
+  return Status::OK();
+}
+
+Status CheckIndexBox(const Aabb& box) {
+  if (!IsFinite(box.min) || !IsFinite(box.max)) {
+    return Status::Invalid("snapshot index box is not finite");
+  }
+  return Status::OK();
+}
+
 /// v5 particle block after its count: maximal runs of bit-equal positions.
 template <typename Index>
-void WriteParticleRuns(std::ostream& os, const ParticleSoa& particles) {
+Status WriteParticleRuns(std::ostream& os, uint64_t reader_count,
+                         const ParticleSoa& particles) {
   const size_t n = particles.size();
   size_t end = 0;
   for (size_t begin = 0; begin < n; begin = end) {
     const Vec3 position = particles.PositionAt(begin);
+    if (!IsFinite(position)) return InvalidPosition();
     for (end = begin + 1;
          end < n && SameBits(particles.PositionAt(end), position); ++end) {
     }
     WriteVarint(os, end - begin);
     WriteVec3(os, position);
     for (size_t k = begin; k < end; ++k) {
+      RFID_RETURN_NOT_OK(CheckParticle(particles.ReaderIdxAt(k), reader_count,
+                                       particles.WeightAt(k)));
       WritePod(os, static_cast<Index>(particles.ReaderIdxAt(k)));
       WritePod(os, particles.WeightAt(k));
     }
   }
+  return Status::OK();
 }
 
 /// One object's v5 particle block, count included.
-void WriteParticles(std::ostream& os, uint64_t reader_count,
-                    const ParticleSoa& particles) {
+Status WriteParticles(std::ostream& os, uint64_t reader_count,
+                      const ParticleSoa& particles) {
   WritePod(os, static_cast<uint64_t>(particles.size()));
   switch (ReaderIndexBytes(reader_count)) {
     case sizeof(uint8_t):
-      return WriteParticleRuns<uint8_t>(os, particles);
+      return WriteParticleRuns<uint8_t>(os, reader_count, particles);
     case sizeof(uint16_t):
-      return WriteParticleRuns<uint16_t>(os, particles);
+      return WriteParticleRuns<uint16_t>(os, reader_count, particles);
     default:
-      return WriteParticleRuns<uint32_t>(os, particles);
+      return WriteParticleRuns<uint32_t>(os, reader_count, particles);
   }
 }
 
@@ -324,12 +356,13 @@ Status SaveFilterSnapshot(const FactoredParticleFilter& filter,
   // CRC frame around the whole belief payload, streamed straight into the
   // sink: the loader verifies the checksum before committing a single
   // field.
-  RFID_RETURN_NOT_OK(WriteFramedSection(sink, [&filter](std::ostream& os) {
+  const auto write_body = [&filter](std::ostream& os) -> Status {
     WritePod(os, filter.step_);
     WritePod(os, static_cast<uint8_t>(filter.readers_initialized_ ? 1 : 0));
 
     WritePod(os, static_cast<uint64_t>(filter.readers_.size()));
     for (const auto& r : filter.readers_) {
+      RFID_RETURN_NOT_OK(CheckReader(r));
       WriteVec3(os, r.pose.position);
       WritePod(os, r.pose.heading);
       WritePod(os, r.weight);
@@ -347,20 +380,26 @@ Status SaveFilterSnapshot(const FactoredParticleFilter& filter,
       WritePod(os, static_cast<uint8_t>(state.hibernated ? 1 : 0));
       WritePod(os, state.last_revived_step);
       if (state.IsCompressed()) {
+        RFID_RETURN_NOT_OK(CheckSummary(state.compressed->mean(),
+                                        state.compressed->covariance()));
         WriteVec3(os, state.compressed->mean());
         for (double c : state.compressed->covariance()) WritePod(os, c);
       }
-      WriteParticles(os, filter.readers_.size(), state.particles);
+      RFID_RETURN_NOT_OK(
+          WriteParticles(os, filter.readers_.size(), state.particles));
     }
 
     WritePod(os, static_cast<uint64_t>(filter.index_.num_entries()));
+    Status boxes = Status::OK();
     filter.index_.ForEachEntry(
-        [&os](const Aabb& box, const std::vector<uint32_t>& slots) {
+        [&os, &boxes](const Aabb& box, const std::vector<uint32_t>& slots) {
+          if (boxes.ok()) boxes = CheckIndexBox(box);
           WriteVec3(os, box.min);
           WriteVec3(os, box.max);
           WritePod(os, static_cast<uint64_t>(slots.size()));
           for (uint32_t s : slots) WritePod(os, s);
         });
+    RFID_RETURN_NOT_OK(boxes);
 
     const RngState rng_state = filter.rng_.SaveState();
     for (uint64_t word : rng_state.s) WritePod(os, word);
@@ -378,7 +417,9 @@ Status SaveFilterSnapshot(const FactoredParticleFilter& filter,
       WritePod(os, static_cast<uint32_t>(filter.RemapLag(state)));
     }
     WritePod(os, filter.remap_resolves_.load(std::memory_order_relaxed));
-  }));
+    return Status::OK();
+  };
+  RFID_RETURN_NOT_OK(WriteFramedSection(sink, write_body));
   if (!sink.good()) return Status::IOError("failed writing snapshot");
   return Status::OK();
 }
@@ -434,11 +475,7 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
           !ReadPod(is, &r.weight)) {
         return Truncated();
       }
-      if (!IsFinite(r.pose.position) || !std::isfinite(r.pose.heading) ||
-          !IsWeight(r.weight)) {
-        return Status::Invalid(
-            "snapshot reader particle is not finite or has a negative weight");
-      }
+      RFID_RETURN_NOT_OK(CheckReader(r));
     }
 
     uint64_t state_count = 0;
@@ -467,14 +504,10 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
         Vec3 mean;
         std::array<double, 6> cov;
         if (!ReadVec3(is, &mean)) return Truncated();
-        bool finite = IsFinite(mean);
         for (double& c : cov) {
           if (!ReadPod(is, &c)) return Truncated();
-          finite = finite && std::isfinite(c);
         }
-        if (!finite) {
-          return Status::Invalid("snapshot object summary is not finite");
-        }
+        RFID_RETURN_NOT_OK(CheckSummary(mean, cov));
         state.compressed = GaussianBelief(mean, cov);
       }
       RFID_RETURN_NOT_OK(ReadParticles(is, reader_count, &state.particles));
@@ -489,9 +522,7 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
           !ReadCount(is, &slot_count, sizeof(uint32_t))) {
         return Truncated();
       }
-      if (!IsFinite(box.min) || !IsFinite(box.max)) {
-        return Status::Invalid("snapshot index box is not finite");
-      }
+      RFID_RETURN_NOT_OK(CheckIndexBox(box));
       slots.resize(slot_count);
       for (size_t k = 0; k < slots.size(); ++k) {
         if (!ReadPod(is, &slots[k])) return Truncated();

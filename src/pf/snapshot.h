@@ -43,7 +43,11 @@ namespace rfid {
 
 /// Writes the filter's belief state into a seekable sink. The WorldModel and
 /// config are NOT serialized — the caller reconstructs the filter with the
-/// same model and config before restoring.
+/// same model and config before restoring. Fails with a non-OK Status, part
+/// way through the sink, on any value LoadFilterSnapshot would reject (a
+/// non-finite reader pose, particle position, summary or index box, or a
+/// negative or non-finite weight), so no save writes bytes that cannot be
+/// restored.
 Status SaveFilterSnapshot(const FactoredParticleFilter& filter,
                           std::ostream& os);
 

@@ -3,7 +3,8 @@
 // element, for the cone, spherical and logistic models, including the
 // degenerate tag-at-reader geometry and out-of-range positions. Single-frame
 // cases run through the gather entry points with every particle attached to
-// frame 0.
+// frame 0. The bearing cut is held to more: bit-equality with the kernel
+// loop as it was before the cut (the last tests below).
 //
 // The SIMD kernels (simd_kernels.h) carry a looser, explicitly documented
 // contract — |simd - scalar| <= 1e-9 * scalar + 1e-12 per element — because
@@ -12,7 +13,10 @@
 // far-field short-circuit boundary.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "model/cone_sensor.h"
@@ -325,6 +329,186 @@ TEST(BatchKernelTest, ConeZeroBeyondMaxRangeExactly) {
   double out[3] = {-1, -1, -1};
   sensor.ProbReadBatchGather(&frame, frame_idx, xs, ys, zs, 3, out);
   for (double p : out) EXPECT_EQ(p, 0.0);
+}
+
+// ---------------------------------------------------- bearing cut, exact ---
+//
+// The scalar kernels return 0 without the sqrt and acos for elements whose
+// bearing is provably past the model's BatchZeroAngle(). That must change
+// no output bit, so the cone's gather and AoS kernels are compared with
+// memcmp against the per-element loop they had before the cut, kept here:
+
+/// The per-element evaluation as it was before the bearing cut.
+double ReferenceEvalOne(const SensorModel& model, const ReaderFrame& f,
+                        double tx, double ty, double tz,
+                        double zero_beyond_sq) {
+  const double dx = tx - f.origin.x;
+  const double dy = ty - f.origin.y;
+  const double dz = tz - f.origin.z;
+  const double dist_sq = dx * dx + dy * dy + dz * dz;
+  if (dist_sq >= zero_beyond_sq) return 0.0;
+  const double dist = std::sqrt(dist_sq);
+  double angle = 0.0;
+  if (dist > 1e-12) {
+    const double cos_theta = (dx * f.cos_heading + dy * f.sin_heading) / dist;
+    angle = std::acos(std::clamp(cos_theta, -1.0, 1.0));
+  }
+  return model.ProbRead(dist, angle);
+}
+
+/// Offset at distance r and 3-D bearing theta from a frame's heading,
+/// rotated by psi around the heading axis (psi = 0: in the reader's plane).
+Vec3 AtBearing(const ReaderFrame& f, double r, double theta, double psi) {
+  const double along = r * std::cos(theta);
+  const double across = r * std::sin(theta) * std::cos(psi);
+  const double up = r * std::sin(theta) * std::sin(psi);
+  return {f.origin.x + along * f.cos_heading - across * f.sin_heading,
+          f.origin.y + along * f.sin_heading + across * f.cos_heading,
+          f.origin.z + up};
+}
+
+struct CutCases {
+  std::vector<ReaderFrame> frames;
+  std::vector<uint32_t> frame_idx;
+  std::vector<double> xs, ys, zs;
+
+  void Add(uint32_t frame, const Vec3& p) {
+    frame_idx.push_back(frame);
+    xs.push_back(p.x);
+    ys.push_back(p.y);
+    zs.push_back(p.z);
+  }
+};
+
+/// Elements around the model's zero bearing θ0, in the 1e-9 margin band and
+/// beyond it, at dot = 0 and behind the reader, at distances around the
+/// 1e-12 degenerate-distance guard and around MaxRange, in and out of the
+/// reader's plane, over several frames; plus a dense random sweep.
+CutCases MakeCutCases(const SensorModel& sensor, uint64_t seed) {
+  CutCases cases;
+  for (const Pose& pose :
+       {Pose({0, 0, 0}, 0.0), Pose({1.25, -3.5, 0.75}, 0.9),
+        Pose({-2, 4, -0.4}, -2.7), Pose({3, -1, 0}, M_PI),
+        Pose({0.1, 0.2, 0.3}, M_PI / 2)}) {
+    cases.frames.push_back(ReaderFrame::From(pose));
+  }
+  const double theta0 = std::min(sensor.BatchZeroAngle(), M_PI);
+  const double range = sensor.MaxRange();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> bearings = {M_PI / 2, M_PI / 2 + 1e-12, 2.0, 3.0, M_PI,
+                                  0.0, 0.1};
+  for (double d : {0.0, 1e-12, 1e-10, 1.5e-9, 1.9e-9, 1.99e-9, 2e-9, 2.01e-9,
+                   2.1e-9, 2.5e-9, 4e-9, 1e-8, 1e-6}) {
+    bearings.push_back(theta0 + d);
+    bearings.push_back(theta0 - d);
+  }
+  bearings.push_back(std::nextafter(theta0, inf));
+  bearings.push_back(std::nextafter(theta0, -inf));
+  std::vector<double> distances = {
+      1e-13, std::nextafter(1e-12, 0.0), 1e-12, std::nextafter(1e-12, 1.0),
+      1.0000001e-12, 3e-12, 9.9e-12, 1e-11, 1.0001e-11, 5e-11, 1e-10,
+      0.5, 1.0, 2.0, 3.0, 3.7, std::nextafter(range, 0.0), range,
+      std::nextafter(range, inf), range * (1 + 1e-12), range + 0.5};
+  for (uint32_t f = 0; f < cases.frames.size(); ++f) {
+    for (double theta : bearings) {
+      for (double r : distances) {
+        for (double psi : {0.0, M_PI, 0.3, -1.2, M_PI / 2}) {
+          cases.Add(f, AtBearing(cases.frames[f], r, theta, psi));
+        }
+      }
+    }
+    // Exactly dot = 0 for the heading-0 frame: offsets along y (and z).
+    const Vec3 o = cases.frames[f].origin;
+    for (double dy : {-2.0, -1e-12, 1e-12, 0.5, 2.0}) {
+      cases.Add(f, {o.x, o.y + dy, o.z});
+      cases.Add(f, {o.x, o.y + dy, o.z + 0.3});
+    }
+    cases.Add(f, o);  // Tag at the reader.
+  }
+  Rng rng(seed);
+  for (int i = 0; i < 40000; ++i) {
+    const uint32_t f =
+        static_cast<uint32_t>(rng.UniformInt(cases.frames.size()));
+    const double theta = i % 2 == 0
+                             ? theta0 + rng.Uniform(-2e-8, 2e-8)
+                             : rng.Uniform(0.0, M_PI);
+    cases.Add(f, AtBearing(cases.frames[f], rng.Uniform(0.0, 1.1 * range),
+                           theta, rng.Uniform(-M_PI, M_PI)));
+  }
+  return cases;
+}
+
+void ExpectCutIsBitExact(const SensorModel& sensor, double zero_beyond,
+                         uint64_t seed) {
+  const CutCases c = MakeCutCases(sensor, seed);
+  const size_t n = c.xs.size();
+  const double zero_beyond_sq = zero_beyond * zero_beyond;
+
+  std::vector<double> expected(n);
+  for (size_t k = 0; k < n; ++k) {
+    expected[k] = ReferenceEvalOne(sensor, c.frames[c.frame_idx[k]], c.xs[k],
+                                   c.ys[k], c.zs[k], zero_beyond_sq);
+  }
+  std::vector<double> gathered(n, -1.0);
+  sensor.ProbReadBatchGather(c.frames.data(), c.frame_idx.data(), c.xs.data(),
+                             c.ys.data(), c.zs.data(), n, gathered.data());
+  for (size_t k = 0; k < n; ++k) {
+    ASSERT_EQ(std::memcmp(&gathered[k], &expected[k], sizeof(double)), 0)
+        << "gather element " << k << ": " << gathered[k] << " vs "
+        << expected[k];
+  }
+  // The AoS kernel, one frame at a time.
+  for (uint32_t f = 0; f < c.frames.size(); ++f) {
+    std::vector<Vec3> positions;
+    std::vector<double> want;
+    for (size_t k = 0; k < n; ++k) {
+      if (c.frame_idx[k] != f) continue;
+      positions.push_back({c.xs[k], c.ys[k], c.zs[k]});
+      want.push_back(expected[k]);
+    }
+    std::vector<double> got(positions.size(), -1.0);
+    sensor.ProbReadBatchPositions(c.frames[f], positions.data(),
+                                  positions.size(), got.data());
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+              0)
+        << "AoS frame " << f;
+  }
+}
+
+TEST(BatchKernelTest, ConeBearingCutIsBitExact) {
+  const ConeSensorModel cone;
+  const ConeSensorParams& p = cone.params();
+  EXPECT_EQ(cone.BatchZeroAngle(), p.major_half_angle + p.minor_extra_angle);
+  ExpectCutIsBitExact(cone, cone.MaxRange(), 601);
+}
+
+TEST(BatchKernelTest, ConeBearingCutIsBitExactForOtherWedges) {
+  // Narrow, near-right-angle (c = cos(θ0) − 1e-9 tiny but positive), just
+  // short of a cut (cos(θ0) below the margin) and wider than a right angle
+  // (no cut at all).
+  for (const auto& [major, minor] :
+       {std::pair{2.0 * M_PI / 180, 3.0 * M_PI / 180},
+        std::pair{M_PI / 4, M_PI / 4 - 1e-8},
+        std::pair{M_PI / 4, M_PI / 4 - 5e-10},
+        std::pair{60.0 * M_PI / 180, 40.0 * M_PI / 180}}) {
+    ConeSensorParams params;
+    params.major_half_angle = major;
+    params.minor_extra_angle = minor;
+    const ConeSensorModel cone(params);
+    SCOPED_TRACE(::testing::Message() << "zero angle " << cone.BatchZeroAngle());
+    ExpectCutIsBitExact(cone, cone.MaxRange(), 602);
+  }
+}
+
+TEST(BatchKernelTest, ModelsWithoutAZeroBearingKeepTheirKernels) {
+  // The spherical and logistic models read at every bearing: no cut, and
+  // their kernels stay bit-identical to the loop before it.
+  EXPECT_FALSE(std::isfinite(SphericalSensorModel().BatchZeroAngle()));
+  EXPECT_FALSE(std::isfinite(LogisticSensorModel().BatchZeroAngle()));
+  const SphericalSensorModel spherical;
+  ExpectCutIsBitExact(spherical, spherical.NegligibleRange(), 603);
+  const LogisticSensorModel logistic;
+  ExpectCutIsBitExact(logistic, logistic.NegligibleRange(), 604);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // statistics, and filter selection.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "core/engine.h"
 #include "test_util.h"
 
@@ -37,6 +40,43 @@ TEST(EngineTest, CreateRejectsCompressionWithoutIndex) {
   const auto engine = RfidInferenceEngine::Create(MakeLineWorld(), c);
   EXPECT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(EngineTest, CreateRejectsInitializationConesThatBreakCheckpoints) {
+  // An infinite or NaN cone depth seeds non-finite particles that no
+  // snapshot can hold; a negative one samples a mirrored cone behind the
+  // reader; a half-angle past pi covers some bearings twice.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto kind :
+       {EngineConfig::FilterKind::kFactored, EngineConfig::FilterKind::kBasic}) {
+    const auto init_of = [kind](EngineConfig* c) {
+      return kind == EngineConfig::FilterKind::kBasic ? &c->basic.init
+                                                      : &c->factored.init;
+    };
+    for (double bad : {inf, -inf, nan, 0.0, -1.2}) {
+      EngineConfig c = SmallEngineConfig();
+      c.filter = kind;
+      init_of(&c)->range_overestimate = bad;
+      const auto engine = RfidInferenceEngine::Create(MakeLineWorld(), c);
+      EXPECT_FALSE(engine.ok()) << "range_overestimate " << bad;
+      if (!engine.ok()) {
+        EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+      }
+    }
+    for (double bad : {0.0, -0.5, nan, inf, M_PI + 1e-6, 2 * M_PI}) {
+      EngineConfig c = SmallEngineConfig();
+      c.filter = kind;
+      init_of(&c)->half_angle = bad;
+      EXPECT_FALSE(RfidInferenceEngine::Create(MakeLineWorld(), c).ok())
+          << "half_angle " << bad;
+    }
+    EngineConfig c = SmallEngineConfig();
+    c.filter = kind;
+    init_of(&c)->half_angle = M_PI;
+    init_of(&c)->range_overestimate = 1e-3;
+    EXPECT_TRUE(RfidInferenceEngine::Create(MakeLineWorld(), c).ok());
+  }
 }
 
 TEST(EngineTest, CreateRejectsNegativeDelay) {

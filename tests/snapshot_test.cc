@@ -502,6 +502,27 @@ TEST(SnapshotTest, NonSeekableSinkIsRejected) {
   EXPECT_EQ(status.code(), StatusCode::kIOError);
 }
 
+TEST(SnapshotTest, SaveRefusesPositionsItsLoaderRejects) {
+  // A filter built directly (the engine rejects such configs) with an
+  // infinite or NaN initialization depth seeds non-finite particles on the
+  // first read. The loader rejects those bytes, so the save must fail too,
+  // before a checkpoint that can never be restored replaces a good one.
+  for (double depth : {std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+    FactoredFilterConfig config = Config();
+    config.init.range_overestimate = depth;
+    FactoredParticleFilter filter(MakeLineWorld(), config);
+    filter.ObserveEpoch(MakeEpoch(0, 1.0, {1000}));
+    ASSERT_EQ(filter.NumTrackedObjects(), 1u);
+    std::stringstream ss;
+    const Status status = SaveFilterSnapshot(filter, ss);
+    EXPECT_FALSE(status.ok()) << "depth " << depth;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("not finite"), std::string::npos)
+        << status.message();
+  }
+}
+
 TEST(SnapshotTest, RejectsBadMagic) {
   std::stringstream ss("definitely not a snapshot");
   FactoredParticleFilter filter(MakeLineWorld(), Config());
