@@ -161,32 +161,77 @@ void BM_ConeGatherSetupMix(benchmark::State& state) {
 }
 BENCHMARK(BM_ConeGatherSetupMix)->Arg(1000);
 
-/// One §IV-A initial particle on the end-to-end warehouse layout (40
-/// shelves of 10 ft): cone samples from reader poses along the aisle,
-/// rejected until one lands on a shelf. Shelf lookups are most of it.
+/// §IV-A initial particles as one epoch of the filter draws them: one
+/// Prepare() over 100 reader hypotheses spread around an aisle position,
+/// facing the shelves, then a draw from each frame in turn. Counters give
+/// the work per particle from an untimed pass over the same frames:
+/// rejection tries, tries that drew a point, and the fallback share.
+void RunInitializer(benchmark::State& state, const SensorModel& sensor,
+                    const ShelfRegions& shelves, double aisle_y) {
+  ParticleInitializer initializer(InitializerConfig{}, &sensor, &shelves);
+  Rng rng(10);
+  std::vector<Pose> poses;
+  std::vector<ReaderFrame> frames;
+  Aabb cloud = Aabb::Empty();
+  for (int i = 0; i < 100; ++i) {
+    poses.emplace_back(Vec3{rng.Gaussian(0.0, 0.1),
+                            aisle_y + rng.Gaussian(0.0, 0.3), 0.0},
+                       rng.Gaussian(0.0, 0.05));
+    frames.push_back(ReaderFrame::From(poses.back()));
+    cloud.Extend(poses.back().position);
+  }
+  initializer.Prepare(cloud);
+  size_t k = 0;
+  for (auto _ : state) {
+    const size_t j = k++ % poses.size();
+    benchmark::DoNotOptimize(initializer.Sample(poses[j], frames[j], rng));
+  }
+  state.SetItemsProcessed(state.iterations());
+
+  constexpr int kTraced = 20000;
+  double tries = 0.0, points = 0.0, fallbacks = 0.0;
+  for (int i = 0; i < kTraced; ++i) {
+    InitSampleTrace trace;
+    const size_t j = static_cast<size_t>(i) % poses.size();
+    benchmark::DoNotOptimize(
+        initializer.Sample(poses[j], frames[j], rng, &trace));
+    tries += trace.tries;
+    points += trace.points;
+    fallbacks += trace.fallback ? 1.0 : 0.0;
+  }
+  state.counters["tries"] = tries / kTraced;
+  state.counters["points"] = points / kTraced;
+  state.counters["fallback_share"] = fallbacks / kTraced;
+}
+
+/// The end-to-end warehouse layout (40 shelves of 10 ft) under the cone
+/// sensor, the reader at its middle.
 void BM_InitializerSample(benchmark::State& state) {
   WarehouseConfig wc;
   wc.num_shelves = 40;
   wc.shelf_length = 10.0;
-  const ShelfRegions shelves = BuildWarehouse(wc).value().MakeShelfRegions();
-  const ConeSensorModel sensor;
-  const ParticleInitializer initializer(InitializerConfig{}, &sensor,
-                                        &shelves);
-  Rng rng(10);
-  std::vector<Pose> poses;
-  for (int i = 0; i < 256; ++i) {
-    poses.emplace_back(Vec3{0.0, rng.Uniform(0.0, shelves.BoundingBox().max.y),
-                            0.0},
-                       0.0);
-  }
-  size_t k = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        initializer.Sample(poses[k++ % poses.size()], rng));
-  }
-  state.SetItemsProcessed(state.iterations());
+  const WarehouseLayout layout = BuildWarehouse(wc).value();
+  RunInitializer(state, ConeSensorModel(), layout.MakeShelfRegions(),
+                 0.5 * layout.TotalYExtent());
 }
 BENCHMARK(BM_InitializerSample);
+
+/// The case the fallback dominates: a 30 ft initialization cone (a learned
+/// 25 ft range, as EM's logistic model reaches at its cap) over one
+/// 10 x 1 ft shelf, about 1% of the cone, so half the draws use all 64
+/// tries.
+void BM_InitializerSampleWideCone(benchmark::State& state) {
+  WarehouseConfig wc;
+  wc.num_shelves = 1;
+  wc.shelf_length = 10.0;
+  const WarehouseLayout layout = BuildWarehouse(wc).value();
+  ConeSensorParams wide;
+  wide.major_range = 23.5;
+  wide.minor_extra_range = 1.5;
+  RunInitializer(state, ConeSensorModel(wide), layout.MakeShelfRegions(),
+                 0.5 * layout.TotalYExtent());
+}
+BENCHMARK(BM_InitializerSampleWideCone);
 
 /// The SIMD index-gather lanes against the scalar gather above (same
 /// shape; backend in the label). Includes a remainder-lane size.

@@ -44,8 +44,14 @@ size_t BasicParticleFilter::AddObjectSlot(TagId tag) {
   const size_t slot = slot_tags_.size();
   slot_tags_.push_back(tag);
   object_slots_[tag] = slot;
+  Aabb cloud = Aabb::Empty();
+  for (const auto& particle : particles_) {
+    cloud.Extend(particle.reader.position);
+  }
+  initializer_.Prepare(cloud);
   for (auto& particle : particles_) {
-    particle.objects.push_back(initializer_.Sample(particle.reader, rng_));
+    particle.objects.push_back(initializer_.Sample(
+        particle.reader, ReaderFrame::From(particle.reader), rng_));
   }
   return slot;
 }

@@ -222,6 +222,8 @@ void FactoredParticleFilter::BuildReaderFrames() {
     reader_frames_[j] = ReaderFrame::From(readers_[j].pose);
     cloud.Extend(readers_[j].pose.position);
   }
+  // Every §IV-A draw this epoch starts from one of these readers.
+  initializer_.Prepare(cloud);
   // Expanding per axis is conservative: a particle outside the expanded box
   // is farther than the zero radius from every reader on at least one axis,
   // hence in Euclidean distance too. The 1e-9 relative margin dwarfs every
@@ -277,7 +279,8 @@ void FactoredParticleFilter::InitializeObjectParticles(ObjectState* state,
   state->particle_bounds = Aabb::Empty();
   for (int k = 0; k < count; ++k) {
     const uint32_t reader_idx = attachments[k];
-    const Vec3 position = initializer_.Sample(readers_[reader_idx].pose, rng_);
+    const Vec3 position = initializer_.Sample(
+        readers_[reader_idx].pose, reader_frames_[reader_idx], rng_);
     state->particle_bounds.Extend(position);
     state->particles.PushBack(position, reader_idx, uniform);
   }
@@ -397,8 +400,9 @@ void FactoredParticleFilter::HalfReinitialize(ObjectState* state) {
   for (size_t k = 1; k < n; k += 2) {  // Every other particle moves.
     const uint32_t reader_idx = attachments[a++];
     particles.SetReaderIdx(k, reader_idx);
-    particles.SetPosition(k, initializer_.Sample(readers_[reader_idx].pose,
-                                                 rng_));
+    particles.SetPosition(
+        k, initializer_.Sample(readers_[reader_idx].pose,
+                               reader_frames_[reader_idx], rng_));
   }
   particles.SetUniformWeights();
   state->particle_bounds = particles.ComputeBounds();

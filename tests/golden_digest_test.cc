@@ -232,8 +232,8 @@ uint64_t RunDigest(const Scenario& s, int num_threads,
   return h.value();
 }
 
-constexpr uint64_t kLabGolden = 0xe11aee42e60f2b4cULL;
-constexpr uint64_t kWarehouseGolden = 0xeae0dcf03d3da3ebULL;
+constexpr uint64_t kLabGolden = 0x03b70179560b49c4ULL;
+constexpr uint64_t kWarehouseGolden = 0xeeefbe8afbae7097ULL;
 
 TEST(GoldenDigestTest, LabTrace200Epochs) {
   const Scenario s = LabScenario();
@@ -250,6 +250,29 @@ TEST(GoldenDigestTest, GeneratedWarehouseTrace) {
     const uint64_t digest = RunDigest(s, threads);
     EXPECT_EQ(digest, kWarehouseGolden)
         << "threads=" << threads << " digest=0x" << std::hex << digest;
+  }
+}
+
+// Both scenarios with shelf clipping off. An unclipped initial particle is
+// one plain cone draw, which the thinned shelf sampler must not touch:
+// these constants were recorded with the plain-rejection sampler it
+// replaced.
+constexpr uint64_t kLabUnclippedGolden = 0x5eeff61642960fd9ULL;
+constexpr uint64_t kWarehouseUnclippedGolden = 0x9bb8143789407580ULL;
+
+TEST(GoldenDigestTest, UnclippedInitializationIsUnchanged) {
+  Scenario lab = LabScenario();
+  lab.config.init.clip_to_shelves = false;
+  Scenario warehouse = WarehouseScenario();
+  warehouse.config.init.clip_to_shelves = false;
+  for (int threads : {1, 4}) {
+    const uint64_t lab_digest = RunDigest(lab, threads);
+    EXPECT_EQ(lab_digest, kLabUnclippedGolden)
+        << "threads=" << threads << " digest=0x" << std::hex << lab_digest;
+    const uint64_t warehouse_digest = RunDigest(warehouse, threads);
+    EXPECT_EQ(warehouse_digest, kWarehouseUnclippedGolden)
+        << "threads=" << threads << " digest=0x" << std::hex
+        << warehouse_digest;
   }
 }
 
