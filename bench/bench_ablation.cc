@@ -75,8 +75,9 @@ double Run(TableWriter* table, const Scenario& scenario,
 
 int main() {
   using namespace rfid;
-  bench::PrintHeader("Ablations of design choices (see DESIGN.md §4)",
-                     "internal; no single paper figure");
+  bench::PrintHeader(
+      "Ablations of design choices (see README: Benchmarks and docs)",
+      "internal; no single paper figure");
   const Scenario scenario = MakeScenario(6100);
 
   TableWriter table({"configuration", "mean_xy_error_ft", "ms_per_reading"});

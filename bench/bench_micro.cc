@@ -14,7 +14,6 @@
 #include "pf/resample.h"
 #include "sim/trace.h"
 #include "core/experiment.h"
-#include "util/simd.h"
 #include "util/stopwatch.h"
 
 namespace rfid {
@@ -233,26 +232,6 @@ void BM_InitializerSampleWideCone(benchmark::State& state) {
 }
 BENCHMARK(BM_InitializerSampleWideCone);
 
-/// The SIMD index-gather lanes against the scalar gather above (same
-/// shape; backend in the label). Includes a remainder-lane size.
-template <typename SensorT>
-void BM_SensorProbReadBatchSimd(benchmark::State& state) {
-  SensorT sensor;
-  const size_t n = static_cast<size_t>(state.range(0));
-  GatherBatch b(n);
-  for (auto _ : state) {
-    sensor.ProbReadBatchGatherSimd(b.frames.data(), b.idx.data(),
-                                   b.xs.data(), b.ys.data(), b.zs.data(), n,
-                                   b.out.data());
-    benchmark::DoNotOptimize(b.out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-  state.SetLabel(std::string("backend = ") + simd::kBackendName);
-}
-BENCHMARK(BM_SensorProbReadBatchSimd<ConeSensorModel>)->Arg(1000)->Arg(10);
-BENCHMARK(BM_SensorProbReadBatchSimd<LogisticSensorModel>)->Arg(1000);
-BENCHMARK(BM_SensorProbReadBatchSimd<SphericalSensorModel>)->Arg(1000);
-
 void BM_LogisticSensorProbRead(benchmark::State& state) {
   LogisticSensorModel sensor;
   Rng rng(5);
@@ -291,7 +270,7 @@ BENCHMARK(BM_GaussianBeliefSample);
 
 void BM_FactoredFilterEpoch(benchmark::State& state) {
   // One epoch of the factored filter over a mid-sized warehouse stream;
-  // second argument is the worker-pool width, third toggles SIMD kernels.
+  // second argument is the worker-pool width.
   WarehouseConfig wc;
   wc.num_shelves = 4;
   wc.objects_per_shelf = static_cast<int>(state.range(0)) / 4;
@@ -309,7 +288,6 @@ void BM_FactoredFilterEpoch(benchmark::State& state) {
   config.num_object_particles = 1000;
   config.seed = 9;
   config.num_threads = static_cast<int>(state.range(1));
-  config.use_simd_kernels = state.range(2) != 0;
   FactoredParticleFilter filter(
       MakeWorldModel(layout.value(), std::make_unique<ConeSensorModel>(),
                      options),
@@ -327,10 +305,9 @@ void BM_FactoredFilterEpoch(benchmark::State& state) {
   state.SetLabel("items = readings");
 }
 BENCHMARK(BM_FactoredFilterEpoch)
-    ->Args({40, 1, 0})
-    ->Args({200, 1, 0})
-    ->Args({200, 1, 1})
-    ->Args({200, 4, 0});
+    ->Args({40, 1})
+    ->Args({200, 1})
+    ->Args({200, 4});
 
 /// Short self-timed factored run for BENCH_micro.json (epochs/sec,
 /// particles/sec at a given pool width), independent of the
@@ -338,48 +315,43 @@ BENCHMARK(BM_FactoredFilterEpoch)
 void WriteMicroJson() {
   bench::BenchJson json("micro");
   for (const int threads : {1, 4}) {
-    for (const bool simd : {false, true}) {
-      if (simd && !simd::kVectorized) continue;  // Scalar fallback: no new data.
-      WarehouseConfig wc;
-      wc.num_shelves = 4;
-      wc.objects_per_shelf = 50;
-      wc.shelf_tags_per_shelf = 2;
-      auto layout = BuildWarehouse(wc);
-      ConeSensorModel sensor;
-      TraceGenerator gen(layout.value(), RobotConfig{}, {}, sensor, 8);
-      const SimulatedTrace trace = gen.Generate();
+    WarehouseConfig wc;
+    wc.num_shelves = 4;
+    wc.objects_per_shelf = 50;
+    wc.shelf_tags_per_shelf = 2;
+    auto layout = BuildWarehouse(wc);
+    ConeSensorModel sensor;
+    TraceGenerator gen(layout.value(), RobotConfig{}, {}, sensor, 8);
+    const SimulatedTrace trace = gen.Generate();
 
-      ExperimentModelOptions options;
-      options.motion.delta = {0.0, 0.1, 0.0};
-      options.motion.sigma = {0.02, 0.02, 0.0};
-      FactoredFilterConfig config;
-      config.num_reader_particles = 100;
-      config.num_object_particles = 1000;
-      config.seed = 9;
-      config.num_threads = threads;
-      config.use_simd_kernels = simd;
-      FactoredParticleFilter filter(
-          MakeWorldModel(layout.value(), std::make_unique<ConeSensorModel>(),
-                         options),
-          config);
-      Stopwatch watch;
-      for (const auto& epoch : trace.epochs) {
-        filter.ObserveEpoch(epoch.observations);
-      }
-      const double seconds = watch.ElapsedSeconds();
-      json.BeginRow();
-      json.Add("benchmark", "factored_filter_trace");
-      json.Add("objects", wc.num_shelves * wc.objects_per_shelf);
-      json.Add("threads", threads);
-      json.Add("simd", simd ? simd::kBackendName : "off");
-      json.Add("epochs", trace.epochs.size());
-      json.Add("epochs_per_sec",
-               seconds > 0 ? trace.epochs.size() / seconds : 0.0);
-      json.Add("particles_per_sec",
-               seconds > 0
-                   ? static_cast<double>(filter.particle_updates()) / seconds
-                   : 0.0);
+    ExperimentModelOptions options;
+    options.motion.delta = {0.0, 0.1, 0.0};
+    options.motion.sigma = {0.02, 0.02, 0.0};
+    FactoredFilterConfig config;
+    config.num_reader_particles = 100;
+    config.num_object_particles = 1000;
+    config.seed = 9;
+    config.num_threads = threads;
+    FactoredParticleFilter filter(
+        MakeWorldModel(layout.value(), std::make_unique<ConeSensorModel>(),
+                       options),
+        config);
+    Stopwatch watch;
+    for (const auto& epoch : trace.epochs) {
+      filter.ObserveEpoch(epoch.observations);
     }
+    const double seconds = watch.ElapsedSeconds();
+    json.BeginRow();
+    json.Add("benchmark", "factored_filter_trace");
+    json.Add("objects", wc.num_shelves * wc.objects_per_shelf);
+    json.Add("threads", threads);
+    json.Add("epochs", trace.epochs.size());
+    json.Add("epochs_per_sec",
+             seconds > 0 ? trace.epochs.size() / seconds : 0.0);
+    json.Add("particles_per_sec",
+             seconds > 0
+                 ? static_cast<double>(filter.particle_updates()) / seconds
+                 : 0.0);
   }
   if (!json.WriteFile("BENCH_micro.json")) {
     std::fprintf(stderr, "warning: failed writing BENCH_micro.json\n");

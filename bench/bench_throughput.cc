@@ -5,15 +5,13 @@
 //    with 20 objects while striving for comparable accuracy.
 // Also reports the approximate particle-storage memory with and without
 // compression (the paper reports < 20 MB with compression), and sweeps the
-// factored filter's worker-pool width (num_threads 1/2/4) and the SIMD
-// kernel lanes (off / on, backend printed) to track the batched-kernel +
-// parallel-update + vectorization speedups. Results additionally land in
-// BENCH_throughput.json (epochs/sec, readings/sec, particles/sec, threads,
-// simd) so later PRs have a perf trajectory to regress against.
+// factored filter's worker-pool width (num_threads 1/2/4) to track the
+// batched-kernel + parallel-update speedups. Results additionally land in
+// BENCH_throughput.json (epochs/sec, readings/sec, particles/sec, threads)
+// so later PRs have a perf trajectory to regress against.
 #include "bench_util.h"
 #include "pf/factored_filter.h"
 #include "sim/trace.h"
-#include "util/simd.h"
 
 namespace rfid {
 namespace {
@@ -49,13 +47,12 @@ struct FactoredRunResult {
 
 FactoredRunResult RunFactored(const WarehouseLayout& layout,
                               const SimulatedTrace& trace, bool compression,
-                              int threads, bool simd) {
+                              int threads) {
   EngineConfig config;
   config.factored.num_reader_particles = 100;
   config.factored.num_object_particles = 1000;
   config.factored.seed = 51;
   config.factored.num_threads = threads;
-  config.factored.use_simd_kernels = simd;
   if (compression) {
     config.factored.compression.mode = CompressionMode::kUnseenEpochs;
     config.factored.compression.compress_after_epochs = 8;
@@ -83,11 +80,10 @@ int main() {
   bench::PrintHeader("Throughput: readings/second per configuration",
                      "§V-D text (1500 readings/s; naive PF 0.1 reading/s)");
 
-  TableWriter table({"configuration", "objects", "threads", "simd",
+  TableWriter table({"configuration", "objects", "threads",
                      "readings_per_sec", "ms_per_reading", "epochs_per_sec",
                      "particle_mem_mb"});
   bench::BenchJson json("throughput");
-  std::printf("simd backend: %s\n", simd::kBackendName);
 
   const int big = bench::FullScale() ? 20000 : 2000;
   // One trace shared across the whole factored sweep: generation at the
@@ -97,33 +93,24 @@ int main() {
   for (const bool compression : {true, false}) {
     const std::string name =
         compression ? "factorized+index+compression" : "factorized+index";
-    for (const bool simd : {false, true}) {
-      // Without a vector backend the SIMD config would just rerun the
-      // scalar fallback, doubling bench time and polluting the JSON
-      // trajectory with duplicate rows under a different name.
-      if (simd && !simd::kVectorized) continue;
-      for (const int threads : {1, 2, 4}) {
-        const FactoredRunResult run =
-            RunFactored(layout, trace, compression, threads, simd);
-        const EngineStats& stats = run.eval.engine_stats;
-        (void)table.AddRow(
-            {name + (simd ? "+simd" : ""), std::to_string(big),
-             std::to_string(threads), simd ? simd::kBackendName : "off",
-             FormatDouble(stats.ReadingsPerSecond(), 0),
-             FormatDouble(stats.MillisPerReading(), 3),
-             FormatDouble(stats.EpochsPerSecond(), 1),
-             FormatDouble(run.memory_mb, 1)});
-        json.BeginRow();
-        json.Add("configuration", name + (simd ? "+simd" : ""));
-        json.Add("objects", big);
-        json.Add("threads", threads);
-        json.Add("simd", simd ? simd::kBackendName : "off");
-        json.Add("epochs_per_sec", stats.EpochsPerSecond());
-        json.Add("readings_per_sec", stats.ReadingsPerSecond());
-        json.Add("particles_per_sec", run.particles_per_sec);
-        json.Add("ms_per_reading", stats.MillisPerReading());
-        json.Add("particle_mem_mb", run.memory_mb);
-      }
+    for (const int threads : {1, 2, 4}) {
+      const FactoredRunResult run =
+          RunFactored(layout, trace, compression, threads);
+      const EngineStats& stats = run.eval.engine_stats;
+      (void)table.AddRow({name, std::to_string(big), std::to_string(threads),
+                          FormatDouble(stats.ReadingsPerSecond(), 0),
+                          FormatDouble(stats.MillisPerReading(), 3),
+                          FormatDouble(stats.EpochsPerSecond(), 1),
+                          FormatDouble(run.memory_mb, 1)});
+      json.BeginRow();
+      json.Add("configuration", name);
+      json.Add("objects", big);
+      json.Add("threads", threads);
+      json.Add("epochs_per_sec", stats.EpochsPerSecond());
+      json.Add("readings_per_sec", stats.ReadingsPerSecond());
+      json.Add("particles_per_sec", run.particles_per_sec);
+      json.Add("ms_per_reading", stats.MillisPerReading());
+      json.Add("particle_mem_mb", run.memory_mb);
     }
   }
 
@@ -142,7 +129,7 @@ int main() {
     const TraceEvaluation eval =
         RunEngineOnTrace(engine.value().get(), naive_trace);
     (void)table.AddRow(
-        {"unfactorized (naive)", "20", "1", "off",
+        {"unfactorized (naive)", "20", "1",
          FormatDouble(eval.engine_stats.ReadingsPerSecond(), 1),
          FormatDouble(eval.engine_stats.MillisPerReading(), 3),
          FormatDouble(eval.engine_stats.EpochsPerSecond(), 1), "-"});
@@ -150,7 +137,6 @@ int main() {
     json.Add("configuration", "unfactorized (naive)");
     json.Add("objects", 20);
     json.Add("threads", 1);
-    json.Add("simd", "off");
     json.Add("epochs_per_sec", eval.engine_stats.EpochsPerSecond());
     json.Add("readings_per_sec", eval.engine_stats.ReadingsPerSecond());
     json.Add("ms_per_reading", eval.engine_stats.MillisPerReading());

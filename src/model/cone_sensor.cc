@@ -1,8 +1,7 @@
 #include "model/cone_sensor.h"
 
 #include <algorithm>
-
-#include "model/simd_kernels.h"
+#include <cmath>
 
 namespace rfid {
 
@@ -62,33 +61,6 @@ void ConeSensorModel::ProbReadBatchGather(const ReaderFrame* frames,
                                           double* out) const {
   batch_detail::BatchGather(*this, frames, frame_idx, xs, ys, zs, n, out,
                             MaxRange(), MaxAngle());
-}
-
-namespace {
-
-simd_kernel::ConeEval MakeConeEval(const ConeSensorParams& params,
-                                   double max_range, double max_angle) {
-  simd_kernel::ConeEval::Params p;
-  p.major_read_rate = params.major_read_rate;
-  p.major_half_angle = params.major_half_angle;
-  p.theta_max = max_angle;
-  p.major_range = params.major_range;
-  p.r_max = max_range;
-  p.inv_minor_angle = 1.0 / params.minor_extra_angle;
-  p.inv_minor_range = 1.0 / params.minor_extra_range;
-  return simd_kernel::ConeEval(p);
-}
-
-}  // namespace
-
-void ConeSensorModel::ProbReadBatchGatherSimd(const ReaderFrame* frames,
-                                              const uint32_t* frame_idx,
-                                              const double* xs,
-                                              const double* ys,
-                                              const double* zs, size_t n,
-                                              double* out) const {
-  simd_kernel::BatchGatherSimd(MakeConeEval(params_, MaxRange(), MaxAngle()),
-                               frames, frame_idx, xs, ys, zs, n, out);
 }
 
 }  // namespace rfid

@@ -160,7 +160,7 @@ inline void BatchGather(const ModelT& model, const ReaderFrame* frames,
 /// makes the rounding provably invisible to every consumer of batched
 /// likelihoods: `max(p, 1e-9)` is unchanged, and `1.0 - p` rounds to exactly
 /// 1.0 for any p < 2^-54 — so filter estimates stay bit-identical while
-/// far-field lanes skip their transcendentals. The spherical and logistic
+/// far-field elements skip their transcendentals. The spherical and logistic
 /// models precompute the radius beyond which their probability provably
 /// stays under this bound (NegligibleRange()) and pass it as `zero_beyond`.
 inline constexpr double kBatchNegligibleProb = 1e-18;

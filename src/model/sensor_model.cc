@@ -1,8 +1,7 @@
 #include "model/sensor_model.h"
 
 #include <algorithm>
-
-#include "model/simd_kernels.h"
+#include <cmath>
 
 namespace rfid {
 
@@ -35,14 +34,6 @@ void SensorModel::ProbReadBatchGather(const ReaderFrame* frames,
                             batch_detail::kNoCutoff, batch_detail::kNoCutoff);
 }
 
-void SensorModel::ProbReadBatchGatherSimd(const ReaderFrame* frames,
-                                          const uint32_t* frame_idx,
-                                          const double* xs, const double* ys,
-                                          const double* zs, size_t n,
-                                          double* out) const {
-  ProbReadBatchGather(frames, frame_idx, xs, ys, zs, n, out);
-}
-
 void LogisticSensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
                                                  const Vec3* positions,
                                                  size_t n, double* out) const {
@@ -55,14 +46,6 @@ void LogisticSensorModel::ProbReadBatchGather(
     const double* ys, const double* zs, size_t n, double* out) const {
   batch_detail::BatchGather(*this, frames, frame_idx, xs, ys, zs, n, out,
                             negligible_range_, batch_detail::kNoCutoff);
-}
-
-void LogisticSensorModel::ProbReadBatchGatherSimd(
-    const ReaderFrame* frames, const uint32_t* frame_idx, const double* xs,
-    const double* ys, const double* zs, size_t n, double* out) const {
-  simd_kernel::BatchGatherSimd(
-      simd_kernel::LogisticEval(a_, b_, negligible_range_), frames, frame_idx,
-      xs, ys, zs, n, out);
 }
 
 LogisticSensorModel::LogisticSensorModel()

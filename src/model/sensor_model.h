@@ -80,12 +80,11 @@ class SensorModel {
 
   // --- Batched evaluation -------------------------------------------------
   //
-  // The three entry points the filters call. Each produces exactly the
+  // The two entry points the filters call. Each produces exactly the
   // scalar ProbReadAt result per element (same range/bearing arithmetic,
-  // see reader_frame.h), except the SIMD one, which carries its own error
-  // bound. Concrete models override them with devirtualized inner loops;
-  // the base implementations pay one virtual ProbRead per element and
-  // exist so new sensor models work unoptimized out of the box.
+  // see reader_frame.h). Concrete models override them with devirtualized
+  // inner loops; the base implementations pay one virtual ProbRead per
+  // element and exist so new sensor models work unoptimized out of the box.
 
   /// One frame, array-of-structs positions (the basic filter's particles):
   /// out[k] = p(read | frame, positions[k]) for k in [0, n).
@@ -99,19 +98,6 @@ class SensorModel {
                                    const uint32_t* frame_idx, const double* xs,
                                    const double* ys, const double* zs,
                                    size_t n, double* out) const;
-
-  /// ProbReadBatchGather on 4-wide SIMD lanes (util/simd.h), fetching each
-  /// lane's frame with an index gather. Results carry the polynomial
-  /// exp/acos error bound of <= 1e-9 relative per element instead of the
-  /// 1e-12 scalar-parity contract, so callers opt in explicitly
-  /// (FactoredFilterConfig::use_simd_kernels). The base implementation
-  /// falls back to the scalar gather, so models without a vector kernel
-  /// stay correct.
-  virtual void ProbReadBatchGatherSimd(const ReaderFrame* frames,
-                                       const uint32_t* frame_idx,
-                                       const double* xs, const double* ys,
-                                       const double* zs, size_t n,
-                                       double* out) const;
 };
 
 /// Learnable parametric sensor model, paper Eq. (1).
@@ -139,10 +125,6 @@ class LogisticSensorModel final : public SensorModel {
                            const double* xs, const double* ys,
                            const double* zs, size_t n,
                            double* out) const override;
-  void ProbReadBatchGatherSimd(const ReaderFrame* frames,
-                               const uint32_t* frame_idx, const double* xs,
-                               const double* ys, const double* zs, size_t n,
-                               double* out) const override;
 
   const std::array<double, 3>& a() const { return a_; }
   const std::array<double, 3>& b() const { return b_; }

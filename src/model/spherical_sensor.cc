@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "model/simd_kernels.h"
-
 namespace rfid {
 
 SphericalSensorModel SphericalSensorModel::ForTimeoutMs(double timeout_ms) {
@@ -58,27 +56,6 @@ void SphericalSensorModel::ProbReadBatchGather(
     const double* ys, const double* zs, size_t n, double* out) const {
   batch_detail::BatchGather(*this, frames, frame_idx, xs, ys, zs, n, out,
                             negligible_range_, batch_detail::kNoCutoff);
-}
-
-namespace {
-
-simd_kernel::SphericalEval MakeSphericalEval(
-    const SphericalSensorParams& params, double zero_beyond) {
-  simd_kernel::SphericalEval::Params p;
-  p.peak_read_rate = params.peak_read_rate;
-  p.inv_range = 1.0 / params.range;
-  p.angle_falloff = params.angle_falloff;
-  p.zero_beyond = zero_beyond;
-  return simd_kernel::SphericalEval(p);
-}
-
-}  // namespace
-
-void SphericalSensorModel::ProbReadBatchGatherSimd(
-    const ReaderFrame* frames, const uint32_t* frame_idx, const double* xs,
-    const double* ys, const double* zs, size_t n, double* out) const {
-  simd_kernel::BatchGatherSimd(MakeSphericalEval(params_, negligible_range_),
-                               frames, frame_idx, xs, ys, zs, n, out);
 }
 
 }  // namespace rfid

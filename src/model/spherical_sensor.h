@@ -52,10 +52,6 @@ class SphericalSensorModel final : public SensorModel {
                            const double* xs, const double* ys,
                            const double* zs, size_t n,
                            double* out) const override;
-  void ProbReadBatchGatherSimd(const ReaderFrame* frames,
-                               const uint32_t* frame_idx, const double* xs,
-                               const double* ys, const double* zs, size_t n,
-                               double* out) const override;
 
   const SphericalSensorParams& params() const { return params_; }
 

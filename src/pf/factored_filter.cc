@@ -496,18 +496,11 @@ bool FactoredParticleFilter::UpdateObject(ObjectState* state, bool observed,
 
   // Factored weighting, Eq. (5): each particle is weighted against the
   // current pose of the reader particle it is conditioned on, fetched per
-  // element from the frame table by the sensor's devirtualized kernel
-  // (scalar, or the opt-in SIMD index-gather lanes).
+  // element from the frame table by the sensor's devirtualized kernel.
   scratch->probs.resize(n);
-  if (config_.use_simd_kernels) {
-    model_.sensor().ProbReadBatchGatherSimd(
-        reader_frames_.data(), particles.reader_indices(), particles.xs(),
-        particles.ys(), particles.zs(), n, scratch->probs.data());
-  } else {
-    model_.sensor().ProbReadBatchGather(
-        reader_frames_.data(), particles.reader_indices(), particles.xs(),
-        particles.ys(), particles.zs(), n, scratch->probs.data());
-  }
+  model_.sensor().ProbReadBatchGather(
+      reader_frames_.data(), particles.reader_indices(), particles.xs(),
+      particles.ys(), particles.zs(), n, scratch->probs.data());
 
   // Adaptive budget (elastic scheduling): the spread of the weighted cloud
   // sets a target particle count; the effective sample size decides when the

@@ -98,12 +98,6 @@ struct FactoredFilterConfig {
   /// are bit-identical across thread counts at a fixed seed.
   int num_threads = 1;
 
-  /// Evaluate the weighting with the 4-wide SIMD index-gather kernels
-  /// (util/simd.h). Opt-in: the polynomial exp/acos carry a <= 1e-9
-  /// relative-error bound, outside the default 1e-12 scalar-parity /
-  /// bit-identity contracts.
-  bool use_simd_kernels = false;
-
   uint64_t seed = 1;
 };
 

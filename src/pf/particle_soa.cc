@@ -3,34 +3,32 @@
 #include <algorithm>
 #include <limits>
 
-#include "util/simd.h"
-
 namespace rfid {
 
 namespace {
 
-/// Vectorized min/max over one component array. Min/max are associative and
-/// exact, so lane order cannot change the result — this stays bit-identical
-/// to the sequential Extend loop on every backend.
+/// Min/max over one component array in four independent accumulators (no
+/// dependency chain across them), folded, then the sequential tail. Min and
+/// max are associative and exact, so the split cannot change the value: it
+/// compares equal to the sequential Extend loop's.
 void MinMax(const std::vector<double>& v, double* out_min, double* out_max) {
-  using simd::Vec4d;
+  constexpr size_t kLanes = 4;
   const size_t n = v.size();
   double lo = std::numeric_limits<double>::infinity();
   double hi = -std::numeric_limits<double>::infinity();
   size_t k = 0;
-  if (n >= static_cast<size_t>(simd::kLanes)) {
-    Vec4d vlo = simd::Set1(lo);
-    Vec4d vhi = simd::Set1(hi);
-    for (; k + simd::kLanes <= n; k += simd::kLanes) {
-      const Vec4d x = simd::Load(v.data() + k);
-      vlo = simd::Min(vlo, x);
-      vhi = simd::Max(vhi, x);
+  if (n >= kLanes) {
+    double vlo[kLanes] = {lo, lo, lo, lo};
+    double vhi[kLanes] = {hi, hi, hi, hi};
+    for (; k + kLanes <= n; k += kLanes) {
+      for (size_t i = 0; i < kLanes; ++i) {
+        const double x = v[k + i];
+        vlo[i] = vlo[i] < x ? vlo[i] : x;
+        vhi[i] = vhi[i] > x ? vhi[i] : x;
+      }
     }
-    double tmp[simd::kLanes];
-    simd::Store(tmp, vlo);
-    for (double t : tmp) lo = std::min(lo, t);
-    simd::Store(tmp, vhi);
-    for (double t : tmp) hi = std::max(hi, t);
+    for (double t : vlo) lo = std::min(lo, t);
+    for (double t : vhi) hi = std::max(hi, t);
   }
   for (; k < n; ++k) {
     lo = std::min(lo, v[k]);

@@ -5,7 +5,7 @@
 // The robot localizes by dead reckoning, drifting up to ~1 ft from its true
 // position by the end of a run.
 //
-// Substitution note (see DESIGN.md): the physical robot/antenna are replaced
+// Substitution note: the physical robot/antenna are replaced
 // by a trace generator with a spherical antenna pattern whose peak read rate
 // and effective range grow with the reader timeout setting, reproducing the
 // timeout sensitivity the paper measures.

@@ -5,12 +5,6 @@
 // cases run through the gather entry points with every particle attached to
 // frame 0. The bearing cut is held to more: bit-equality with the kernel
 // loop as it was before the cut (the last tests below).
-//
-// The SIMD kernels (simd_kernels.h) carry a looser, explicitly documented
-// contract — |simd - scalar| <= 1e-9 * scalar + 1e-12 per element — because
-// their exp/acos are the simd.h polynomials; randomized sweeps below pin it
-// down for all three models, every remainder-lane count n % 4, and the
-// far-field short-circuit boundary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,10 +22,6 @@ namespace rfid {
 namespace {
 
 constexpr double kTol = 1e-12;
-/// SIMD contract: relative 1e-9, with an absolute floor of 1e-12 where the
-/// scalar probability itself is negligible (e.g. short-circuited lanes).
-constexpr double kSimdRelTol = 1e-9;
-constexpr double kSimdAbsTol = 1e-12;
 constexpr size_t kNumPositions = 4096;
 
 struct Soa {
@@ -142,118 +132,6 @@ TEST(BatchKernelTest, BaseClassDefaultMatchesScalar) {
   ExpectGatherMatchesScalar(PlainModel(), 502);
 }
 
-/// SIMD-vs-scalar parity sweep on one frame (all frame indices 0): random
-/// positions at every remainder-lane count (n % 4 in {0,1,2,3}), plus a
-/// large batch and the degenerate tag-at-reader geometry.
-void ExpectSimdMatchesScalar(const SensorModel& sensor, uint64_t seed) {
-  const Pose reader({0.7, -1.2, 0.3}, 0.9);
-  const ReaderFrame frame = ReaderFrame::From(reader);
-  for (size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{5},
-                   size_t{6}, size_t{7}, size_t{8}, size_t{33},
-                   kNumPositions + 1}) {
-    Rng rng(seed + n);
-    Soa soa;
-    for (size_t k = 0; k + 1 < n; ++k) {
-      soa.xs.push_back(rng.Uniform(-8.0, 8.0));
-      soa.ys.push_back(rng.Uniform(-8.0, 8.0));
-      soa.zs.push_back(rng.Uniform(-2.0, 2.0));
-    }
-    // Last element: degenerate tag-at-reader position.
-    soa.xs.push_back(reader.position.x);
-    soa.ys.push_back(reader.position.y);
-    soa.zs.push_back(reader.position.z);
-
-    const std::vector<uint32_t> frame_idx(n, 0);
-    std::vector<double> out(n, -1.0);
-    sensor.ProbReadBatchGatherSimd(&frame, frame_idx.data(), soa.xs.data(),
-                                   soa.ys.data(), soa.zs.data(), n,
-                                   out.data());
-    for (size_t k = 0; k < n; ++k) {
-      const double scalar = sensor.ProbReadAt(
-          reader, {soa.xs[k], soa.ys[k], soa.zs[k]});
-      EXPECT_NEAR(out[k], scalar, kSimdRelTol * scalar + kSimdAbsTol)
-          << "n = " << n << ", element " << k;
-    }
-  }
-}
-
-/// Same sweep with per-element frames (the factored filter's SIMD path),
-/// including every remainder-lane count.
-void ExpectGatherSimdMatchesScalar(const SensorModel& sensor, uint64_t seed) {
-  std::vector<Pose> poses = {Pose({0, 0, 0}, 0.0), Pose({1, 2, 0}, 1.3),
-                             Pose({-2, 4, 0.5}, -2.7), Pose({3, -1, 0}, 3.1)};
-  std::vector<ReaderFrame> frames;
-  for (const Pose& p : poses) frames.push_back(ReaderFrame::From(p));
-  for (size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{5}, size_t{7},
-                   size_t{64}, kNumPositions}) {
-    Rng rng(seed + n);
-    Soa soa;
-    std::vector<uint32_t> frame_idx;
-    for (size_t k = 0; k < n; ++k) {
-      soa.xs.push_back(rng.Uniform(-8.0, 8.0));
-      soa.ys.push_back(rng.Uniform(-8.0, 8.0));
-      soa.zs.push_back(rng.Uniform(-2.0, 2.0));
-      frame_idx.push_back(static_cast<uint32_t>(rng.UniformInt(poses.size())));
-    }
-    std::vector<double> out(n, -1.0);
-    sensor.ProbReadBatchGatherSimd(frames.data(), frame_idx.data(),
-                                   soa.xs.data(), soa.ys.data(), soa.zs.data(),
-                                   n, out.data());
-    for (size_t k = 0; k < n; ++k) {
-      const double scalar = sensor.ProbReadAt(
-          poses[frame_idx[k]], {soa.xs[k], soa.ys[k], soa.zs[k]});
-      EXPECT_NEAR(out[k], scalar, kSimdRelTol * scalar + kSimdAbsTol)
-          << "n = " << n << ", element " << k;
-    }
-  }
-}
-
-TEST(BatchKernelTest, SimdConeMatchesScalar) {
-  ExpectSimdMatchesScalar(ConeSensorModel(), 601);
-  ExpectGatherSimdMatchesScalar(ConeSensorModel(), 611);
-}
-
-TEST(BatchKernelTest, SimdSphericalMatchesScalar) {
-  ExpectSimdMatchesScalar(SphericalSensorModel(), 602);
-  ExpectGatherSimdMatchesScalar(SphericalSensorModel(), 612);
-  for (double timeout : {250.0, 500.0, 750.0}) {
-    ExpectSimdMatchesScalar(SphericalSensorModel::ForTimeoutMs(timeout), 603);
-  }
-}
-
-TEST(BatchKernelTest, SimdLogisticMatchesScalar) {
-  ExpectSimdMatchesScalar(LogisticSensorModel(), 604);
-  ExpectGatherSimdMatchesScalar(LogisticSensorModel(), 614);
-}
-
-TEST(BatchKernelTest, SimdBaseClassFallbackMatchesScalarExactly) {
-  // A model without a vector kernel routes ProbReadBatchGatherSimd through
-  // the scalar gather — exact parity, not just 1e-9.
-  class PlainModel final : public SensorModel {
-   public:
-    double ProbRead(double distance, double angle) const override {
-      return std::exp(-distance) * (1.0 - angle / (2.0 * M_PI));
-    }
-    double MaxRange() const override { return 10.0; }
-    std::unique_ptr<SensorModel> Clone() const override {
-      return std::make_unique<PlainModel>(*this);
-    }
-  };
-  const PlainModel plain;
-  const Pose reader({0.2, 0.4, 0.0}, -0.3);
-  const ReaderFrame frame = ReaderFrame::From(reader);
-  const Soa soa = MakePositions(reader, 605);
-  const size_t n = soa.xs.size();
-  const std::vector<uint32_t> frame_idx(n, 0);
-  std::vector<double> simd_out(n, -1.0), batch_out(n, -2.0);
-  plain.ProbReadBatchGatherSimd(&frame, frame_idx.data(), soa.xs.data(),
-                                soa.ys.data(), soa.zs.data(), n,
-                                simd_out.data());
-  plain.ProbReadBatchGather(&frame, frame_idx.data(), soa.xs.data(),
-                            soa.ys.data(), soa.zs.data(), n, batch_out.data());
-  for (size_t k = 0; k < n; ++k) EXPECT_EQ(simd_out[k], batch_out[k]);
-}
-
 /// Far-field short circuit: beyond NegligibleRange() the spherical and
 /// logistic batch kernels return exactly 0; the scalar value there is below
 /// kBatchNegligibleProb, which the filters provably cannot distinguish from
@@ -283,13 +161,6 @@ void ExpectFarFieldShortCircuit(const ModelT& sensor) {
   // is 50 million times higher.
   EXPECT_LT(sensor.ProbRead(cutoff, 0.0), kBatchNegligibleProb * 1.01);
   EXPECT_EQ(1.0 - sensor.ProbRead(cutoff, 0.0), 1.0);
-
-  double simd_out[4] = {-1, -1, -1, -1};
-  sensor.ProbReadBatchGatherSimd(&frame, frame_idx, xs, ys, zs, 4, simd_out);
-  EXPECT_GT(simd_out[0], 0.0);
-  EXPECT_EQ(simd_out[1], 0.0);
-  EXPECT_EQ(simd_out[2], 0.0);
-  EXPECT_EQ(simd_out[3], 0.0);
 }
 
 TEST(BatchKernelTest, SphericalFarFieldShortCircuit) {

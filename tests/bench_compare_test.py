@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
-"""Tests of tools/bench_compare.py's pair check and spread.
+"""Tests of tools/bench_compare.py's pair check, spread and run order.
 
     python3 tests/bench_compare_test.py
 """
 
+import contextlib
 import importlib.util
+import io
+import json
+import sys
+import tempfile
 import unittest
 from pathlib import Path
+from unittest import mock
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_compare.py"
 _SPEC = importlib.util.spec_from_file_location("bench_compare", _TOOL)
@@ -70,6 +76,46 @@ class SpreadTest(unittest.TestCase):
         self.assertIsNone(bench_compare.spread([2.0]))
         self.assertEqual(bench_compare.spread([-1.0, 0.0, 0.0, 1.0]),
                          float("inf"))
+
+
+class RunOrderTest(unittest.TestCase):
+    def test_each_workload_alternates_which_side_runs_first(self):
+        # Two workloads over four seeds: a counter shared across workloads
+        # would run fleet base-first in 4 of 4 pairs and warehouse
+        # change-first in 4 of 4.
+        calls = []
+
+        def fake_run_side(checkout, workload, seed, smoke, trace):
+            calls.append((checkout.name, workload, seed))
+            return run()
+
+        spec = {"workloads": [{"name": "fleet"}, {"name": "warehouse"}],
+                "end_to_end": [{"name": "setup_s", "better": "lower",
+                                "bound": 0.25}]}
+        with tempfile.TemporaryDirectory() as tmp:
+            for side in ("base", "change"):
+                root = Path(tmp) / side
+                (root / "e2e_bench").mkdir(parents=True)
+                (root / "e2e_bench" / "run.py").touch()
+                (root / "BENCHMARK.json").write_text(json.dumps(spec))
+            argv = ["bench_compare.py", str(Path(tmp) / "base"),
+                    str(Path(tmp) / "change"), "--workload", "fleet",
+                    "--workload", "warehouse", "--seeds", "4"]
+            with mock.patch.object(bench_compare, "run_side",
+                                   fake_run_side), \
+                    mock.patch.object(sys, "argv", argv), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                self.assertEqual(bench_compare.main(), 0)
+
+        self.assertEqual(len(calls), 16)
+        firsts = calls[0::2]
+        for first, second in zip(firsts, calls[1::2]):
+            self.assertEqual(first[1:], second[1:])
+            self.assertNotEqual(first[0], second[0])
+        for workload in ("fleet", "warehouse"):
+            sides = [side for side, w, _ in firsts if w == workload]
+            self.assertEqual(len(sides), 4)
+            self.assertEqual(sides.count("base"), 2, sides)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 // Unit tests for the structure-of-arrays particle store.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "pf/particle_soa.h"
+#include "util/rng.h"
 
 namespace rfid {
 namespace {
@@ -56,12 +59,43 @@ TEST(ParticleSoaTest, SetUniformWeights) {
 }
 
 TEST(ParticleSoaTest, ComputeBounds) {
-  ParticleSoa soa;
-  soa.PushBack({-1, 5, 0}, 0, 0.5);
-  soa.PushBack({3, -2, 1}, 0, 0.5);
-  const Aabb box = soa.ComputeBounds();
-  EXPECT_EQ(box.min, Vec3(-1, -2, 0));
-  EXPECT_EQ(box.max, Vec3(3, 5, 1));
+  // ComputeBounds scans each axis in four accumulators (element k feeds
+  // accumulator k % 4), folds them, then scans the n % 4 tail. Each size
+  // below moves one point past all others, down or up on every axis, into
+  // each accumulator of the first and last two groups and into the tail,
+  // and compares the box with a sequential Extend loop.
+  const auto expect_sequential_bounds = [](const std::vector<Vec3>& points) {
+    ParticleSoa soa;
+    Aabb expected = Aabb::Empty();
+    for (const Vec3& p : points) {
+      soa.PushBack(p, 0, 1.0);
+      expected.Extend(p);
+    }
+    const Aabb box = soa.ComputeBounds();
+    EXPECT_EQ(box.min, expected.min);
+    EXPECT_EQ(box.max, expected.max);
+  };
+  Rng rng(58);
+  for (const size_t n : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 4097}) {
+    SCOPED_TRACE(testing::Message() << "n = " << n);
+    std::vector<Vec3> points(n);
+    // x all positive and y all negative, so neither accumulator can start
+    // from 0; z straddles 0.
+    for (Vec3& p : points) {
+      p = Vec3(rng.Uniform(10.0, 60.0), rng.Uniform(-60.0, -10.0),
+               rng.Uniform(-5.0, 5.0));
+    }
+    expect_sequential_bounds(points);
+    for (size_t at = 0; at < n; ++at) {
+      if (at >= 8 && at + 8 < n) continue;
+      SCOPED_TRACE(testing::Message() << "extreme at " << at);
+      for (const double extreme : {-1e3, 1e3}) {
+        std::vector<Vec3> moved = points;
+        moved[at] = Vec3(extreme, 2.0 * extreme, 0.5 * extreme);
+        expect_sequential_bounds(moved);
+      }
+    }
+  }
 }
 
 TEST(ParticleSoaTest, GatherFromPreservesReaderPointers) {

@@ -199,8 +199,11 @@ def main() -> int:
     index = 0
     for seed in range(args.seed, args.seed + args.seeds):
         for workload in workloads:
+            # Each workload alternates on its own pair count: one counter
+            # shared by all would give every workload the same side first
+            # in every pair whenever the number of workloads is even.
             order = [("base", base), ("change", change)]
-            if index % 2:
+            if len(pairs[workload]) % 2:
                 order.reverse()
             index += 1
             got = {name: run_side(path, workload, seed, args.smoke, args.trace)
