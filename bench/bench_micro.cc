@@ -1,14 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // primitives: R*-tree operations, resampling schemes, sensor-model
-// evaluation, Gaussian belief fitting/sampling, and one factored-filter
-// epoch. These are the ablation-level numbers behind Fig. 5(j).
+// evaluation, Gaussian belief fitting/sampling, reader-remap draws, and one
+// factored-filter epoch. These are the ablation-level numbers behind
+// Fig. 5(j).
 #include <benchmark/benchmark.h>
+
+#include <numeric>
 
 #include "bench_util.h"
 #include "index/rstar_tree.h"
 #include "model/cone_sensor.h"
 #include "model/spherical_sensor.h"
 #include "pf/belief.h"
+#include "pf/composite_remap.h"
 #include "pf/factored_filter.h"
 #include "pf/initializer.h"
 #include "pf/resample.h"
@@ -267,6 +271,53 @@ void BM_GaussianBeliefSample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GaussianBeliefSample);
+
+/// Resolution of 1,000 reader attachments over 100 readers through a remap
+/// history of range(0) records, each record copying range(1) surviving
+/// readers (in blocks) into all 100: the draws of one 1,000-particle slot's
+/// sync, tables built once outside the timed loop. Lag one is the flat
+/// copy-table draw; lag 8 the alias draw over the collapsed rows.
+/// per_attachment is the wall time per resolved attachment.
+void BM_RemapResolve(benchmark::State& state) {
+  constexpr uint32_t kReaders = 100;
+  constexpr size_t kAttachments = 1000;
+  const auto lag = static_cast<size_t>(state.range(0));
+  const auto survivors = static_cast<size_t>(state.range(1));
+  Rng rng(17);
+  std::vector<uint32_t> readers(kReaders);
+  std::iota(readers.begin(), readers.end(), 0u);
+  std::vector<ReaderRemapRecord> history(lag);
+  for (size_t r = 0; r < lag; ++r) {
+    // The first `survivors` readers of a partial shuffle survive record r.
+    for (size_t i = 0; i < survivors; ++i) {
+      std::swap(readers[i], readers[i + rng.UniformInt(kReaders - i)]);
+    }
+    history[r].step = static_cast<int64_t>(r);
+    history[r].ancestors.resize(kReaders);
+    for (uint32_t j = 0; j < kReaders; ++j) {
+      history[r].ancestors[j] = readers[j * survivors / kReaders];
+    }
+  }
+  CompositeRemap composite(history);
+  composite.ExtendTo(0);
+  std::vector<uint32_t> starts(kAttachments);
+  for (uint32_t& a : starts) {
+    a = static_cast<uint32_t>(rng.UniformInt(kReaders));
+  }
+  std::vector<uint32_t> resolved(kAttachments);
+  for (auto _ : state) {
+    for (size_t k = 0; k < kAttachments; ++k) {
+      resolved[k] = composite.Draw(starts[k], rng);
+    }
+    benchmark::DoNotOptimize(resolved.data());
+    benchmark::ClobberMemory();
+  }
+  const auto items = static_cast<double>(state.iterations() * kAttachments);
+  state.SetItemsProcessed(static_cast<int64_t>(items));
+  state.counters["per_attachment"] = benchmark::Counter(
+      items, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RemapResolve)->Args({1, 1})->Args({1, 5})->Args({8, 5});
 
 void BM_FactoredFilterEpoch(benchmark::State& state) {
   // One epoch of the factored filter over a mid-sized warehouse stream;

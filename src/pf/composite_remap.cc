@@ -5,6 +5,12 @@
 
 namespace rfid {
 
+bool IsSingleAncestor(const ReaderRemapRecord& record) {
+  const std::vector<uint32_t>& ancestors = record.ancestors;
+  return std::all_of(ancestors.begin(), ancestors.end(),
+                     [a = ancestors.front()](uint32_t x) { return x == a; });
+}
+
 void ExpectedRemapWeights(const std::vector<ReaderRemapRecord>& history,
                           size_t first, std::vector<double>* weights) {
   std::vector<double>& v = *weights;
@@ -87,6 +93,7 @@ void CompositeRemap::ExtendTo(size_t first) {
     copies_.resize(n);
     next_begin_.assign(copies_begin_.begin(), copies_begin_.end() - 1);
     for (uint32_t j = 0; j < n; ++j) copies_[next_begin_[ancestors[j]]++] = j;
+    if (table == 0) BuildCopyTable();
 
     next_begin_.resize(n + 1);
     next_outcome_.clear();
@@ -113,6 +120,8 @@ void CompositeRemap::ExtendTo(size_t first) {
     row_weight_.swap(next_weight_);
     level_ = s;
   }
+  lag_one_ = level_ + 1 == history_.size();
+  if (lag_one_) return;  // Draw() reads the copy table.
   row_prob_.resize(row_outcome_.size());
   row_alias_.resize(row_outcome_.size());
   for (uint32_t a = 0; a < n; ++a) {
@@ -120,6 +129,19 @@ void CompositeRemap::ExtendTo(size_t first) {
     BuildAlias(row_weight_.data() + begin, row_outcome_.data() + begin,
                row_begin_[a + 1] - begin, row_prob_.data() + begin,
                row_alias_.data() + begin);
+  }
+}
+
+void CompositeRemap::BuildCopyTable() {
+  const uint32_t n = num_readers_;
+  copy_list_.resize(2 * size_t{n});
+  std::copy(copies_.begin(), copies_.end(), copy_list_.begin());
+  for (uint32_t d = 0; d < n; ++d) copy_list_[n + d] = d;
+  copy_range_.resize(n);
+  for (uint32_t a = 0; a < n; ++a) {
+    const uint32_t count = copies_begin_[a + 1] - copies_begin_[a];
+    copy_range_[a] = count > 0 ? CopyRange{copies_begin_[a], count}
+                               : CopyRange{n, n};
   }
 }
 

@@ -24,6 +24,20 @@
 // A draw picks an outcome from the row's alias table (Walker, ACM TOMS 3(3),
 // 1977) and, for a restart, a final reader from R_t's: at most two alias
 // draws per particle, whatever the lag.
+//
+// Most syncs collapse only the newest record, and a one-record composite
+// is the record itself: row a is uniform over a's copies, or over all N
+// readers when a died. Such a composite draws from one flat table instead
+// — per old reader an offset and a count into a list of its copies in
+// new-reader order, a dead reader pointing at the identity list 0..N-1 —
+// one bounded UniformInt per particle (none for a single copy). Those are
+// the values the alias path draws for that composite, from the same
+// stream.
+//
+// A record whose new readers all copy one old reader has uniform rows only
+// (IsSingleAncestor), so it forgets where an attachment stood before it:
+// the filter resolves slots lagging from before such a record as if they
+// lagged from it, and drops the older records.
 #pragma once
 
 #include <cstddef>
@@ -40,6 +54,13 @@ struct ReaderRemapRecord {
   /// New reader j is a copy of old reader ancestors[j]; one entry per reader.
   std::vector<uint32_t> ancestors;
 };
+
+/// True when every new reader of `record` copies one old reader. Every row
+/// of its T_r is then uniform over all N readers (the survivor's over its N
+/// copies, each dead row by restart), so T_r = 1·uᵀ and, for every f <= r,
+/// T_f···T_newest = 1·(uᵀ·T_{r+1}···T_newest): the composite from before r
+/// is the composite from r, whatever the start.
+bool IsSingleAncestor(const ReaderRemapRecord& record);
 
 /// Expected reader weight per attachment of a slot lagging from record
 /// `first`: on entry `weights` holds the current reader weights w, on return
@@ -59,7 +80,9 @@ class CompositeRemap {
   explicit CompositeRemap(const std::vector<ReaderRemapRecord>& history);
 
   /// Extends the composite backward to records first..newest, building the
-  /// alias tables Draw() reads. `first` must not exceed the previous one.
+  /// tables Draw() reads: the flat copy table while it covers the newest
+  /// record alone, alias tables beyond. `first` must not exceed the
+  /// previous one.
   void ExtendTo(size_t first);
 
   /// Final attachment of a particle attached to `start` (a reader index as
@@ -67,6 +90,13 @@ class CompositeRemap {
   /// from row `start` of the composite. Read-only: concurrent calls with
   /// per-lane streams are safe.
   uint32_t Draw(uint32_t start, Rng& rng) const {
+    if (lag_one_) {
+      const CopyRange range = copy_range_[start];
+      const auto c = range.count == 1
+                         ? 0
+                         : static_cast<uint32_t>(rng.UniformInt(range.count));
+      return copy_list_[range.begin + c];
+    }
     const uint32_t begin = row_begin_[start];
     const uint32_t outcome =
         Pick(row_prob_.data() + begin, row_outcome_.data() + begin,
@@ -95,6 +125,9 @@ class CompositeRemap {
     return alias[c];
   }
 
+  /// The flat form of the newest record, from its copy lists (copies_).
+  void BuildCopyTable();
+
   /// Vose's alias construction over `count` weighted outcomes.
   void BuildAlias(const double* weights, const uint32_t* outcomes,
                   uint32_t count, double* prob, uint32_t* alias);
@@ -102,6 +135,18 @@ class CompositeRemap {
   const std::vector<ReaderRemapRecord>& history_;
   uint32_t num_readers_ = 0;
   size_t level_ = 0;  ///< The composite covers records level_..newest.
+
+  // The flat form Draw() takes while the composite covers only the newest
+  // record: old reader a draws uniformly from
+  // copy_list_[copy_range_[a].begin, + count), its copies in new-reader
+  // order, or the identity list after them when a died.
+  struct CopyRange {
+    uint32_t begin;
+    uint32_t count;
+  };
+  bool lag_one_ = false;
+  std::vector<CopyRange> copy_range_;
+  std::vector<uint32_t> copy_list_;
 
   // Rows of the current level in CSR form: row a's outcomes are
   // [row_begin_[a], row_begin_[a + 1]); an outcome below num_readers_ is a

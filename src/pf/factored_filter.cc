@@ -643,14 +643,25 @@ void FactoredParticleFilter::ResampleReaders(
   ++reader_gen_;
   // Slots with no particles have nothing to remap and draw nothing (the
   // remap always skipped n == 0): fast-forward them so a population of
-  // compressed/hibernated tags never pins the history.
+  // compressed/hibernated tags never pins the history. When every new
+  // reader copies one old reader, this record sends any attachment to a
+  // uniform reader, so a slot lagging from an older record resolves exactly
+  // as one lagging from this one (IsSingleAncestor): clamp it here, and the
+  // prune drops every older record.
+  const uint64_t cut_gen =
+      IsSingleAncestor(remap_history_.back()) ? reader_gen_ - 1 : 0;
   for (ObjectState& state : states_) {
-    if (state.particles.empty()) state.reader_gen = reader_gen_;
+    if (state.particles.empty()) {
+      state.reader_gen = reader_gen_;
+    } else if (state.reader_gen < cut_gen) {
+      state.reader_gen = cut_gen;
+    }
   }
   PruneRemapHistory();
-  // Bounded deferral: slots that are never touched again while resamples
-  // keep firing must not grow the history without bound. The cap is
-  // count-based, hence identical across thread counts and schedules.
+  // Bounded deferral, the backstop for runs of resamples without a
+  // single-ancestor record: slots that are never touched again while
+  // resamples keep firing must not grow the history without bound. The cap
+  // is count-based, hence identical across thread counts and schedules.
   if (remap_history_.size() >= kMaxRemapHistory) SyncAllReaderAttachments();
 }
 

@@ -105,7 +105,9 @@ class FactoredParticleFilter final : public InferenceFilter {
  public:
   /// Most reader-resample remap records retained before slots that never
   /// get touched force a deterministic sync-all (bounds the deferred-remap
-  /// memory).
+  /// memory). A backstop: a resample whose readers all copy one ancestor
+  /// already cuts the history to that record (see ResampleReaders), so
+  /// only a run of 32 resamples without one reaches the cap.
   static constexpr size_t kMaxRemapHistory = 32;
 
   /// A reader-location hypothesis (Fig. 3(b), left table).
@@ -148,6 +150,8 @@ class FactoredParticleFilter final : public InferenceFilter {
     /// synced to. While it lags the filter's reader_gen_, the attachments
     /// index the reader numbering of the slot's last sync; the filter
     /// resolves the pending remaps at its own sync points in ObserveEpoch.
+    /// A single-ancestor resample advances it to just before itself without
+    /// a sync: that record resolves every index alike.
     uint64_t reader_gen = 0;
 
     bool IsCompressed() const { return compressed.has_value(); }
@@ -172,7 +176,9 @@ class FactoredParticleFilter final : public InferenceFilter {
   /// Reading never advances attachments, so a lagging slot's reader indices
   /// refer to the reader numbering of its last sync (RemapLag() > 0).
   const std::vector<ObjectState>& object_states() const { return states_; }
-  /// Reader resamples `state`'s attachments have not been resolved through.
+  /// Reader resamples `state`'s attachments have not been resolved through,
+  /// counted from the newest single-ancestor one at most (the records
+  /// before it do not change the resolution).
   uint64_t RemapLag(const ObjectState& state) const {
     return reader_gen_ - state.reader_gen;
   }
@@ -293,7 +299,8 @@ class FactoredParticleFilter final : public InferenceFilter {
   /// Resamples reader particles, scoring each by its own weight times the
   /// support it receives from the processed objects' particles (§IV-B).
   /// Records the repoint map (the ancestor array); slots resolve it at
-  /// their next sync.
+  /// their next sync. A single-ancestor record moves every slot lagging
+  /// from before it to lag from it, and the older records are dropped.
   void ResampleReaders(const std::vector<uint32_t>& processed_slots);
 
   /// Resolves the pending remaps of every lagging slot in `slots` with one
@@ -363,8 +370,9 @@ class FactoredParticleFilter final : public InferenceFilter {
   std::unordered_map<TagId, uint32_t> slot_of_tag_;
 
   /// Pending remaps, oldest first; record i is generation
-  /// remap_base_gen_ + i + 1. Bounded: slots that fall behind by
-  /// kMaxRemapHistory force a sync-all (deterministic — count-based).
+  /// remap_base_gen_ + i + 1. Cut at each single-ancestor record; bounded:
+  /// slots that fall behind by kMaxRemapHistory force a sync-all
+  /// (deterministic — count-based).
   std::vector<ReaderRemapRecord> remap_history_;
   /// Generation of the newest reader resample (0 = none yet).
   uint64_t reader_gen_ = 0;

@@ -256,8 +256,12 @@ TEST(GoldenDigestTest, GeneratedWarehouseTrace) {
 // Both scenarios with shelf clipping off. An unclipped initial particle is
 // one plain cone draw, which the thinned shelf sampler must not touch:
 // these constants were recorded with the plain-rejection sampler it
-// replaced.
-constexpr uint64_t kLabUnclippedGolden = 0x5eeff61642960fd9ULL;
+// replaced. The unclipped lab run is the one scenario whose readers
+// collapse onto a single ancestor while some slot lags further back; its
+// constant was re-pinned when such a resample began to cut the remap
+// history (0x5eeff61642960fd9 before), so its lagging slots now resolve
+// from that record.
+constexpr uint64_t kLabUnclippedGolden = 0x11061fb77543822dULL;
 constexpr uint64_t kWarehouseUnclippedGolden = 0x9bb8143789407580ULL;
 
 TEST(GoldenDigestTest, UnclippedInitializationIsUnchanged) {
@@ -280,9 +284,12 @@ TEST(GoldenDigestTest, ReadsAndSnapshotRoundTripsDoNotPerturb) {
   // Estimates, FindObject, object_states() and a save/load round trip of
   // the running filter after every epoch: reads never advance attachments,
   // and a filter restored from a snapshot holding pending remaps continues
-  // bit-identically, so both constants hold unchanged.
+  // bit-identically, so the constants hold unchanged — the unclipped lab
+  // one too, whose single-ancestor resamples cut the remap history.
   const Scenario lab = LabScenario();
   const Scenario warehouse = WarehouseScenario();
+  Scenario lab_unclipped = LabScenario();
+  lab_unclipped.config.init.clip_to_shelves = false;
   for (int threads : {1, 4}) {
     const uint64_t lab_digest = RunDigest(lab, threads, true);
     EXPECT_EQ(lab_digest, kLabGolden)
@@ -291,6 +298,10 @@ TEST(GoldenDigestTest, ReadsAndSnapshotRoundTripsDoNotPerturb) {
     EXPECT_EQ(warehouse_digest, kWarehouseGolden)
         << "threads=" << threads << " digest=0x" << std::hex
         << warehouse_digest;
+    const uint64_t unclipped_digest = RunDigest(lab_unclipped, threads, true);
+    EXPECT_EQ(unclipped_digest, kLabUnclippedGolden)
+        << "threads=" << threads << " digest=0x" << std::hex
+        << unclipped_digest;
   }
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -318,6 +319,69 @@ TEST(SnapshotTest, LoadsV5Snapshots) {
     from_v6.ObserveEpoch(epoch);
   }
   ExpectSameEstimates(from_v5, from_v6);
+}
+
+TEST(SnapshotTest, LoadsASingleAncestorRecordBehindOlderOnes) {
+  // The filter cuts its remap history at a resample whose readers all copy
+  // one ancestor, so it never saves a single-ancestor record behind an
+  // older one. A release before the cut did; such a v6 state (built here
+  // by rewriting the newest of two or more pending records to copy one
+  // reader) must load, re-save to the same bytes and resolve.
+  FactoredFilterConfig config = Config();
+  config.compression.mode = CompressionMode::kDisabled;
+  FactoredParticleFilter original(MakeLineWorld(), config);
+  ConeSensorModel sensor;
+  Rng rng(10);
+  int t = 0;
+  for (; t < 200 && original.pending_remaps() < 2; ++t) {
+    const Pose pose({0.0, 0.1 * t, 0.0}, 0.0);
+    std::vector<TagId> tags;
+    if (rng.Bernoulli(sensor.ProbReadAt(pose, {1.5, 1.0, 0.0}))) {
+      tags.push_back(1000);
+    }
+    if (t < 20) tags.push_back(1001);
+    original.ObserveEpoch(MakeEpoch(t, 0.1 * t, tags));
+  }
+  const size_t records = original.pending_remaps();
+  ASSERT_GE(records, 2u) << "no epoch left two remaps pending";
+  std::stringstream saved;
+  ASSERT_TRUE(SaveFilterSnapshot(original, saved).ok());
+
+  // The v6 tail: [u64 count][count x (i64 step, one u8 ancestor per
+  // reader)][u32 lag per slot][u64 resolves]. Every new reader of the
+  // newest record becomes a copy of reader 3.
+  std::string bytes = saved.str();
+  const size_t readers = original.reader_particles().size();
+  ASSERT_LE(readers, 256u);
+  const size_t newest_ancestors =
+      bytes.size() - sizeof(uint64_t) -
+      original.object_states().size() * sizeof(uint32_t) - readers;
+  std::fill(bytes.begin() + static_cast<long>(newest_ancestors),
+            bytes.begin() + static_cast<long>(newest_ancestors + readers), 3);
+  const uint32_t crc = Crc32(bytes.data() + 24, bytes.size() - 24);
+  std::memcpy(&bytes[20], &crc, sizeof(crc));
+
+  std::stringstream parent_state(bytes);
+  FactoredParticleFilter restored(MakeLineWorld(), config);
+  ASSERT_TRUE(LoadFilterSnapshot(parent_state, &restored).ok());
+  EXPECT_EQ(restored.pending_remaps(), records);
+  std::stringstream resaved;
+  ASSERT_TRUE(SaveFilterSnapshot(restored, resaved).ok());
+  EXPECT_EQ(resaved.str(), bytes);
+
+  // Reading both tags syncs every slot through the pending records.
+  const uint64_t resolves = restored.remap_resolves();
+  restored.ObserveEpoch(MakeEpoch(t, 0.1 * t, {1000, 1001}));
+  EXPECT_GT(restored.remap_resolves(), resolves);
+  for (const auto& state : restored.object_states()) {
+    EXPECT_EQ(restored.RemapLag(state), 0u) << "tag " << state.tag;
+    for (size_t k = 0; k < state.particles.size(); ++k) {
+      ASSERT_LT(state.particles.ReaderIdxAt(k), readers) << "tag " << state.tag;
+    }
+    const auto est = restored.EstimateObject(state.tag);
+    ASSERT_TRUE(est.has_value());
+    EXPECT_TRUE(std::isfinite(est->mean.x) && std::isfinite(est->mean.y));
+  }
 }
 
 TEST(SnapshotTest, StreamingWriterReproducesPinnedBytes) {

@@ -147,10 +147,13 @@ def main() -> int:
     html.append("</table>")
     (out_dir / "coverage.html").write_text("\n".join(html))
 
+    try:
+        shown = out_dir.relative_to(REPO)
+    except ValueError:  # --out outside the checkout
+        shown = out_dir
     print(f"coverage_report: {len(per_file)} files, "
           f"gate {'+'.join(gates)} = {g_pct}% line coverage "
-          f"({g_cov}/{g_exe}), all src/ = {a_pct}% "
-          f"-> {out_dir.relative_to(REPO)}/")
+          f"({g_cov}/{g_exe}), all src/ = {a_pct}% -> {shown}/")
 
     if args.min_line_coverage is not None and g_pct < args.min_line_coverage:
         print(f"COVERAGE GATE FAILED: {g_pct}% < floor "
