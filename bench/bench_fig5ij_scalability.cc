@@ -12,16 +12,79 @@
 // The basic filter is capped at 20 objects and the index-less factorized
 // filter at a few hundred — exactly the scaling walls the paper plots. Run
 // with RFID_FULL_SCALE=1 for the paper's full 10..20,000 range.
+//
+// The bench exits non-zero unless the figures' claims hold as inequalities,
+// each printed with its margin: wherever the basic filter runs, the
+// factorized filter is at least as accurate at a tenth of its time per
+// reading or less; wherever both run, the spatial index moves the
+// factorized error by at most 0.01 ft; and every factored variant meets the
+// 0.5 ft accuracy requirement.
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include "bench_util.h"
 #include "sim/trace.h"
 
 namespace rfid {
 namespace {
 
+/// The accuracy requirement every factored variant must meet (ft).
+constexpr double kRequiredErrorFt = 0.5;
+/// Largest error change the spatial index may cause (ft).
+constexpr double kIndexErrorToleranceFt = 0.01;
+/// The factorized filter's time per reading is at most this share of the
+/// basic filter's (0.1 vs 3.8-5.8 ms when the gate was added).
+constexpr double kMaxFactoredTimeShare = 0.1;
+
 struct VariantResult {
   double error = -1.0;  ///< -1: not run (beyond the variant's wall).
   double ms_per_reading = -1.0;
+
+  bool ran() const { return error >= 0.0; }
 };
+
+/// The four variants at one object count.
+struct CountResult {
+  int objects = 0;
+  VariantResult unfact, fact, fact_idx, fact_idx_comp;
+};
+
+/// The Fig. 5(i)/(j) claims over every count, each inequality lhs <= rhs
+/// printed with its margin; returns how many fail.
+int CheckPaperResults(const std::vector<CountResult>& results) {
+  std::printf("\nPaper-result gate (Fig. 5(i)/(j)):\n");
+  int failures = 0;
+  const auto check = [&failures](int objects, const char* what, double lhs,
+                                 double rhs) {
+    const bool holds = lhs <= rhs;
+    if (!holds) ++failures;
+    std::printf("  %-4s objects=%-5d %s: %.3f <= %.3f (margin %.3f)\n",
+                holds ? "ok" : "FAIL", objects, what, lhs, rhs, rhs - lhs);
+  };
+  for (const CountResult& r : results) {
+    if (r.unfact.ran() && r.fact.ran()) {
+      check(r.objects, "factorized error <= unfactorized error", r.fact.error,
+            r.unfact.error);
+      check(r.objects, "factorized ms/reading <= unfactorized / 10",
+            r.fact.ms_per_reading,
+            kMaxFactoredTimeShare * r.unfact.ms_per_reading);
+    }
+    if (r.fact.ran() && r.fact_idx.ran()) {
+      check(r.objects, "|factorized+index - factorized| error (ft)",
+            std::abs(r.fact_idx.error - r.fact.error),
+            kIndexErrorToleranceFt);
+    }
+    const std::pair<const char*, const VariantResult*> factored[] = {
+        {"factorized error (ft)", &r.fact},
+        {"factorized+index error (ft)", &r.fact_idx},
+        {"factorized+index+compress error (ft)", &r.fact_idx_comp}};
+    for (const auto& [what, v] : factored) {
+      if (v->ran()) check(r.objects, what, v->error, kRequiredErrorFt);
+    }
+  }
+  return failures;
+}
 
 SimulatedTrace MakeScalabilityTrace(int num_objects, uint64_t seed,
                                     WarehouseLayout* layout_out) {
@@ -95,6 +158,7 @@ int main() {
   TableWriter time_table({"objects", "unfactorized", "factorized",
                           "factorized_index", "factorized_index_compress"});
 
+  std::vector<CountResult> results;
   for (int n : counts) {
     WarehouseLayout layout;
     const SimulatedTrace trace =
@@ -122,6 +186,7 @@ int main() {
         {static_cast<double>(n), unfact.ms_per_reading, fact.ms_per_reading,
          fact_idx.ms_per_reading, fact_idx_comp.ms_per_reading},
         3);
+    results.push_back({n, unfact, fact, fact_idx, fact_idx_comp});
     std::printf("objects=%d done\n", n);
   }
 
@@ -136,5 +201,12 @@ int main() {
   bench::AddTableRows(err_table, "error_xy_ft", &json);
   bench::AddTableRows(time_table, "ms_per_reading", &json);
   bench::WriteBenchJson(json, "fig5ij");
+
+  const int failures = CheckPaperResults(results);
+  if (failures > 0) {
+    std::fprintf(stderr, "FIG5IJ GATE FAILED: %d inequalities do not hold\n",
+                 failures);
+    return 1;
+  }
   return 0;
 }

@@ -5,7 +5,9 @@
 // Fig. 5(j).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "bench_util.h"
 #include "index/rstar_tree.h"
@@ -275,8 +277,8 @@ BENCHMARK(BM_GaussianBeliefSample);
 /// Resolution of 1,000 reader attachments over 100 readers through a remap
 /// history of range(0) records, each record copying range(1) surviving
 /// readers (in blocks) into all 100: the draws of one 1,000-particle slot's
-/// sync, tables built once outside the timed loop. Lag one is the flat
-/// copy-table draw; lag 8 the alias draw over the collapsed rows.
+/// sync lagging range(0) records, the records' copy tables built outside
+/// the timed loop. ReplayRemaps draws once per attachment per record.
 /// per_attachment is the wall time per resolved attachment.
 void BM_RemapResolve(benchmark::State& state) {
   constexpr uint32_t kReaders = 100;
@@ -286,29 +288,26 @@ void BM_RemapResolve(benchmark::State& state) {
   Rng rng(17);
   std::vector<uint32_t> readers(kReaders);
   std::iota(readers.begin(), readers.end(), 0u);
-  std::vector<ReaderRemapRecord> history(lag);
+  std::vector<ReaderRemapRecord> history;
   for (size_t r = 0; r < lag; ++r) {
     // The first `survivors` readers of a partial shuffle survive record r.
     for (size_t i = 0; i < survivors; ++i) {
       std::swap(readers[i], readers[i + rng.UniformInt(kReaders - i)]);
     }
-    history[r].step = static_cast<int64_t>(r);
-    history[r].ancestors.resize(kReaders);
+    std::vector<uint32_t> ancestors(kReaders);
     for (uint32_t j = 0; j < kReaders; ++j) {
-      history[r].ancestors[j] = readers[j * survivors / kReaders];
+      ancestors[j] = readers[j * survivors / kReaders];
     }
+    history.emplace_back(static_cast<int64_t>(r), std::move(ancestors));
   }
-  CompositeRemap composite(history);
-  composite.ExtendTo(0);
   std::vector<uint32_t> starts(kAttachments);
   for (uint32_t& a : starts) {
     a = static_cast<uint32_t>(rng.UniformInt(kReaders));
   }
   std::vector<uint32_t> resolved(kAttachments);
   for (auto _ : state) {
-    for (size_t k = 0; k < kAttachments; ++k) {
-      resolved[k] = composite.Draw(starts[k], rng);
-    }
+    std::copy(starts.begin(), starts.end(), resolved.begin());
+    ReplayRemaps(history, 0, resolved.data(), kAttachments, rng);
     benchmark::DoNotOptimize(resolved.data());
     benchmark::ClobberMemory();
   }

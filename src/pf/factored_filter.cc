@@ -639,7 +639,7 @@ void FactoredParticleFilter::ResampleReaders(
   // particles belonged to down-weighted readers, so the bias is bounded by
   // the resampling threshold. Only the repoint map is recorded here; each
   // slot resolves it, together with any later records, at its next sync.
-  remap_history_.push_back({step_, scratch_ancestors_});
+  remap_history_.emplace_back(step_, scratch_ancestors_);
   ++reader_gen_;
   // Slots with no particles have nothing to remap and draw nothing (the
   // remap always skipped n == 0): fast-forward them so a population of
@@ -668,66 +668,22 @@ void FactoredParticleFilter::ResampleReaders(
 void FactoredParticleFilter::SyncReaderAttachments(
     const std::vector<uint32_t>& slots) {
   if (remap_history_.empty()) return;
-  // Bucket the lagging slots by the record they lag from, with a counting
-  // sort that keeps the caller's order within a bucket: bucket[r] counts,
-  // then holds bucket r's end, and placing back to front leaves its start.
-  // Marking a slot synced as it is bucketed makes a repeated slot resolve
-  // once.
-  const size_t records = remap_history_.size();
-  std::vector<std::pair<uint32_t, uint32_t>>& lagging = scratch_lagging_;
-  std::vector<uint32_t>& bucket = scratch_bucket_;
-  lagging.clear();
-  bucket.assign(records, 0);
+  const uint64_t sync_start = obs::TelemetryEnabled() ? MonotonicNanos() : 0;
+  // Every draw of a slot comes from its stream keyed at the newest
+  // record's step, unique per sync of the slot. Marking a slot synced as
+  // it resolves makes a repeated slot resolve once.
+  const int64_t key_step = remap_history_.back().step();
   for (uint32_t slot : slots) {
     ObjectState& state = states_[slot];
     if (state.reader_gen == reader_gen_) continue;
-    const auto first =
-        static_cast<uint32_t>(state.reader_gen - remap_base_gen_);
+    const auto first = static_cast<size_t>(state.reader_gen - remap_base_gen_);
     state.reader_gen = reader_gen_;
-    if (state.particles.empty()) continue;  // Nothing to resolve.
-    lagging.emplace_back(slot, first);
-    ++bucket[first];
-  }
-  if (lagging.empty()) return;
-  const uint64_t sync_start = obs::TelemetryEnabled() ? MonotonicNanos() : 0;
-  for (size_t r = 1; r < records; ++r) bucket[r] += bucket[r - 1];
-  std::vector<uint32_t>& order = scratch_sync_order_;
-  order.resize(lagging.size());
-  for (size_t i = lagging.size(); i-- > 0;) {
-    order[--bucket[lagging[i].second]] = lagging[i].first;
-  }
-
-  // One backward sweep: the composite grows from the newest record down,
-  // and each bucket resolves once it covers exactly the records the bucket
-  // missed. Tables are built here, serially; pool lanes only read them.
-  // They live for this sweep only: kept per filter, a fleet of small
-  // filters would hold every filter's largest (history-cap) tables.
-  // Every draw of a slot comes from its stream keyed at the newest
-  // record's step, unique per sync of the slot.
-  const int64_t key_step = remap_history_.back().step;
-  CompositeRemap composite(remap_history_);
-  for (size_t first = records; first-- > 0;) {
-    const size_t lo = bucket[first];
-    const size_t hi = first + 1 < records ? bucket[first + 1] : order.size();
-    if (lo == hi) continue;
-    composite.ExtendTo(first);
-    const auto resolve = [this, &composite, &order, lo, key_step](size_t i,
-                                                                  int) {
-      const uint32_t slot = order[lo + i];
-      ParticleSoa& particles = states_[slot].particles;
-      const size_t n = particles.size();
-      Rng rng(SlotStreamSeedAt(slot, kRepointSalt, key_step));
-      uint32_t* reader_idx = particles.mutable_reader_indices();
-      for (size_t k = 0; k < n; ++k) {
-        reader_idx[k] = composite.Draw(reader_idx[k], rng);
-      }
-      remap_resolves_.fetch_add(n, std::memory_order_relaxed);
-    };
-    if (hi - lo == 1) {
-      resolve(0, 0);
-    } else {
-      pool_.ParallelFor(hi - lo, resolve);
-    }
+    ParticleSoa& particles = state.particles;
+    if (particles.empty()) continue;  // Nothing to resolve.
+    Rng rng(SlotStreamSeedAt(slot, kRepointSalt, key_step));
+    ReplayRemaps(remap_history_, first, particles.mutable_reader_indices(),
+                 particles.size(), rng);
+    remap_resolves_ += particles.size();
   }
   if (sync_start != 0) remap_sync_ns_ += MonotonicNanos() - sync_start;
 }

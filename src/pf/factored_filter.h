@@ -30,7 +30,10 @@
 // frames. Per-object updates are conditionally independent given the reader
 // particles, so they fan out across a fixed worker pool; every update draws
 // its randomness from a private stream keyed by (config.seed, slot, step),
-// which makes results bit-identical at any thread count.
+// which makes results bit-identical at any thread count. Reader resamples
+// repoint attachments lazily: each is recorded with its copy table, and a
+// slot replays the records it missed at its next sync, on the calling
+// thread (composite_remap.h).
 #pragma once
 
 #include <atomic>
@@ -218,9 +221,7 @@ class FactoredParticleFilter final : public InferenceFilter {
   /// Cumulative count of particle attachments resolved through pending
   /// reader remaps: one per particle per sync, whatever its lag. Exact and
   /// identical at any thread count.
-  uint64_t remap_resolves() const {
-    return remap_resolves_.load(std::memory_order_relaxed);
-  }
+  uint64_t remap_resolves() const { return remap_resolves_; }
 
   /// Stage breakdown of the most recent ObserveEpoch, for the serving
   /// layer's stage histograms and flight recorder. Pure telemetry: all
@@ -231,8 +232,8 @@ class FactoredParticleFilter final : public InferenceFilter {
     /// ResampleReaders, triggered by the reader ESS (on ~60% of epochs of
     /// a dense site).
     double reader_resample = 0.0;
-    /// Remap resolution (tables + draws), taken out of the stage it ran
-    /// in.
+    /// Remap resolution (the replayed draws), taken out of the stage it
+    /// ran in.
     double remap_replay = 0.0;
     double compress = 0.0;        ///< Index + compression + hibernation.
   };
@@ -284,7 +285,7 @@ class FactoredParticleFilter final : public InferenceFilter {
   uint64_t SlotStreamSeed(uint32_t slot, uint64_t salt) const;
   /// Same stream keyed at an explicit step instead of the current step_ —
   /// a remap resolution draws from the stream keyed at the step of the
-  /// newest record it collapses, unique per sync of a slot.
+  /// newest record it replays, unique per sync of a slot.
   uint64_t SlotStreamSeedAt(uint32_t slot, uint64_t salt, int64_t step) const;
 
   /// Propagates, weights and (if needed) resamples one processed object.
@@ -303,14 +304,13 @@ class FactoredParticleFilter final : public InferenceFilter {
   /// from before it to lag from it, and the older records are dropped.
   void ResampleReaders(const std::vector<uint32_t>& processed_slots);
 
-  /// Resolves the pending remaps of every lagging slot in `slots` with one
-  /// draw per particle from the composite of the records it missed, keyed
-  /// at (slot, kRepointSalt, step of the newest record). Slots are bucketed
-  /// by the record they lag from; one backward sweep builds each bucket's
-  /// table serially, then the bucket's draws fan out across the pool.
-  /// Called only at ObserveEpoch's deterministic sync points (Case-1/Case-2
-  /// touches, compression and hibernation fits, the history cap): the draws
-  /// depend on how many records a sync collapses.
+  /// Resolves the pending remaps of every lagging slot in `slots`, slot by
+  /// slot on the calling thread: the records it missed replay in turn, one
+  /// draw per particle per record (ReplayRemaps), from the stream keyed at
+  /// (slot, kRepointSalt, step of the newest record). Called only at
+  /// ObserveEpoch's deterministic sync points (Case-1/Case-2 touches,
+  /// compression and hibernation fits, the history cap): the draws depend
+  /// on how many records a sync replays.
   void SyncReaderAttachments(const std::vector<uint32_t>& slots);
   /// Syncs every slot and prunes the remap history (the history cap).
   void SyncAllReaderAttachments();
@@ -397,7 +397,7 @@ class FactoredParticleFilter final : public InferenceFilter {
   Aabb reader_reach_;
 
   std::atomic<uint64_t> particle_updates_{0};
-  std::atomic<uint64_t> remap_resolves_{0};
+  uint64_t remap_resolves_ = 0;
 
   /// Telemetry only (see EpochStageSeconds); remap_sync_ns_ is the wall
   /// time of this epoch's sync sweeps so far.
@@ -412,11 +412,6 @@ class FactoredParticleFilter final : public InferenceFilter {
   std::vector<uint32_t> scratch_case2_;
   std::vector<uint32_t> scratch_case2_updates_;
   std::vector<size_t> scratch_chunk_starts_;  ///< DispatchObjectUpdates.
-  // SyncReaderAttachments: lagging (slot, first record) pairs, the slots
-  // ordered by bucket, and each bucket's start.
-  std::vector<std::pair<uint32_t, uint32_t>> scratch_lagging_;
-  std::vector<uint32_t> scratch_sync_order_;
-  std::vector<uint32_t> scratch_bucket_;
 };
 
 }  // namespace rfid

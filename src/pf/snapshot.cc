@@ -309,21 +309,23 @@ Status ReadPendingRemaps(
     return Status::Invalid("snapshot holds " + std::to_string(count) +
                            " pending remaps, past the history cap");
   }
-  remaps->resize(count);
+  remaps->clear();
+  remaps->reserve(count);
   for (size_t r = 0; r < count; ++r) {
-    ReaderRemapRecord& record = (*remaps)[r];
-    if (!ReadPod(is, &record.step)) return Truncated();
-    if (record.step < (r == 0 ? 0 : (*remaps)[r - 1].step + 1) ||
-        record.step >= step) {
+    int64_t record_step = 0;
+    if (!ReadPod(is, &record_step)) return Truncated();
+    if (record_step < (r == 0 ? 0 : remaps->back().step() + 1) ||
+        record_step >= step) {
       return Status::Invalid("snapshot remap steps out of order");
     }
-    record.ancestors.resize(reader_count);
-    for (uint32_t& a : record.ancestors) {
+    std::vector<uint32_t> ancestors(reader_count);
+    for (uint32_t& a : ancestors) {
       if (!ReadReaderIndex(is, index_bytes, &a)) return Truncated();
       if (a >= reader_count) {
         return Status::Invalid("snapshot remap references invalid reader");
       }
     }
+    remaps->emplace_back(record_step, std::move(ancestors));
   }
   lags->resize(states.size());
   uint32_t oldest_needed = 0;
@@ -410,13 +412,15 @@ Status SaveFilterSnapshot(const FactoredParticleFilter& filter,
     const uint64_t index_bytes = ReaderIndexBytes(filter.readers_.size());
     WritePod(os, static_cast<uint64_t>(filter.remap_history_.size()));
     for (const ReaderRemapRecord& record : filter.remap_history_) {
-      WritePod(os, record.step);
-      for (uint32_t a : record.ancestors) WriteReaderIndex(os, index_bytes, a);
+      WritePod(os, record.step());
+      for (uint32_t a : record.ancestors()) {
+        WriteReaderIndex(os, index_bytes, a);
+      }
     }
     for (const auto& state : filter.states_) {
       WritePod(os, static_cast<uint32_t>(filter.RemapLag(state)));
     }
-    WritePod(os, filter.remap_resolves_.load(std::memory_order_relaxed));
+    WritePod(os, filter.remap_resolves_);
     return Status::OK();
   };
   RFID_RETURN_NOT_OK(WriteFramedSection(sink, write_body));
@@ -580,7 +584,7 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
     filter->states_[slot].reader_gen = remaps.size() - lags[slot];
   }
   filter->remap_history_ = std::move(remaps);
-  filter->remap_resolves_.store(remap_resolves, std::memory_order_relaxed);
+  filter->remap_resolves_ = remap_resolves;
   // The index's hibernation bits are derived state; rebuild them so the
   // all-hibernated entry skip resumes exactly where the saved filter was.
   for (uint32_t slot = 0; slot < filter->states_.size(); ++slot) {

@@ -10,7 +10,7 @@
 //        |               |               |             backpressure
 //        +---------------+---------------+
 //                        |
-//              pump: ThreadPool::ParallelFor over shards
+//              pump: ThreadPool::ParallelForDynamic over shards
 //                        |
 //        SitePipeline (per site): StreamSynchronizer (watermark
 //        admission) -> RfidInferenceEngine -> SubscriptionBus

@@ -24,25 +24,18 @@ ThreadPool::~ThreadPool() {
 // Justification for the escape on this function lives on its declaration
 // in thread_pool.h (job-publish protocol; mu_ handoff).
 void ThreadPool::RunLane(int lane) {
-  if (job_dynamic_) {
-    // Chunked work stealing: every lane pulls the next unclaimed chunk off
-    // the shared cursor until the range is exhausted. fetch_add hands each
-    // chunk to exactly one lane, so every index still runs exactly once.
-    const size_t num_chunks = (job_n_ + job_chunk_ - 1) / job_chunk_;
-    for (;;) {
-      const size_t c = cursor_.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) return;
-      const size_t begin = c * job_chunk_;
-      const size_t end = std::min(job_n_, begin + job_chunk_);
-      for (size_t i = begin; i < end; ++i) {
-        (*job_)(i, lane);
-      }
+  // Chunked work stealing: every lane pulls the next unclaimed chunk off the
+  // shared cursor until the range is exhausted. fetch_add hands each chunk
+  // to exactly one lane, so every index still runs exactly once.
+  const size_t num_chunks = (job_n_ + job_chunk_ - 1) / job_chunk_;
+  for (;;) {
+    const size_t c = cursor_.fetch_add(1, std::memory_order_relaxed);
+    if (c >= num_chunks) return;
+    const size_t begin = c * job_chunk_;
+    const size_t end = std::min(job_n_, begin + job_chunk_);
+    for (size_t i = begin; i < end; ++i) {
+      (*job_)(i, lane);
     }
-  }
-  const size_t begin = job_n_ * lane / num_lanes_;
-  const size_t end = job_n_ * (lane + 1) / num_lanes_;
-  for (size_t i = begin; i < end; ++i) {
-    (*job_)(i, lane);
   }
 }
 
@@ -65,37 +58,6 @@ void ThreadPool::WorkerLoop(int lane) {
   }
 }
 
-void ThreadPool::RunJob(const std::function<void(size_t, int)>& fn, size_t n,
-                        size_t chunk_size, bool dynamic) {
-  {
-    MutexLock lock(mu_);
-    job_ = &fn;
-    job_n_ = n;
-    job_chunk_ = chunk_size;
-    job_dynamic_ = dynamic;
-    cursor_.store(0, std::memory_order_relaxed);
-    lanes_remaining_ = num_lanes_ - 1;
-    ++generation_;
-  }
-  work_cv_.NotifyAll();
-  RunLane(0);  // The caller is lane 0.
-  {
-    MutexLock lock(mu_);
-    while (lanes_remaining_ != 0) done_cv_.Wait(lock);
-    job_ = nullptr;
-  }
-}
-
-void ThreadPool::ParallelFor(size_t n,
-                             const std::function<void(size_t, int)>& fn) {
-  if (n == 0) return;
-  if (num_lanes_ == 1 || n == 1) {
-    for (size_t i = 0; i < n; ++i) fn(i, 0);
-    return;
-  }
-  RunJob(fn, n, /*chunk_size=*/0, /*dynamic=*/false);
-}
-
 void ThreadPool::ParallelForDynamic(
     size_t n, size_t chunk_size, const std::function<void(size_t, int)>& fn) {
   if (n == 0) return;
@@ -109,7 +71,22 @@ void ThreadPool::ParallelForDynamic(
     const size_t lanes = static_cast<size_t>(num_lanes_);
     chunk_size = std::max<size_t>(1, n / (lanes * 8));
   }
-  RunJob(fn, n, chunk_size, /*dynamic=*/true);
+  {
+    MutexLock lock(mu_);
+    job_ = &fn;
+    job_n_ = n;
+    job_chunk_ = chunk_size;
+    cursor_.store(0, std::memory_order_relaxed);
+    lanes_remaining_ = num_lanes_ - 1;
+    ++generation_;
+  }
+  work_cv_.NotifyAll();
+  RunLane(0);  // The caller is lane 0.
+  {
+    MutexLock lock(mu_);
+    while (lanes_remaining_ != 0) done_cv_.Wait(lock);
+    job_ = nullptr;
+  }
 }
 
 }  // namespace rfid

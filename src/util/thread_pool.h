@@ -2,25 +2,20 @@
 // updates across cores.
 //
 // Design constraints, in order:
-//  1. Determinism: both scheduling modes guarantee fn(i, lane) runs exactly
-//     once per index; only *where* an index runs depends on the mode. Callers
-//     keep results bit-identical across thread counts (and across schedules)
-//     by deriving all randomness from the *index* (per-slot RNG streams),
-//     never from the lane.
+//  1. Determinism: fn(i, lane) runs exactly once per index; only *where* an
+//     index runs depends on timing. Callers keep results bit-identical across
+//     thread counts by deriving all randomness from the *index* (per-slot RNG
+//     streams), never from the lane.
 //  2. No per-epoch thread churn: workers are created once and parked on a
 //     condition variable between epochs.
-//  3. Zero overhead at num_threads == 1: both entry points degenerate to a
+//  3. Zero overhead at num_threads == 1: the entry point degenerates to a
 //     plain inline loop without touching any synchronization primitive.
 //
-// Two scheduling modes:
-//  * ParallelFor — static partitioning: lane t handles the contiguous block
-//    [t*n/L, (t+1)*n/L). The lane-to-index map is a pure function of
-//    (n, num_threads); cheapest when per-index cost is uniform.
-//  * ParallelForDynamic — chunked work stealing: the range is cut into
-//    fixed-size chunks claimed through a single atomic cursor, so a lane
-//    that finishes early takes the next chunk instead of idling behind a
-//    lane stuck on expensive indices. Which lane runs a chunk is
-//    timing-dependent; what the chunk computes must not be.
+// One scheduling mode, chunked work stealing (ParallelForDynamic): the range
+// is cut into fixed-size chunks claimed through a single atomic cursor, so a
+// lane that finishes early takes the next chunk instead of idling behind a
+// lane stuck on expensive indices. Which lane runs a chunk is
+// timing-dependent; what the chunk computes must not be.
 #pragma once
 
 #include <atomic>
@@ -45,11 +40,6 @@ class ThreadPool {
 
   int num_threads() const { return num_lanes_; }
 
-  /// Calls fn(i, lane) for every i in [0, n), partitioned into contiguous
-  /// blocks: lane t handles [t*n/L, (t+1)*n/L). The caller runs lane 0;
-  /// blocks until every index is done. Not reentrant.
-  void ParallelFor(size_t n, const std::function<void(size_t, int)>& fn);
-
   /// Calls fn(i, lane) for every i in [0, n) exactly once, dispatching
   /// contiguous chunks of `chunk_size` indices (the last chunk may be short)
   /// through an atomic claim cursor shared by all lanes — work stealing in
@@ -65,16 +55,14 @@ class ThreadPool {
  private:
   void WorkerLoop(int lane);
   // SAFETY: RunLane reads the job_* fields without holding mu_. They are
-  // written only by RunJob under mu_ before the job is published (workers
-  // observe the generation_ bump under mu_ before calling RunLane; the
-  // caller wrote them itself), and never change while lanes_remaining_ > 0
-  // — RunJob cannot return, so no new job can be published, until every
-  // worker has decremented the count under mu_. The mutex release/acquire
-  // pair is the happens-before edge; the analysis cannot see the handoff.
+  // written only by ParallelForDynamic under mu_ before the job is
+  // published (workers observe the generation_ bump under mu_ before
+  // calling RunLane; the caller wrote them itself), and never change while
+  // lanes_remaining_ > 0 — ParallelForDynamic cannot return, so no new job
+  // can be published, until every worker has decremented the count under
+  // mu_. The mutex release/acquire pair is the happens-before edge; the
+  // analysis cannot see the handoff.
   void RunLane(int lane) RFID_NO_THREAD_SAFETY_ANALYSIS;
-  /// Publishes a job, runs the caller's share as lane 0, waits for workers.
-  void RunJob(const std::function<void(size_t, int)>& fn, size_t n,
-              size_t chunk_size, bool dynamic);
 
   int num_lanes_;
   std::vector<std::thread> workers_;
@@ -82,19 +70,17 @@ class ThreadPool {
   Mutex mu_;
   CondVar work_cv_;
   CondVar done_cv_;
-  // The job_* fields are written by RunJob under mu_ before workers are
-  // woken (generation_ bump observed under mu_ gives the happens-before),
-  // and read by RunLane outside the lock while the job runs. The analysis
-  // cannot model that publish protocol, so RunLane carries the one
-  // justified RFID_NO_THREAD_SAFETY_ANALYSIS escape in this file; every
-  // other access checks against these annotations.
+  // The job_* fields are written by ParallelForDynamic under mu_ before
+  // workers are woken (generation_ bump observed under mu_ gives the
+  // happens-before), and read by RunLane outside the lock while the job
+  // runs. The analysis cannot model that publish protocol, so RunLane
+  // carries the one justified RFID_NO_THREAD_SAFETY_ANALYSIS escape in this
+  // file; every other access checks against these annotations.
   const std::function<void(size_t, int)>* job_ RFID_GUARDED_BY(mu_) = nullptr;
   size_t job_n_ RFID_GUARDED_BY(mu_) = 0;
-  /// Chunk width of a dynamic job.
+  /// Chunk width of the job.
   size_t job_chunk_ RFID_GUARDED_BY(mu_) = 0;
-  /// Claim chunks via cursor_ vs static blocks.
-  bool job_dynamic_ RFID_GUARDED_BY(mu_) = false;
-  /// Next unclaimed chunk of a dynamic job. Relaxed ordering suffices: the
+  /// Next unclaimed chunk of the job. Relaxed ordering suffices: the
   /// job fields are published via mu_ before any lane runs, each chunk is
   /// claimed by exactly one fetch_add winner, and completion is observed
   /// through the lanes_remaining_/done_cv_ protocol (also under mu_).

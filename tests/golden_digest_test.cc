@@ -21,6 +21,7 @@
 // only when that is the intent, and say why in the change description.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -74,11 +75,14 @@ struct Scenario {
   std::vector<TagId> tags;
   std::function<WorldModel()> make_model;
   FactoredFilterConfig config;
+  /// What the run must reach to cover what it pins: the compressed and
+  /// hibernated tiers, or (with compression off) the remap history cap.
+  bool sweeps_history_cap = false;
 };
 
-/// Settings shared by both scenarios: compression of objects unprocessed for
-/// a few epochs, and hibernation of tags unread for 120, so both traces
-/// pass through both tiers (and reader resampling fires on ~1 epoch in 5).
+/// Settings shared by the scenarios: compression of objects unprocessed for
+/// a few epochs, and hibernation of tags unread for 120, so the traces pass
+/// through both tiers (and reader resampling fires on ~1 epoch in 5).
 FactoredFilterConfig BaseConfig(uint64_t seed) {
   FactoredFilterConfig config;
   config.num_reader_particles = 40;
@@ -145,6 +149,36 @@ Scenario WarehouseScenario() {
   return s;
 }
 
+/// A smaller generated warehouse with compression off: two 8 ft shelves of
+/// 8 objects scanned once through the cone antenna. Without compression's
+/// syncs, the tags the robot has passed lag while reader resampling keeps
+/// firing, until the history cap syncs every slot from 31 pending records
+/// (once on this trace, at epoch 164 of 210): the deepest replay the filter
+/// makes, which the other scenarios never reach (their lags stay <= 5).
+Scenario HistoryCapScenario() {
+  WarehouseConfig wc;
+  wc.num_shelves = 2;
+  wc.shelf_length = 8.0;
+  wc.objects_per_shelf = 8;
+  wc.shelf_tags_per_shelf = 2;
+  auto layout = BuildWarehouse(wc);
+  EXPECT_TRUE(layout.ok());
+  TraceGenerator gen(layout.value(), RobotConfig{}, {}, ConeSensorModel(), 1);
+  const SimulatedTrace trace = gen.Generate();
+  Scenario s;
+  s.epochs = trace.ObservationsOnly();
+  for (const ObjectPlacement& o : layout.value().objects) {
+    s.tags.push_back(o.tag);
+  }
+  s.make_model = [layout = layout.value()] {
+    return MakeWorldModel(layout, std::make_unique<ConeSensorModel>());
+  };
+  s.config = BaseConfig(21);
+  s.config.compression = {};
+  s.sweeps_history_cap = true;
+  return s;
+}
+
 /// Every read a caller can make of the running filter, then a snapshot
 /// round trip that replaces it with its own restored copy. Returns the
 /// remap records the snapshot carried.
@@ -182,12 +216,24 @@ uint64_t RunDigest(const Scenario& s, int num_threads,
   Fnv1a64 h;
   size_t events = 0;
   bool reached_compressed = false;
+  // The cap syncs every slot when a record would make the history
+  // kMaxRemapHistory long, which empties a history one record short of it
+  // within one epoch; on these traces nothing else does.
+  constexpr size_t kFullHistory = FactoredParticleFilter::kMaxRemapHistory;
+  size_t pending = 0;
+  size_t cap_sweeps = 0;
   size_t restored_with_pending = 0;
+  size_t most_restored = 0;
   for (const SyncedEpoch& epoch : s.epochs) {
     engine.value()->ProcessEpoch(epoch);
     reached_compressed |= filter.NumCompressedObjects() > 0;
-    if (read_every_epoch && ReadEverything(s, &filter) > 0) {
-      ++restored_with_pending;
+    const size_t now = filter.pending_remaps();
+    if (pending + 1 == kFullHistory && now == 0) ++cap_sweeps;
+    pending = now;
+    if (read_every_epoch) {
+      const size_t carried = ReadEverything(s, &filter);
+      restored_with_pending += carried > 0 ? 1 : 0;
+      most_restored = std::max(most_restored, carried);
     }
     for (const LocationEvent& ev : engine.value()->TakeEvents()) {
       h.Pod(ev.time);
@@ -204,8 +250,16 @@ uint64_t RunDigest(const Scenario& s, int num_threads,
   }
   // The scenario must reach what it claims to cover.
   EXPECT_GT(events, 0u);
-  EXPECT_TRUE(reached_compressed);
-  EXPECT_GT(filter.NumHibernatedObjects(), 0u);
+  if (s.sweeps_history_cap) {
+    EXPECT_GT(cap_sweeps, 0u);
+    // Some restore carried the longest history a snapshot can hold.
+    if (read_every_epoch) {
+      EXPECT_EQ(most_restored, kFullHistory - 1);
+    }
+  } else {
+    EXPECT_TRUE(reached_compressed);
+    EXPECT_GT(filter.NumHibernatedObjects(), 0u);
+  }
   EXPECT_GT(filter.remap_resolves(), 0u);
   // A good share of the restores must carry pending remaps, or the round
   // trip proves little about them.
@@ -260,8 +314,11 @@ TEST(GoldenDigestTest, GeneratedWarehouseTrace) {
 // collapse onto a single ancestor while some slot lags further back; its
 // constant was re-pinned when such a resample began to cut the remap
 // history (0x5eeff61642960fd9 before), so its lagging slots now resolve
-// from that record.
-constexpr uint64_t kLabUnclippedGolden = 0x11061fb77543822dULL;
+// from that record. It is also the one of these runs whose syncs resolve
+// more than one record, and was re-pinned again when a lagging slot began
+// to replay its records one by one instead of drawing once from their
+// composite (0x11061fb77543822d before); lag-one syncs draw as they did.
+constexpr uint64_t kLabUnclippedGolden = 0x4fb4e888bb4e673cULL;
 constexpr uint64_t kWarehouseUnclippedGolden = 0x9bb8143789407580ULL;
 
 TEST(GoldenDigestTest, UnclippedInitializationIsUnchanged) {
@@ -302,6 +359,26 @@ TEST(GoldenDigestTest, ReadsAndSnapshotRoundTripsDoNotPerturb) {
     EXPECT_EQ(unclipped_digest, kLabUnclippedGolden)
         << "threads=" << threads << " digest=0x" << std::hex
         << unclipped_digest;
+  }
+}
+
+// The history cap's sync-all: every slot lagging up to 31 records replays
+// them at once. Recorded when lagging slots began to replay their records
+// one by one; no digest covered this path before.
+constexpr uint64_t kHistoryCapGolden = 0xa477ede05c3d4063ULL;
+
+TEST(GoldenDigestTest, HistoryCapSweep) {
+  // The cap fires, the digest holds at one thread and at four, and a
+  // save/load after every epoch (v6 snapshots carrying up to 31 pending
+  // records) reproduces it.
+  const Scenario s = HistoryCapScenario();
+  for (int threads : {1, 4}) {
+    for (bool read_every_epoch : {false, true}) {
+      const uint64_t digest = RunDigest(s, threads, read_every_epoch);
+      EXPECT_EQ(digest, kHistoryCapGolden)
+          << "threads=" << threads << " read_every_epoch=" << read_every_epoch
+          << " digest=0x" << std::hex << digest;
+    }
   }
 }
 

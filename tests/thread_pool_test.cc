@@ -1,14 +1,16 @@
-// The ThreadPool scheduling contract both modes share: fn(i, lane) runs
-// exactly once per index regardless of thread count, chunk size, or which
-// lane happens to claim which chunk. The dynamic mode's chunk-to-lane
-// assignment is a race by design, so these tests only ever assert on
-// per-index effects — and the stress cases double as the TSan target for
-// the claim cursor.
+// The ThreadPool scheduling contract: fn(i, lane) runs exactly once per
+// index regardless of thread count, chunk size, or which lane happens to
+// claim which chunk. The chunk-to-lane assignment is a race by design, so
+// these tests only ever assert on per-index effects — and the stress cases
+// double as the TSan target for the claim cursor.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -68,28 +70,6 @@ TEST(ThreadPoolTest, DynamicHandlesEmptyAndTinyRanges) {
   for (int c : counts) EXPECT_EQ(c, 1);
 }
 
-TEST(ThreadPoolTest, DynamicMatchesStaticSum) {
-  // Both modes must compute the same per-index results; only placement
-  // differs. Sum a function of the index through each and compare.
-  ThreadPool pool(4);
-  const size_t n = 1000;
-  auto sum_with = [&pool, n](bool dynamic) {
-    std::vector<uint64_t> per_lane(static_cast<size_t>(pool.num_threads()), 0);
-    auto fn = [&per_lane](size_t i, int lane) {
-      per_lane[static_cast<size_t>(lane)] += i * i + 1;
-    };
-    if (dynamic) {
-      pool.ParallelForDynamic(n, 9, fn);
-    } else {
-      pool.ParallelFor(n, fn);
-    }
-    uint64_t total = 0;
-    for (uint64_t s : per_lane) total += s;
-    return total;
-  };
-  EXPECT_EQ(sum_with(true), sum_with(false));
-}
-
 TEST(ThreadPoolTest, DynamicStressTinyChunks) {
   // TSan target: many back-to-back dynamic jobs with unit chunks maximize
   // contention on the claim cursor and on the job publish/complete
@@ -109,20 +89,37 @@ TEST(ThreadPoolTest, DynamicStressTinyChunks) {
   }
 }
 
-TEST(ThreadPoolTest, DynamicReusableAfterStaticAndViceVersa) {
-  // The two modes share the worker loop; alternating them must not leak
-  // job state (cursor, chunk width, mode flag) across jobs.
+TEST(ThreadPoolTest, BackToBackJobsDoNotLeakJobState) {
+  // Consecutive jobs share the worker loop and the job fields, so job state
+  // must not leak from one job into the next while the range length and
+  // the chunk width alternate. Every job visits its own range exactly once
+  // (a claim cursor or a length left from the job before would skip or
+  // overrun it), and a job of one chunk runs on one lane (a unit chunk
+  // width left from the job before would spread it: its first index sleeps
+  // while the other lanes could claim the rest).
   ThreadPool pool(3);
-  for (int round = 0; round < 20; ++round) {
+  for (int round = 0; round < 10; ++round) {
     const size_t n = 50 + static_cast<size_t>(round);
-    const std::vector<int> counts = CountVisits(&pool, n, (round % 5) + 1);
-    for (int c : counts) ASSERT_EQ(c, 1);
-    std::vector<std::unique_ptr<std::atomic<int>>> hits(n);
-    for (auto& h : hits) h = std::make_unique<std::atomic<int>>(0);
-    pool.ParallelFor(n, [&hits](size_t i, int) {
-      hits[i]->fetch_add(1, std::memory_order_relaxed);
-    });
-    for (size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i]->load(), 1);
+    for (const auto& [length, chunk] :
+         {std::pair<size_t, size_t>{n, (round % 5) + 1},
+          std::pair<size_t, size_t>{2 * n + 1, 64 + round % 3},
+          std::pair<size_t, size_t>{n / 2, 1}}) {
+      const std::vector<int> counts = CountVisits(&pool, length, chunk);
+      for (size_t i = 0; i < length; ++i) {
+        ASSERT_EQ(counts[i], 1) << "round " << round << " n " << length
+                                << " chunk " << chunk << " index " << i;
+      }
+    }
+    std::vector<int> lanes(8, -1);
+    pool.ParallelForDynamic(lanes.size(), lanes.size(),
+                            [&lanes](size_t i, int lane) {
+                              if (i == 0) {
+                                std::this_thread::sleep_for(
+                                    std::chrono::milliseconds(5));
+                              }
+                              lanes[i] = lane;
+                            });
+    for (int lane : lanes) ASSERT_EQ(lane, lanes[0]) << "round " << round;
   }
 }
 
