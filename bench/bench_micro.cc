@@ -166,6 +166,45 @@ void BM_ConeGatherSetupMix(benchmark::State& state) {
 }
 BENCHMARK(BM_ConeGatherSetupMix)->Arg(1000);
 
+/// The cone gather on the element mix a read (Case-1) object's update
+/// weights on warehouse: 26.7% in range but past the cone's bearing, 39.3%
+/// inside the major wedge, 33.5% in the minor wedge, 0.5% past MaxRange;
+/// 100 reader frames. The bearing class returns 0 without the sqrt and
+/// acos, the major-wedge class ProbRead(dist, 0) without the division and
+/// acos; only the minor wedge takes the exact path.
+void BM_ConeGatherReadMix(benchmark::State& state) {
+  const ConeSensorModel sensor;
+  const size_t n = static_cast<size_t>(state.range(0));
+  GatherBatch b(n);
+  Rng rng(11);
+  const double range = sensor.MaxRange();
+  const double theta_f = sensor.params().major_half_angle;
+  const double theta0 = sensor.BatchZeroAngle();
+  for (size_t k = 0; k < n; ++k) {
+    const double u = rng.NextDouble();
+    const double r = u < 0.005 ? rng.Uniform(range, 2 * range)
+                               : rng.Uniform(0.1, range);
+    const double theta = u < 0.005   ? rng.Uniform(0.0, M_PI)
+                         : u < 0.272 ? rng.Uniform(theta0, M_PI)
+                         : u < 0.665 ? rng.Uniform(0.0, theta_f)
+                                     : rng.Uniform(theta_f, theta0);
+    const double side = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+    const ReaderFrame& f = b.frames[b.idx[k]];
+    const double along = r * std::cos(theta);
+    const double across = side * r * std::sin(theta);
+    b.xs[k] = f.origin.x + along * f.cos_heading - across * f.sin_heading;
+    b.ys[k] = f.origin.y + along * f.sin_heading + across * f.cos_heading;
+  }
+  for (auto _ : state) {
+    sensor.ProbReadBatchGather(b.frames.data(), b.idx.data(), b.xs.data(),
+                               b.ys.data(), b.zs.data(), n, b.out.data());
+    benchmark::DoNotOptimize(b.out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_ConeGatherReadMix)->Arg(1000);
+
 /// §IV-A initial particles as one epoch of the filter draws them: one
 /// Prepare() over 100 reader hypotheses spread around an aisle position,
 /// facing the shelves, then a draw from each frame in turn. Counters give

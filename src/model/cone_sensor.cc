@@ -51,7 +51,7 @@ void ConeSensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
                                              const Vec3* positions, size_t n,
                                              double* out) const {
   batch_detail::BatchAos(*this, frame, positions, n, out, MaxRange(),
-                         MaxAngle());
+                         MaxAngle(), params_.major_half_angle);
 }
 
 void ConeSensorModel::ProbReadBatchGather(const ReaderFrame* frames,
@@ -60,7 +60,7 @@ void ConeSensorModel::ProbReadBatchGather(const ReaderFrame* frames,
                                           const double* zs, size_t n,
                                           double* out) const {
   batch_detail::BatchGather(*this, frames, frame_idx, xs, ys, zs, n, out,
-                            MaxRange(), MaxAngle());
+                            MaxRange(), MaxAngle(), params_.major_half_angle);
 }
 
 }  // namespace rfid

@@ -49,7 +49,9 @@ class ConeSensorModel final : public SensorModel {
   }
 
   // Devirtualized batch kernels; beyond MaxRange() or MaxAngle() the cone is
-  // exactly zero, so such particles skip the sqrt and the bearing acos.
+  // exactly zero, so such particles skip the sqrt and the bearing acos, and
+  // inside the major wedge the read rate does not depend on the bearing, so
+  // such particles skip the division and the acos (the flat cut).
   void ProbReadBatchPositions(const ReaderFrame& frame, const Vec3* positions,
                               size_t n, double* out) const override;
   void ProbReadBatchGather(const ReaderFrame* frames, const uint32_t* frame_idx,

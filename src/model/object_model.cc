@@ -147,11 +147,4 @@ bool ShelfRegions::Contains(const Vec3& p) const {
   return false;
 }
 
-Vec3 ObjectLocationModel::Propagate(const Vec3& prev, Rng& rng) const {
-  if (!shelves_.empty() && rng.Bernoulli(params_.move_probability)) {
-    return shelves_.SampleUniform(rng);
-  }
-  return prev;
-}
-
 }  // namespace rfid

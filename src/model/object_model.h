@@ -90,7 +90,13 @@ class ObjectLocationModel {
       : params_(params), shelves_(std::move(shelves)) {}
 
   /// Samples the next position: stay put w.p. 1 - alpha, else jump uniform.
-  Vec3 Propagate(const Vec3& prev, Rng& rng) const;
+  /// Inline: the filter calls it once per particle of every read object.
+  Vec3 Propagate(const Vec3& prev, Rng& rng) const {
+    if (!shelves_.empty() && rng.Bernoulli(params_.move_probability)) {
+      return shelves_.SampleUniform(rng);
+    }
+    return prev;
+  }
 
   const ObjectModelParams& params() const { return params_; }
   const ShelfRegions& shelves() const { return shelves_; }

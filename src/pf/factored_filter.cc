@@ -54,6 +54,26 @@ constexpr int64_t kShrinkIntervalEpochs = 64;
 constexpr uint64_t kRepointSalt = 0x5bd1e995u;
 
 double SafeLog(double p) { return std::log(std::max(p, kProbFloor)); }
+
+/// Divides the particles' weights by their `total` — or resets them to
+/// uniform when it is not a positive finite number — and returns their
+/// EffectiveSampleSize, the squares summed in index order inside the
+/// dividing loop instead of a second pass over the weights: the same values
+/// in the same order, so the same result bit for bit.
+double NormalizeForEss(ParticleSoa* particles, double total) {
+  const size_t n = particles->size();
+  if (total <= 0.0 || !std::isfinite(total)) {
+    particles->SetUniformWeights();
+    return EffectiveSampleSize(particles->weights(), n);
+  }
+  double* weights = particles->mutable_weights();
+  double sum_sq = 0.0;
+  for (size_t k = 0; k < n; ++k) {
+    weights[k] /= total;
+    sum_sq += weights[k] * weights[k];
+  }
+  return EffectiveSampleSizeFromSumSq(sum_sq);
+}
 }  // namespace
 
 FactoredParticleFilter::FactoredParticleFilter(
@@ -224,17 +244,22 @@ void FactoredParticleFilter::BuildReaderFrames() {
   }
   // Every §IV-A draw this epoch starts from one of these readers.
   initializer_.Prepare(cloud);
-  // Expanding per axis is conservative: a particle outside the expanded box
-  // is farther than the zero radius from every reader on at least one axis,
-  // hence in Euclidean distance too. The 1e-9 relative margin dwarfs every
-  // rounding error in this box arithmetic and the kernels' distance
-  // computation (~1e-15 relative), so a particle passing the outside test
-  // is strictly beyond the radius in the kernels' own arithmetic — the
-  // far-field fast path is exactly equivalent, not just approximately.
-  const double reach = model_.sensor().BatchZeroRadius() * (1.0 + 1e-9);
-  if (std::isfinite(reach) && !readers_.empty()) {
-    reader_reach_ = Aabb(cloud.min - Vec3{reach, reach, reach},
-                         cloud.max + Vec3{reach, reach, reach});
+  // Each frame's box holds every position its kernel can read nonzero
+  // (ZeroRegionBounds: the cone's wedge, or the cube of the zero radius),
+  // so a particle outside their union evaluates to exactly 0 against
+  // whichever reader it is attached to — the far-field fast path is exactly
+  // equivalent, not just approximately. The union of the cubes is bit for
+  // bit the reader cloud's box expanded by the padded radius, since
+  // subtracting or adding one constant preserves the order of the
+  // coordinates.
+  const double radius = model_.sensor().BatchZeroRadius();
+  const double zero_angle = model_.sensor().BatchZeroAngle();
+  if (std::isfinite(radius) && !readers_.empty()) {
+    reader_reach_ = Aabb::Empty();
+    for (const ReaderFrame& frame : reader_frames_) {
+      reader_reach_.Extend(
+          batch_detail::ZeroRegionBounds(frame, radius, zero_angle));
+    }
   } else {
     reader_reach_ = Aabb({-std::numeric_limits<double>::infinity(),
                           -std::numeric_limits<double>::infinity(),
@@ -441,8 +466,8 @@ bool FactoredParticleFilter::UpdateObject(ObjectState* state, bool observed,
   // run on any lane in any order and still produce identical results.
   Rng rng(SlotStreamSeed(slot, salt));
 
-  // Far-field fast path (negative evidence only): when every particle is
-  // beyond the sensor's batch-zero radius from every reader, the batched
+  // Far-field fast path (negative evidence only): when every particle lies
+  // outside every reader's zero-region box (reader_reach_), the batched
   // likelihoods are all exactly 0, so each weight is multiplied by exactly
   // 1.0 — with elastic budgets off this is bit-identical to the full update
   // with the kernel, the likelihood loop and (absent a resample) the bounds
@@ -456,15 +481,10 @@ bool FactoredParticleFilter::UpdateObject(ObjectState* state, bool observed,
   // Positions are untouched here (unread objects do not propagate), so the
   // cached particle_bounds this test relies on stays valid.
   if (!observed && !state->particle_bounds.Intersects(reader_reach_)) {
-    double* weights = particles.mutable_weights();
+    const double* weights = particles.weights();
     double total = 0.0;
     for (size_t k = 0; k < n; ++k) total += weights[k];
-    if (total <= 0.0 || !std::isfinite(total)) {
-      particles.SetUniformWeights();
-    } else {
-      for (size_t k = 0; k < n; ++k) weights[k] /= total;
-    }
-    if (EffectiveSampleSize(particles.weights(), n) <
+    if (NormalizeForEss(&particles, total) <
         kObjectResampleThreshold * static_cast<double>(n)) {
       const size_t count = ElasticTargetForParticles(particles);
       ResampleAncestors(particles.weights(), n, count, config_.resample_scheme,
@@ -540,27 +560,23 @@ bool FactoredParticleFilter::UpdateObject(ObjectState* state, bool observed,
   // have been read. The belief is stale (e.g. the object moved parallel to
   // the reader path, which the reader-distance rule cannot detect).
   const bool conflict = observed && best_likelihood <= kProbFloor * 1.01;
+  const double ess = NormalizeForEss(&particles, total);
   size_t target = n;
-  if (total <= 0.0 || !std::isfinite(total)) {
-    // Degenerate weights: no spread to trust, so the budget holds still.
-    particles.SetUniformWeights();
-  } else {
-    for (size_t k = 0; k < n; ++k) weights[k] /= total;
-    if (elastic) {
-      mx /= total;
-      my /= total;
-      mz /= total;
-      const double var = std::max(0.0, sx / total - mx * mx) +
-                         std::max(0.0, sy / total - my * my) +
-                         std::max(0.0, sz / total - mz * mz);
-      target = static_cast<size_t>(ElasticTarget(std::sqrt(var)));
-    }
+  // Degenerate weights (reset to uniform above) leave no spread to trust,
+  // so the budget holds still.
+  if (elastic && total > 0.0 && std::isfinite(total)) {
+    mx /= total;
+    my /= total;
+    mz /= total;
+    const double var = std::max(0.0, sx / total - mx * mx) +
+                       std::max(0.0, sy / total - my * my) +
+                       std::max(0.0, sz / total - mz * mz);
+    target = static_cast<size_t>(ElasticTarget(std::sqrt(var)));
   }
 
   bool resampled = false;
   const bool ess_collapsed =
-      EffectiveSampleSize(particles.weights(), n) <
-      kObjectResampleThreshold * static_cast<double>(n);
+      ess < kObjectResampleThreshold * static_cast<double>(n);
   const bool resize =
       target != n &&
       (ess_collapsed ||

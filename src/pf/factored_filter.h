@@ -27,7 +27,11 @@
 // Performance architecture (see PERF.md): per-object particles live in a
 // structure-of-arrays store (ParticleSoa) and are weighted through the
 // sensor models' batched kernels against per-epoch precomputed reader
-// frames. Per-object updates are conditionally independent given the reader
+// frames. An unread object whose particles all lie outside every reader
+// frame's zero-region box (for the cone, the box of its wedge) would weight
+// every particle by exactly 1 and skips the kernel; an update normalizes
+// its weights and sums their squares for the effective sample size in one
+// pass. Per-object updates are conditionally independent given the reader
 // particles, so they fan out across a fixed worker pool; every update draws
 // its randomness from a private stream keyed by (config.seed, slot, step),
 // which makes results bit-identical at any thread count. Reader resamples
@@ -391,9 +395,11 @@ class FactoredParticleFilter final : public InferenceFilter {
 
   /// Per-epoch reader frames (parallel to readers_).
   std::vector<ReaderFrame> reader_frames_;
-  /// AABB of the reader-particle positions expanded by the sensor's
-  /// BatchZeroRadius: objects whose particle bounds miss this box get all
-  /// batched likelihoods exactly 0 and take the far-field fast path.
+  /// Union of the reader frames' zero-region boxes
+  /// (batch_detail::ZeroRegionBounds: the cone's wedge box, or the cube of
+  /// the sensor's BatchZeroRadius): objects whose particle bounds miss it
+  /// get all batched likelihoods exactly 0 and take the far-field fast
+  /// path.
   Aabb reader_reach_;
 
   std::atomic<uint64_t> particle_updates_{0};

@@ -9,8 +9,7 @@ namespace rfid {
 double EffectiveSampleSize(const double* weights, size_t n) {
   double sum_sq = 0.0;
   for (size_t i = 0; i < n; ++i) sum_sq += weights[i] * weights[i];
-  if (sum_sq <= 0.0) return 0.0;
-  return 1.0 / sum_sq;
+  return EffectiveSampleSizeFromSumSq(sum_sq);
 }
 
 double EffectiveSampleSize(const std::vector<double>& weights) {

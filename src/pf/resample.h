@@ -24,6 +24,13 @@ double EffectiveSampleSize(const std::vector<double>& weights);
 /// Same, over a raw contiguous weight array (the SoA hot path).
 double EffectiveSampleSize(const double* weights, size_t n);
 
+/// EffectiveSampleSize's last step, for a caller that sums the squared
+/// normalized weights in index order inside its own loop: 1 / sum_sq, or 0
+/// when sum_sq is not positive.
+inline double EffectiveSampleSizeFromSumSq(double sum_sq) {
+  return sum_sq <= 0.0 ? 0.0 : 1.0 / sum_sq;
+}
+
 /// Normalizes `weights` in place to sum to 1. Returns false (and resets to
 /// uniform) when the total mass is zero or non-finite.
 bool NormalizeWeights(std::vector<double>* weights);

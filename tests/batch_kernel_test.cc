@@ -3,8 +3,10 @@
 // element, for the cone, spherical and logistic models, including the
 // degenerate tag-at-reader geometry and out-of-range positions. Single-frame
 // cases run through the gather entry points with every particle attached to
-// frame 0. The bearing cut is held to more: bit-equality with the kernel
-// loop as it was before the cut (the last tests below).
+// frame 0. The bearing and flat cuts are held to more: bit-equality with the
+// kernel loop as it was before each cut. Last, the zero-region boxes the
+// factored filter's far-field test uses must hold every element a frame's
+// kernels read nonzero.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -251,11 +253,15 @@ struct CutCases {
   }
 };
 
-/// Elements around the model's zero bearing θ0, in the 1e-9 margin band and
-/// beyond it, at dot = 0 and behind the reader, at distances around the
-/// 1e-12 degenerate-distance guard and around MaxRange, in and out of the
-/// reader's plane, over several frames; plus a dense random sweep.
-CutCases MakeCutCases(const SensorModel& sensor, uint64_t seed) {
+/// Elements around a cut's bearing (by default the model's zero bearing
+/// θ0), in its 1e-9 margin band (~2e-9 of bearing at 30°, ~3.9e-9 at 15°)
+/// and beyond it, at dot = 0 and behind the reader, at distances around
+/// the 1e-12 degenerate-distance guard, around MaxRange and at
+/// `extra_distances`, in and out of the reader's plane, over several
+/// frames; plus a dense random sweep.
+CutCases MakeCutCases(const SensorModel& sensor, uint64_t seed,
+                      double cut_bearing = -1.0,
+                      const std::vector<double>& extra_distances = {}) {
   CutCases cases;
   for (const Pose& pose :
        {Pose({0, 0, 0}, 0.0), Pose({1.25, -3.5, 0.75}, 0.9),
@@ -263,13 +269,16 @@ CutCases MakeCutCases(const SensorModel& sensor, uint64_t seed) {
         Pose({0.1, 0.2, 0.3}, M_PI / 2)}) {
     cases.frames.push_back(ReaderFrame::From(pose));
   }
-  const double theta0 = std::min(sensor.BatchZeroAngle(), M_PI);
+  const double theta0 = cut_bearing >= 0.0
+                            ? cut_bearing
+                            : std::min(sensor.BatchZeroAngle(), M_PI);
   const double range = sensor.MaxRange();
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<double> bearings = {M_PI / 2, M_PI / 2 + 1e-12, 2.0, 3.0, M_PI,
                                   0.0, 0.1};
   for (double d : {0.0, 1e-12, 1e-10, 1.5e-9, 1.9e-9, 1.99e-9, 2e-9, 2.01e-9,
-                   2.1e-9, 2.5e-9, 4e-9, 1e-8, 1e-6}) {
+                   2.1e-9, 2.5e-9, 3.8e-9, 3.85e-9, 3.9e-9, 4e-9, 1e-8,
+                   1e-6}) {
     bearings.push_back(theta0 + d);
     bearings.push_back(theta0 - d);
   }
@@ -280,6 +289,8 @@ CutCases MakeCutCases(const SensorModel& sensor, uint64_t seed) {
       1.0000001e-12, 3e-12, 9.9e-12, 1e-11, 1.0001e-11, 5e-11, 1e-10,
       0.5, 1.0, 2.0, 3.0, 3.7, std::nextafter(range, 0.0), range,
       std::nextafter(range, inf), range * (1 + 1e-12), range + 0.5};
+  distances.insert(distances.end(), extra_distances.begin(),
+                   extra_distances.end());
   for (uint32_t f = 0; f < cases.frames.size(); ++f) {
     for (double theta : bearings) {
       for (double r : distances) {
@@ -309,17 +320,10 @@ CutCases MakeCutCases(const SensorModel& sensor, uint64_t seed) {
   return cases;
 }
 
-void ExpectCutIsBitExact(const SensorModel& sensor, double zero_beyond,
-                         uint64_t seed) {
-  const CutCases c = MakeCutCases(sensor, seed);
+/// Both kernels of `sensor` over `c`, compared with memcmp to `expected`.
+void ExpectKernelsAreBitExact(const SensorModel& sensor, const CutCases& c,
+                              const std::vector<double>& expected) {
   const size_t n = c.xs.size();
-  const double zero_beyond_sq = zero_beyond * zero_beyond;
-
-  std::vector<double> expected(n);
-  for (size_t k = 0; k < n; ++k) {
-    expected[k] = ReferenceEvalOne(sensor, c.frames[c.frame_idx[k]], c.xs[k],
-                                   c.ys[k], c.zs[k], zero_beyond_sq);
-  }
   std::vector<double> gathered(n, -1.0);
   sensor.ProbReadBatchGather(c.frames.data(), c.frame_idx.data(), c.xs.data(),
                              c.ys.data(), c.zs.data(), n, gathered.data());
@@ -344,6 +348,18 @@ void ExpectCutIsBitExact(const SensorModel& sensor, double zero_beyond,
               0)
         << "AoS frame " << f;
   }
+}
+
+void ExpectCutIsBitExact(const SensorModel& sensor, double zero_beyond,
+                         uint64_t seed) {
+  const CutCases c = MakeCutCases(sensor, seed);
+  const double zero_beyond_sq = zero_beyond * zero_beyond;
+  std::vector<double> expected(c.xs.size());
+  for (size_t k = 0; k < expected.size(); ++k) {
+    expected[k] = ReferenceEvalOne(sensor, c.frames[c.frame_idx[k]], c.xs[k],
+                                   c.ys[k], c.zs[k], zero_beyond_sq);
+  }
+  ExpectKernelsAreBitExact(sensor, c, expected);
 }
 
 TEST(BatchKernelTest, ConeBearingCutIsBitExact) {
@@ -380,6 +396,231 @@ TEST(BatchKernelTest, ModelsWithoutAZeroBearingKeepTheirKernels) {
   ExpectCutIsBitExact(spherical, spherical.NegligibleRange(), 603);
   const LogisticSensorModel logistic;
   ExpectCutIsBitExact(logistic, logistic.NegligibleRange(), 604);
+}
+
+// ------------------------------------------------------ flat cut, exact ---
+//
+// Inside the cone's major wedge ProbRead does not look at the bearing, so
+// the kernels return ProbRead(dist, 0) there without the division and the
+// acos. Compared with memcmp against the loop without that cut.
+
+TEST(BatchKernelTest, ConeFlatWedgeIsBitExact) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double rate : {1.0, 0.6}) {
+    ConeSensorParams params;
+    params.major_read_rate = rate;
+    const ConeSensorModel cone(params);
+    SCOPED_TRACE(::testing::Message() << "major read rate " << rate);
+    const double theta_f = params.major_half_angle;
+    const double range = cone.MaxRange();
+    const batch_detail::ZeroCuts without_flat =
+        batch_detail::MakeZeroCuts(range, cone.BatchZeroAngle());
+    const batch_detail::ZeroCuts with_flat =
+        batch_detail::MakeZeroCuts(range, cone.BatchZeroAngle(), theta_f);
+    ASSERT_FALSE(without_flat.flat);
+    ASSERT_TRUE(with_flat.flat);
+
+    // θf ± {0, 1 ulp, 1e-12, 1e-10, 2e-9, 1e-6}, across the margin band and
+    // at major_range ± 1 ulp.
+    const double major = params.major_range;
+    const CutCases c = MakeCutCases(
+        cone, 605, theta_f,
+        {std::nextafter(major, 0.0), major, std::nextafter(major, inf)});
+
+    std::vector<double> expected(c.xs.size());
+    size_t flat = 0;
+    for (size_t k = 0; k < expected.size(); ++k) {
+      const ReaderFrame& frame = c.frames[c.frame_idx[k]];
+      expected[k] = batch_detail::EvalOne(cone, frame, c.xs[k], c.ys[k],
+                                          c.zs[k], without_flat);
+      const double dx = c.xs[k] - frame.origin.x;
+      const double dy = c.ys[k] - frame.origin.y;
+      const double dz = c.zs[k] - frame.origin.z;
+      const double dist_sq = dx * dx + dy * dy + dz * dz;
+      const double dot = dx * frame.cos_heading + dy * frame.sin_heading;
+      if (dist_sq < with_flat.range_sq && dot > 0.0 &&
+          dot * dot >= with_flat.flat_cos_sq * dist_sq) {
+        ++flat;
+      }
+    }
+    // The cut fires on a good share of the cases, so the comparison covers
+    // it, not only the elements it leaves alone.
+    EXPECT_GT(flat, expected.size() / 5);
+    ExpectKernelsAreBitExact(cone, c, expected);
+  }
+}
+
+// ------------------------------------------------- zero-region boxes ---
+//
+// batch_detail::ZeroRegionBounds: the box of the positions a frame's
+// kernels can read nonzero. The factored filter skips an unread object
+// whose particles all lie outside the union of these boxes, which is exact
+// only if no nonzero element lies outside its frame's box.
+
+/// Both kernels for one element against one frame; they must agree.
+double KernelAt(const SensorModel& sensor, const ReaderFrame& frame,
+                const Vec3& p) {
+  const uint32_t idx = 0;
+  double gathered = -1.0;
+  double aos = -1.0;
+  sensor.ProbReadBatchGather(&frame, &idx, &p.x, &p.y, &p.z, 1, &gathered);
+  sensor.ProbReadBatchPositions(frame, &p, 1, &aos);
+  EXPECT_EQ(std::memcmp(&gathered, &aos, sizeof(double)), 0);
+  return gathered;
+}
+
+/// `v` moved by `steps` ulps (negative: down).
+double Ulps(double v, int steps) {
+  const double toward = steps < 0 ? -std::numeric_limits<double>::infinity()
+                                  : std::numeric_limits<double>::infinity();
+  for (int i = 0; i < std::abs(steps); ++i) v = std::nextafter(v, toward);
+  return v;
+}
+
+void ExpectBoxHoldsEveryNonzeroElement(const ConeSensorModel& cone,
+                                       const ReaderFrame& f, Rng& rng) {
+  const double range = cone.MaxRange();
+  const double theta0 = cone.BatchZeroAngle();
+  const double margin = 1e-9 * range;
+  const Aabb box = batch_detail::ZeroRegionBounds(f, range, theta0);
+  ASSERT_FALSE(box.IsEmpty());
+
+  // The apex and points inside the cone, down to its boundary.
+  EXPECT_TRUE(box.Contains(f.origin));
+  for (int i = 0; i < 400; ++i) {
+    const double r = i < 40 ? range * (1.0 - 1e-12) : rng.Uniform(0.0, range);
+    const double theta = i < 80 ? theta0 * (1.0 - 1e-12)
+                                : rng.Uniform(0.0, theta0);
+    const Vec3 p = AtBearing(f, r, theta, rng.Uniform(-M_PI, M_PI));
+    if (KernelAt(cone, f, p) > 0.0) {
+      EXPECT_TRUE(box.Contains(p)) << "in-cone point " << p << ", box " << box;
+    }
+  }
+  for (double psi : {0.0, M_PI / 2, M_PI, -M_PI / 2}) {
+    for (double theta : {0.0, 0.5 * theta0, theta0 * (1.0 - 1e-12)}) {
+      const Vec3 p = AtBearing(f, range * (1.0 - 1e-12), theta, psi);
+      ASSERT_GT(KernelAt(cone, f, p), 0.0) << p;
+      EXPECT_TRUE(box.Contains(p)) << "in-cone point " << p << ", box " << box;
+    }
+  }
+
+  // The corners where each face's extreme is reached, each swept over a
+  // grid of ulps around it: whatever the kernels read nonzero there lies
+  // inside the box. Axis points count where the arc crosses the axis.
+  std::vector<Vec3> corners;
+  for (double psi : {0.0, M_PI / 2, M_PI, -M_PI / 2}) {
+    corners.push_back(AtBearing(f, range, theta0, psi));
+  }
+  for (const Vec3& axis : {Vec3{1, 0, 0}, Vec3{-1, 0, 0}, Vec3{0, 1, 0},
+                           Vec3{0, -1, 0}}) {
+    if (axis.x * f.cos_heading + axis.y * f.sin_heading >
+        std::cos(theta0) - 1e-6) {
+      corners.push_back(f.origin + axis * range);
+    }
+  }
+  for (const Vec3& corner : corners) {
+    for (int i = -4; i <= 4; ++i) {
+      for (int j = -4; j <= 4; ++j) {
+        for (int k = -4; k <= 4; ++k) {
+          const Vec3 p{Ulps(corner.x, i), Ulps(corner.y, j),
+                       Ulps(corner.z, k)};
+          if (KernelAt(cone, f, p) > 0.0) {
+            EXPECT_TRUE(box.Contains(p))
+                << "nonzero element " << p << " near corner " << corner
+                << " outside " << box;
+          }
+        }
+      }
+    }
+  }
+
+  // One margin and one ulp outside each face, across the face: exactly 0.
+  const auto coord = [](Vec3& v, int axis) -> double& {
+    return axis == 0 ? v.x : axis == 1 ? v.y : v.z;
+  };
+  Vec3 lo = box.min;
+  Vec3 hi = box.max;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int axis = 0; axis < 3; ++axis) {
+    const int a1 = (axis + 1) % 3;
+    const int a2 = (axis + 2) % 3;
+    for (double outward : {-1.0, 1.0}) {
+      const double face = outward < 0 ? coord(lo, axis) : coord(hi, axis);
+      for (double u : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
+        for (double v : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
+          Vec3 p;
+          coord(p, a1) = coord(lo, a1) + u * (coord(hi, a1) - coord(lo, a1));
+          coord(p, a2) = coord(lo, a2) + v * (coord(hi, a2) - coord(lo, a2));
+          for (double out :
+               {std::nextafter(face, outward * inf), face + outward * margin}) {
+            coord(p, axis) = out;
+            EXPECT_EQ(KernelAt(cone, f, p), 0.0)
+                << "element " << p << " outside face " << axis << " of "
+                << box;
+          }
+        }
+      }
+    }
+  }
+
+  // Random points around the box and outside it: exactly 0.
+  for (int i = 0; i < 2000; ++i) {
+    const Vec3 p{rng.Uniform(box.min.x - range, box.max.x + range),
+                 rng.Uniform(box.min.y - range, box.max.y + range),
+                 rng.Uniform(box.min.z - range, box.max.z + range)};
+    if (!box.Contains(p)) {
+      EXPECT_EQ(KernelAt(cone, f, p), 0.0) << "element " << p << " outside "
+                                           << box;
+    }
+  }
+}
+
+TEST(BatchKernelTest, ZeroRegionBoundsHoldEveryNonzeroElement) {
+  ConeSensorParams narrow;
+  narrow.major_half_angle = 2.0 * M_PI / 180;
+  narrow.minor_extra_angle = 3.0 * M_PI / 180;
+  ConeSensorParams wide;
+  wide.major_half_angle = 40.0 * M_PI / 180;
+  wide.minor_extra_angle = 45.0 * M_PI / 180;
+  wide.major_range = 2.0;
+  for (const ConeSensorParams& params : {ConeSensorParams{}, narrow, wide}) {
+    const ConeSensorModel cone(params);
+    const double theta0 = cone.BatchZeroAngle();
+    SCOPED_TRACE(::testing::Message() << "zero angle " << theta0);
+    // Headings on each axis and θ0 off each one (the arc's endpoint on the
+    // axis), then random ones.
+    std::vector<double> headings;
+    for (double axis : {0.0, M_PI / 2, M_PI, -M_PI / 2}) {
+      for (double off : {0.0, theta0, -theta0}) headings.push_back(axis + off);
+    }
+    Rng rng(606);
+    for (int i = 0; i < 24; ++i) headings.push_back(rng.Uniform(-M_PI, M_PI));
+    for (const Vec3& origin :
+         {Vec3{0, 0, 0}, Vec3{0.7, -1.2, 0.3}, Vec3{-37.5, 112.25, 4.0}}) {
+      for (double heading : headings) {
+        SCOPED_TRACE(::testing::Message()
+                     << "heading " << heading << ", origin " << origin);
+        ExpectBoxHoldsEveryNonzeroElement(
+            cone, ReaderFrame::From(Pose(origin, heading)), rng);
+      }
+    }
+  }
+}
+
+TEST(BatchKernelTest, ZeroRegionBoundsAreTheCubeWithoutAZeroBearing) {
+  // Models that read at every bearing, and a cone wider than a right angle,
+  // keep the cube of half-extent R·(1 + 1e-9) bit for bit.
+  const ReaderFrame f = ReaderFrame::From(Pose({0.7, -1.2, 0.3}, 0.9));
+  for (double zero_angle :
+       {std::numeric_limits<double>::infinity(), M_PI / 2, 2.0}) {
+    for (double radius : {4.5, 17.25}) {
+      const double reach = radius * (1.0 + 1e-9);
+      const Aabb cube(f.origin - Vec3{reach, reach, reach},
+                      f.origin + Vec3{reach, reach, reach});
+      const Aabb box = batch_detail::ZeroRegionBounds(f, radius, zero_angle);
+      EXPECT_EQ(std::memcmp(&box, &cube, sizeof(Aabb)), 0) << box;
+    }
+  }
 }
 
 }  // namespace

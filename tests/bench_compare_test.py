@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Tests of tools/bench_compare.py's pair check, spread and run order.
+"""Tests of tools/bench_compare.py's pair check, spread, verdicts and run
+order.
 
     python3 tests/bench_compare_test.py
 """
@@ -76,6 +77,85 @@ class SpreadTest(unittest.TestCase):
         self.assertIsNone(bench_compare.spread([2.0]))
         self.assertEqual(bench_compare.spread([-1.0, 0.0, 0.0, 1.0]),
                          float("inf"))
+
+
+BASE = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+
+
+def pairs(base, change):
+    return list(zip(base, change))
+
+
+class VerdictTest(unittest.TestCase):
+    def test_gain_needs_nine_tenths_of_the_pairs(self):
+        # 10/10 pairs won, medians 0.15 apart against a base IQR of ~0.03.
+        faster = [0.85 * b for b in BASE]
+        self.assertEqual(
+            bench_compare.verdict(pairs(BASE, faster), True, 0.25), "gain")
+        # 9/10 still is one.
+        nine = faster[:9] + [BASE[9] + 0.01]
+        self.assertEqual(
+            bench_compare.verdict(pairs(BASE, nine), True, 0.25), "gain")
+        # 8/10 is not, however far apart the medians are.
+        eight = faster[:8] + [BASE[8] + 0.01, BASE[9] + 0.01]
+        self.assertEqual(
+            bench_compare.verdict(pairs(BASE, eight), True, 0.25),
+            "within bound")
+
+    def test_gain_needs_medians_apart_by_more_than_the_base_iqr(self):
+        # Every pair won, but by less than the base's own q3 - q1.
+        change = [b - 0.005 for b in BASE]
+        self.assertEqual(
+            bench_compare.verdict(pairs(BASE, change), True, 0.25),
+            "within bound")
+
+    def test_gain_for_a_higher_is_better_metric(self):
+        more = [1.2 * b for b in BASE]
+        self.assertEqual(
+            bench_compare.verdict(pairs(BASE, more), False, 0.1), "gain")
+        self.assertEqual(
+            bench_compare.verdict(pairs(BASE, [0.85 * b for b in BASE]),
+                                  False, 0.1), "worse")
+
+    def test_worse_by_more_than_the_bound(self):
+        slower = [1.3 * b for b in BASE]
+        self.assertEqual(
+            bench_compare.verdict(pairs(BASE, slower), True, 0.25), "worse")
+        # 20% slower sits within a 0.25 bound.
+        self.assertEqual(
+            bench_compare.verdict(pairs(BASE, [1.2 * b for b in BASE]), True,
+                                  0.25), "within bound")
+
+    def test_unresolved_when_the_base_spreads_past_the_bound(self):
+        noisy = [0.6, 1.4, 0.7, 1.3, 1.0, 0.8, 1.2, 0.9, 1.1, 1.0]
+        change = [1.05, 0.95, 1.1, 0.9, 1.0, 1.02, 0.98, 1.0, 1.0, 1.01]
+        self.assertGreater(bench_compare.spread(noisy), 0.25)
+        self.assertEqual(
+            bench_compare.verdict(pairs(noisy, change), True, 0.25),
+            "unresolved")
+
+    def test_every_change_run_better_than_every_base_run_resolves(self):
+        # The base spreads past the bound and the medians sit within its
+        # IQR (no gain), but no change run is slower than any base run.
+        base = [1.0] * 5 + [3.0] * 5
+        change = [0.9] * 10
+        self.assertGreater(bench_compare.spread(base), 0.25)
+        self.assertEqual(
+            bench_compare.verdict(pairs(base, change), True, 0.25),
+            "within bound")
+
+    def test_within_bound_and_without_a_bound(self):
+        self.assertEqual(
+            bench_compare.verdict(pairs(BASE, BASE), True, 0.25),
+            "within bound")
+        self.assertEqual(bench_compare.verdict(pairs(BASE, BASE), True, None),
+                         "-")
+        self.assertEqual(
+            bench_compare.verdict(pairs(BASE, [0.85 * b for b in BASE]),
+                                  True, None), "gain")
+        # One pair: no quartiles, so no gain.
+        self.assertEqual(bench_compare.verdict([(1.0, 0.5)], True, 0.25),
+                         "within bound")
 
 
 class RunOrderTest(unittest.TestCase):

@@ -8,7 +8,15 @@ and prints, for every end-to-end metric BENCHMARK.json lists:
   * both sides' medians,
   * the median of the paired ratios (change / base),
   * the wins: pairs where the change is better, ties counting for neither,
-  * the base's spread, (q3 - q1) / median, beside the metric's bound.
+  * the base's spread, (q3 - q1) / median, beside the metric's bound,
+  * a verdict, the first of these that holds:
+      gain          the change wins at least 90% of the pairs and the
+                    medians differ by more than the base's q3 - q1;
+      worse         the change's median is worse than the base's by more
+                    than the bound;
+      unresolved    the base spread is above the bound and not every change
+                    run beats every base run;
+      within bound  none of the above.
 
 The exact work counters (digest, events, particle_updates, state_bytes)
 must agree pair by pair: any difference is flagged and the exit status is
@@ -131,11 +139,46 @@ def spread(values: list[float]) -> float | None:
     return (q3 - q1) / median if median else float("inf")
 
 
+GAIN_SHARE = 0.9  # Share of pairs the change must win to claim a gain.
+
+
+def verdict(both: list[tuple[float, float]], lower: bool,
+            bound: float | None) -> str:
+    """The row's verdict over its (base, change) pairs, the first that
+    holds: 'gain' (wins in at least GAIN_SHARE of the pairs, ties counting
+    for neither, and medians apart by more than the base's q3 - q1),
+    'worse' (the change's median worse than the base's by more than the
+    relative bound), 'unresolved' (the base spread above the bound and not
+    every change run better than every base run), else 'within bound'.
+    Without a bound only a gain is judged; other rows read '-'."""
+    base = [b for b, _ in both]
+    change = [c for _, c in both]
+    better = (lambda x, y: x < y) if lower else (lambda x, y: x > y)
+    wins = sum(1 for b, c in both if better(c, b))
+    base_median = statistics.median(base)
+    change_median = statistics.median(change)
+    if len(base) >= 2 and wins >= GAIN_SHARE * len(both):
+        q1, _, q3 = statistics.quantiles(base, n=4)
+        if better(change_median, base_median) and \
+                abs(change_median - base_median) > q3 - q1:
+            return "gain"
+    if bound is None:
+        return "-"
+    loss = change_median - base_median if lower else base_median - change_median
+    if loss > bound * abs(base_median):
+        return "worse"
+    s = spread(base)
+    every_run_better = all(better(c, b) for c in change for b in base)
+    if s is not None and s > bound and not every_run_better:
+        return "unresolved"
+    return "within bound"
+
+
 def report(workloads: list[str], metrics: list[dict], pairs: dict) -> None:
     print()
-    print("%-10s %-26s %12s %12s %9s %7s %11s %6s" % (
+    print("%-10s %-26s %12s %12s %9s %7s %11s %6s  %s" % (
         "workload", "metric", "base", "change", "ratio", "wins",
-        "base spread", "bound"))
+        "base spread", "bound", "verdict"))
     for workload in workloads:
         runs = pairs[workload]
         for m in metrics:
@@ -152,13 +195,14 @@ def report(workloads: list[str], metrics: list[dict], pairs: dict) -> None:
             wins = sum(1 for b, c in both if (c < b if lower else c > b))
             s = spread(base)
             bound = m.get("bound")
-            print("%-10s %-26s %12.6g %12.6g %9s %7s %11s %6s" % (
+            print("%-10s %-26s %12.6g %12.6g %9s %7s %11s %6s  %s" % (
                 workload, name, statistics.median(base),
                 statistics.median(change),
                 "%.3f" % statistics.median(ratios) if ratios else "n/a",
                 "%d/%d" % (wins, len(both)),
                 "%.4f" % s if s is not None else "n/a",
-                "%.2f" % bound if bound is not None else ""))
+                "%.2f" % bound if bound is not None else "",
+                verdict(both, lower, bound)))
 
 
 def main() -> int:
