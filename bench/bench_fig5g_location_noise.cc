@@ -9,6 +9,16 @@
 //  - model On - true: inference given the true sensing parameters.
 // The shelf tags are what lets the motion/sensing model correct the
 // systematic drift.
+//
+// The bench exits non-zero unless the figure's claims hold as inequalities,
+// each printed with its margin: without the model the error grows with the
+// bias (by at least 1.5x from mu_y = 0.1 to 1.0); with it, learned or true,
+// every error stays within 0.6 ft, and at mu_y = 1.0 within half the
+// model-off error; and every filter error is at most half the uniform
+// baseline's.
+#include <utility>
+#include <vector>
+
 #include "bench_util.h"
 #include "learn/em.h"
 #include "sim/trace.h"
@@ -17,6 +27,75 @@ namespace rfid {
 namespace {
 
 constexpr double kSigmaY = 0.2;
+
+/// Smallest growth of the model-off error from the first bias (0.1 ft) to
+/// the last (1.0 ft); it read 2.06x (0.454 -> 0.934) when the gate was
+/// added.
+constexpr double kMinOffErrorGrowth = 1.5;
+/// Largest model-on error, learned or true, in feet (0.516 when the gate
+/// was added).
+constexpr double kMaxModelOnErrorFt = 0.6;
+/// Largest model-on error at the last bias as a share of the model-off
+/// error there (0.401 vs 0.934 when the gate was added).
+constexpr double kMaxOnShareOfOff = 0.5;
+/// Largest filter error as a share of the uniform baseline's at the same
+/// bias (the worst read 0.434 when the gate was added).
+constexpr double kMaxErrorShareOfUniform = 0.5;
+
+struct NoiseResult {
+  double mu_y = 0.0;
+  double uniform_error = 0.0;
+  double off_error = 0.0;
+  double learned_error = 0.0;
+  double true_error = 0.0;
+};
+
+/// The Fig. 5(g) claims over the sweep, each inequality lhs <= rhs printed
+/// with its margin; returns how many fail.
+int CheckPaperResults(const std::vector<NoiseResult>& results) {
+  std::printf("\nPaper-result gate (Fig. 5(g)):\n");
+  int failures = 0;
+  const auto check = [&failures](const char* what, double lhs, double rhs) {
+    if (!bench::CheckAtMost(what, lhs, rhs)) ++failures;
+  };
+  if (results.size() < 2) {
+    std::printf("  FAIL the sweep has fewer than two biases\n");
+    return 1;
+  }
+  const NoiseResult& first = results.front();
+  const NoiseResult& last = results.back();
+  char what[128];
+  std::snprintf(what, sizeof(what),
+                "model off: %.1f x error at mu_y %.2f <= error at mu_y %.2f",
+                kMinOffErrorGrowth, first.mu_y, last.mu_y);
+  check(what, kMinOffErrorGrowth * first.off_error, last.off_error);
+  for (const NoiseResult& r : results) {
+    std::snprintf(what, sizeof(what), "mu_y %.2f: model on, learned <= %.1f ft",
+                  r.mu_y, kMaxModelOnErrorFt);
+    check(what, r.learned_error, kMaxModelOnErrorFt);
+    std::snprintf(what, sizeof(what), "mu_y %.2f: model on, true <= %.1f ft",
+                  r.mu_y, kMaxModelOnErrorFt);
+    check(what, r.true_error, kMaxModelOnErrorFt);
+  }
+  for (const auto& [name, error] :
+       {std::pair<const char*, double>{"learned", last.learned_error},
+        {"true", last.true_error}}) {
+    std::snprintf(what, sizeof(what),
+                  "mu_y %.2f: model on, %s <= model off / 2", last.mu_y, name);
+    check(what, error, kMaxOnShareOfOff * last.off_error);
+  }
+  for (const NoiseResult& r : results) {
+    for (const auto& [name, error] :
+         {std::pair<const char*, double>{"model off", r.off_error},
+          {"model on, learned", r.learned_error},
+          {"model on, true", r.true_error}}) {
+      std::snprintf(what, sizeof(what), "mu_y %.2f: %s <= uniform / 2",
+                    r.mu_y, name);
+      check(what, error, kMaxErrorShareOfUniform * r.uniform_error);
+    }
+  }
+  return failures;
+}
 
 SimulatedTrace MakeTrace(const WarehouseLayout& layout, double mu_y,
                          uint64_t seed) {
@@ -62,6 +141,7 @@ int main() {
 
   TableWriter table({"mu_y", "uniform", "motion_model_off",
                      "model_on_learned", "model_on_true"});
+  std::vector<NoiseResult> results;
   for (double mu_y = 0.1; mu_y <= 1.01; mu_y += 0.15) {
     const SimulatedTrace trace =
         MakeTrace(layout.value(), mu_y, 700 + static_cast<uint64_t>(mu_y * 100));
@@ -107,6 +187,7 @@ int main() {
             : off_err;
 
     (void)table.AddRow({mu_y, uniform_err, off_err, learned_err, true_err}, 3);
+    results.push_back({mu_y, uniform_err, off_err, learned_err, true_err});
     std::printf("mu_y=%.2f done\n", mu_y);
   }
   bench::PrintTable(table);
@@ -114,5 +195,12 @@ int main() {
   bench::BenchJson json("fig5g");
   bench::AddTableRows(table, "error_xy_ft", &json);
   bench::WriteBenchJson(json, "fig5g");
+
+  const int failures = CheckPaperResults(results);
+  if (failures > 0) {
+    std::fprintf(stderr, "FIG5G GATE FAILED: %d inequalities do not hold\n",
+                 failures);
+    return 1;
+  }
   return 0;
 }

@@ -1,11 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // primitives: R*-tree operations, resampling schemes, sensor-model
-// evaluation, Gaussian belief fitting/sampling, reader-remap draws, and one
-// factored-filter epoch. These are the ablation-level numbers behind
-// Fig. 5(j).
+// evaluation, Gaussian belief fitting/sampling, reader-remap draws, the
+// thread pool's job hand-off, and one factored-filter epoch. These are the
+// ablation-level numbers behind Fig. 5(j).
 #include <benchmark/benchmark.h>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <numeric>
 #include <utility>
 
@@ -21,6 +27,7 @@
 #include "sim/trace.h"
 #include "core/experiment.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace rfid {
 namespace {
@@ -356,6 +363,76 @@ void BM_RemapResolve(benchmark::State& state) {
       items, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_RemapResolve)->Args({1, 1})->Args({1, 5})->Args({8, 5});
+
+/// A dependent chain of `iters` multiply-adds: fixed compute that the
+/// compiler can neither fold nor vectorize, with no clock read inside.
+double SpinWork(uint64_t iters, double x) {
+  for (uint64_t i = 0; i < iters; ++i) x = x * 0.9999999 + 1e-7;
+  return x;
+}
+
+/// SpinWork iterations per microsecond on the host running the benchmark,
+/// measured once.
+double SpinItersPerMicro() {
+  static const double rate = [] {
+    constexpr uint64_t kIters = 20'000'000;
+    Stopwatch watch;
+    benchmark::DoNotOptimize(SpinWork(kIters, 0.5));
+    return static_cast<double>(kIters) / watch.ElapsedMicros();
+  }();
+  return rate;
+}
+
+/// CPU the calling thread runs on (-1 where sched_getcpu is unavailable).
+int CurrentCpu() {
+#ifdef __linux__
+  return sched_getcpu();
+#else
+  return -1;
+#endif
+}
+
+/// One ThreadPool job of 16 equal chunks of fixed compute — range(1)
+/// microseconds in all, calibrated before the timed loop — at pool width
+/// range(0). Real time per job against the width-1 row is the hand-off's
+/// price or the lanes' gain. distinct_cpus is the mean number of CPUs a
+/// job's chunks ran on, and on_caller_cpu the mean share of its chunks run
+/// on the CPU the caller published the job from (Linux; sched_getcpu).
+void BM_PoolHandoff(benchmark::State& state) {
+  constexpr size_t kChunks = 16;
+  const int width = static_cast<int>(state.range(0));
+  const auto chunk_iters = static_cast<uint64_t>(
+      SpinItersPerMicro() * static_cast<double>(state.range(1)) /
+      static_cast<double>(kChunks));
+  ThreadPool pool(width);
+  std::array<double, kChunks> out{};
+  std::array<int, kChunks> cpus{};
+  double distinct_sum = 0.0;
+  double on_caller_sum = 0.0;
+  for (auto _ : state) {
+    const int caller_cpu = CurrentCpu();
+    pool.ParallelForDynamic(kChunks, 1, [&](size_t i, int) {
+      out[i] = SpinWork(chunk_iters, 0.5 + static_cast<double>(i));
+      cpus[i] = CurrentCpu();
+    });
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    std::array<int, kChunks> sorted = cpus;
+    std::sort(sorted.begin(), sorted.end());
+    distinct_sum += static_cast<double>(
+        std::unique(sorted.begin(), sorted.end()) - sorted.begin());
+    on_caller_sum +=
+        static_cast<double>(std::count(cpus.begin(), cpus.end(), caller_cpu)) /
+        static_cast<double>(kChunks);
+  }
+  const auto jobs = static_cast<double>(state.iterations());
+  state.counters["distinct_cpus"] = distinct_sum / jobs;
+  state.counters["on_caller_cpu"] = on_caller_sum / jobs;
+}
+BENCHMARK(BM_PoolHandoff)
+    ->ArgsProduct({{1, 2, 4}, {50, 500, 5000}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_FactoredFilterEpoch(benchmark::State& state) {
   // One epoch of the factored filter over a mid-sized warehouse stream;

@@ -38,6 +38,15 @@ inline void PrintHeader(const std::string& title, const std::string& source) {
   std::printf("==============================================================\n");
 }
 
+/// One paper-result inequality lhs <= rhs, printed with its margin; returns
+/// whether it holds (the figure benches' gates count the ones that fail).
+inline bool CheckAtMost(const std::string& what, double lhs, double rhs) {
+  const bool holds = lhs <= rhs;
+  std::printf("  %-4s %s: %.3f <= %.3f (margin %.3f)\n", holds ? "ok" : "FAIL",
+              what.c_str(), lhs, rhs, rhs - lhs);
+  return holds;
+}
+
 inline void PrintTable(const TableWriter& table) {
   table.WriteAligned(std::cout);
   std::printf("\n-- CSV --\n");

@@ -74,6 +74,21 @@ double NormalizeForEss(ParticleSoa* particles, double total) {
   }
   return EffectiveSampleSizeFromSumSq(sum_sq);
 }
+
+/// True when some particle lies in `box` (closed on every side, as
+/// Aabb::Contains); stops at the first one.
+bool AnyParticleIn(const ParticleSoa& particles, const Aabb& box) {
+  const double* xs = particles.xs();
+  const double* ys = particles.ys();
+  const double* zs = particles.zs();
+  for (size_t k = 0; k < particles.size(); ++k) {
+    if (xs[k] >= box.min.x && xs[k] <= box.max.x && ys[k] >= box.min.y &&
+        ys[k] <= box.max.y && zs[k] >= box.min.z && zs[k] <= box.max.z) {
+      return true;
+    }
+  }
+  return false;
+}
 }  // namespace
 
 FactoredParticleFilter::FactoredParticleFilter(
@@ -466,21 +481,31 @@ bool FactoredParticleFilter::UpdateObject(ObjectState* state, bool observed,
   // run on any lane in any order and still produce identical results.
   Rng rng(SlotStreamSeed(slot, salt));
 
-  // Far-field fast path (negative evidence only): when every particle lies
-  // outside every reader's zero-region box (reader_reach_), the batched
-  // likelihoods are all exactly 0, so each weight is multiplied by exactly
-  // 1.0 — with elastic budgets off this is bit-identical to the full update
-  // with the kernel, the likelihood loop and (absent a resample) the bounds
-  // recomputation skipped. With elastic budgets on, the spread pass is also
-  // skipped unless a resample fires anyway: weights and positions are
-  // unchanged here, so the spread (and hence the target) is exactly what
-  // the last in-field update left it at — recomputing it every epoch would
-  // cost the O(n) sweep this path exists to avoid. A resample *does*
-  // recompute the target, so an ESS-collapsed object entering the far field
-  // snaps to the same count the full path would give it.
-  // Positions are untouched here (unread objects do not propagate), so the
-  // cached particle_bounds this test relies on stays valid.
-  if (!observed && !state->particle_bounds.Intersects(reader_reach_)) {
+  // Far field (negative evidence only): a particle outside every reader's
+  // zero-region box (reader_reach_) reads exactly 0 against whichever reader
+  // it is attached to, so when no particle lies inside the box, every
+  // likelihood is exactly 1.0. Particle bounds that miss the box settle it
+  // at once; under fixed budgets, bounds that meet it are settled by a scan
+  // that stops at the first particle inside. Positions are untouched here
+  // (unread objects do not propagate), so the cached particle_bounds stays
+  // valid.
+  //
+  // The fast path below skips the kernel, the likelihood loop and (absent a
+  // resample) the bounds recomputation; with elastic budgets off it is
+  // bit-identical to the full update. With elastic budgets on it also skips
+  // the spread pass unless a resample fires anyway: weights and positions
+  // are unchanged, so the spread (and hence the target) is what the last
+  // in-field update left it at, and recomputing it every epoch would cost
+  // the O(n) sweep this path exists to avoid. A resample *does* recompute
+  // the target, so an ESS-collapsed object entering the far field snaps to
+  // the same count the full path would give it. That is also why elastic
+  // objects whose bounds meet the box are not scanned: the full update may
+  // resize them where this path would keep the last budget.
+  const bool elastic = config_.min_object_particles > 0;
+  const bool unread_far =
+      !observed && (!state->particle_bounds.Intersects(reader_reach_) ||
+                    (!elastic && !AnyParticleIn(particles, reader_reach_)));
+  if (unread_far) {
     const double* weights = particles.weights();
     double total = 0.0;
     for (size_t k = 0; k < n; ++k) total += weights[k];
@@ -533,7 +558,6 @@ bool FactoredParticleFilter::UpdateObject(ObjectState* state, bool observed,
   // the resample below reduces exactly to the fixed-budget one. The weighted
   // moments ride the likelihood loop (same pass, unnormalized weights, one
   // divide by the total afterwards) so the spread costs no extra sweep.
-  const bool elastic = config_.min_object_particles > 0;
   double* weights = particles.mutable_weights();
   double total = 0.0;
   double best_likelihood = 0.0;

@@ -397,9 +397,9 @@ class FactoredParticleFilter final : public InferenceFilter {
   std::vector<ReaderFrame> reader_frames_;
   /// Union of the reader frames' zero-region boxes
   /// (batch_detail::ZeroRegionBounds: the cone's wedge box, or the cube of
-  /// the sensor's BatchZeroRadius): objects whose particle bounds miss it
-  /// get all batched likelihoods exactly 0 and take the far-field fast
-  /// path.
+  /// the sensor's BatchZeroRadius): an unread object with no particle in it
+  /// gets all batched likelihoods exactly 0, so UpdateObject can skip the
+  /// kernel for it (see the far-field note there).
   Aabb reader_reach_;
 
   std::atomic<uint64_t> particle_updates_{0};

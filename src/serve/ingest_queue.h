@@ -1,12 +1,12 @@
 // Bounded multi-producer ingest queue, one per shard.
 //
 // Producers are network receivers / client threads calling
-// StreamingServer::Ingest from anywhere; the single consumer is the shard's
-// pump lane. Capacity is bounded so a shard that falls behind pushes back on
-// its producers instead of growing without limit; the stats record how often
-// that backpressure actually engaged (blocked pushes / rejected records and
-// the occupancy high-water mark), which is the first thing to look at when
-// sizing shards.
+// StreamingServer::Ingest from anywhere; the single consumer is the pump
+// sweep, which pops every shard on the pumping thread. Capacity is bounded
+// so a shard that falls behind pushes back on its producers instead of
+// growing without limit; the stats record how often that backpressure
+// actually engaged (blocked pushes / rejected records and the occupancy
+// high-water mark), which is the first thing to look at when sizing shards.
 #pragma once
 
 #include <cstdint>

@@ -108,13 +108,17 @@ StreamingServer::StreamingServer(
           shard_label + ",direction=\"deescalate\"");
     }
   }
-  for (auto& pipeline : pipelines_) {
+  site_work_.resize(pipelines_.size());
+  ready_.reserve(pipelines_.size());
+  for (size_t i = 0; i < pipelines_.size(); ++i) {
+    SitePipeline* pipeline = pipelines_[i].get();
     Shard& shard =
         shards_[static_cast<size_t>(router_.ShardOf(pipeline->site()))];
-    shard.sites.push_back(pipeline.get());
-    shard.site_lookup[pipeline->site()] = pipeline.get();
-    // The health map's shape is fixed here; pump lanes mutate entries for
-    // their own sites only, so no further synchronization is needed.
+    site_work_[i].pipeline = pipeline;
+    shard.sites.push_back(pipeline);
+    shard.site_lookup[pipeline->site()] = &site_work_[i];
+    // The health map's shape is fixed here; pump lanes mutate the entries
+    // of the sites they run only, so no further synchronization is needed.
     health_.emplace(pipeline->site(), SiteHealth{});
   }
 }
@@ -191,27 +195,24 @@ void StreamingServer::NotifyWork() {
 size_t StreamingServer::PumpOnce() {
   obs::LatencyTimer sweep_timer(pump_sweep_h_);
   obs::TraceSpan sweep_span("pump_sweep", "server");
-  std::atomic<size_t> processed{0};
-  // Dynamic shard claiming (chunk = one shard): a lane that drains a light
-  // shard immediately claims the next instead of idling behind a heavy one,
-  // which is what lets aggregate throughput keep climbing with shards x
-  // threads. Exactly one lane touches a shard per sweep — the queue pop,
-  // the governor cadence (one Update per sweep per shard) and each site's
-  // record order are identical to the static schedule, so per-site output
-  // is unchanged at any width.
-  pool_.ParallelForDynamic(
-      shards_.size(), /*chunk_size=*/1,
-      [this, &processed](size_t s, int) { DrainShard(s, processed); });
-  const size_t total = processed.load(std::memory_order_relaxed);
+  // Serial phase, on this thread, shard by shard: what a shard owns — its
+  // governor cadence (one Update per shard per sweep, before the pop) and
+  // its queue — never leaves the pumping thread.
+  ready_.clear();
+  size_t total = 0;
+  for (Shard& shard : shards_) total += PopShard(shard);
+  // Parallel phase: dynamic site claiming (chunk = one site), so a lane that
+  // finishes a light site claims the next instead of idling behind a heavy
+  // one, wherever the hash routed the two. A site's records run in pop order
+  // on exactly one lane, so per-site output is unchanged at any width. A
+  // sweep with no records hands the pool nothing; one site runs inline.
+  pool_.ParallelForDynamic(ready_.size(), /*chunk_size=*/1,
+                           [this](size_t i, int) { RunSite(*ready_[i]); });
   if (total > 0) pump_records_c_->Add(total);
   return total;
 }
 
-// Thread-safety analysis is off here — see the SAFETY note on the
-// declaration in server.h (fork/join shard ownership under the sweep
-// holder's pump_mu_).
-void StreamingServer::DrainShard(size_t s, std::atomic<size_t>& processed) {
-  Shard& shard = shards_[s];
+size_t StreamingServer::PopShard(Shard& shard) {
   if (shard.governor != nullptr) {
     // Occupancy is sampled before the drain so a sweep that empties the
     // queue still sees the pressure that built up while it was away; the
@@ -242,7 +243,20 @@ void StreamingServer::DrainShard(size_t s, std::atomic<size_t>& processed) {
     const ServeRecord& record = shard.batch[i];
     const auto it = shard.site_lookup.find(record.site);
     if (it == shard.site_lookup.end()) continue;
-    SiteHealth& health = health_.find(record.site)->second;
+    SiteWork& work = *it->second;
+    if (work.records.empty()) ready_.push_back(&work);
+    work.records.push_back(&record);
+  }
+  return n;
+}
+
+// Thread-safety analysis is off here — see the SAFETY note on the
+// declaration in server.h (fork/join site ownership under the sweep
+// holder's pump_mu_).
+void StreamingServer::RunSite(SiteWork& work) {
+  SitePipeline* pipeline = work.pipeline;
+  SiteHealth& health = health_.find(pipeline->site())->second;
+  for (const ServeRecord* record : work.records) {
     if (health.parked) {
       ++health.records_dropped_parked;
       continue;
@@ -252,12 +266,12 @@ void StreamingServer::DrainShard(size_t s, std::atomic<size_t>& processed) {
     // site. The failed site is restored from the last-good checkpoint or
     // parked; the loop continues with the next record either way.
     try {
-      it->second->OnRecord(record, &bus_);
+      pipeline->OnRecord(*record, &bus_);
     } catch (const std::exception& e) {
-      HandleSiteFailure(it->second, e.what());
+      HandleSiteFailure(pipeline, e.what());
     }
   }
-  if (n > 0) processed.fetch_add(n, std::memory_order_relaxed);
+  work.records.clear();
 }
 
 void StreamingServer::HandleSiteFailure(SitePipeline* pipeline,

@@ -10,7 +10,11 @@
 //        |               |               |             backpressure
 //        +---------------+---------------+
 //                        |
-//              pump: ThreadPool::ParallelForDynamic over shards
+//        pump, serial:   governor update + PopBatch per shard;
+//                        each record joins its site's list
+//                        |
+//        pump, parallel: ThreadPool::ParallelForDynamic over the
+//                        sites with records, one site per chunk
 //                        |
 //        SitePipeline (per site): StreamSynchronizer (watermark
 //        admission) -> RfidInferenceEngine -> SubscriptionBus
@@ -18,13 +22,16 @@
 // Threading model. Producers call Ingest() freely; records land in the
 // target shard's bounded queue (blocking on overflow by default — the
 // backpressure shows up in queue stats). Processing happens in "pumps": one
-// sweep that drains every shard's queue through its site pipelines, fanned
-// across the existing ThreadPool with dynamic shard claiming — each shard is
-// one stolen chunk, so a lane finishing a light shard takes the next instead
-// of idling behind a heavy one. Exactly one pump runs at a time (pump_mu_),
-// and within a sweep a shard is claimed by exactly one lane (which lane is
-// timing-dependent; the per-shard work is not), so pipelines need no locks
-// and every site's event stream is deterministic regardless of thread count.
+// sweep that first pops every shard's queue on the pumping thread, handing
+// each record to its site in pop order, then fans the sites that received
+// records across the existing ThreadPool — each site is one stolen chunk, so
+// a lane that finishes a light site takes the next instead of idling behind
+// a heavy one, whichever shards the two hash to. Exactly one pump runs at a
+// time (pump_mu_), shard state is touched only in the serial phase, and
+// within a sweep a site's records run in pop order on exactly one lane
+// (which lane is timing-dependent; the per-site work is not), so pipelines
+// need no locks and every site's event stream is deterministic regardless
+// of thread count.
 //
 // Two driving modes:
 //  * Start()/Stop(): a driver thread pumps whenever records arrive — the
@@ -62,9 +69,9 @@ namespace rfid {
 struct ServeConfig {
   int num_shards = 2;
   /// Worker-pool width for the pump sweep (1 = everything on the pumping
-  /// thread). Shards are claimed dynamically, one per task; per-site results
-  /// are identical at any width (each shard is drained by exactly one lane
-  /// per sweep, in a deterministic per-shard order).
+  /// thread). Sites with records are claimed dynamically, one per task;
+  /// per-site results are identical at any width (a site's records run in
+  /// pop order on exactly one lane per sweep).
   int num_threads = 1;
   size_t queue_capacity = 1024;   ///< Per-shard ingest queue bound.
   size_t pump_batch = 256;        ///< Max records drained per shard per pump.
@@ -218,8 +225,8 @@ class StreamingServer {
 
  private:
   /// Per-site failure-handling state, owned by the server (the pipeline
-  /// itself has no notion of failure). Only the lane that owns the site's
-  /// shard mutates an entry during a pump; the map's shape is fixed at
+  /// itself has no notion of failure). Only the lane running the site
+  /// mutates an entry during a pump; the map's shape is fixed at
   /// construction.
   struct SiteHealth {
     uint64_t failures = 0;
@@ -229,15 +236,26 @@ class StreamingServer {
     std::string park_reason;
   };
 
+  /// One site's share of a pump sweep: the serial phase appends each popped
+  /// record to its site's list, the parallel phase runs the list on one lane.
+  struct SiteWork {
+    SitePipeline* pipeline = nullptr;
+    /// This sweep's records, in pop order. They point into the owning
+    /// shard's batch, which nothing writes until the next sweep's pop.
+    std::vector<const ServeRecord*> records;
+  };
+
   struct Shard {
     std::unique_ptr<IngestQueue> queue;
     std::vector<SitePipeline*> sites;  ///< Pipelines routed to this shard.
-    std::unordered_map<SiteId, SitePipeline*> site_lookup;
+    /// Sweep slots of the shard's sites (fixed at construction; Ingest reads
+    /// it from any thread to reject unknown sites).
+    std::unordered_map<SiteId, SiteWork*> site_lookup;
     std::vector<ServeRecord> batch;    ///< Pop scratch, reused per pump.
     /// Degradation ladder for this shard's queue (nullptr when disabled).
     std::unique_ptr<LoadShedGovernor> governor;
-    // --- Governor telemetry (one lane touches a shard per sweep, so plain
-    // fields suffice; nullptr when the governor is disabled) ---
+    // --- Governor telemetry (touched only in the sweep's serial phase, so
+    // plain fields suffice; nullptr when the governor is disabled) ---
     obs::Gauge* shed_level_g = nullptr;
     obs::Counter* shed_escalations_c = nullptr;
     obs::Counter* shed_deescalations_c = nullptr;
@@ -252,8 +270,12 @@ class StreamingServer {
                   std::unique_ptr<obs::MetricsRegistry> metrics);
 
   /// One sweep over all shards; caller holds pump_mu_. Returns records
-  /// processed.
+  /// popped.
   size_t PumpOnce() RFID_REQUIRES(pump_mu_);
+  /// The sweep's serial phase for one shard: governor update and load-shed
+  /// decision, then the pop, each record joining its site's list (and the
+  /// site joining ready_ with its first record). Returns records popped.
+  size_t PopShard(Shard& shard) RFID_REQUIRES(pump_mu_);
   /// Snapshot assembly; caller holds pump_mu_ (Stats() takes it, while
   /// DumpDiagnostics reuses this under its own hold — re-locking would
   /// deadlock).
@@ -261,28 +283,28 @@ class StreamingServer {
   void DriverLoop();
   void NotifyWork() RFID_EXCLUDES(wake_mu_);
 
-  // SAFETY (no thread-safety analysis): DrainShard runs on pool lanes while
-  // pump_mu_ is held by the thread inside PumpOnce, so the analysis cannot
-  // see the capability from the lane's frame. The discipline is fork/join
-  // ownership handoff, not locking: exactly one lane claims a shard per
-  // sweep (ParallelForDynamic, chunk = 1 shard), a site's health_ entry is
-  // only touched by the lane owning that site's shard, the map's shape is
-  // fixed at construction, and the pool's barrier + pump_mu_ serialization
-  // order every access across sweeps.
-  /// Governor update + queue drain for one shard; the body of the pump
-  /// sweep's per-lane work.
-  void DrainShard(size_t s, std::atomic<size_t>& processed)
-      RFID_NO_THREAD_SAFETY_ANALYSIS;
+  // SAFETY (no thread-safety analysis): RunSite runs on pool lanes while the
+  // thread inside PumpOnce holds pump_mu_, which the analysis cannot see
+  // from a lane's frame. The discipline is a fork/join ownership handoff:
+  // shard state is touched only in the serial phase before the fan-out; a
+  // site is one ParallelForDynamic chunk, so one lane runs its records; that
+  // lane touches only the site's pipeline and health_ entry (the map's shape
+  // is fixed at construction) and reads its records from a shard batch no
+  // one writes until the next pop; the pool's barrier plus pump_mu_ order
+  // every access across sweeps.
+  /// The sweep's parallel phase for one site: its records in pop order, each
+  /// through the parked check, OnRecord and failure containment.
+  void RunSite(SiteWork& work) RFID_NO_THREAD_SAFETY_ANALYSIS;
 
-  // SAFETY (no thread-safety analysis): called from DrainShard on the lane
-  // that owns the failed site's shard, under the same fork/join handoff —
-  // it mutates only that site's health_ entry and reads
-  // last_checkpoint_dir_, which is written only under pump_mu_ while no
-  // sweep is in flight.
+  // SAFETY (no thread-safety analysis): called from RunSite on the lane
+  // running the failed site, under the same fork/join handoff (or from
+  // Flush on the thread holding pump_mu_) — it mutates only that site's
+  // health_ entry and reads last_checkpoint_dir_, which is written only
+  // under pump_mu_ while no sweep is in flight.
   /// Blast-radius containment for a pipeline that threw mid-sweep: restore
   /// it from the last-good checkpoint, or park it when the restart budget
   /// is exhausted (or there is nothing to restore from). Runs on the lane
-  /// owning the site's shard; touches only that site's state.
+  /// running the site; touches only that site's state.
   void HandleSiteFailure(SitePipeline* pipeline, const char* what)
       RFID_NO_THREAD_SAFETY_ANALYSIS;
 
@@ -293,17 +315,23 @@ class StreamingServer {
   ShardRouter router_;
   std::vector<std::unique_ptr<SitePipeline>> pipelines_;
   std::vector<Shard> shards_;
+  /// One per pipeline, index-aligned with pipelines_ and sized at
+  /// construction (Shard::site_lookup points into it).
+  std::vector<SiteWork> site_work_;
+  /// Sites that received records in the current sweep's serial phase, in
+  /// the order of their first record; the parallel phase's work list.
+  std::vector<SiteWork*> ready_;
   SubscriptionBus bus_;
   ThreadPool pool_;
 
   /// Serializes pump sweeps vs checkpoint/flush/stats (mutable: Stats() is
   /// logically const but must exclude a concurrent pump). Lanes inside a
   /// sweep access the guarded members without holding it — see the SAFETY
-  /// notes on DrainShard/HandleSiteFailure.
+  /// notes on RunSite/HandleSiteFailure.
   mutable Mutex pump_mu_;
 
-  /// One entry per site, created at construction (lanes mutate their own
-  /// sites' entries concurrently; the map itself is never reshaped).
+  /// One entry per site, created at construction (each lane mutates only
+  /// the entry of the site it runs; the map itself is never reshaped).
   std::unordered_map<SiteId, SiteHealth> health_ RFID_GUARDED_BY(pump_mu_);
   /// Last directory a checkpoint was written to or restored from — where
   /// auto-recovery looks for the last-good generation (written by

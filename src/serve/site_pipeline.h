@@ -1,17 +1,17 @@
 // One site's end-to-end inference pipeline inside the serving runtime:
 // bounded-lateness StreamSynchronizer -> RfidInferenceEngine -> bus.
 //
-// A pipeline is single-consumer: exactly one shard lane feeds it (the
-// ShardRouter guarantees a site's records always land on the same shard, and
-// a shard is pumped by one lane at a time), so the pipeline itself needs no
-// locking — and deliberately carries no thread-safety capabilities: the
-// ownership handoff lives in the server's pump sweep (see the SAFETY notes
-// on StreamingServer::DrainShard), not in any mutex the analysis could
-// check here. Epoch completion is watermark-driven: a record only advances the
-// engine once the site's watermark (newest record time minus the lateness
-// bound) passes the end of an epoch, and epochs close contiguously — quiet
-// gaps synthesize empty epochs so the filter keeps aging beliefs through
-// them.
+// A pipeline is single-consumer: exactly one lane feeds it per pump sweep
+// (the ShardRouter lands a site's records on one shard, the sweep pops that
+// shard on the pumping thread, and hands the site's records, in pop order,
+// to one lane), so the pipeline itself needs no locking — and deliberately
+// carries no thread-safety capabilities: the ownership handoff lives in the
+// server's pump sweep (see the SAFETY notes on StreamingServer::RunSite), not
+// in any mutex the analysis could check here. Epoch completion is
+// watermark-driven: a record only advances the engine once the site's
+// watermark (newest record time minus the lateness bound) passes the end of
+// an epoch, and epochs close contiguously — quiet gaps synthesize empty
+// epochs so the filter keeps aging beliefs through them.
 //
 // Checkpointing captures the complete resume state: synchronizer pending
 // epochs and watermark bookkeeping, the filter belief + RNG (pf/snapshot.h),

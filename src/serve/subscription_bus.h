@@ -7,15 +7,16 @@
 // *per site* inside each subscription, so
 //   * sites never share operator state (a fire-code window in site A cannot
 //     be polluted by site B's events), and
-//   * dispatch from different shards never contends on the same operator
+//   * dispatch from different sites never contends on the same operator
 //     beyond a per-subscription mutex, and the event order each operator
 //     sees is exactly the (deterministic) per-site event order.
 //
-// Callbacks run on the dispatching shard's lane. They must be fast and must
-// NOT call Subscribe/Unsubscribe (the registry lock is held across
-// dispatch). That misuse used to deadlock silently on the registry lock;
-// Subscribe/Unsubscribe from inside a callback on the dispatching thread
-// now throws std::logic_error immediately instead.
+// Callbacks run on the pump lane running the dispatching site (Flush()'s on
+// the calling thread). They must be fast and must NOT call
+// Subscribe/Unsubscribe (the registry lock is held across dispatch). That
+// misuse used to deadlock silently on the registry lock;
+// Subscribe/Unsubscribe from inside a callback on the dispatching thread now
+// throws std::logic_error immediately instead.
 #pragma once
 
 #include <atomic>
@@ -99,7 +100,7 @@ class SubscriptionBus {
 
   /// Feeds one site's freshly produced events to every matching
   /// subscription, in subscription order, preserving event order. Called
-  /// from shard lanes; safe to call concurrently for different sites.
+  /// from pump lanes; safe to call concurrently for different sites.
   void Dispatch(SiteId site, const std::vector<LocationEvent>& events);
 
   /// Total events fanned out (events × matching subscriptions).

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
 
+#include "model/reader_frame.h"
 #include "pf/factored_filter.h"
 #include "test_util.h"
 
@@ -143,6 +146,147 @@ TEST(FactoredFilterTest, SpatialIndexVariantTracksLikeFullProcessing) {
 }
 
 // --------------------------------------------------------- Reinit rules ---
+
+/// How the kernel calls of a run met the far-field reach box (the union of
+/// the frames' zero-region cubes), counted by UnitDiskSensor.
+struct ReachCounts {
+  int calls = 0;
+  int bounds_far = 0;  ///< Particle bounds miss the box.
+  int straddle = 0;    ///< Bounds meet the box, yet no particle is in it.
+};
+
+/// Isotropic test sensor: reads at 0.8 nearer than one foot, exactly 0 at
+/// and past it. With `far_field` false it reports no zero radius, so the
+/// filter never takes a far-field path and weights every particle through
+/// the kernel: the reference the per-particle scan must reproduce. With
+/// `counts` set, each kernel call is classified against the reach box of
+/// `num_frames` frames.
+class UnitDiskSensor final : public SensorModel {
+ public:
+  UnitDiskSensor(bool far_field, int num_frames,
+                 std::shared_ptr<ReachCounts> counts = nullptr)
+      : far_field_(far_field), num_frames_(num_frames),
+        counts_(std::move(counts)) {}
+
+  double ProbRead(double distance, double /*angle*/) const override {
+    return distance < 1.0 ? 0.8 : 0.0;
+  }
+  double MaxRange() const override { return 1.0; }
+  double BatchZeroRadius() const override {
+    return far_field_ ? 1.0 : std::numeric_limits<double>::infinity();
+  }
+  std::unique_ptr<SensorModel> Clone() const override {
+    return std::make_unique<UnitDiskSensor>(*this);
+  }
+  void ProbReadBatchGather(const ReaderFrame* frames,
+                           const uint32_t* frame_idx, const double* xs,
+                           const double* ys, const double* zs, size_t n,
+                           double* out) const override {
+    if (counts_ != nullptr) {
+      Aabb reach = Aabb::Empty();
+      for (int j = 0; j < num_frames_; ++j) {
+        reach.Extend(batch_detail::ZeroRegionBounds(
+            frames[j], 1.0, std::numeric_limits<double>::infinity()));
+      }
+      Aabb bounds = Aabb::Empty();
+      bool inside = false;
+      for (size_t k = 0; k < n; ++k) {
+        bounds.Extend(Vec3{xs[k], ys[k], zs[k]});
+        inside = inside || reach.Contains(Vec3{xs[k], ys[k], zs[k]});
+      }
+      ++counts_->calls;
+      if (!bounds.Intersects(reach)) {
+        ++counts_->bounds_far;
+      } else if (!inside) {
+        ++counts_->straddle;
+      }
+    }
+    SensorModel::ProbReadBatchGather(frames, frame_idx, xs, ys, zs, n, out);
+  }
+
+ private:
+  bool far_field_;
+  int num_frames_;
+  std::shared_ptr<ReachCounts> counts_;
+};
+
+/// Two shelves in an L around the origin, leaving the quadrant x, y > -0.3
+/// empty, and the reader motion of the walk below: (0.1, 0.1) per epoch.
+WorldModel LShelfWorld(std::unique_ptr<SensorModel> sensor) {
+  MotionModelParams motion;
+  motion.delta = {0.1, 0.1, 0.0};
+  motion.sigma = {0.02, 0.02, 0.0};
+  LocationSensingParams sensing;
+  sensing.sigma = {0.01, 0.01, 0.0};
+  ObjectModelParams om;
+  om.move_probability = 1e-4;
+  return WorldModel(
+      std::move(sensor), MotionModel(motion), LocationSensingModel(sensing),
+      ObjectLocationModel(
+          om, ShelfRegions({Aabb({-1.2, -1.2, 0}, {-0.3, 1.2, 0}),
+                            Aabb({-0.3, -1.2, 0}, {1.2, -0.3, 0})})),
+      {});
+}
+
+TEST(FactoredFilterTest, FarFieldScanMatchesTheKernelPerParticle) {
+  // Tag 7 is read once at the origin, so its particles fill the L of
+  // shelves around it; the reader then walks diagonally into the empty
+  // quadrant without reading it again. Once its reach box clears the
+  // shelves, the object's bounds meet the box and no particle lies in it.
+  // Under fixed budgets the scan sends such an update down the far-field
+  // path; elastic budgets are not scanned and run the kernel as before.
+  // Against a run that never skips the kernel, weights, ESS and particle
+  // counts must agree bit for bit.
+  for (const bool elastic : {false, true}) {
+    SCOPED_TRACE(elastic ? "elastic budgets" : "fixed budgets");
+    FactoredFilterConfig c;
+    c.num_reader_particles = 20;
+    c.num_object_particles = 200;
+    c.min_object_particles = elastic ? 40 : 0;
+    c.use_spatial_index = false;  // Every tracked object is processed.
+    c.init.half_angle = M_PI;
+    c.seed = 17;
+    auto counts = std::make_shared<ReachCounts>();
+    auto scanned_counts = std::make_shared<ReachCounts>();
+    FactoredParticleFilter scanned(
+        LShelfWorld(std::make_unique<UnitDiskSensor>(true, 20,
+                                                        scanned_counts)),
+        c);
+    FactoredParticleFilter reference(
+        LShelfWorld(std::make_unique<UnitDiskSensor>(false, 20, counts)), c);
+    // Nineteen epochs: the twentieth box clears the object's bounds, and
+    // the bounds test takes over.
+    for (int t = 0; t < 19; ++t) {
+      SyncedEpoch epoch = MakeEpoch(t, 0.1 * t, t == 0 ? std::vector<TagId>{7}
+                                                       : std::vector<TagId>{});
+      epoch.reported_location.x = 0.1 * t;
+      scanned.ObserveEpoch(epoch);
+      reference.ObserveEpoch(epoch);
+      const auto* a = scanned.FindObject(7);
+      const auto* b = reference.FindObject(7);
+      ASSERT_NE(a, nullptr);
+      ASSERT_NE(b, nullptr);
+      ASSERT_EQ(a->particles.size(), b->particles.size()) << "epoch " << t;
+      double sum_sq_a = 0.0, sum_sq_b = 0.0;
+      for (size_t k = 0; k < a->particles.size(); ++k) {
+        EXPECT_EQ(a->particles.weights()[k], b->particles.weights()[k]);
+        EXPECT_EQ(a->particles.PositionAt(k), b->particles.PositionAt(k));
+        sum_sq_a += a->particles.weights()[k] * a->particles.weights()[k];
+        sum_sq_b += b->particles.weights()[k] * b->particles.weights()[k];
+      }
+      EXPECT_EQ(1.0 / sum_sq_a, 1.0 / sum_sq_b) << "ESS, epoch " << t;
+    }
+    EXPECT_EQ(scanned.particle_updates(), reference.particle_updates());
+    // The walk reached the case under test (counted in the reference run,
+    // whose states equal the scanned run's), and never the bounds test.
+    EXPECT_GE(counts->straddle, 8);
+    EXPECT_EQ(counts->bounds_far, 0);
+    // Under fixed budgets each of those updates skipped the kernel and
+    // every other one ran it; under elastic budgets none skipped it.
+    EXPECT_EQ(scanned_counts->calls,
+              counts->calls - (elastic ? 0 : counts->straddle));
+  }
+}
 
 TEST(FactoredFilterTest, FullReinitWhenSeenFarAway) {
   FactoredFilterConfig c = SmallConfig();

@@ -3,18 +3,25 @@
 // concurrency stress aimed at the ThreadSanitizer CI job.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/experiment.h"
 #include "model/cone_sensor.h"
+#include "pf/factored_filter.h"
 #include "serve/server.h"
 #include "sim/trace.h"
+#include "util/fault.h"
 
 namespace rfid {
 namespace {
@@ -27,11 +34,12 @@ struct SiteTraffic {
 
 /// A small warehouse site flattened to raw serve records (one location
 /// report plus the epoch's readings per simulated epoch, in time order).
-SiteTraffic MakeSiteTraffic(SiteId site, uint64_t seed) {
+SiteTraffic MakeSiteTraffic(SiteId site, uint64_t seed,
+                            int objects_per_shelf = 4) {
   WarehouseConfig wc;
   wc.num_shelves = 2;
   wc.shelf_length = 6.0;
-  wc.objects_per_shelf = 4;
+  wc.objects_per_shelf = objects_per_shelf;
   wc.shelf_tags_per_shelf = 2;
   auto layout = BuildWarehouse(wc);
   EXPECT_TRUE(layout.ok());
@@ -76,7 +84,7 @@ WorldModel SiteModel(const SiteTraffic& traffic) {
   return MakeWorldModel(traffic.layout, std::make_unique<ConeSensorModel>());
 }
 
-/// Thread-safe per-site event log (callbacks fire on shard lanes).
+/// Thread-safe per-site event log (callbacks fire on pump lanes).
 struct EventLog {
   std::mutex mu;
   std::map<SiteId, std::vector<LocationEvent>> events;
@@ -249,6 +257,224 @@ TEST(StreamingServerTest, ThreadedRunMatchesInlineRunBitwise) {
   }
 
   ExpectIdenticalEventStreams(inline_log.events, threaded_log.events);
+}
+
+/// Sites of uneven size (2 to 8 objects per shelf) and their records
+/// interleaved round-robin, keeping each site's own order: the ingest order
+/// of every one-shard run below.
+struct UnevenFleet {
+  std::vector<SiteTraffic> sites;
+  std::vector<ServeRecord> interleaved;
+};
+
+UnevenFleet MakeUnevenFleet() {
+  UnevenFleet fleet;
+  const int objects_per_shelf[] = {2, 8, 3, 6};
+  size_t longest = 0;
+  for (size_t i = 0; i < 4; ++i) {
+    fleet.sites.push_back(MakeSiteTraffic(static_cast<SiteId>(i + 1), 500 + i,
+                                          objects_per_shelf[i]));
+    longest = std::max(longest, fleet.sites.back().records.size());
+  }
+  for (size_t r = 0; r < longest; ++r) {
+    for (const SiteTraffic& site : fleet.sites) {
+      if (r < site.records.size()) fleet.interleaved.push_back(site.records[r]);
+    }
+  }
+  return fleet;
+}
+
+/// What one site's run leaves observable: its event stream, the estimate
+/// of every object tag, its engine counters and its health.
+struct SiteOutcome {
+  std::vector<LocationEvent> events;
+  std::vector<std::optional<LocationEstimate>> estimates;
+  size_t epochs = 0;
+  size_t readings = 0;
+  size_t events_emitted = 0;
+  uint64_t particle_updates = 0;
+  uint64_t remap_resolves = 0;
+  uint64_t failures = 0;
+  uint64_t recoveries = 0;
+  uint64_t records_dropped_parked = 0;
+  bool parked = false;
+};
+
+std::map<SiteId, SiteOutcome> Outcomes(const StreamingServer& server,
+                                       const UnevenFleet& fleet,
+                                       EventLog& log) {
+  std::map<SiteId, SiteOutcome> out;
+  const ServerStatsSnapshot stats = server.Stats();
+  for (const ShardStatsSnapshot& shard : stats.shards) {
+    for (const SitePipelineStats& site : shard.sites) {
+      SiteOutcome& o = out[site.site];
+      o.events = log.events[site.site];
+      o.epochs = site.engine.epochs_processed;
+      o.readings = site.engine.readings_processed;
+      o.events_emitted = site.engine.events_emitted;
+      o.failures = site.pipeline_failures;
+      o.recoveries = site.recoveries;
+      o.records_dropped_parked = site.records_dropped_parked;
+      o.parked = site.parked;
+      const SitePipeline* pipeline = server.FindSite(site.site);
+      const auto& filter = dynamic_cast<const FactoredParticleFilter&>(
+          pipeline->engine().filter());
+      o.particle_updates = filter.particle_updates();
+      o.remap_resolves = filter.remap_resolves();
+      const SiteTraffic& traffic = fleet.sites[site.site - 1];
+      for (const ObjectPlacement& object : traffic.layout.objects) {
+        o.estimates.push_back(pipeline->engine().EstimateObject(object.tag));
+      }
+    }
+  }
+  return out;
+}
+
+void ExpectSameOutcome(const SiteOutcome& a, const SiteOutcome& b,
+                       SiteId site) {
+  ExpectIdenticalEventStreams({{site, a.events}}, {{site, b.events}});
+  ASSERT_EQ(a.estimates.size(), b.estimates.size()) << "site " << site;
+  for (size_t i = 0; i < a.estimates.size(); ++i) {
+    ASSERT_EQ(a.estimates[i].has_value(), b.estimates[i].has_value())
+        << "site " << site << " object " << i;
+    if (!a.estimates[i].has_value()) continue;
+    EXPECT_EQ(a.estimates[i]->mean, b.estimates[i]->mean)
+        << "site " << site << " object " << i;
+    EXPECT_EQ(a.estimates[i]->variance, b.estimates[i]->variance)
+        << "site " << site << " object " << i;
+    EXPECT_EQ(a.estimates[i]->support, b.estimates[i]->support)
+        << "site " << site << " object " << i;
+  }
+  EXPECT_EQ(a.epochs, b.epochs) << "site " << site;
+  EXPECT_EQ(a.readings, b.readings) << "site " << site;
+  EXPECT_EQ(a.events_emitted, b.events_emitted) << "site " << site;
+  EXPECT_EQ(a.particle_updates, b.particle_updates) << "site " << site;
+  EXPECT_EQ(a.remap_resolves, b.remap_resolves) << "site " << site;
+  EXPECT_EQ(a.failures, b.failures) << "site " << site;
+  EXPECT_EQ(a.recoveries, b.recoveries) << "site " << site;
+  EXPECT_EQ(a.records_dropped_parked, b.records_dropped_parked)
+      << "site " << site;
+  EXPECT_EQ(a.parked, b.parked) << "site " << site;
+}
+
+std::unique_ptr<StreamingServer> MakeUnevenServer(const UnevenFleet& fleet,
+                                                  int num_threads) {
+  std::vector<SiteSpec> specs;
+  for (const SiteTraffic& traffic : fleet.sites) {
+    specs.push_back({traffic.records.front().site, SiteModel(traffic)});
+  }
+  ServeConfig config = SmallServeConfig(1, num_threads);
+  config.queue_capacity = 8192;
+  config.recovery.max_restarts = 1;
+  config.recovery.checkpoint_backoff_ms = 0.0;
+  auto server = StreamingServer::Create(std::move(specs), config);
+  EXPECT_TRUE(server.ok());
+  return std::move(server).value();
+}
+
+/// Inline drive: a pump after every block of 48 records, so each sweep pops
+/// records of several sites at once. A checkpoint into `ckpt_dir` (when
+/// set) a third of the way in gives site recovery something to restore.
+std::map<SiteId, SiteOutcome> RunInline(const UnevenFleet& fleet,
+                                        int num_threads,
+                                        const std::string& ckpt_dir = "") {
+  auto server = MakeUnevenServer(fleet, num_threads);
+  EventLog log;
+  server->bus().SubscribeEvents(log.Callback());
+  const std::vector<ServeRecord>& records = fleet.interleaved;
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_TRUE(server->Ingest(records[i]));
+    if (i % 48 == 47) server->Pump();
+    if (!ckpt_dir.empty() && i == records.size() / 3) {
+      EXPECT_TRUE(server->Checkpoint(ckpt_dir).ok());
+    }
+  }
+  server->Pump();
+  server->Flush();
+  return Outcomes(*server, fleet, log);
+}
+
+/// Driver-thread drive: one producer per site racing the driver's sweeps.
+std::map<SiteId, SiteOutcome> RunDriven(const UnevenFleet& fleet,
+                                        int num_threads) {
+  auto server = MakeUnevenServer(fleet, num_threads);
+  EventLog log;
+  server->bus().SubscribeEvents(log.Callback());
+  server->Start();
+  std::vector<std::thread> producers;
+  for (const SiteTraffic& traffic : fleet.sites) {
+    producers.emplace_back([&server, &traffic] {
+      for (const ServeRecord& record : traffic.records) {
+        EXPECT_TRUE(server->Ingest(record));
+      }
+    });
+  }
+  for (auto& producer : producers) producer.join();
+  server->Stop();
+  server->Flush();
+  return Outcomes(*server, fleet, log);
+}
+
+TEST(StreamingServerTest, OneShardSitesMatchInlineAtAnyWidth) {
+  // One shard holds every site, so only the sweep's site fan-out spreads
+  // work across lanes: each site's output must not depend on how many lanes
+  // there are, which lane ran it, or how driver sweeps cut the stream.
+  const UnevenFleet fleet = MakeUnevenFleet();
+  const std::map<SiteId, SiteOutcome> reference = RunInline(fleet, 1);
+  ASSERT_EQ(reference.size(), fleet.sites.size());
+  for (const auto& [site, outcome] : reference) {
+    ASSERT_FALSE(outcome.events.empty()) << "site " << site;
+  }
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("num_threads " + std::to_string(threads));
+    const auto inline_run = RunInline(fleet, threads);
+    const auto driven_run = RunDriven(fleet, threads);
+    for (const auto& [site, outcome] : reference) {
+      ExpectSameOutcome(outcome, inline_run.at(site), site);
+      ExpectSameOutcome(outcome, driven_run.at(site), site);
+    }
+  }
+}
+
+TEST(StreamingServerTest, ShardMateFailureIsContainedUnderThreads) {
+  // Site 2 throws through kPipelineStep while its shard-mates run on other
+  // lanes of the same sweep: the first failure restores it from the
+  // checkpoint, the next parks it (one restart allowed). Its shard-mates
+  // must match the fault-free run, and the victim must end exactly as it
+  // does on one lane.
+  constexpr SiteId kVictim = 2;
+  const UnevenFleet fleet = MakeUnevenFleet();
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() /
+      ("serve_shard_mate_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  const auto fault_free = RunInline(fleet, 2, (root / "clean").string());
+
+  std::map<SiteId, SiteOutcome> faulty[2];
+  const int widths[2] = {1, 2};
+  for (int w = 0; w < 2; ++w) {
+    FaultInjector injector(7);
+    FaultRule crash;
+    crash.probability = 0.04;
+    crash.scopes = {kVictim};
+    injector.Arm(FaultPoint::kPipelineStep, crash);
+    ScopedFaultInjector installed(&injector);
+    faulty[w] = RunInline(fleet, widths[w],
+                          (root / ("faulty" + std::to_string(w))).string());
+    EXPECT_GE(injector.fires(FaultPoint::kPipelineStep), 2u);
+  }
+  std::filesystem::remove_all(root);
+
+  const SiteOutcome& victim = faulty[1].at(kVictim);
+  EXPECT_EQ(victim.failures, 2u);
+  EXPECT_EQ(victim.recoveries, 1u);
+  EXPECT_TRUE(victim.parked);
+  EXPECT_GT(victim.records_dropped_parked, 0u);
+  ExpectSameOutcome(faulty[0].at(kVictim), victim, kVictim);
+  for (const auto& [site, outcome] : fault_free) {
+    if (site == kVictim) continue;
+    ExpectSameOutcome(outcome, faulty[1].at(site), site);
+  }
 }
 
 TEST(StreamingServerTest, UnknownSiteAndBadConfigRejected) {
