@@ -4,6 +4,14 @@
 // {our system, improved SMURF, uniform sampling}; per-axis X/Y and XY mean
 // errors, as in the paper's table. Ends with the aggregate error reduction
 // of our system over SMURF (the paper reports an average of 49%).
+//
+// The bench exits non-zero unless the table's ordering holds as
+// inequalities, each printed with its margin: in every row our XY error is
+// at most half of SMURF's, and SMURF's at most uniform sampling's; and the
+// average XY reduction over SMURF is at least the paper's 49%.
+#include <string>
+#include <vector>
+
 #include "bench_util.h"
 #include "model/spherical_sensor.h"
 #include "sim/lab.h"
@@ -11,9 +19,47 @@
 namespace rfid {
 namespace {
 
+/// Largest XY error of our system as a share of SMURF's in the same row
+/// (the worst read 0.348, at 500 ms SS, when the gate was added).
+constexpr double kMaxOursShareOfSmurf = 0.5;
+/// Smallest average XY error reduction over SMURF: the paper's figure (72%
+/// when the gate was added).
+constexpr double kMinReductionVsSmurf = 0.49;
+
 struct AlgoErrors {
   double x = 0.0, y = 0.0, xy = 0.0;
 };
+
+/// One row's XY errors.
+struct RowErrors {
+  std::string label;  ///< "<timeout> ms <shelf>".
+  double ours = 0.0;
+  double smurf = 0.0;
+  double uniform = 0.0;
+};
+
+/// The Fig. 6(b) claims over the table, each inequality lhs <= rhs printed
+/// with its margin; returns how many fail.
+int CheckPaperResults(const std::vector<RowErrors>& rows, double reduction) {
+  std::printf("\nPaper-result gate (Fig. 6(b)):\n");
+  int failures = 0;
+  const auto check = [&failures](const std::string& what, double lhs,
+                                 double rhs) {
+    if (!bench::CheckAtMost(what, lhs, rhs)) ++failures;
+  };
+  if (rows.empty()) {
+    std::printf("  FAIL the table has no rows\n");
+    return 1;
+  }
+  for (const RowErrors& r : rows) {
+    check(r.label + ": ours XY <= smurf XY / 2", r.ours,
+          kMaxOursShareOfSmurf * r.smurf);
+    check(r.label + ": smurf XY <= uniform XY", r.smurf, r.uniform);
+  }
+  check("average XY reduction over SMURF >= 49%", kMinReductionVsSmurf,
+        reduction);
+  return failures;
+}
 
 AlgoErrors Collect(const LabDeployment& lab,
                    const std::function<std::optional<LocationEstimate>(TagId)>&
@@ -40,7 +86,7 @@ int main() {
                      "smurf_X", "smurf_Y", "smurf_XY", "unif_X", "unif_Y",
                      "unif_XY"});
   double ours_sum = 0.0, smurf_sum = 0.0;
-  int rows = 0;
+  std::vector<RowErrors> rows;
 
   for (double shelf_depth : {0.66, 2.6}) {
     for (double timeout : {250.0, 500.0, 750.0}) {
@@ -103,21 +149,30 @@ int main() {
       (void)table.AddRow(row);
       ours_sum += ours.xy;
       smurf_sum += smurf_err.xy;
-      ++rows;
-      std::printf("timeout=%.0f shelf=%s done\n", timeout,
-                  shelf_depth < 1.0 ? "SS" : "LS");
+      const char* shelf = shelf_depth < 1.0 ? "SS" : "LS";
+      rows.push_back({FormatDouble(timeout, 0) + " ms " + shelf, ours.xy,
+                      smurf_err.xy, unif.xy});
+      std::printf("timeout=%.0f shelf=%s done\n", timeout, shelf);
     }
   }
   bench::PrintTable(table);
+  const double reduction = 1.0 - ours_sum / smurf_sum;
   std::printf("average XY error reduction of our system over SMURF: %.0f%% "
               "(paper reports 49%%)\n",
-              100.0 * (1.0 - ours_sum / smurf_sum));
+              100.0 * reduction);
 
   bench::BenchJson json("fig6b");
   bench::AddTableRows(table, "lab_error_ft", &json);
   json.BeginRow();
   json.Add("series", "summary");
-  json.Add("xy_error_reduction_vs_smurf", 1.0 - ours_sum / smurf_sum);
+  json.Add("xy_error_reduction_vs_smurf", reduction);
   bench::WriteBenchJson(json, "fig6b");
+
+  const int failures = CheckPaperResults(rows, reduction);
+  if (failures > 0) {
+    std::fprintf(stderr, "FIG6B GATE FAILED: %d inequalities do not hold\n",
+                 failures);
+    return 1;
+  }
   return 0;
 }

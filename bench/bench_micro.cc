@@ -97,12 +97,14 @@ void BM_ConeSensorProbRead(benchmark::State& state) {
 BENCHMARK(BM_ConeSensorProbRead);
 
 /// The factored weighting's kernel against the scalar loop above: SoA
-/// particle positions, each attached to one of 100 reader frames (the
-/// paper's reader-particle count) and evaluated against its own frame.
+/// particle positions at the particle store's ParticleCoord width, each
+/// attached to one of 100 reader frames (the paper's reader-particle count)
+/// and evaluated against its own frame.
 struct GatherBatch {
   static constexpr size_t kFrames = 100;
   std::vector<ReaderFrame> frames;
-  std::vector<double> xs, ys, zs, out;
+  std::vector<ParticleCoord> xs, ys, zs;
+  std::vector<double> out;
   std::vector<uint32_t> idx;
 
   explicit GatherBatch(size_t n) : xs(n), ys(n), zs(n), out(n), idx(n) {
@@ -113,11 +115,18 @@ struct GatherBatch {
                rng.Uniform(-0.1, 0.1))));
     }
     for (size_t k = 0; k < n; ++k) {
-      xs[k] = rng.Uniform(0, 6);
-      ys[k] = rng.Uniform(-3, 3);
-      zs[k] = 0.0;
+      const double x = rng.Uniform(0, 6);
+      const double y = rng.Uniform(-3, 3);
+      Set(k, x, y);
       idx[k] = static_cast<uint32_t>(rng.UniformInt(kFrames));
     }
+  }
+
+  /// Places particle k at (x, y, 0), rounded as the store rounds it.
+  void Set(size_t k, double x, double y) {
+    xs[k] = static_cast<ParticleCoord>(x);
+    ys[k] = static_cast<ParticleCoord>(y);
+    zs[k] = 0.0f;
   }
 };
 
@@ -160,8 +169,8 @@ void BM_ConeGatherSetupMix(benchmark::State& state) {
     const ReaderFrame& f = b.frames[b.idx[k]];
     const double along = r * std::cos(theta);
     const double across = side * r * std::sin(theta);
-    b.xs[k] = f.origin.x + along * f.cos_heading - across * f.sin_heading;
-    b.ys[k] = f.origin.y + along * f.sin_heading + across * f.cos_heading;
+    b.Set(k, f.origin.x + along * f.cos_heading - across * f.sin_heading,
+          f.origin.y + along * f.sin_heading + across * f.cos_heading);
   }
   for (auto _ : state) {
     sensor.ProbReadBatchGather(b.frames.data(), b.idx.data(), b.xs.data(),
@@ -199,8 +208,8 @@ void BM_ConeGatherReadMix(benchmark::State& state) {
     const ReaderFrame& f = b.frames[b.idx[k]];
     const double along = r * std::cos(theta);
     const double across = side * r * std::sin(theta);
-    b.xs[k] = f.origin.x + along * f.cos_heading - across * f.sin_heading;
-    b.ys[k] = f.origin.y + along * f.sin_heading + across * f.cos_heading;
+    b.Set(k, f.origin.x + along * f.cos_heading - across * f.sin_heading,
+          f.origin.y + along * f.sin_heading + across * f.cos_heading);
   }
   for (auto _ : state) {
     sensor.ProbReadBatchGather(b.frames.data(), b.idx.data(), b.xs.data(),

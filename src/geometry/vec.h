@@ -61,6 +61,13 @@ struct Vec3 {
 
 inline Vec3 operator*(double s, const Vec3& v) { return v * s; }
 
+/// Width of one coordinate of a stored object-particle position: the
+/// factored filter's particle store (pf/particle_soa.h), the sensor models'
+/// gather kernels and the snapshot's particle runs. A position is rounded
+/// to it once, when stored; every computation on it widens it to double
+/// first.
+using ParticleCoord = float;
+
 inline std::ostream& operator<<(std::ostream& os, const Vec3& v) {
   return os << '(' << v.x << ", " << v.y << ", " << v.z << ')';
 }

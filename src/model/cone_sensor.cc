@@ -6,28 +6,10 @@
 namespace rfid {
 
 Aabb ConeSensorModel::SensingBounds(const Pose& reader) const {
-  const double r = MaxRange();
-  const double theta_max = MaxAngle();
-  Aabb box;
-  box.Extend(reader.position);
-  // Sample the bounding arc: the extremes of the cone's planar footprint are
-  // attained at the arc endpoints, the axis, and (if inside the wedge) the
-  // axis-aligned tangent directions.
-  for (double a : {-theta_max, -theta_max / 2, 0.0, theta_max / 2, theta_max}) {
-    const double phi = reader.heading + a;
-    box.Extend(reader.position + Vec3{r * std::cos(phi), r * std::sin(phi), 0});
-  }
-  for (double phi_card = -M_PI; phi_card <= M_PI + 1e-9; phi_card += M_PI / 2) {
-    if (std::abs(WrapAngle(phi_card - reader.heading)) <= theta_max) {
-      box.Extend(reader.position +
-                 Vec3{r * std::cos(phi_card), r * std::sin(phi_card), 0});
-    }
-  }
-  // The 3-D angular acceptance allows tags above/below the antenna plane.
-  const double z_span = r * std::sin(theta_max);
-  box.Extend(reader.position + Vec3{0, 0, z_span});
-  box.Extend(reader.position - Vec3{0, 0, z_span});
-  return box;
+  // The box of the cone's sector; a cone at least a right angle wide reaches
+  // MaxRange straight up, where the sector box would stop short.
+  if (!(MaxAngle() < M_PI / 2)) return SensorModel::SensingBounds(reader);
+  return SectorBounds(ReaderFrame::From(reader), MaxRange(), MaxAngle());
 }
 
 double ConeSensorModel::ProbRead(double distance, double angle) const {
@@ -56,8 +38,9 @@ void ConeSensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
 
 void ConeSensorModel::ProbReadBatchGather(const ReaderFrame* frames,
                                           const uint32_t* frame_idx,
-                                          const double* xs, const double* ys,
-                                          const double* zs, size_t n,
+                                          const ParticleCoord* xs,
+                                          const ParticleCoord* ys,
+                                          const ParticleCoord* zs, size_t n,
                                           double* out) const {
   batch_detail::BatchGather(*this, frames, frame_idx, xs, ys, zs, n, out,
                             MaxRange(), MaxAngle(), params_.major_half_angle);

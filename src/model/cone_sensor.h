@@ -42,7 +42,8 @@ class ConeSensorModel final : public SensorModel {
   double BatchZeroRadius() const override { return MaxRange(); }
   double BatchZeroAngle() const override { return MaxAngle(); }
   /// Tight bounding box of the cone (apex at the reader, opening along the
-  /// heading, total half-angle major + minor).
+  /// heading, total half-angle major + minor): its SectorBounds, the box the
+  /// kernels' zero-region boxes pad.
   Aabb SensingBounds(const Pose& reader) const override;
   std::unique_ptr<SensorModel> Clone() const override {
     return std::make_unique<ConeSensorModel>(*this);
@@ -55,8 +56,8 @@ class ConeSensorModel final : public SensorModel {
   void ProbReadBatchPositions(const ReaderFrame& frame, const Vec3* positions,
                               size_t n, double* out) const override;
   void ProbReadBatchGather(const ReaderFrame* frames, const uint32_t* frame_idx,
-                           const double* xs, const double* ys,
-                           const double* zs, size_t n,
+                           const ParticleCoord* xs, const ParticleCoord* ys,
+                           const ParticleCoord* zs, size_t n,
                            double* out) const override;
 
   const ConeSensorParams& params() const { return params_; }

@@ -18,7 +18,10 @@
 // wedge edge and its major wedge, see kBearingCutMargin). There are two
 // kernels: one frame over AoS positions (the basic filter) and a
 // per-element frame gather over SoA positions (the factored filter); both
-// take their cuts from MakeZeroCuts. When instantiated with a concrete
+// take their cuts from MakeZeroCuts. The gather reads positions at their
+// stored ParticleCoord (float) width and widens each coordinate once, so
+// everything after the load, cuts included, is the same double arithmetic
+// on the same values as the AoS kernel's. When instantiated with a concrete
 // `final` sensor model the per-particle ProbRead call devirtualizes and
 // inlines. ZeroRegionBounds boxes the region where a frame's kernel output
 // can be nonzero; the factored filter skips objects outside every box.
@@ -49,6 +52,34 @@ struct ReaderFrame {
     return f;
   }
 };
+
+/// Box of the spherical sector of radius `r` and half angle θ0 around frame
+/// `f`'s heading, apex at its origin, for θ0 short of a right angle (wider
+/// sectors reach r straight up, which this box misses). From the frame's
+/// cos/sin and cos θ0, sin θ0 by the angle-sum formulas: the apex, the two
+/// arc endpoints at heading ± θ0, r along each axis direction the arc
+/// crosses, and z within ± r·sin θ0.
+inline Aabb SectorBounds(const ReaderFrame& f, double r, double half_angle) {
+  const double cos0 = std::cos(half_angle);
+  const double sin0 = std::sin(half_angle);
+  const double c = f.cos_heading;
+  const double s = f.sin_heading;
+  // Arc endpoints: the heading turned by +θ0 and by −θ0.
+  const double x_plus = r * (c * cos0 - s * sin0);
+  const double y_plus = r * (s * cos0 + c * sin0);
+  const double x_minus = r * (c * cos0 + s * sin0);
+  const double y_minus = r * (s * cos0 - c * sin0);
+  Vec3 lo{std::min({0.0, x_plus, x_minus}), std::min({0.0, y_plus, y_minus}),
+          -r * sin0};
+  Vec3 hi{std::max({0.0, x_plus, x_minus}), std::max({0.0, y_plus, y_minus}),
+          r * sin0};
+  // An axis direction within θ0 of the heading lies on the arc.
+  if (c > cos0) hi.x = r;
+  if (-c > cos0) lo.x = -r;
+  if (s > cos0) hi.y = r;
+  if (-s > cos0) lo.y = -r;
+  return Aabb(f.origin + lo, f.origin + hi);
+}
 
 namespace batch_detail {
 
@@ -128,10 +159,7 @@ inline ZeroCuts MakeZeroCuts(double zero_beyond, double zero_angle,
 /// at bearings >= `zero_angle` (MakeZeroCuts' arguments) can read nonzero
 /// against frame `f`: every element outside it evaluates to exactly 0 in
 /// both kernels. With θ0 short of a right angle and a finite radius R it
-/// is the box of the frame's spherical sector (the cone), from the frame's
-/// cos/sin and cos θ0, sin θ0 by the angle-sum formulas: the apex, the two
-/// arc endpoints at heading ± θ0, R along each axis direction the arc
-/// crosses, and z within ± R·sin θ0, padded by 1e-9·R on every face.
+/// is the frame's SectorBounds (the cone), padded by 1e-9·R on every face.
 /// Otherwise it is the cube of half-extent R·(1 + 1e-9) around the origin.
 /// The padding dwarfs the ~1e-15 relative roundings of this arithmetic and
 /// of the kernels' range and bearing (see kBearingCutMargin), so an element
@@ -143,28 +171,10 @@ inline Aabb ZeroRegionBounds(const ReaderFrame& f, double zero_beyond,
     return Aabb(f.origin - Vec3{reach, reach, reach},
                 f.origin + Vec3{reach, reach, reach});
   }
-  const double r = zero_beyond;
-  const double cos0 = std::cos(zero_angle);
-  const double sin0 = std::sin(zero_angle);
-  const double c = f.cos_heading;
-  const double s = f.sin_heading;
-  // Arc endpoints: the heading turned by +θ0 and by −θ0.
-  const double x_plus = r * (c * cos0 - s * sin0);
-  const double y_plus = r * (s * cos0 + c * sin0);
-  const double x_minus = r * (c * cos0 + s * sin0);
-  const double y_minus = r * (s * cos0 - c * sin0);
-  Vec3 lo{std::min({0.0, x_plus, x_minus}), std::min({0.0, y_plus, y_minus}),
-          -r * sin0};
-  Vec3 hi{std::max({0.0, x_plus, x_minus}), std::max({0.0, y_plus, y_minus}),
-          r * sin0};
-  // An axis direction within θ0 of the heading lies on the arc.
-  if (c > cos0) hi.x = r;
-  if (-c > cos0) lo.x = -r;
-  if (s > cos0) hi.y = r;
-  if (-s > cos0) lo.y = -r;
-  const double pad = 1e-9 * r;
-  return Aabb(f.origin + lo - Vec3{pad, pad, pad},
-              f.origin + hi + Vec3{pad, pad, pad});
+  const Aabb sector = SectorBounds(f, zero_beyond, zero_angle);
+  const double pad = 1e-9 * zero_beyond;
+  return Aabb(sector.min - Vec3{pad, pad, pad},
+              sector.max + Vec3{pad, pad, pad});
 }
 
 /// Range/bearing of one offset against one frame, then the model's
@@ -214,16 +224,20 @@ inline void BatchAos(const ModelT& model, const ReaderFrame& frame,
 }
 
 /// Per-element frame lookup (the factored filter: particle k is conditioned
-/// on reader particle frame_idx[k]).
+/// on reader particle frame_idx[k]). Positions come at their stored
+/// ParticleCoord width; each coordinate widens to double (exactly) before
+/// EvalOne, so every cut margin above holds as argued for double positions.
 template <typename ModelT>
 inline void BatchGather(const ModelT& model, const ReaderFrame* frames,
-                        const uint32_t* frame_idx, const double* xs,
-                        const double* ys, const double* zs, size_t n,
-                        double* out, double zero_beyond, double zero_angle,
-                        double flat_angle = 0.0) {
+                        const uint32_t* frame_idx, const ParticleCoord* xs,
+                        const ParticleCoord* ys, const ParticleCoord* zs,
+                        size_t n, double* out, double zero_beyond,
+                        double zero_angle, double flat_angle = 0.0) {
   const ZeroCuts cuts = MakeZeroCuts(zero_beyond, zero_angle, flat_angle);
   for (size_t k = 0; k < n; ++k) {
-    out[k] = EvalOne(model, frames[frame_idx[k]], xs[k], ys[k], zs[k], cuts);
+    out[k] = EvalOne(model, frames[frame_idx[k]], static_cast<double>(xs[k]),
+                     static_cast<double>(ys[k]), static_cast<double>(zs[k]),
+                     cuts);
   }
 }
 

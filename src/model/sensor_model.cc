@@ -27,8 +27,9 @@ void SensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
 
 void SensorModel::ProbReadBatchGather(const ReaderFrame* frames,
                                       const uint32_t* frame_idx,
-                                      const double* xs, const double* ys,
-                                      const double* zs, size_t n,
+                                      const ParticleCoord* xs,
+                                      const ParticleCoord* ys,
+                                      const ParticleCoord* zs, size_t n,
                                       double* out) const {
   batch_detail::BatchGather(*this, frames, frame_idx, xs, ys, zs, n, out,
                             batch_detail::kNoCutoff, batch_detail::kNoCutoff);
@@ -42,8 +43,9 @@ void LogisticSensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
 }
 
 void LogisticSensorModel::ProbReadBatchGather(
-    const ReaderFrame* frames, const uint32_t* frame_idx, const double* xs,
-    const double* ys, const double* zs, size_t n, double* out) const {
+    const ReaderFrame* frames, const uint32_t* frame_idx,
+    const ParticleCoord* xs, const ParticleCoord* ys, const ParticleCoord* zs,
+    size_t n, double* out) const {
   batch_detail::BatchGather(*this, frames, frame_idx, xs, ys, zs, n, out,
                             negligible_range_, batch_detail::kNoCutoff);
 }

@@ -94,10 +94,14 @@ class SensorModel {
 
   /// Per-element frames: out[k] uses frames[frame_idx[k]] (the factored
   /// representation, where each particle conditions on its own reader).
+  /// Positions come as the particle store holds them, at ParticleCoord
+  /// width; out[k] is the scalar result at the widened position.
   virtual void ProbReadBatchGather(const ReaderFrame* frames,
-                                   const uint32_t* frame_idx, const double* xs,
-                                   const double* ys, const double* zs,
-                                   size_t n, double* out) const;
+                                   const uint32_t* frame_idx,
+                                   const ParticleCoord* xs,
+                                   const ParticleCoord* ys,
+                                   const ParticleCoord* zs, size_t n,
+                                   double* out) const;
 };
 
 /// Learnable parametric sensor model, paper Eq. (1).
@@ -122,8 +126,8 @@ class LogisticSensorModel final : public SensorModel {
   void ProbReadBatchPositions(const ReaderFrame& frame, const Vec3* positions,
                               size_t n, double* out) const override;
   void ProbReadBatchGather(const ReaderFrame* frames, const uint32_t* frame_idx,
-                           const double* xs, const double* ys,
-                           const double* zs, size_t n,
+                           const ParticleCoord* xs, const ParticleCoord* ys,
+                           const ParticleCoord* zs, size_t n,
                            double* out) const override;
 
   const std::array<double, 3>& a() const { return a_; }

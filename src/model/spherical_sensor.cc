@@ -52,8 +52,9 @@ void SphericalSensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
 }
 
 void SphericalSensorModel::ProbReadBatchGather(
-    const ReaderFrame* frames, const uint32_t* frame_idx, const double* xs,
-    const double* ys, const double* zs, size_t n, double* out) const {
+    const ReaderFrame* frames, const uint32_t* frame_idx,
+    const ParticleCoord* xs, const ParticleCoord* ys, const ParticleCoord* zs,
+    size_t n, double* out) const {
   batch_detail::BatchGather(*this, frames, frame_idx, xs, ys, zs, n, out,
                             negligible_range_, batch_detail::kNoCutoff);
 }

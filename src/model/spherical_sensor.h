@@ -49,8 +49,8 @@ class SphericalSensorModel final : public SensorModel {
   void ProbReadBatchPositions(const ReaderFrame& frame, const Vec3* positions,
                               size_t n, double* out) const override;
   void ProbReadBatchGather(const ReaderFrame* frames, const uint32_t* frame_idx,
-                           const double* xs, const double* ys,
-                           const double* zs, size_t n,
+                           const ParticleCoord* xs, const ParticleCoord* ys,
+                           const ParticleCoord* zs, size_t n,
                            double* out) const override;
 
   const SphericalSensorParams& params() const { return params_; }

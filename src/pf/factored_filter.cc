@@ -76,14 +76,19 @@ double NormalizeForEss(ParticleSoa* particles, double total) {
 }
 
 /// True when some particle lies in `box` (closed on every side, as
-/// Aabb::Contains); stops at the first one.
+/// Aabb::Contains); stops at the first one. Each stored coordinate widens
+/// to double for the comparison, exactly as the gather kernel widens it, so
+/// the scan judges the very position the kernel would weight.
 bool AnyParticleIn(const ParticleSoa& particles, const Aabb& box) {
-  const double* xs = particles.xs();
-  const double* ys = particles.ys();
-  const double* zs = particles.zs();
+  const ParticleCoord* xs = particles.xs();
+  const ParticleCoord* ys = particles.ys();
+  const ParticleCoord* zs = particles.zs();
   for (size_t k = 0; k < particles.size(); ++k) {
-    if (xs[k] >= box.min.x && xs[k] <= box.max.x && ys[k] >= box.min.y &&
-        ys[k] <= box.max.y && zs[k] >= box.min.z && zs[k] <= box.max.z) {
+    const double x = xs[k];
+    const double y = ys[k];
+    const double z = zs[k];
+    if (x >= box.min.x && x <= box.max.x && y >= box.min.y &&
+        y <= box.max.y && z >= box.min.z && z <= box.max.z) {
       return true;
     }
   }
@@ -316,14 +321,16 @@ void FactoredParticleFilter::InitializeObjectParticles(ObjectState* state,
   state->particles.clear();
   state->particles.reserve(count);
   const double uniform = 1.0 / count;
-  state->particle_bounds = Aabb::Empty();
   for (int k = 0; k < count; ++k) {
     const uint32_t reader_idx = attachments[k];
-    const Vec3 position = initializer_.Sample(
-        readers_[reader_idx].pose, reader_frames_[reader_idx], rng_);
-    state->particle_bounds.Extend(position);
-    state->particles.PushBack(position, reader_idx, uniform);
+    state->particles.PushBack(
+        initializer_.Sample(readers_[reader_idx].pose,
+                            reader_frames_[reader_idx], rng_),
+        reader_idx, uniform);
   }
+  // The bounds of the stored (rounded) positions, which the far-field test
+  // compares against the reach box.
+  state->particle_bounds = state->particles.ComputeBounds();
   state->compressed.reset();
   // Fresh attachments reference the *current* readers: synced by definition.
   state->reader_gen = reader_gen_;
@@ -396,12 +403,10 @@ void FactoredParticleFilter::DecompressObject(ObjectState* state,
   state->particles.clear();
   state->particles.reserve(count);
   const double uniform = 1.0 / count;
-  state->particle_bounds = Aabb::Empty();
   for (int k = 0; k < count; ++k) {
-    const Vec3 position = belief.Sample(rng_);
-    state->particle_bounds.Extend(position);
-    state->particles.PushBack(position, attachments[k], uniform);
+    state->particles.PushBack(belief.Sample(rng_), attachments[k], uniform);
   }
+  state->particle_bounds = state->particles.ComputeBounds();
   state->compressed.reset();
   state->hibernated = false;
   state->last_revived_step = step_;

@@ -25,11 +25,12 @@
 //    per-site cost tracks *active* tags, not tags ever seen.
 //
 // Performance architecture (see PERF.md): per-object particles live in a
-// structure-of-arrays store (ParticleSoa) and are weighted through the
-// sensor models' batched kernels against per-epoch precomputed reader
-// frames. An unread object whose particles all lie outside every reader
-// frame's zero-region box (for the cone, the box of its wedge) would weight
-// every particle by exactly 1 and skips the kernel; an update normalizes
+// structure-of-arrays store (ParticleSoa, 24 bytes a particle: positions at
+// float width, weights in double) and are weighted through the sensor
+// models' batched kernels against per-epoch precomputed reader frames. An
+// unread object whose particles all lie outside every reader frame's
+// zero-region box (for the cone, the box of its wedge) would weight every
+// particle by exactly 1 and skips the kernel; an update normalizes
 // its weights and sums their squares for the effective sample size in one
 // pass. Per-object updates are conditionally independent given the reader
 // particles, so they fan out across a fixed worker pool; every update draws
@@ -149,9 +150,10 @@ class FactoredParticleFilter final : public InferenceFilter {
     /// epoch, thrashing between tiers instead of absorbing the evidence.
     int64_t last_revived_step = -1;
     Vec3 last_observed_reader_position;
-    /// Bounding box of the current particle positions; consulted when
-    /// recording sensing-index entries ("objects that have at least one
-    /// particle within the bounding box", Fig. 4(b)).
+    /// Bounding box of the current (stored) particle positions; consulted
+    /// by the far-field test and when recording sensing-index entries
+    /// ("objects that have at least one particle within the bounding box",
+    /// Fig. 4(b)).
     Aabb particle_bounds;
     /// Reader-resample generation this slot's particle attachments are
     /// synced to. While it lags the filter's reader_gen_, the attachments

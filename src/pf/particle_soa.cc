@@ -9,26 +9,28 @@ namespace {
 
 /// Min/max over one component array in four independent accumulators (no
 /// dependency chain across them), folded, then the sequential tail. Min and
-/// max are associative and exact, so the split cannot change the value: it
-/// compares equal to the sequential Extend loop's.
-void MinMax(const std::vector<double>& v, double* out_min, double* out_max) {
+/// max are associative and exact, and widening to double is exact and
+/// monotone, so the split cannot change the value: it compares equal to the
+/// sequential Extend loop's over the widened positions.
+void MinMax(const std::vector<ParticleCoord>& v, double* out_min,
+            double* out_max) {
   constexpr size_t kLanes = 4;
   const size_t n = v.size();
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
+  ParticleCoord lo = std::numeric_limits<ParticleCoord>::infinity();
+  ParticleCoord hi = -std::numeric_limits<ParticleCoord>::infinity();
   size_t k = 0;
   if (n >= kLanes) {
-    double vlo[kLanes] = {lo, lo, lo, lo};
-    double vhi[kLanes] = {hi, hi, hi, hi};
+    ParticleCoord vlo[kLanes] = {lo, lo, lo, lo};
+    ParticleCoord vhi[kLanes] = {hi, hi, hi, hi};
     for (; k + kLanes <= n; k += kLanes) {
       for (size_t i = 0; i < kLanes; ++i) {
-        const double x = v[k + i];
+        const ParticleCoord x = v[k + i];
         vlo[i] = vlo[i] < x ? vlo[i] : x;
         vhi[i] = vhi[i] > x ? vhi[i] : x;
       }
     }
-    for (double t : vlo) lo = std::min(lo, t);
-    for (double t : vhi) hi = std::max(hi, t);
+    for (ParticleCoord t : vlo) lo = std::min(lo, t);
+    for (ParticleCoord t : vhi) hi = std::max(hi, t);
   }
   for (; k < n; ++k) {
     lo = std::min(lo, v[k]);
@@ -66,9 +68,9 @@ void ParticleSoa::ShrinkToFit() {
 
 void ParticleSoa::PushBack(const Vec3& position, uint32_t reader_idx,
                            double weight) {
-  x_.push_back(position.x);
-  y_.push_back(position.y);
-  z_.push_back(position.z);
+  x_.push_back(static_cast<ParticleCoord>(position.x));
+  y_.push_back(static_cast<ParticleCoord>(position.y));
+  z_.push_back(static_cast<ParticleCoord>(position.z));
   reader_idx_.push_back(reader_idx);
   weight_.push_back(weight);
 }
@@ -103,8 +105,9 @@ void ParticleSoa::GatherFrom(const ParticleSoa& src,
 }
 
 size_t ParticleSoa::ApproxMemoryBytes() const {
-  return (x_.capacity() + y_.capacity() + z_.capacity() + weight_.capacity()) *
-             sizeof(double) +
+  return (x_.capacity() + y_.capacity() + z_.capacity()) *
+             sizeof(ParticleCoord) +
+         weight_.capacity() * sizeof(double) +
          reader_idx_.capacity() * sizeof(uint32_t);
 }
 

@@ -3,10 +3,25 @@
 //
 // The per-object hot loop (batched likelihood evaluation, weight scaling,
 // bounds maintenance) streams over positions and weights; keeping each
-// component in its own contiguous array lets those loops run out of three
-// cache-resident streams instead of striding over 40-byte
-// array-of-structs records, and hands the sensor's gather kernels the raw
-// x/y/z and reader-index arrays without a copy.
+// component in its own contiguous array lets those loops run out of
+// cache-resident streams instead of striding over array-of-structs records,
+// and hands the sensor's gather kernels the raw x/y/z and reader-index
+// arrays without a copy.
+//
+// A particle takes 24 bytes: x, y and z at ParticleCoord (float) width, the
+// weight as a double and the reader index as a u32. A position is a draw
+// the location model never perturbs (it stays put, jumps to a fresh draw,
+// or is copied by resampling), so storing it rounds each draw once, by at
+// most 3.1e-5 ft below 1,024 ft; every accessor and kernel widens it to
+// double before computing with it. Weights stay double: they are
+// renormalized every update, and float weights would drift an object's
+// weight sum off 1 by ~2e-8.
+//
+// Code that needs a position's rounded value reads it back from the store
+// (PositionAt) instead of casting to float and back in registers: GCC
+// 12.2's SLP vectorizer can drop such a register round trip of two
+// adjacent coordinates at -O2 (seen in a test; -fno-tree-slp-vectorize
+// restores it). A store to the float arrays always rounds.
 //
 // Compatibility: tests, the EM E-step and the snapshot code historically
 // iterated `std::vector<ObjectParticle>` reading `.position`, `.reader_idx`
@@ -63,13 +78,17 @@ class ParticleSoa {
   /// proportional to; the reclaim sweep compares this against size()).
   size_t CapacityParticles() const { return x_.capacity(); }
 
+  /// Appends a particle; the position rounds to ParticleCoord width.
   void PushBack(const Vec3& position, uint32_t reader_idx, double weight);
 
+  /// The stored position, widened to double (exactly).
   Vec3 PositionAt(size_t k) const { return {x_[k], y_[k], z_[k]}; }
+  /// Stores `p` rounded to ParticleCoord width; a position read back with
+  /// PositionAt stores back bit for bit.
   void SetPosition(size_t k, const Vec3& p) {
-    x_[k] = p.x;
-    y_[k] = p.y;
-    z_[k] = p.z;
+    x_[k] = static_cast<ParticleCoord>(p.x);
+    y_[k] = static_cast<ParticleCoord>(p.y);
+    z_[k] = static_cast<ParticleCoord>(p.z);
   }
   uint32_t ReaderIdxAt(size_t k) const { return reader_idx_[k]; }
   void SetReaderIdx(size_t k, uint32_t idx) { reader_idx_[k] = idx; }
@@ -83,9 +102,9 @@ class ParticleSoa {
   ConstIterator end() const { return ConstIterator(this, size()); }
 
   // Raw component arrays for the batch kernels.
-  const double* xs() const { return x_.data(); }
-  const double* ys() const { return y_.data(); }
-  const double* zs() const { return z_.data(); }
+  const ParticleCoord* xs() const { return x_.data(); }
+  const ParticleCoord* ys() const { return y_.data(); }
+  const ParticleCoord* zs() const { return z_.data(); }
   const uint32_t* reader_indices() const { return reader_idx_.data(); }
   const double* weights() const { return weight_.data(); }
   double* mutable_weights() { return weight_.data(); }
@@ -94,7 +113,7 @@ class ParticleSoa {
   /// Sets every weight to 1/size().
   void SetUniformWeights();
 
-  /// Axis-aligned bounding box of all particle positions.
+  /// Axis-aligned bounding box of the stored particle positions.
   Aabb ComputeBounds() const;
 
   /// Replaces this set with `src`'s particles at the given ancestor indices,
@@ -109,9 +128,9 @@ class ParticleSoa {
   size_t ApproxMemoryBytes() const;
 
  private:
-  std::vector<double> x_;
-  std::vector<double> y_;
-  std::vector<double> z_;
+  std::vector<ParticleCoord> x_;
+  std::vector<ParticleCoord> y_;
+  std::vector<ParticleCoord> z_;
   std::vector<uint32_t> reader_idx_;
   std::vector<double> weight_;
 };

@@ -43,14 +43,20 @@ constexpr char kMagic[8] = {'R', 'F', 'I', 'D', 'S', 'N', 'A', 'P'};
 // reader, at the v5 width), each slot's u32 lag (how many of the newest
 // records its attachments have not been resolved through), and the u64
 // remap-resolve counter.
+// v7 writes each particle run's position as three f32 instead of three
+// f64, the width the filter stores positions at (ParticleCoord); everything
+// else is laid out as in v6. A v6 file's positions round to f32 on load: a
+// finite one past f32's range is rejected, runs are checked maximal on the
+// file's own f64 values, and v6 runs that differ only below f32 resolution
+// become one run when re-saved. The particle bounds of a v6 object are
+// recomputed from its rounded positions.
 //
-// Version window: one back. Only v6 is written; v5 still loads (with no
-// pending remaps — v5 saves resolved them); v4 and older are rejected with
-// an error naming the oldest loadable version — the deprecation story is
-// "every release loads its predecessor's files, so step through releases,
-// re-saving, to migrate older state".
-constexpr uint32_t kVersion = 6;
-constexpr uint32_t kMinVersion = 5;
+// Version window: one back. Only v7 is written; v6 still loads; v5 and
+// older are rejected with an error naming the oldest loadable version —
+// the deprecation story is "every release loads its predecessor's files,
+// so step through releases, re-saving, to migrate older state".
+constexpr uint32_t kVersion = 7;
+constexpr uint32_t kMinVersion = 6;
 
 void WriteVec3(std::ostream& os, const Vec3& v) {
   WritePod(os, v.x);
@@ -70,9 +76,34 @@ bool IsFinite(const Vec3& v) {
 
 bool IsWeight(double w) { return std::isfinite(w) && w >= 0.0; }
 
-bool SameBits(const Vec3& a, const Vec3& b) {
-  static_assert(sizeof(Vec3) == 3 * sizeof(double));
-  return std::memcmp(&a, &b, sizeof(Vec3)) == 0;
+/// One particle run's position as the file holds it: f64 in v6, f32
+/// (ParticleCoord) from v7 on.
+template <typename Coord>
+struct RunPosition {
+  Coord x = 0;
+  Coord y = 0;
+  Coord z = 0;
+
+  bool operator==(const RunPosition& o) const {
+    return std::memcmp(this, &o, sizeof(RunPosition)) == 0;
+  }
+  Vec3 Widened() const { return {x, y, z}; }
+};
+static_assert(sizeof(RunPosition<ParticleCoord>) == 3 * sizeof(ParticleCoord));
+static_assert(sizeof(RunPosition<double>) == 3 * sizeof(double));
+
+/// Stored position `k` of `particles`, as v7 writes it.
+RunPosition<ParticleCoord> StoredPosition(const ParticleSoa& particles,
+                                          size_t k) {
+  return {particles.xs()[k], particles.ys()[k], particles.zs()[k]};
+}
+
+/// Whether `v` survives rounding to ParticleCoord (a finite f64 past f32's
+/// range does not).
+bool FitsParticleCoord(const Vec3& v) {
+  return std::isfinite(static_cast<ParticleCoord>(v.x)) &&
+         std::isfinite(static_cast<ParticleCoord>(v.y)) &&
+         std::isfinite(static_cast<ParticleCoord>(v.z));
 }
 
 // Smallest serialized size of each counted element, for bounding counts by
@@ -203,20 +234,22 @@ Status CheckIndexBox(const Aabb& box) {
   return Status::OK();
 }
 
-/// v5 particle block after its count: maximal runs of bit-equal positions.
+/// v7 particle block after its count: maximal runs of bit-equal stored
+/// positions, each written as three f32.
 template <typename Index>
 Status WriteParticleRuns(std::ostream& os, uint64_t reader_count,
                          const ParticleSoa& particles) {
   const size_t n = particles.size();
   size_t end = 0;
   for (size_t begin = 0; begin < n; begin = end) {
-    const Vec3 position = particles.PositionAt(begin);
-    if (!IsFinite(position)) return InvalidPosition();
+    const RunPosition<ParticleCoord> position =
+        StoredPosition(particles, begin);
+    if (!IsFinite(position.Widened())) return InvalidPosition();
     for (end = begin + 1;
-         end < n && SameBits(particles.PositionAt(end), position); ++end) {
+         end < n && StoredPosition(particles, end) == position; ++end) {
     }
     WriteVarint(os, end - begin);
-    WriteVec3(os, position);
+    WritePod(os, position);
     for (size_t k = begin; k < end; ++k) {
       RFID_RETURN_NOT_OK(CheckParticle(particles.ReaderIdxAt(k), reader_count,
                                        particles.WeightAt(k)));
@@ -227,7 +260,7 @@ Status WriteParticleRuns(std::ostream& os, uint64_t reader_count,
   return Status::OK();
 }
 
-/// One object's v5 particle block, count included.
+/// One object's particle block, count included.
 Status WriteParticles(std::ostream& os, uint64_t reader_count,
                       const ParticleSoa& particles) {
   WritePod(os, static_cast<uint64_t>(particles.size()));
@@ -241,21 +274,27 @@ Status WriteParticles(std::ostream& os, uint64_t reader_count,
   }
 }
 
-template <typename Index>
+/// Particle runs with positions of width `Coord` (f64 in v6, f32 from v7).
+template <typename Coord, typename Index>
 Status ReadParticleRuns(std::istream& is, uint64_t count,
                         uint64_t reader_count, ParticleSoa* particles) {
-  Vec3 previous;
+  RunPosition<Coord> previous;
   for (uint64_t left = count; left > 0;) {
     uint64_t run = 0;
     RFID_RETURN_NOT_OK(ReadRunLength(is, left, &run));
-    Vec3 position;
-    if (!ReadVec3(is, &position)) return Truncated();
+    RunPosition<Coord> stored;
+    if (!ReadPod(is, &stored)) return Truncated();
+    const Vec3 position = stored.Widened();
     if (!IsFinite(position)) return InvalidPosition();
-    // Runs are maximal: a run equal to its predecessor would re-save as one.
-    if (left < count && SameBits(position, previous)) {
+    if (!FitsParticleCoord(position)) {
+      return Status::Invalid("snapshot particle position is past f32 range");
+    }
+    // Runs are maximal at the file's own width: a run equal to its
+    // predecessor would have been written as one.
+    if (left < count && stored == previous) {
       return Status::Invalid("snapshot particle runs are not maximal");
     }
-    previous = position;
+    previous = stored;
     left -= run;
     for (; run > 0; --run) {
       Index reader_idx = 0;
@@ -270,8 +309,25 @@ Status ReadParticleRuns(std::istream& is, uint64_t count,
   return Status::OK();
 }
 
-/// One object's particle block, count included.
-Status ReadParticles(std::istream& is, uint64_t reader_count,
+template <typename Coord>
+Status ReadParticleRunsAt(std::istream& is, uint64_t index_bytes,
+                          uint64_t count, uint64_t reader_count,
+                          ParticleSoa* particles) {
+  switch (index_bytes) {
+    case sizeof(uint8_t):
+      return ReadParticleRuns<Coord, uint8_t>(is, count, reader_count,
+                                              particles);
+    case sizeof(uint16_t):
+      return ReadParticleRuns<Coord, uint16_t>(is, count, reader_count,
+                                               particles);
+    default:
+      return ReadParticleRuns<Coord, uint32_t>(is, count, reader_count,
+                                               particles);
+  }
+}
+
+/// One object's particle block, count included, of a `version` snapshot.
+Status ReadParticles(std::istream& is, uint32_t version, uint64_t reader_count,
                      ParticleSoa* particles) {
   const uint64_t index_bytes = ReaderIndexBytes(reader_count);
   uint64_t count = 0;
@@ -279,14 +335,12 @@ Status ReadParticles(std::istream& is, uint64_t reader_count,
     return Truncated();
   }
   particles->reserve(count);
-  switch (index_bytes) {
-    case sizeof(uint8_t):
-      return ReadParticleRuns<uint8_t>(is, count, reader_count, particles);
-    case sizeof(uint16_t):
-      return ReadParticleRuns<uint16_t>(is, count, reader_count, particles);
-    default:
-      return ReadParticleRuns<uint32_t>(is, count, reader_count, particles);
+  if (version == 6) {
+    return ReadParticleRunsAt<double>(is, index_bytes, count, reader_count,
+                                      particles);
   }
+  return ReadParticleRunsAt<ParticleCoord>(is, index_bytes, count,
+                                           reader_count, particles);
 }
 
 /// v6's pending remaps after the v5 body. Canonical: what loads is exactly
@@ -434,7 +488,7 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
   // snapshot is read from inside a framed section, that section's too.
   // Index entries are kept raw until then, so the R*-tree never sees
   // unverified boxes. Parsing accepts only what the writer produces, so
-  // whatever loads re-saves to the same bytes.
+  // whatever v7 loads re-saves to the same bytes.
   int64_t step = 0;
   bool readers_initialized = false;
   std::vector<FactoredParticleFilter::ReaderParticle> readers;
@@ -462,9 +516,9 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
         "re-saving them with the release that wrote them plus one)");
   }
 
-  // Body parser (the framed payload after the header). v6 appends the
-  // pending remaps to the v5 body; floats that feed inference must be
-  // finite (the bounds box is exempt: an empty box is legitimately
+  // Body parser (the framed payload after the header). v6 and v7 differ
+  // only in the width of particle positions; floats that feed inference
+  // must be finite (the bounds box is exempt: an empty box is legitimately
   // infinite).
   const auto parse_body = [&](std::istream& is) -> Status {
     if (!ReadPod(is, &step) || !ReadBool(is, &readers_initialized)) {
@@ -514,7 +568,13 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
         RFID_RETURN_NOT_OK(CheckSummary(mean, cov));
         state.compressed = GaussianBelief(mean, cov);
       }
-      RFID_RETURN_NOT_OK(ReadParticles(is, reader_count, &state.particles));
+      RFID_RETURN_NOT_OK(
+          ReadParticles(is, version, reader_count, &state.particles));
+      // v6 bounds are those of the unrounded positions; the far-field test
+      // needs the box of the stored ones.
+      if (version == 6 && !state.particles.empty()) {
+        state.particle_bounds = state.particles.ComputeBounds();
+      }
     }
 
     uint64_t entry_count = 0;
@@ -547,10 +607,6 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
         !ReadBool(is, &rng_state.cached_gaussian_valid) ||
         !ReadPod(is, &particle_updates)) {
       return Truncated();
-    }
-    if (version == 5) {
-      lags.assign(state_count, 0);
-      return Status::OK();
     }
     return ReadPendingRemaps(is, step, reader_count, states, &remaps, &lags,
                              &remap_resolves);

@@ -20,18 +20,21 @@
 // adjacent. Since v6 the reader remaps still pending are written as they
 // are (each record's step and ancestor array, every slot's lag, then the
 // remap-resolve counter), so a save never advances attachments and a
-// restored filter resolves them exactly where the uninterrupted one would. The payload streams through
+// restored filter resolves them exactly where the uninterrupted one would.
+// Since v7 a run's position is three f32, the width the filter stores
+// positions at (ParticleCoord). The payload streams through
 // util/serialize.h's framed sections, so saving never stages a copy of the
 // belief: the sink must be seekable (a file or a string stream), and a
 // non-seekable sink fails with a non-OK Status.
 //
-// Version window: one back. The writer emits v6 only; the loader accepts v6
-// and v5 and rejects anything older with an error naming the oldest
+// Version window: one back. The writer emits v7 only; the loader accepts v7
+// and v6 and rejects anything older with an error naming the oldest
 // loadable version. Migrating older files means stepping through releases,
-// re-saving at each one. Decoding is canonical: whatever loads re-saves to
-// the same v6 bytes (a v5 file re-saves as its body plus an empty remap
-// block), and non-finite reader poses, particle positions or weights are
-// rejected.
+// re-saving at each one. A v6 file's f64 positions round to f32 on load (a
+// finite one past f32's range is rejected), so v6 runs that differ only
+// below f32 resolution re-save as one v7 run. Decoding is canonical:
+// whatever v7 loads re-saves to the same bytes, and non-finite reader
+// poses, particle positions or weights are rejected.
 #pragma once
 
 #include <iosfwd>

@@ -3,10 +3,12 @@
 // element, for the cone, spherical and logistic models, including the
 // degenerate tag-at-reader geometry and out-of-range positions. Single-frame
 // cases run through the gather entry points with every particle attached to
-// frame 0. The bearing and flat cuts are held to more: bit-equality with the
-// kernel loop as it was before each cut. Last, the zero-region boxes the
-// factored filter's far-field test uses must hold every element a frame's
-// kernels read nonzero.
+// frame 0. The gather takes positions at the particle store's ParticleCoord
+// width; cases that need positions at double resolution run it against
+// frames moved by the position instead (GatherAt). The bearing and flat
+// cuts are held to more: bit-equality with the kernel loop as it was before
+// each cut. Last, the zero-region boxes the factored filter's far-field test
+// uses must hold every element a frame's kernels read nonzero.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,28 +28,36 @@ namespace {
 constexpr double kTol = 1e-12;
 constexpr size_t kNumPositions = 4096;
 
+/// Positions as the particle store holds them, at ParticleCoord width.
 struct Soa {
-  std::vector<double> xs, ys, zs;
+  std::vector<ParticleCoord> xs, ys, zs;
+
+  void Add(const Vec3& p) {
+    xs.push_back(static_cast<ParticleCoord>(p.x));
+    ys.push_back(static_cast<ParticleCoord>(p.y));
+    zs.push_back(static_cast<ParticleCoord>(p.z));
+  }
+  /// Position k widened to double, as the gather kernel reads it.
+  Vec3 At(size_t k) const { return {xs[k], ys[k], zs[k]}; }
 };
 
 /// Positions spanning in-range, edge-of-range, far-out and degenerate cases.
+/// The reader must stand on ParticleCoord values for the degenerate case.
 Soa MakePositions(const Pose& reader, uint64_t seed) {
   Rng rng(seed);
   Soa soa;
   for (size_t k = 0; k < kNumPositions; ++k) {
-    soa.xs.push_back(rng.Uniform(-8.0, 8.0));
-    soa.ys.push_back(rng.Uniform(-8.0, 8.0));
-    soa.zs.push_back(rng.Uniform(-2.0, 2.0));
+    soa.Add({rng.Uniform(-8.0, 8.0), rng.Uniform(-8.0, 8.0),
+             rng.Uniform(-2.0, 2.0)});
   }
   // Degenerate: tag exactly at the reader position.
-  soa.xs.push_back(reader.position.x);
-  soa.ys.push_back(reader.position.y);
-  soa.zs.push_back(reader.position.z);
+  soa.Add(reader.position);
+  EXPECT_EQ(soa.At(soa.xs.size() - 1), reader.position);
   return soa;
 }
 
 void ExpectBatchMatchesScalar(const SensorModel& sensor, uint64_t seed) {
-  const Pose reader({0.7, -1.2, 0.3}, 0.9);
+  const Pose reader({0.75, -1.25, 0.3125}, 0.9);
   const Soa soa = MakePositions(reader, seed);
   const size_t n = soa.xs.size();
   const ReaderFrame frame = ReaderFrame::From(reader);
@@ -57,9 +67,7 @@ void ExpectBatchMatchesScalar(const SensorModel& sensor, uint64_t seed) {
   sensor.ProbReadBatchGather(&frame, frame_idx.data(), soa.xs.data(),
                              soa.ys.data(), soa.zs.data(), n, out.data());
   std::vector<Vec3> positions(n);
-  for (size_t k = 0; k < n; ++k) {
-    positions[k] = {soa.xs[k], soa.ys[k], soa.zs[k]};
-  }
+  for (size_t k = 0; k < n; ++k) positions[k] = soa.At(k);
   std::vector<double> out_aos(n, -1.0);
   sensor.ProbReadBatchPositions(frame, positions.data(), n, out_aos.data());
 
@@ -67,7 +75,36 @@ void ExpectBatchMatchesScalar(const SensorModel& sensor, uint64_t seed) {
     const double scalar = sensor.ProbReadAt(reader, positions[k]);
     EXPECT_NEAR(out[k], scalar, kTol) << "single-frame gather, element " << k;
     EXPECT_NEAR(out_aos[k], scalar, kTol) << "AoS batch, element " << k;
+    // The gather widens each stored coordinate, then runs the AoS kernel's
+    // arithmetic on the widened position.
+    EXPECT_EQ(std::memcmp(&out[k], &out_aos[k], sizeof(double)), 0)
+        << "gather vs AoS, element " << k;
   }
+}
+
+/// The gather kernel at positions held to double resolution, finer than
+/// ParticleCoord: each element sits at the origin against its own copy of
+/// its frame, moved by minus its position. The kernel's offset
+/// 0 − (origin − p) is then exactly p − origin, the offset it takes from p
+/// itself (negation is exact and rounding symmetric), so the output is the
+/// kernel's at p bit for bit.
+std::vector<double> GatherAt(const SensorModel& sensor,
+                             const std::vector<ReaderFrame>& frames,
+                             const std::vector<uint32_t>& frame_idx,
+                             const std::vector<Vec3>& positions) {
+  const size_t n = positions.size();
+  std::vector<ReaderFrame> moved(n);
+  std::vector<uint32_t> own(n);
+  for (size_t k = 0; k < n; ++k) {
+    moved[k] = frames[frame_idx[k]];
+    moved[k].origin = moved[k].origin - positions[k];
+    own[k] = static_cast<uint32_t>(k);
+  }
+  const std::vector<ParticleCoord> origin(n, 0.0f);
+  std::vector<double> out(n, -1.0);
+  sensor.ProbReadBatchGather(moved.data(), own.data(), origin.data(),
+                             origin.data(), origin.data(), n, out.data());
+  return out;
 }
 
 void ExpectGatherMatchesScalar(const SensorModel& sensor, uint64_t seed) {
@@ -90,8 +127,7 @@ void ExpectGatherMatchesScalar(const SensorModel& sensor, uint64_t seed) {
   sensor.ProbReadBatchGather(frames.data(), frame_idx.data(), soa.xs.data(),
                              soa.ys.data(), soa.zs.data(), n, out.data());
   for (size_t k = 0; k < n; ++k) {
-    const double scalar = sensor.ProbReadAt(
-        poses[frame_idx[k]], {soa.xs[k], soa.ys[k], soa.zs[k]});
+    const double scalar = sensor.ProbReadAt(poses[frame_idx[k]], soa.At(k));
     EXPECT_NEAR(out[k], scalar, kTol) << "gather batch, element " << k;
   }
 }
@@ -144,15 +180,14 @@ void ExpectFarFieldShortCircuit(const ModelT& sensor) {
   const double cutoff = sensor.NegligibleRange();
   ASSERT_GT(cutoff, 0.0);
   ASSERT_TRUE(std::isfinite(cutoff));
-  // On-axis positions straddling the cutoff, reader at origin, heading 0.
-  const ReaderFrame frame = ReaderFrame::From(Pose({0, 0, 0}, 0.0));
-  const double xs[] = {cutoff * (1.0 - 1e-9), cutoff, cutoff * 1.5,
-                       cutoff * 100.0};
-  const double ys[] = {0.0, 0.0, 0.0, 0.0};
-  const double zs[] = {0.0, 0.0, 0.0, 0.0};
-  const uint32_t frame_idx[] = {0, 0, 0, 0};
-  double out[4] = {-1, -1, -1, -1};
-  sensor.ProbReadBatchGather(&frame, frame_idx, xs, ys, zs, 4, out);
+  // On-axis positions straddling the cutoff, reader at origin, heading 0;
+  // 1e-9 inside it is finer than ParticleCoord resolves.
+  const std::vector<ReaderFrame> frame = {
+      ReaderFrame::From(Pose({0, 0, 0}, 0.0))};
+  const std::vector<double> out =
+      GatherAt(sensor, frame, {0, 0, 0, 0},
+               {{cutoff * (1.0 - 1e-9), 0.0, 0.0}, {cutoff, 0.0, 0.0},
+                {cutoff * 1.5, 0.0, 0.0}, {cutoff * 100.0, 0.0, 0.0}});
   EXPECT_GT(out[0], 0.0);  // Just inside: true (tiny) probability.
   EXPECT_EQ(out[1], 0.0);  // At and beyond: exactly zero.
   EXPECT_EQ(out[2], 0.0);
@@ -179,9 +214,9 @@ TEST(BatchKernelTest, LogisticUpturnedFitNeverShortCircuits) {
   const LogisticSensorModel sensor({-3.0, -0.1, 0.02}, {0.0, -0.5, -0.1});
   EXPECT_FALSE(std::isfinite(sensor.NegligibleRange()));
   const ReaderFrame frame = ReaderFrame::From(Pose({0, 0, 0}, 0.0));
-  const double xs[] = {50.0};
-  const double ys[] = {0.0};
-  const double zs[] = {0.0};
+  const ParticleCoord xs[] = {50.0f};
+  const ParticleCoord ys[] = {0.0f};
+  const ParticleCoord zs[] = {0.0f};
   const uint32_t frame_idx[] = {0};
   double out[1] = {-1};
   sensor.ProbReadBatchGather(&frame, frame_idx, xs, ys, zs, 1, out);
@@ -194,10 +229,11 @@ TEST(BatchKernelTest, ConeZeroBeyondMaxRangeExactly) {
   const ConeSensorModel sensor;
   const Pose reader({0, 0, 0}, 0.0);
   const ReaderFrame frame = ReaderFrame::From(reader);
-  const double far = sensor.MaxRange() + 0.5;
-  const double xs[] = {far, -far, 100.0};
-  const double ys[] = {0.0, 0.0, 100.0};
-  const double zs[] = {0.0, 0.0, 0.0};
+  const auto far = static_cast<ParticleCoord>(sensor.MaxRange() + 0.5);
+  ASSERT_GT(far, sensor.MaxRange());
+  const ParticleCoord xs[] = {far, -far, 100.0f};
+  const ParticleCoord ys[] = {0.0f, 0.0f, 100.0f};
+  const ParticleCoord zs[] = {0.0f, 0.0f, 0.0f};
   const uint32_t frame_idx[] = {0, 0, 0};
   double out[3] = {-1, -1, -1};
   sensor.ProbReadBatchGather(&frame, frame_idx, xs, ys, zs, 3, out);
@@ -320,13 +356,15 @@ CutCases MakeCutCases(const SensorModel& sensor, uint64_t seed,
   return cases;
 }
 
-/// Both kernels of `sensor` over `c`, compared with memcmp to `expected`.
+/// Both kernels of `sensor` over `c`, compared with memcmp to `expected`;
+/// the gather at the cases' double positions (GatherAt).
 void ExpectKernelsAreBitExact(const SensorModel& sensor, const CutCases& c,
                               const std::vector<double>& expected) {
   const size_t n = c.xs.size();
-  std::vector<double> gathered(n, -1.0);
-  sensor.ProbReadBatchGather(c.frames.data(), c.frame_idx.data(), c.xs.data(),
-                             c.ys.data(), c.zs.data(), n, gathered.data());
+  std::vector<Vec3> points(n);
+  for (size_t k = 0; k < n; ++k) points[k] = {c.xs[k], c.ys[k], c.zs[k]};
+  const std::vector<double> gathered =
+      GatherAt(sensor, c.frames, c.frame_idx, points);
   for (size_t k = 0; k < n; ++k) {
     ASSERT_EQ(std::memcmp(&gathered[k], &expected[k], sizeof(double)), 0)
         << "gather element " << k << ": " << gathered[k] << " vs "
@@ -457,13 +495,13 @@ TEST(BatchKernelTest, ConeFlatWedgeIsBitExact) {
 // whose particles all lie outside the union of these boxes, which is exact
 // only if no nonzero element lies outside its frame's box.
 
-/// Both kernels for one element against one frame; they must agree.
+/// Both kernels for one element against one frame; they must agree. The
+/// sweeps below move elements by single ulps of a double, so the gather
+/// runs at the double position (GatherAt).
 double KernelAt(const SensorModel& sensor, const ReaderFrame& frame,
                 const Vec3& p) {
-  const uint32_t idx = 0;
-  double gathered = -1.0;
+  const double gathered = GatherAt(sensor, {frame}, {0}, {p})[0];
   double aos = -1.0;
-  sensor.ProbReadBatchGather(&frame, &idx, &p.x, &p.y, &p.z, 1, &gathered);
   sensor.ProbReadBatchPositions(frame, &p, 1, &aos);
   EXPECT_EQ(std::memcmp(&gathered, &aos, sizeof(double)), 0);
   return gathered;

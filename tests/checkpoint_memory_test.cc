@@ -24,7 +24,8 @@ namespace {
 using testing_util::MakeLineWorld;
 
 constexpr SiteId kSite = 7;
-constexpr int kObjects = 1200;
+// 1,800 x 1,000 particles at 24 bytes each: a 43.2 MB belief.
+constexpr int kObjects = 1800;
 constexpr int kParticlesPerObject = 1000;
 
 /// Peak resident set of this process so far, in bytes.

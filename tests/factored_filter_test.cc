@@ -179,9 +179,9 @@ class UnitDiskSensor final : public SensorModel {
     return std::make_unique<UnitDiskSensor>(*this);
   }
   void ProbReadBatchGather(const ReaderFrame* frames,
-                           const uint32_t* frame_idx, const double* xs,
-                           const double* ys, const double* zs, size_t n,
-                           double* out) const override {
+                           const uint32_t* frame_idx, const ParticleCoord* xs,
+                           const ParticleCoord* ys, const ParticleCoord* zs,
+                           size_t n, double* out) const override {
     if (counts_ != nullptr) {
       Aabb reach = Aabb::Empty();
       for (int j = 0; j < num_frames_; ++j) {

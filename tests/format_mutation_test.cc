@@ -233,12 +233,13 @@ std::string FilterSnapshotAfter(int epochs) {
   return ss.str();
 }
 
-// ------------------------- v5 particle blocks and v6 remaps, hand-built ---
+// ---------------------------- particle runs and pending remaps, hand-built ---
 //
 // The seeded sweep rarely lands on the few bytes a particle run's framing
 // or a remap record occupies, so their rules get targeted cases: a
-// hand-built snapshot with one object whose particle block and remap block
-// are written here. HandBuiltSnapshot mirrors the writer's layout
+// hand-built v7 snapshot with one object whose particle block (run-length
+// coded since v5, f32 positions since v7) and remap block (since v6) are
+// written here. HandBuiltSnapshot mirrors the writer's layout
 // (pf/snapshot.cc); the valid baselines re-save to exactly their bytes,
 // which checks that.
 
@@ -253,6 +254,13 @@ void PutVec3(std::string* out, const Vec3& v) {
   Put(out, v.z);
 }
 
+/// A run's position as v7 writes it: three f32.
+void PutPosition(std::string* out, const Vec3& v) {
+  Put(out, static_cast<ParticleCoord>(v.x));
+  Put(out, static_cast<ParticleCoord>(v.y));
+  Put(out, static_cast<ParticleCoord>(v.z));
+}
+
 /// LEB128 bytes of `value`, minimal.
 std::string Varint(uint64_t value) {
   std::string out;
@@ -263,7 +271,7 @@ std::string Varint(uint64_t value) {
   return out;
 }
 
-/// Reader-index width of a v5 snapshot with `readers` reader particles.
+/// Reader-index width of a snapshot with `readers` reader particles.
 int IndexWidth(uint64_t readers) {
   return readers <= 256 ? 1 : readers <= 65536 ? 2 : 4;
 }
@@ -283,12 +291,12 @@ struct HandParticle {
 };
 
 /// One run: `length` bytes (normally Varint(particles.size())), the
-/// position, then each particle's reader index and weight.
+/// position as three f32, then each particle's reader index and weight.
 std::string ParticleRun(const std::string& length, const Vec3& position,
                         const std::vector<HandParticle>& particles,
                         int width) {
   std::string out = length;
-  PutVec3(&out, position);
+  PutPosition(&out, position);
   for (const HandParticle& p : particles) {
     out += ReaderIndex(p.reader_idx, width);
     Put(&out, p.weight);
@@ -331,7 +339,7 @@ std::vector<uint64_t> Ancestors(uint64_t readers) {
   return ancestors;
 }
 
-/// A v6 snapshot at step 3: `readers` reader particles, one object holding
+/// A v7 snapshot at step 3: `readers` reader particles, one object holding
 /// `particle_count` particles encoded as `runs`, no index entries, then
 /// `remaps` (a RemapBlock).
 std::string HandBuiltSnapshot(uint64_t readers, uint64_t particle_count,
@@ -366,7 +374,7 @@ std::string HandBuiltSnapshot(uint64_t readers, uint64_t particle_count,
   payload += remaps;
 
   std::string out(kSnapshotMagic, 8);
-  Put(&out, uint32_t{6});
+  Put(&out, uint32_t{7});
   Put(&out, static_cast<uint64_t>(payload.size()));
   Put(&out, Crc32(payload.data(), payload.size()));
   return out + payload;
@@ -468,6 +476,10 @@ TEST(FormatMutationTest, V5ParticleRunsRejectNonCanonicalBlocks) {
            ParticleRun({1.5, nan, 0.0}, {{1, 0.5}}, 1),
        "position is not finite"},
       {"infinite position", 100, 1, ParticleRun({inf, 1.0, 0.0}, {{0, 1.0}}, 1),
+       "position is not finite"},
+      {"negative infinite position", 100, 2,
+       ParticleRun(a, {{0, 0.5}}, 1) +
+           ParticleRun({1.5, 1.0, -inf}, {{1, 0.5}}, 1),
        "position is not finite"},
       {"NaN weight", 100, 2,
        ParticleRun(a, {{0, 0.5}}, 1) + ParticleRun(b, {{1, nan}}, 1),

@@ -286,8 +286,11 @@ uint64_t RunDigest(const Scenario& s, int num_threads,
   return h.value();
 }
 
-constexpr uint64_t kLabGolden = 0x03b70179560b49c4ULL;
-constexpr uint64_t kWarehouseGolden = 0xeeefbe8afbae7097ULL;
+// Re-pinned when object-particle positions began to be stored as float
+// (0x03b70179560b49c4 and 0xeeefbe8afbae7097 before): every draw rounds once
+// when stored, so every later weight sees a slightly different position.
+constexpr uint64_t kLabGolden = 0xca35487c3928ae02ULL;
+constexpr uint64_t kWarehouseGolden = 0x85a8174d88f4ed0aULL;
 
 TEST(GoldenDigestTest, LabTrace200Epochs) {
   const Scenario s = LabScenario();
@@ -318,8 +321,10 @@ TEST(GoldenDigestTest, GeneratedWarehouseTrace) {
 // more than one record, and was re-pinned again when a lagging slot began
 // to replay its records one by one instead of drawing once from their
 // composite (0x11061fb77543822d before); lag-one syncs draw as they did.
-constexpr uint64_t kLabUnclippedGolden = 0x4fb4e888bb4e673cULL;
-constexpr uint64_t kWarehouseUnclippedGolden = 0x9bb8143789407580ULL;
+// Both were re-pinned when positions began to be stored as float
+// (0x4fb4e888bb4e673c and 0x9bb8143789407580 before).
+constexpr uint64_t kLabUnclippedGolden = 0xaa2fe7b3818b56a0ULL;
+constexpr uint64_t kWarehouseUnclippedGolden = 0xcc9a416c11e9fbb4ULL;
 
 TEST(GoldenDigestTest, UnclippedInitializationIsUnchanged) {
   Scenario lab = LabScenario();
@@ -364,12 +369,13 @@ TEST(GoldenDigestTest, ReadsAndSnapshotRoundTripsDoNotPerturb) {
 
 // The history cap's sync-all: every slot lagging up to 31 records replays
 // them at once. Recorded when lagging slots began to replay their records
-// one by one; no digest covered this path before.
-constexpr uint64_t kHistoryCapGolden = 0xa477ede05c3d4063ULL;
+// one by one; no digest covered this path before. Re-pinned when positions
+// began to be stored as float (0xa477ede05c3d4063 before).
+constexpr uint64_t kHistoryCapGolden = 0xb1caa311d5c13094ULL;
 
 TEST(GoldenDigestTest, HistoryCapSweep) {
   // The cap fires, the digest holds at one thread and at four, and a
-  // save/load after every epoch (v6 snapshots carrying up to 31 pending
+  // save/load after every epoch (v7 snapshots carrying up to 31 pending
   // records) reproduces it.
   const Scenario s = HistoryCapScenario();
   for (int threads : {1, 4}) {

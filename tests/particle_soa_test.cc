@@ -1,6 +1,7 @@
 // Unit tests for the structure-of-arrays particle store.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "pf/particle_soa.h"
@@ -63,13 +64,14 @@ TEST(ParticleSoaTest, ComputeBounds) {
   // accumulator k % 4), folds them, then scans the n % 4 tail. Each size
   // below moves one point past all others, down or up on every axis, into
   // each accumulator of the first and last two groups and into the tail,
-  // and compares the box with a sequential Extend loop.
+  // and compares the box with a sequential Extend loop over the stored
+  // (rounded) positions.
   const auto expect_sequential_bounds = [](const std::vector<Vec3>& points) {
     ParticleSoa soa;
     Aabb expected = Aabb::Empty();
     for (const Vec3& p : points) {
       soa.PushBack(p, 0, 1.0);
-      expected.Extend(p);
+      expected.Extend(soa.PositionAt(soa.size() - 1));
     }
     const Aabb box = soa.ComputeBounds();
     EXPECT_EQ(box.min, expected.min);
@@ -111,6 +113,44 @@ TEST(ParticleSoaTest, GatherFromPreservesReaderPointers) {
   EXPECT_EQ(dst.ReaderIdxAt(2), 10u);
   EXPECT_EQ(dst.ReaderIdxAt(3), 11u);
   for (const auto& p : dst) EXPECT_DOUBLE_EQ(p.weight, 0.25);
+}
+
+TEST(ParticleSoaTest, PositionsRoundOnceAndStoreBackExactly) {
+  // PushBack and SetPosition round to ParticleCoord; a position read back
+  // with PositionAt (widened exactly) stores back bit for bit, which keeps
+  // unmoved particles exact copies of each other.
+  const Vec3 p{1.0 / 3.0, -1000.1, 1e-7};
+  // The nearest floats, as float literals: a cast of p's coordinates kept
+  // in registers is what GCC 12's SLP vectorizer can drop (see
+  // particle_soa.h).
+  const Vec3 rounded(1.0f / 3.0f, -1000.1f, 1e-7f);
+  ASSERT_FALSE(rounded == p);
+  ParticleSoa soa;
+  soa.PushBack(p, 0, 1.0);
+  const Vec3 stored = soa.PositionAt(0);
+  EXPECT_EQ(stored, rounded);
+  // Rounding to nearest moves a coordinate by at most half a float ulp:
+  // under 3.1e-5 ft anywhere below 1,024 ft.
+  EXPECT_LE(std::abs(stored.y - p.y), 3.1e-5);
+  soa.SetPosition(0, stored);
+  EXPECT_EQ(soa.PositionAt(0), stored);
+  soa.SetPosition(0, p);
+  EXPECT_EQ(soa.PositionAt(0), stored);
+}
+
+TEST(ParticleSoaTest, ApproxMemoryIs24BytesPerParticle) {
+  // x, y, z at 4 bytes, the weight at 8 and the reader index at 4: the
+  // store's footprint, which a return to double positions (36 bytes) would
+  // grow by half.
+  ParticleSoa soa;
+  for (size_t n : {1, 7, 1000}) {
+    soa.clear();
+    soa.ShrinkToFit();
+    soa.reserve(n);
+    for (size_t k = 0; k < n; ++k) soa.PushBack({1, 2, 3}, 0, 1.0);
+    ASSERT_EQ(soa.CapacityParticles(), n);
+    EXPECT_EQ(soa.ApproxMemoryBytes(), 24 * n) << n << " particles";
+  }
 }
 
 TEST(ParticleSoaTest, ClearAndShrinkReleaseMemory) {

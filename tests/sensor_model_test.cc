@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "model/cone_sensor.h"
 #include "model/sensor_model.h"
 #include "model/spherical_sensor.h"
+#include "util/rng.h"
 
 namespace rfid {
 namespace {
@@ -174,6 +176,72 @@ TEST(ConeSensorTest, MaxRangeIsMajorPlusMinor) {
   p.major_range = 2.0;
   p.minor_extra_range = 1.0;
   EXPECT_DOUBLE_EQ(ConeSensorModel(p).MaxRange(), 3.0);
+}
+
+/// The cone's sensing box as SensingBounds sampled it before it took the
+/// sector formula it shares with the kernels' zero-region boxes: the apex,
+/// five bearings across the arc, the cardinal directions inside the wedge,
+/// and z within ± r·sin θ0.
+Aabb SampledConeBounds(const ConeSensorModel& cone, const Pose& reader) {
+  const double r = cone.MaxRange();
+  const double theta_max = cone.MaxAngle();
+  Aabb box;
+  box.Extend(reader.position);
+  for (double a : {-theta_max, -theta_max / 2, 0.0, theta_max / 2, theta_max}) {
+    const double phi = reader.heading + a;
+    box.Extend(reader.position + Vec3{r * std::cos(phi), r * std::sin(phi), 0});
+  }
+  for (double phi_card = -M_PI; phi_card <= M_PI + 1e-9; phi_card += M_PI / 2) {
+    if (std::abs(WrapAngle(phi_card - reader.heading)) <= theta_max) {
+      box.Extend(reader.position +
+                 Vec3{r * std::cos(phi_card), r * std::sin(phi_card), 0});
+    }
+  }
+  const double z_span = r * std::sin(theta_max);
+  box.Extend(reader.position + Vec3{0, 0, z_span});
+  box.Extend(reader.position - Vec3{0, 0, z_span});
+  return box;
+}
+
+TEST(ConeSensorTest, SensingBoundsMatchTheSampledArc) {
+  // Headings on each axis, θ0 off each one (where an arc endpoint lies on
+  // the axis), and random ones, for the default cone, a narrow one and one
+  // just short of a right angle.
+  ConeSensorParams narrow;
+  narrow.major_half_angle = 2.0 * M_PI / 180;
+  narrow.minor_extra_angle = 3.0 * M_PI / 180;
+  ConeSensorParams wide;
+  wide.major_half_angle = 40.0 * M_PI / 180;
+  wide.minor_extra_angle = 45.0 * M_PI / 180;
+  wide.major_range = 2.0;
+  constexpr double kTol = 1e-12;
+  for (const ConeSensorParams& params : {ConeSensorParams{}, narrow, wide}) {
+    const ConeSensorModel cone(params);
+    const double theta0 = cone.MaxAngle();
+    std::vector<double> headings;
+    for (double axis : {0.0, M_PI / 2, M_PI, -M_PI / 2}) {
+      for (double off : {0.0, theta0, -theta0}) headings.push_back(axis + off);
+    }
+    Rng rng(707);
+    for (int i = 0; i < 24; ++i) headings.push_back(rng.Uniform(-M_PI, M_PI));
+    for (const Vec3& origin :
+         {Vec3{0, 0, 0}, Vec3{0.7, -1.2, 0.3}, Vec3{-37.5, 112.25, 4.0}}) {
+      for (double heading : headings) {
+        SCOPED_TRACE(::testing::Message() << "zero angle " << theta0
+                                          << ", heading " << heading
+                                          << ", origin " << origin);
+        const Pose reader(origin, heading);
+        const Aabb box = cone.SensingBounds(reader);
+        const Aabb sampled = SampledConeBounds(cone, reader);
+        EXPECT_NEAR(box.min.x, sampled.min.x, kTol);
+        EXPECT_NEAR(box.min.y, sampled.min.y, kTol);
+        EXPECT_NEAR(box.min.z, sampled.min.z, kTol);
+        EXPECT_NEAR(box.max.x, sampled.max.x, kTol);
+        EXPECT_NEAR(box.max.y, sampled.max.y, kTol);
+        EXPECT_NEAR(box.max.z, sampled.max.z, kTol);
+      }
+    }
+  }
 }
 
 // Parameterized sweep: probability never exceeds RR_major anywhere.

@@ -324,11 +324,12 @@ std::string WithoutWallClock(std::string bytes) {
 
 TEST_F(ServeCheckpointTest, StreamingWriterReproducesPinnedBytes) {
   // Size and CRC-32 of this scenario's site checkpoint, with the filter
-  // snapshot nested in its last section at v6. The fixtures
+  // snapshot nested in its last section at v7. The fixtures
   // (tests/fixtures/site_checkpoint_v{4,5}.bin, 91,766 and 57,916 B) hold
   // the same scenario as releases that still drew initial particles by
   // plain cone rejection wrote it; the thinned draw puts other bits in
-  // every shelf-clipped particle.
+  // every shelf-clipped particle. site_checkpoint_v6.bin (58,734 B) is the
+  // release before f32 positions.
   LabConfig lc;
   lc.seed = 505;
   lc.tags_per_row = 10;
@@ -343,22 +344,22 @@ TEST_F(ServeCheckpointTest, StreamingWriterReproducesPinnedBytes) {
   std::stringstream ss;
   ASSERT_TRUE(server.value()->FindSite(kSite)->SaveCheckpoint(ss).ok());
   const std::string bytes = WithoutWallClock(ss.str());
-  EXPECT_EQ(bytes.size(), 58734u);
-  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0x53B8847Fu);
+  EXPECT_EQ(bytes.size(), 43542u);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0xAF73EBCBu);
 }
 
-TEST_F(ServeCheckpointTest, LoadsCheckpointsWithV5Snapshots) {
+TEST_F(ServeCheckpointTest, LoadsCheckpointsWithV6Snapshots) {
   // The site checkpoint carries no version of its own for the snapshot it
-  // nests, so the previous release's files hold a v5 snapshot. This
+  // nests, so the previous release's files hold a v6 snapshot. This
   // scenario's checkpoint as that release wrote it (wall clock zeroed,
-  // pinned below) restores with no pending remaps and re-saves with a v6
-  // snapshot: the same checkpoint plus an empty remap block. A server
-  // restored from that re-save serves the tail exactly like the one
-  // restored from the v5 file.
-  const std::string v5 =
-      Slurp(std::string(RFID_TEST_FIXTURE_DIR) + "/site_checkpoint_v5.bin");
-  ASSERT_EQ(v5.size(), 57916u);
-  ASSERT_EQ(Crc32(v5.data(), v5.size()), 0x2F553AFAu);
+  // pinned below) restores with its particle positions rounded to f32 and
+  // re-saves with a v7 snapshot, smaller by 12 bytes a particle run. A
+  // server restored from that re-save serves the tail exactly like the one
+  // restored from the v6 file.
+  const std::string v6 =
+      Slurp(std::string(RFID_TEST_FIXTURE_DIR) + "/site_checkpoint_v6.bin");
+  ASSERT_EQ(v6.size(), 58734u);
+  ASSERT_EQ(Crc32(v6.data(), v6.size()), 0x53B8847Fu);
 
   LabConfig lc;
   lc.seed = 505;
@@ -371,42 +372,36 @@ TEST_F(ServeCheckpointTest, LoadsCheckpointsWithV5Snapshots) {
   // Each fixture replaces the generation a real Checkpoint() wrote, so
   // both restores go through the manifest.
   CheckpointLabPrefix(lab.value(), 60, Dir());
-  Overwrite(SiteGenerationPath(Dir(), kSite, 1), v5);
-  auto from_v5 = MakeLabServer(lab.value());
-  ASSERT_TRUE(from_v5.ok());
-  ASSERT_TRUE(from_v5.value()->Restore(Dir()).ok());
-  const SitePipeline* site_v5 = from_v5.value()->FindSite(kSite);
-  ASSERT_NE(site_v5, nullptr);
-  const auto& filter_v5 =
-      dynamic_cast<const FactoredParticleFilter&>(site_v5->engine().filter());
-  EXPECT_EQ(filter_v5.pending_remaps(), 0u);
-
-  std::stringstream resaved;
-  ASSERT_TRUE(site_v5->SaveCheckpoint(resaved).ok());
-  const std::string v6 = WithoutWallClock(resaved.str());
-  // An empty remap block: the u64 record count, a u32 lag per tracked
-  // object, the u64 resolve counter.
-  EXPECT_EQ(v6.size(), v5.size() + 2 * sizeof(uint64_t) +
-                           filter_v5.NumTrackedObjects() * sizeof(uint32_t));
-  const std::string v6_dir = Dir() + "_v6";
-  CheckpointLabPrefix(lab.value(), 60, v6_dir);
-  Overwrite(SiteGenerationPath(v6_dir, kSite, 1), v6);
+  Overwrite(SiteGenerationPath(Dir(), kSite, 1), v6);
   auto from_v6 = MakeLabServer(lab.value());
   ASSERT_TRUE(from_v6.ok());
-  ASSERT_TRUE(from_v6.value()->Restore(v6_dir).ok());
-  std::filesystem::remove_all(v6_dir);
+  ASSERT_TRUE(from_v6.value()->Restore(Dir()).ok());
   const SitePipeline* site_v6 = from_v6.value()->FindSite(kSite);
   ASSERT_NE(site_v6, nullptr);
-  std::stringstream resaved_v6;
-  ASSERT_TRUE(site_v6->SaveCheckpoint(resaved_v6).ok());
-  EXPECT_EQ(WithoutWallClock(resaved_v6.str()), v6);
+
+  std::stringstream resaved;
+  ASSERT_TRUE(site_v6->SaveCheckpoint(resaved).ok());
+  const std::string v7 = WithoutWallClock(resaved.str());
+  EXPECT_LT(v7.size(), v6.size());
+  const std::string v7_dir = Dir() + "_v7";
+  CheckpointLabPrefix(lab.value(), 60, v7_dir);
+  Overwrite(SiteGenerationPath(v7_dir, kSite, 1), v7);
+  auto from_v7 = MakeLabServer(lab.value());
+  ASSERT_TRUE(from_v7.ok());
+  ASSERT_TRUE(from_v7.value()->Restore(v7_dir).ok());
+  std::filesystem::remove_all(v7_dir);
+  const SitePipeline* site_v7 = from_v7.value()->FindSite(kSite);
+  ASSERT_NE(site_v7, nullptr);
+  std::stringstream resaved_v7;
+  ASSERT_TRUE(site_v7->SaveCheckpoint(resaved_v7).ok());
+  EXPECT_EQ(WithoutWallClock(resaved_v7.str()), v7);
 
   size_t estimated = 0;
   for (const ServeRecord& record : head) {
     if (record.kind != ServeRecord::Kind::kReading) continue;
     const TagId tag = record.reading.tag;
-    const auto a = site_v5->engine().EstimateObject(tag);
-    const auto b = site_v6->engine().EstimateObject(tag);
+    const auto a = site_v6->engine().EstimateObject(tag);
+    const auto b = site_v7->engine().EstimateObject(tag);
     ASSERT_EQ(a.has_value(), b.has_value()) << "tag " << tag;
     if (!a) continue;
     ++estimated;
@@ -416,46 +411,62 @@ TEST_F(ServeCheckpointTest, LoadsCheckpointsWithV5Snapshots) {
   }
   EXPECT_GT(estimated, 0u);
 
-  CollectedEvents from_v5_events, from_v6_events;
-  from_v5.value()->bus().SubscribeEvents(from_v5_events.Callback());
+  CollectedEvents from_v6_events, from_v7_events;
   from_v6.value()->bus().SubscribeEvents(from_v6_events.Callback());
+  from_v7.value()->bus().SubscribeEvents(from_v7_events.Callback());
   for (size_t i = head.size(); i < all.size(); ++i) {
-    ASSERT_TRUE(from_v5.value()->Ingest(all[i]));
     ASSERT_TRUE(from_v6.value()->Ingest(all[i]));
+    ASSERT_TRUE(from_v7.value()->Ingest(all[i]));
   }
-  for (auto* server : {&from_v5, &from_v6}) {
+  for (auto* server : {&from_v6, &from_v7}) {
     server->value()->Pump();
     server->value()->Flush();
   }
-  ASSERT_GT(from_v5_events.events.size(), 0u);
-  ExpectBitIdentical(from_v5_events.events, from_v6_events.events);
+  ASSERT_GT(from_v6_events.events.size(), 0u);
+  ExpectBitIdentical(from_v6_events.events, from_v7_events.events);
 }
 
-TEST_F(ServeCheckpointTest, RejectsCheckpointsWithV4Snapshots) {
-  // A v4 site checkpoint is still inside its own v3–v4 window, but the v4
-  // snapshot nested in the release-before-last's files is outside the
-  // snapshot's one-back window: the restore fails naming the snapshot
-  // version and the oldest loadable one.
-  const std::string v4 =
-      Slurp(std::string(RFID_TEST_FIXTURE_DIR) + "/site_checkpoint_v4.bin");
-  ASSERT_EQ(v4.size(), 91766u);
-  ASSERT_EQ(Crc32(v4.data(), v4.size()), 0xE94AA9E5u);
+TEST_F(ServeCheckpointTest, RejectsCheckpointsWithSnapshotsBeforeV6) {
+  // The v4 site checkpoints of the two releases before last are still inside
+  // their own v3–v4 window, but the v4 and v5 snapshots nested in them are
+  // outside the snapshot's one-back window: the restore fails naming the
+  // snapshot version and the oldest loadable one.
   LabConfig lc;
   lc.seed = 505;
   lc.tags_per_row = 10;
   const auto lab = BuildLabDeployment(lc);
   ASSERT_TRUE(lab.ok());
-  CheckpointLabPrefix(lab.value(), 60, Dir());
-  Overwrite(SiteGenerationPath(Dir(), kSite, 1), v4);
-  auto server = MakeLabServer(lab.value());
-  ASSERT_TRUE(server.ok());
-  const Status status = server.value()->Restore(Dir());
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("unsupported snapshot version 4"),
-            std::string::npos)
-      << status.message();
-  EXPECT_NE(status.message().find("oldest loadable is v5"), std::string::npos)
-      << status.message();
+  const struct {
+    const char* fixture;
+    size_t size;
+    uint32_t crc;
+    int snapshot_version;
+  } kFixtures[] = {{"site_checkpoint_v4.bin", 91766, 0xE94AA9E5u, 4},
+                   {"site_checkpoint_v5.bin", 57916, 0x2F553AFAu, 5}};
+  for (const auto& f : kFixtures) {
+    SCOPED_TRACE(f.fixture);
+    const std::string bytes =
+        Slurp(std::string(RFID_TEST_FIXTURE_DIR) + "/" + f.fixture);
+    ASSERT_EQ(bytes.size(), f.size);
+    ASSERT_EQ(Crc32(bytes.data(), bytes.size()), f.crc);
+    // A fresh directory per fixture, so generation 1 is the one restored.
+    const std::string dir =
+        Dir() + "_snapshot_v" + std::to_string(f.snapshot_version);
+    CheckpointLabPrefix(lab.value(), 60, dir);
+    Overwrite(SiteGenerationPath(dir, kSite, 1), bytes);
+    auto server = MakeLabServer(lab.value());
+    ASSERT_TRUE(server.ok());
+    const Status status = server.value()->Restore(dir);
+    std::filesystem::remove_all(dir);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("unsupported snapshot version " +
+                                    std::to_string(f.snapshot_version)),
+              std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find("oldest loadable is v6"),
+              std::string::npos)
+        << status.message();
+  }
 }
 
 TEST_F(ServeCheckpointTest, RejectsV2CheckpointsOutsideTheWindow) {

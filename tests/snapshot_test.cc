@@ -224,11 +224,17 @@ void ExpectOutsideTheWindow(const std::string& bytes, int version) {
                                   std::to_string(version)),
             std::string::npos)
       << status.message();
-  EXPECT_NE(status.message().find("oldest loadable is v5"), std::string::npos)
+  EXPECT_NE(status.message().find("oldest loadable is v6"), std::string::npos)
       << status.message();
   // The filter must be untouched by the rejected load.
   EXPECT_EQ(filter.current_step(), 0);
   EXPECT_EQ(filter.NumTrackedObjects(), 0u);
+}
+
+TEST(SnapshotTest, RejectsV5SnapshotsOutsideTheWindow) {
+  // v5 fell out of the one-back load window when v7 became the writer: the
+  // previous release's v5 bytes of Drive()'s filter are refused, naming v6.
+  ExpectOutsideTheWindow(Fixture("snapshot_v5.bin"), 5);
 }
 
 TEST(SnapshotTest, RejectsV4SnapshotsOutsideTheWindow) {
@@ -272,60 +278,197 @@ void ExpectSameEstimates(const FactoredParticleFilter& a,
   EXPECT_EQ(a.EstimateReader().mean, b.EstimateReader().mean);
 }
 
-/// The v6 bytes a v5 snapshot re-saves to: the same body, version 6, and
-/// an empty remap block (no records, every slot's lag 0, no resolves).
-std::string AsV6WithoutPendingRemaps(std::string v5, size_t states) {
-  const uint32_t version = 6;
-  std::memcpy(&v5[8], &version, sizeof(version));
-  v5.append(sizeof(uint64_t) + states * sizeof(uint32_t) + sizeof(uint64_t),
-            '\0');
-  const uint64_t length = v5.size() - 24;
-  std::memcpy(&v5[12], &length, sizeof(length));
-  const uint32_t crc = Crc32(v5.data() + 24, length);
-  std::memcpy(&v5[20], &crc, sizeof(crc));
-  return v5;
+bool SameBits(const Vec3& a, const Vec3& b) {
+  return std::memcmp(&a, &b, sizeof(Vec3)) == 0;
 }
 
-TEST(SnapshotTest, LoadsV5Snapshots) {
-  // The one-back window: the previous release's v5 bytes of Drive()'s
-  // filter (recorded by it, pinned below) load with no pending remaps — v5
-  // saves resolved them — and re-save as the same body plus an empty remap
-  // block. The migrated filter then runs on exactly like the original.
-  // (Today's Drive() no longer reaches those bytes: that release drew
-  // initial particles by plain cone rejection, the thinned draw by other
-  // bits.)
-  const std::string v5 = Fixture("snapshot_v5.bin");
-  ASSERT_EQ(v5.size(), 4781u);
-  ASSERT_EQ(Crc32(v5.data(), v5.size()), 0x6256A763u);
+/// Expects `a` and `b` to hold bit-identical particles.
+void ExpectSameParticles(const FactoredParticleFilter& a,
+                         const FactoredParticleFilter& b) {
+  ASSERT_EQ(a.object_states().size(), b.object_states().size());
+  for (size_t slot = 0; slot < a.object_states().size(); ++slot) {
+    const ParticleSoa& pa = a.object_states()[slot].particles;
+    const ParticleSoa& pb = b.object_states()[slot].particles;
+    ASSERT_EQ(pa.size(), pb.size()) << "slot " << slot;
+    for (size_t k = 0; k < pa.size(); ++k) {
+      ASSERT_TRUE(SameBits(pa.PositionAt(k), pb.PositionAt(k)));
+      ASSERT_EQ(pa.ReaderIdxAt(k), pb.ReaderIdxAt(k));
+      ASSERT_EQ(pa.WeightAt(k), pb.WeightAt(k));
+    }
+  }
+}
 
-  std::stringstream v5_in(v5);
-  FactoredParticleFilter from_v5(MakeLineWorld(), Config());
-  ASSERT_TRUE(LoadFilterSnapshot(v5_in, &from_v5).ok());
-  EXPECT_EQ(from_v5.pending_remaps(), 0u);
-  EXPECT_EQ(from_v5.current_step(), 110);
+/// Re-saves a loaded filter.
+std::string Resave(const FactoredParticleFilter& filter) {
+  std::stringstream ss;
+  EXPECT_TRUE(SaveFilterSnapshot(filter, ss).ok());
+  return ss.str();
+}
 
-  std::stringstream resaved;
-  ASSERT_TRUE(SaveFilterSnapshot(from_v5, resaved).ok());
-  const std::string v6 = resaved.str();
-  EXPECT_EQ(v6, AsV6WithoutPendingRemaps(v5, from_v5.NumTrackedObjects()));
+uint32_t VersionOf(const std::string& bytes) {
+  uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 8, sizeof(version));
+  return version;
+}
+
+TEST(SnapshotTest, LoadsV6Snapshots) {
+  // The one-back window: the previous release's v6 bytes of Drive()'s
+  // filter (recorded by it, pinned below) load with their f64 positions
+  // rounded to f32, and re-save as v7. The v7 bytes reload bit for bit, and
+  // the filter loaded from them runs on exactly like the one migrated from
+  // v6.
+  const std::string v6 = Fixture("snapshot_v6.bin");
+  ASSERT_EQ(v6.size(), 4755u);
+  ASSERT_EQ(Crc32(v6.data(), v6.size()), 0x385664BBu);
+  ASSERT_EQ(VersionOf(v6), 6u);
 
   std::stringstream v6_in(v6);
   FactoredParticleFilter from_v6(MakeLineWorld(), Config());
   ASSERT_TRUE(LoadFilterSnapshot(v6_in, &from_v6).ok());
-  ExpectSameEstimates(from_v5, from_v6);
+  EXPECT_EQ(from_v6.current_step(), 110);
+  ASSERT_EQ(from_v6.NumTrackedObjects(), 2u);
+  ASSERT_EQ(from_v6.NumActiveObjects(), 1u);
+  // Bounds are recomputed from the rounded positions.
+  for (const auto& state : from_v6.object_states()) {
+    if (state.particles.empty()) continue;
+    const Aabb box = state.particles.ComputeBounds();
+    EXPECT_TRUE(SameBits(state.particle_bounds.min, box.min));
+    EXPECT_TRUE(SameBits(state.particle_bounds.max, box.max));
+  }
+
+  const std::string v7 = Resave(from_v6);
+  EXPECT_EQ(VersionOf(v7), 7u);
+  // Each run's position shrinks from 24 to 12 bytes.
+  EXPECT_LT(v7.size(), v6.size());
+  std::stringstream v7_in(v7);
+  FactoredParticleFilter from_v7(MakeLineWorld(), Config());
+  ASSERT_TRUE(LoadFilterSnapshot(v7_in, &from_v7).ok());
+  EXPECT_EQ(Resave(from_v7), v7);
+  ExpectSameParticles(from_v6, from_v7);
+  ExpectSameEstimates(from_v6, from_v7);
   for (int t = 110; t < 130; ++t) {
     const SyncedEpoch epoch = MakeEpoch(t, 0.1 * t, {1001});
-    from_v5.ObserveEpoch(epoch);
     from_v6.ObserveEpoch(epoch);
+    from_v7.ObserveEpoch(epoch);
   }
-  ExpectSameEstimates(from_v5, from_v6);
+  ExpectSameEstimates(from_v6, from_v7);
+}
+
+/// Where the first particle block with particles starts in a v6 or v7
+/// snapshot: the offset of its first run's length varint, found by walking
+/// the readers and the object states before it.
+size_t FirstParticleRun(const std::string& bytes) {
+  const auto load_u64 = [&bytes](size_t at) {
+    uint64_t value = 0;
+    std::memcpy(&value, bytes.data() + at, sizeof(value));
+    return value;
+  };
+  // Header, frame header, step, readers-initialized flag.
+  size_t at = 12 + 12 + sizeof(int64_t) + sizeof(uint8_t);
+  const uint64_t readers = load_u64(at);
+  at += sizeof(uint64_t) + readers * (sizeof(Vec3) + 2 * sizeof(double));
+  const uint64_t states = load_u64(at);
+  at += sizeof(uint64_t);
+  for (uint64_t s = 0; s < states; ++s) {
+    // Tag, two steps, reader position and bounds, then the flags.
+    at += sizeof(TagId) + 2 * sizeof(int64_t) + 3 * sizeof(Vec3);
+    const bool compressed = bytes[at] != 0;
+    at += 2 * sizeof(uint8_t) + sizeof(int64_t);
+    if (compressed) at += sizeof(Vec3) + 6 * sizeof(double);
+    const uint64_t count = load_u64(at);
+    at += sizeof(uint64_t);
+    if (count > 0) return at;
+  }
+  ADD_FAILURE() << "no object holds particles";
+  return std::string::npos;
+}
+
+/// Overwrites the `T` at `at` and re-seals the snapshot's CRC frame
+/// ([u64 length][u32 crc] after the 12-byte header), so only the decoder's
+/// own validation can reject the value.
+template <typename T>
+std::string Poison(std::string bytes, size_t at, T value) {
+  std::memcpy(&bytes[at], &value, sizeof(value));
+  uint64_t length = 0;
+  std::memcpy(&length, bytes.data() + 12, sizeof(length));
+  const uint32_t crc = Crc32(bytes.data() + 24, length);
+  std::memcpy(&bytes[20], &crc, sizeof(crc));
+  return bytes;
+}
+
+TEST(SnapshotTest, V6RunsRoundToF32OnLoad) {
+  // Drive()'s filter reads 40 readers (u8 indices): a run is its one-byte
+  // length, three f64 and, per particle, an index and an f64 weight.
+  const std::string v6 = Fixture("snapshot_v6.bin");
+  const size_t first = FirstParticleRun(v6);
+  ASSERT_NE(first, std::string::npos);
+  const auto run_length = static_cast<uint8_t>(v6[first]);
+  ASSERT_LT(run_length, 0x80);
+  const size_t first_position = first + 1;
+  const size_t second = first_position + 3 * sizeof(double) +
+                        run_length * (sizeof(uint8_t) + sizeof(double));
+  ASSERT_LT(static_cast<uint8_t>(v6[second]), 0x80);
+  const size_t second_position = second + 1;
+  Vec3 p;
+  std::memcpy(&p, v6.data() + first_position, sizeof(p));
+
+  // Runs are maximal in the file's own f64 values: a second run equal to
+  // the first is refused.
+  {
+    std::stringstream in(Poison(v6, second_position, p));
+    FactoredParticleFilter filter(MakeLineWorld(), Config());
+    const Status status = LoadFilterSnapshot(in, &filter);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("not maximal"), std::string::npos)
+        << status.message();
+  }
+
+  // One f64 ulp apart, the two runs are distinct in the file and the same
+  // once rounded: they load as adjacent equal positions and re-save as one
+  // v7 run, a length byte and three f32 shorter.
+  Vec3 nudged = p;
+  nudged.x = std::nextafter(p.x, std::numeric_limits<double>::infinity());
+  ASSERT_EQ(static_cast<ParticleCoord>(nudged.x),
+            static_cast<ParticleCoord>(p.x));
+  std::stringstream merged_in(Poison(v6, second_position, nudged));
+  FactoredParticleFilter merged(MakeLineWorld(), Config());
+  ASSERT_TRUE(LoadFilterSnapshot(merged_in, &merged).ok());
+  std::stringstream plain_in(v6);
+  FactoredParticleFilter plain(MakeLineWorld(), Config());
+  ASSERT_TRUE(LoadFilterSnapshot(plain_in, &plain).ok());
+  const auto active = [](const FactoredParticleFilter& filter) {
+    for (const auto& state : filter.object_states()) {
+      if (!state.particles.empty()) return &state.particles;
+    }
+    return static_cast<const ParticleSoa*>(nullptr);
+  };
+  ASSERT_NE(active(merged), nullptr);
+  EXPECT_TRUE(SameBits(active(merged)->PositionAt(run_length),
+                       active(merged)->PositionAt(0)));
+  EXPECT_FALSE(SameBits(active(plain)->PositionAt(run_length),
+                        active(plain)->PositionAt(0)));
+  EXPECT_EQ(Resave(merged).size(),
+            Resave(plain).size() - 1 - 3 * sizeof(ParticleCoord));
+
+  // A finite f64 past f32's range has no stored form: refused.
+  for (double past : {1e300, -3.5e38}) {
+    Vec3 far = p;
+    far.y = past;
+    std::stringstream in(Poison(v6, first_position, far));
+    FactoredParticleFilter filter(MakeLineWorld(), Config());
+    const Status status = LoadFilterSnapshot(in, &filter);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << past;
+    EXPECT_NE(status.message().find("past f32 range"), std::string::npos)
+        << status.message();
+    EXPECT_EQ(filter.NumTrackedObjects(), 0u);
+  }
 }
 
 TEST(SnapshotTest, LoadsASingleAncestorRecordBehindOlderOnes) {
   // The filter cuts its remap history at a resample whose readers all copy
   // one ancestor, so it never saves a single-ancestor record behind an
-  // older one. A release before the cut did; such a v6 state (built here
-  // by rewriting the newest of two or more pending records to copy one
+  // older one. A release before the cut did; such a state (built here by
+  // rewriting the newest of two or more pending records to copy one
   // reader) must load, re-save to the same bytes and resolve.
   FactoredFilterConfig config = Config();
   config.compression.mode = CompressionMode::kDisabled;
@@ -347,9 +490,9 @@ TEST(SnapshotTest, LoadsASingleAncestorRecordBehindOlderOnes) {
   std::stringstream saved;
   ASSERT_TRUE(SaveFilterSnapshot(original, saved).ok());
 
-  // The v6 tail: [u64 count][count x (i64 step, one u8 ancestor per
-  // reader)][u32 lag per slot][u64 resolves]. Every new reader of the
-  // newest record becomes a copy of reader 3.
+  // The remap block at the end (since v6): [u64 count][count x (i64 step,
+  // one u8 ancestor per reader)][u32 lag per slot][u64 resolves]. Every new
+  // reader of the newest record becomes a copy of reader 3.
   std::string bytes = saved.str();
   const size_t readers = original.reader_particles().size();
   ASSERT_LE(readers, 256u);
@@ -385,7 +528,7 @@ TEST(SnapshotTest, LoadsASingleAncestorRecordBehindOlderOnes) {
 }
 
 TEST(SnapshotTest, StreamingWriterReproducesPinnedBytes) {
-  // Size and CRC-32 of Drive()'s v6 snapshot, ending in the remap block:
+  // Size and CRC-32 of Drive()'s v7 snapshot, ending in the remap block:
   // no record pending at the last epoch (an 8 B count and two 4 B lags)
   // and the 8 B resolve counter.
   FactoredParticleFilter original(MakeLineWorld(), Config());
@@ -393,28 +536,8 @@ TEST(SnapshotTest, StreamingWriterReproducesPinnedBytes) {
   std::stringstream ss;
   ASSERT_TRUE(SaveFilterSnapshot(original, ss).ok());
   const std::string bytes = ss.str();
-  EXPECT_EQ(bytes.size(), 4755u);
-  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0x385664BBu);
-}
-
-bool SameBits(const Vec3& a, const Vec3& b) {
-  return std::memcmp(&a, &b, sizeof(Vec3)) == 0;
-}
-
-/// Expects `a` and `b` to hold bit-identical particles.
-void ExpectSameParticles(const FactoredParticleFilter& a,
-                         const FactoredParticleFilter& b) {
-  ASSERT_EQ(a.object_states().size(), b.object_states().size());
-  for (size_t slot = 0; slot < a.object_states().size(); ++slot) {
-    const ParticleSoa& pa = a.object_states()[slot].particles;
-    const ParticleSoa& pb = b.object_states()[slot].particles;
-    ASSERT_EQ(pa.size(), pb.size()) << "slot " << slot;
-    for (size_t k = 0; k < pa.size(); ++k) {
-      ASSERT_TRUE(SameBits(pa.PositionAt(k), pb.PositionAt(k)));
-      ASSERT_EQ(pa.ReaderIdxAt(k), pb.ReaderIdxAt(k));
-      ASSERT_EQ(pa.WeightAt(k), pb.WeightAt(k));
-    }
-  }
+  EXPECT_EQ(bytes.size(), 4623u);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0xBFE76F05u);
 }
 
 TEST(SnapshotTest, RoundTripsAtReaderIndexWidthBoundaries) {
@@ -453,81 +576,67 @@ TEST(SnapshotTest, RoundTripsAtReaderIndexWidthBoundaries) {
   }
 }
 
-/// Overwrites the f64 at `at` and re-seals the snapshot's CRC frame
-/// ([u64 length][u32 crc] after the 12-byte header), so only the decoder's
-/// own validation can reject the value.
-std::string PoisonDouble(std::string bytes, size_t at, double value) {
-  std::memcpy(&bytes[at], &value, sizeof(value));
-  uint64_t length = 0;
-  std::memcpy(&length, bytes.data() + 12, sizeof(length));
-  const uint32_t crc = Crc32(bytes.data() + 24, length);
-  std::memcpy(&bytes[20], &crc, sizeof(crc));
-  return bytes;
-}
-
-/// Offset of the first occurrence of `value`'s bytes at or after `from`.
-template <typename T>
-size_t FindBytes(const std::string& bytes, const T& value, size_t from = 0) {
-  return bytes.find(
-      std::string(reinterpret_cast<const char*>(&value), sizeof(value)), from);
-}
-
 TEST(SnapshotTest, RejectsNonFiniteValues) {
   // A snapshot whose CRC was re-sealed over a NaN must not inject it into
   // the filter: reader poses and weights, particle positions and particle
-  // weights are validated, in both loadable layouts (v6 as written today,
-  // v5 as the previous release wrote Drive()'s filter).
+  // weights are validated, in both loadable layouts (v7 as written today,
+  // with f32 positions, and v6 as the previous release wrote Drive()'s
+  // filter, with f64 ones).
   FactoredParticleFilter original(MakeLineWorld(), Config());
   Drive(&original);
   std::stringstream ss;
   ASSERT_TRUE(SaveFilterSnapshot(original, ss).ok());
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
 
-  for (const std::string& bytes : {ss.str(), Fixture("snapshot_v5.bin")}) {
-    // Locate the fields by the values they decode to.
-    std::stringstream in(bytes);
-    FactoredParticleFilter loaded(MakeLineWorld(), Config());
-    ASSERT_TRUE(LoadFilterSnapshot(in, &loaded).ok());
-    const auto active = std::find_if(
-        loaded.object_states().begin(), loaded.object_states().end(),
-        [](const auto& state) { return !state.particles.empty(); });
-    ASSERT_NE(active, loaded.object_states().end());
-    const size_t reader_at =
-        FindBytes(bytes, loaded.reader_particles()[0].pose.position);
-    ASSERT_NE(reader_at, std::string::npos);
-    const size_t particle_at =
-        FindBytes(bytes, active->particles.PositionAt(0));
-    ASSERT_NE(particle_at, std::string::npos);
-    // The weight follows the position and the reader index.
-    const size_t weight_at = FindBytes(bytes, active->particles.WeightAt(0),
-                                       particle_at + sizeof(Vec3));
-    ASSERT_NE(weight_at, std::string::npos);
+  for (const std::string& bytes : {ss.str(), Fixture("snapshot_v6.bin")}) {
+    const bool f32 = VersionOf(bytes) == 7;
+    SCOPED_TRACE(f32 ? "v7" : "v6");
+    // The first reader follows the header, frame, step, flag and count;
+    // the first run's position follows its one-byte length, and the first
+    // particle's weight follows the position and its u8 reader index.
+    const size_t reader_at = 12 + 12 + sizeof(int64_t) + sizeof(uint8_t) +
+                             sizeof(uint64_t);
+    const size_t run_at = FirstParticleRun(bytes);
+    ASSERT_NE(run_at, std::string::npos);
+    ASSERT_LT(static_cast<uint8_t>(bytes[run_at]), 0x80);
+    const size_t particle_at = run_at + 1;
+    const size_t coord = f32 ? sizeof(ParticleCoord) : sizeof(double);
+    const size_t weight_at = particle_at + 3 * coord + sizeof(uint8_t);
 
-    const struct {
-      const char* what;
-      size_t at;
-      double value;
-    } kCases[] = {
-        {"reader x", reader_at, nan},
-        {"reader heading", reader_at + 3 * sizeof(double), inf},
-        {"reader weight", reader_at + 4 * sizeof(double), -inf},
-        {"particle x", particle_at, nan},
-        {"particle z", particle_at + 2 * sizeof(double), -inf},
-        {"particle weight", weight_at, nan},
-        {"negative particle weight", weight_at, -0.5},
-        {"infinite particle weight", weight_at, inf},
-    };
     // Re-sealing an unchanged value must still load: the harness itself is
     // not what rejects the cases below.
+    double weight = 0.0;
+    std::memcpy(&weight, bytes.data() + weight_at, sizeof(weight));
+    ASSERT_TRUE(weight > 0.0 && weight <= 1.0) << weight;
     {
-      std::stringstream resealed(
-          PoisonDouble(bytes, weight_at, active->particles.WeightAt(0)));
+      std::stringstream resealed(Poison(bytes, weight_at, weight));
       FactoredParticleFilter filter(MakeLineWorld(), Config());
       ASSERT_TRUE(LoadFilterSnapshot(resealed, &filter).ok());
     }
+
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    /// A position coordinate at the file's width.
+    const auto position = [&](size_t axis, double value) {
+      const size_t at = particle_at + axis * coord;
+      return f32 ? Poison(bytes, at, static_cast<ParticleCoord>(value))
+                 : Poison(bytes, at, value);
+    };
+    const struct {
+      const char* what;
+      std::string poisoned;
+    } kCases[] = {
+        {"reader x", Poison(bytes, reader_at, nan)},
+        {"reader heading", Poison(bytes, reader_at + 3 * sizeof(double), inf)},
+        {"reader weight", Poison(bytes, reader_at + 4 * sizeof(double), -inf)},
+        {"particle x", position(0, nan)},
+        {"particle y", position(1, inf)},
+        {"particle z", position(2, -inf)},
+        {"particle weight", Poison(bytes, weight_at, nan)},
+        {"negative particle weight", Poison(bytes, weight_at, -0.5)},
+        {"infinite particle weight", Poison(bytes, weight_at, inf)},
+    };
     for (const auto& c : kCases) {
-      std::stringstream poisoned(PoisonDouble(bytes, c.at, c.value));
+      std::stringstream poisoned(c.poisoned);
       FactoredParticleFilter filter(MakeLineWorld(), Config());
       const Status status = LoadFilterSnapshot(poisoned, &filter);
       EXPECT_FALSE(status.ok()) << c.what;
