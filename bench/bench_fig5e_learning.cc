@@ -5,12 +5,73 @@
 // with 10 object tags + 4 shelf tags (1000 particles per object). Curves:
 // uniform baseline (worst case), inference with the learned model, and
 // inference with the true model.
+//
+// The bench exits non-zero unless the figure's claims hold as inequalities,
+// each printed with its margin: at every shelf-tag count the learned
+// model's error is at most half the uniform baseline's; learning from 20
+// shelf tags at least halves the error of learning from none; and from 8
+// shelf tags on, the learned model is no worse than the true one.
+#include <vector>
+
 #include "bench_util.h"
 #include "learn/em.h"
 #include "sim/trace.h"
 
 namespace rfid {
 namespace {
+
+/// Largest learned-model error allowed, as a share of the uniform
+/// baseline's (the worst count, 0 shelf tags, read 0.37 when the gate was
+/// added).
+constexpr double kMaxErrorShareOfUniform = 0.5;
+/// Largest error learning from the most shelf tags may keep, as a share of
+/// the error learning from none (0.17 when the gate was added).
+constexpr double kMaxMostTagsShareOfNone = 0.5;
+/// From this many shelf tags on, the learned model must be at least as
+/// accurate as the true one (it read 0.136 or less against 0.477).
+constexpr int kMatchTrueFromShelfTags = 8;
+
+struct LearningResult {
+  int shelf_tags = 0;
+  double uniform_error = 0.0;
+  double learned_error = 0.0;
+  double true_error = 0.0;
+};
+
+/// The Fig. 5(e) claims over every shelf-tag count, each inequality
+/// lhs <= rhs printed with its margin; returns how many fail.
+int CheckPaperResults(const std::vector<LearningResult>& results) {
+  std::printf("\nPaper-result gate (Fig. 5(e)):\n");
+  int failures = 0;
+  const auto check = [&failures](const char* what, double lhs, double rhs) {
+    if (!bench::CheckAtMost(what, lhs, rhs)) ++failures;
+  };
+  if (results.size() < 2) {
+    std::printf("  FAIL the sweep has fewer than two shelf-tag counts\n");
+    return 1;
+  }
+  char what[128];
+  for (const LearningResult& r : results) {
+    std::snprintf(what, sizeof(what),
+                  "%2d shelf tags: learned error <= uniform / 2",
+                  r.shelf_tags);
+    check(what, r.learned_error, kMaxErrorShareOfUniform * r.uniform_error);
+  }
+  const LearningResult& none = results.front();
+  const LearningResult& most = results.back();
+  std::snprintf(what, sizeof(what),
+                "learned error with %d shelf tags <= with %d / 2",
+                most.shelf_tags, none.shelf_tags);
+  check(what, most.learned_error, kMaxMostTagsShareOfNone * none.learned_error);
+  for (const LearningResult& r : results) {
+    if (r.shelf_tags < kMatchTrueFromShelfTags) continue;
+    std::snprintf(what, sizeof(what),
+                  "%2d shelf tags: learned error <= true model's",
+                  r.shelf_tags);
+    check(what, r.learned_error, r.true_error);
+  }
+  return failures;
+}
 
 WorldModel Learn(int shelf_tags, uint64_t seed) {
   WarehouseConfig wc;
@@ -92,6 +153,7 @@ int main() {
   const int seeds = 2;  // EM outcome varies with the training trace.
   TableWriter table(
       {"shelf_tags", "uniform", "learned_sensor_model", "true_sensor_model"});
+  std::vector<LearningResult> results;
   for (int shelf_tags : {0, 2, 4, 8, 12, 16, 20}) {
     double learned_sum = 0.0;
     for (int seed = 0; seed < seeds; ++seed) {
@@ -99,6 +161,8 @@ int main() {
           Learn(shelf_tags, 300 + shelf_tags + 37 * seed);
       learned_sum += run_engine(learned.sensor().Clone());
     }
+    results.push_back(
+        {shelf_tags, uniform_err, learned_sum / seeds, true_model_err});
     (void)table.AddRow({static_cast<double>(shelf_tags), uniform_err,
                         learned_sum / seeds, true_model_err},
                        3);
@@ -109,5 +173,12 @@ int main() {
   bench::BenchJson json("fig5e");
   bench::AddTableRows(table, "error_xy_ft", &json);
   bench::WriteBenchJson(json, "fig5e");
+
+  const int failures = CheckPaperResults(results);
+  if (failures > 0) {
+    std::fprintf(stderr, "FIG5E GATE FAILED: %d inequalities do not hold\n",
+                 failures);
+    return 1;
+  }
   return 0;
 }

@@ -11,12 +11,14 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <utility>
 
 #include "bench_util.h"
 #include "index/rstar_tree.h"
+#include "index/sensing_index.h"
 #include "model/cone_sensor.h"
 #include "model/spherical_sensor.h"
 #include "pf/belief.h"
@@ -67,6 +69,61 @@ void BM_RStarTreeQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RStarTreeQuery)->Arg(1000)->Arg(10000)->Arg(100000);
+
+/// The sensing-region index under a reader sweeping a 30 ft span back and
+/// forth at 0.1 ft an epoch: one Insert plus one Probe (the filter's
+/// per-epoch index work) with a radius-4.5 box, recording the objects
+/// within it (one every 0.2 ft, about 45 per box). Each timed iteration
+/// runs one more sweep on a copy of the index left by range(0) sweeps.
+/// per_epoch is the wall time of one Insert plus Probe; entries is the
+/// entry count the sweep starts from.
+void BM_IndexRevisit(benchmark::State& state) {
+  constexpr int kSweepEpochs = 300;
+  constexpr double kRadius = 4.5;
+  const auto box_at = [](int k) {
+    return Aabb::FromCenterRadius({0.0, 0.1 * k, 0.0}, kRadius);
+  };
+  std::vector<std::vector<uint32_t>> slots_at(kSweepEpochs);
+  for (int k = 0; k < kSweepEpochs; ++k) {
+    for (uint32_t obj = 0; obj <= 150; ++obj) {
+      if (std::abs(0.2 * obj - 0.1 * k) <= kRadius) {
+        slots_at[k].push_back(obj);
+      }
+    }
+  }
+  // Epoch e of a sweep: forward on even sweeps, back on odd ones.
+  const auto position = [](int sweep, int e) {
+    return sweep % 2 == 0 ? e : kSweepEpochs - 1 - e;
+  };
+  const auto sweeps = static_cast<int>(state.range(0));
+  SensingRegionIndex base;
+  for (int sweep = 0; sweep < sweeps; ++sweep) {
+    for (int e = 0; e < kSweepEpochs; ++e) {
+      const int k = position(sweep, e);
+      base.Insert(box_at(k), slots_at[k]);
+    }
+  }
+  SensingRegionIndex::ProbeScratch scratch;
+  std::vector<uint32_t> candidates;
+  for (auto _ : state) {
+    state.PauseTiming();
+    SensingRegionIndex index = base;
+    state.ResumeTiming();
+    for (int e = 0; e < kSweepEpochs; ++e) {
+      const int k = position(sweeps, e);
+      candidates.clear();
+      index.Probe(box_at(k), &scratch, &candidates);
+      index.Insert(box_at(k), slots_at[k]);
+      benchmark::DoNotOptimize(candidates.data());
+    }
+  }
+  const auto epochs = static_cast<double>(state.iterations() * kSweepEpochs);
+  state.SetItemsProcessed(static_cast<int64_t>(epochs));
+  state.counters["per_epoch"] = benchmark::Counter(
+      epochs, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["entries"] = static_cast<double>(base.num_entries());
+}
+BENCHMARK(BM_IndexRevisit)->Arg(1)->Arg(50);
 
 template <ResampleScheme kScheme>
 void BM_Resample(benchmark::State& state) {

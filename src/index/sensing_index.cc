@@ -1,50 +1,90 @@
 #include "index/sensing_index.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace rfid {
 
 namespace {
-/// Consecutive epoch boxes whose centers moved less than this fraction of
-/// the box radius merge into one entry.
+/// A box merges into an entry whose center lies within this fraction of the
+/// box's xy radius of the box's center.
 constexpr double kMergeDistanceFraction = 0.25;
+
+void SortUnique(std::vector<uint32_t>* slots) {
+  std::sort(slots->begin(), slots->end());
+  slots->erase(std::unique(slots->begin(), slots->end()), slots->end());
+}
 }  // namespace
 
 void SensingRegionIndex::Insert(const Aabb& box,
                                 const std::vector<uint32_t>& object_slots) {
-  if (last_entry_ >= 0) {
-    Entry& last = entries_[last_entry_];
-    const Vec3 d = box.Center() - last.box.Center();
-    const double radius = 0.5 * std::max({box.Extent().x, box.Extent().y, 1e-9});
-    if (d.Norm() < kMergeDistanceFraction * radius) {
-      // Merge into the previous entry: union the object sets. The entry box
-      // stays as inserted into the tree (boxes this close are interchangeable
-      // for probing; the small positional slack is covered by the overlap of
-      // neighbouring entries along the reader path).
-      std::vector<uint32_t> merged;
-      merged.reserve(last.object_slots.size() + object_slots.size());
-      std::vector<uint32_t> incoming = object_slots;
-      std::sort(incoming.begin(), incoming.end());
-      std::set_union(last.object_slots.begin(), last.object_slots.end(),
-                     incoming.begin(), incoming.end(),
-                     std::back_inserter(merged));
-      merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-      last.object_slots = std::move(merged);
-      last.hib_cache_gen = 0;  // Slot set changed; cached verdict is stale.
-      return;
-    }
+  const double radius = 0.5 * std::max({box.Extent().x, box.Extent().y, 1e-9});
+  Entry* target = MergeTarget(box.Center(), kMergeDistanceFraction * radius);
+  if (target != nullptr) {
+    // The entry box stays as inserted into the tree (boxes this close are
+    // interchangeable for probing; the small positional slack is covered by
+    // the overlap of neighbouring entries along the reader path).
+    MergeInto(target, object_slots);
+    return;
   }
+  std::vector<uint32_t> slots = object_slots;
+  SortUnique(&slots);
+  RestoreEntry(box, std::move(slots));
+}
+
+void SensingRegionIndex::RestoreEntry(const Aabb& box,
+                                      std::vector<uint32_t> object_slots) {
+  const auto id = static_cast<uint64_t>(entries_.size());
   Entry entry;
   entry.box = box;
-  entry.object_slots = object_slots;
-  std::sort(entry.object_slots.begin(), entry.object_slots.end());
-  entry.object_slots.erase(
-      std::unique(entry.object_slots.begin(), entry.object_slots.end()),
-      entry.object_slots.end());
-  const auto id = static_cast<uint64_t>(entries_.size());
+  entry.object_slots = std::move(object_slots);
   entries_.push_back(std::move(entry));
   tree_.Insert(box, id);
-  last_entry_ = static_cast<int>(id);
+}
+
+SensingRegionIndex::Entry* SensingRegionIndex::MergeTarget(const Vec3& center,
+                                                           double reach) {
+  if (entries_.empty()) return nullptr;
+  // The newest entry first: a reader moving on merges into the box it made
+  // last.
+  if ((center - entries_.back().box.Center()).Norm() < reach) {
+    return &entries_.back();
+  }
+  // Otherwise the nearest entry within reach. A qualifying center lies in
+  // the cube of half-side `reach` around `center` (each coordinate's
+  // difference is at most the distance), and every entry box holds its own
+  // center, so the cube query misses none of them. Ordering (distance, id)
+  // sends ties to the lower id, whatever order the tree returns the hits
+  // in; starting from (reach, 0) admits only distances below reach.
+  const Vec3 half{reach, reach, reach};
+  merge_hits_.clear();
+  tree_.Query(Aabb(center - half, center + half), &merge_hits_);
+  std::pair<double, uint64_t> best{reach, 0};
+  Entry* nearest = nullptr;
+  for (uint64_t id : merge_hits_) {
+    const std::pair<double, uint64_t> key{
+        (center - entries_[id].box.Center()).Norm(), id};
+    if (key < best) {
+      best = key;
+      nearest = &entries_[id];
+    }
+  }
+  return nearest;
+}
+
+void SensingRegionIndex::MergeInto(Entry* entry,
+                                   const std::vector<uint32_t>& object_slots) {
+  incoming_.assign(object_slots.begin(), object_slots.end());
+  SortUnique(&incoming_);
+  merged_.clear();
+  std::set_union(entry->object_slots.begin(), entry->object_slots.end(),
+                 incoming_.begin(), incoming_.end(),
+                 std::back_inserter(merged_));
+  // A reader loitering over an entry mostly records slots it holds already;
+  // then the slot set, and its cached hibernation verdict, stay as they are.
+  if (merged_.size() == entry->object_slots.size()) return;
+  entry->object_slots.swap(merged_);
+  entry->hib_cache_gen = 0;  // Slot set changed; cached verdict is stale.
 }
 
 void SensingRegionIndex::SetSlotHibernated(uint32_t slot, bool hibernated) {

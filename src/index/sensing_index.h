@@ -10,6 +10,10 @@
 // new box to retrieve the Case-2 candidates: objects read before near the
 // current reader location. Objects never recorded near the current location
 // (Case 4) are skipped entirely — their read probability is rounded to zero.
+//
+// A box centered near an existing entry merges into it (see Insert), so the
+// index grows with the ground the reader has covered: a reader loitering
+// over an aisle, or passing it again, adds no entries and no probe work.
 #pragma once
 
 #include <cstdint>
@@ -23,10 +27,19 @@ namespace rfid {
 class SensingRegionIndex {
  public:
   /// Records that the objects in `object_slots` were processed while the
-  /// sensing region covered `box`. A box whose center lies within a quarter
-  /// box-radius of the previous entry's is merged into that entry, keeping
-  /// the entry count proportional to path length instead of epoch count.
+  /// sensing region covered `box`. The slots merge into an existing entry
+  /// whose center lies within a quarter of the box's xy radius of the box's
+  /// center: the newest entry when it qualifies, else the nearest one (ties
+  /// to the lower entry id). A new entry is made only when none qualifies,
+  /// so the entry count grows with the ground covered, not with the epochs
+  /// spent on it: a reader loitering over a span, or passing it again,
+  /// adds no entries. The choice reads only the entries in insertion order,
+  /// which is what a snapshot restores.
   void Insert(const Aabb& box, const std::vector<uint32_t>& object_slots);
+
+  /// Appends a saved entry as it was, merging nothing (snapshot restore).
+  /// `object_slots` must be sorted and deduplicated.
+  void RestoreEntry(const Aabb& box, std::vector<uint32_t> object_slots);
 
   /// Caller-provided probe buffers: the R*-tree hit list plus a per-slot
   /// stamp array used as an O(1) "seen this probe" mask (stamps survive
@@ -81,9 +94,20 @@ class SensingRegionIndex {
   /// until the next hibernation-state transition).
   bool EntryAllHibernated(const Entry& e) const;
 
+  /// The entry Insert merges a box centered at `center` into, or null: see
+  /// Insert for the rule.
+  Entry* MergeTarget(const Vec3& center, double reach);
+  /// Unions `object_slots` into `entry`'s slot set.
+  void MergeInto(Entry* entry, const std::vector<uint32_t>& object_slots);
+
   RStarTree tree_;
-  std::vector<Entry> entries_;
-  int last_entry_ = -1;  ///< Candidate for merge with the next insert.
+  std::vector<Entry> entries_;  ///< In insertion order, the newest last.
+
+  // Insert's reused buffers: the R*-tree hits of the merge search and the
+  // sorted incoming and merged slot sets.
+  std::vector<uint64_t> merge_hits_;
+  std::vector<uint32_t> incoming_;
+  std::vector<uint32_t> merged_;
 
   std::vector<uint8_t> hibernated_;  ///< Per-slot hibernation bit.
   /// Bumped on every hibernation-state transition; entry caches keyed on it

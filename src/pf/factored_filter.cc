@@ -955,11 +955,15 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
 
   // Case 2: objects not read now but recorded near the current location.
   // Probed through the filter-owned scratch (epoch-stamped seen mask + hit
-  // buffer) so the per-epoch probe allocates nothing.
+  // buffer) so the per-epoch probe allocates nothing. The probe's time is
+  // index work: it is charged to the index's stage, not to the weighting.
   std::vector<uint32_t>& case2 = scratch_case2_;
   case2.clear();
+  uint64_t probe_ns = 0;
   if (config_.use_spatial_index) {
+    const uint64_t probe_start = telemetry ? MonotonicNanos() : 0;
     index_.Probe(sensing_box, &probe_scratch_, &case2);
+    if (telemetry) probe_ns = MonotonicNanos() - probe_start;
   } else {
     // Without the index the filter must touch every tracked object.
     case2.reserve(states_.size());
@@ -1098,18 +1102,21 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
     const uint64_t t_end = MonotonicNanos();
     // Syncs run inside the weighting (Case-1/Case-2 touches), the reader
     // resample (the history cap) and the compression stage (fits); report
-    // them as their own stage and take each out of the stage it ran in, so
-    // the stages add up to the epoch.
+    // them as their own stage and take each out of the stage it ran in. The
+    // index probe runs inside the weighting too and moves to the stage that
+    // holds the index insert. So the stages add up to the epoch.
     stages_.weight =
-        static_cast<double>(t_weighted - t_start - remap_weighted) * 1e-9;
+        static_cast<double>(t_weighted - t_start - remap_weighted - probe_ns) *
+        1e-9;
     stages_.reader_resample =
         static_cast<double>(t_resampled - t_weighted -
                             (remap_resampled - remap_weighted)) *
         1e-9;
     stages_.remap_replay = static_cast<double>(remap_sync_ns_) * 1e-9;
-    stages_.compress = static_cast<double>(t_end - t_resampled -
-                                           (remap_sync_ns_ - remap_resampled)) *
-                       1e-9;
+    stages_.compress =
+        static_cast<double>(t_end - t_resampled -
+                            (remap_sync_ns_ - remap_resampled) + probe_ns) *
+        1e-9;
   }
 
   ++step_;

@@ -185,6 +185,8 @@ class FactoredParticleFilter final : public InferenceFilter {
   /// Reading never advances attachments, so a lagging slot's reader indices
   /// refer to the reader numbering of its last sync (RemapLag() > 0).
   const std::vector<ObjectState>& object_states() const { return states_; }
+  /// The sensing-region index (§IV-C), empty when use_spatial_index is off.
+  const SensingRegionIndex& sensing_index() const { return index_; }
   /// Reader resamples `state`'s attachments have not been resolved through,
   /// counted from the newest single-ancestor one at most (the records
   /// before it do not change the resolution).
@@ -234,14 +236,17 @@ class FactoredParticleFilter final : public InferenceFilter {
   /// zeros while obs::TelemetryEnabled() is false (no clocks are read),
   /// and never consulted by inference itself.
   struct EpochStageSeconds {
-    double weight = 0.0;          ///< Reader update + object weighting.
+    /// Reader update + object weighting (the index probe excluded).
+    double weight = 0.0;
     /// ResampleReaders, triggered by the reader ESS (on ~60% of epochs of
     /// a dense site).
     double reader_resample = 0.0;
     /// Remap resolution (the replayed draws), taken out of the stage it
     /// ran in.
     double remap_replay = 0.0;
-    double compress = 0.0;        ///< Index + compression + hibernation.
+    /// Index (the Case-2 probe and the insert) + compression +
+    /// hibernation.
+    double compress = 0.0;
   };
   const EpochStageSeconds& last_epoch_stages() const { return stages_; }
 

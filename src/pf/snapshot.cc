@@ -615,13 +615,12 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
   RFID_RETURN_NOT_OK(ReadFramedSection(source, parse_body));
   RFID_RETURN_NOT_OK(serialize::VerifySection(source));
 
+  // Saved entries come back verbatim, in their order, through the
+  // non-merging RestoreEntry: re-inserting them could merge entries the
+  // writer kept apart (an older writer merged only into the newest entry),
+  // and the restored index must merge later boxes as the saved one would.
   SensingRegionIndex index;
-  for (const auto& [box, slots] : entries) index.Insert(box, slots);
-  // Saved entries were distinct when first inserted, so re-inserting them
-  // in order merges none; a merge means the boxes were tampered with.
-  if (index.num_entries() != entries.size()) {
-    return Status::Invalid("snapshot index entries overlap");
-  }
+  for (auto& [box, slots] : entries) index.RestoreEntry(box, std::move(slots));
   filter->rng_.RestoreState(rng_state);
   filter->particle_updates_.store(particle_updates,
                                   std::memory_order_relaxed);

@@ -8,8 +8,10 @@
 #include <memory>
 
 #include "model/reader_frame.h"
+#include "obs/metrics.h"
 #include "pf/factored_filter.h"
 #include "test_util.h"
+#include "util/stopwatch.h"
 
 namespace rfid {
 namespace {
@@ -127,6 +129,50 @@ TEST(FactoredFilterTest, DeterministicForFixedSeed) {
   };
   EXPECT_EQ(run(5), run(5));
   EXPECT_FALSE(run(5) == run(6));
+}
+
+TEST(FactoredFilterTest, StagesSplitTheEpochWithoutChangingIt) {
+  // The stage clocks (the index probe charged to `compress`, remap replay
+  // taken out of the stage it ran in) give non-negative stages that fit in
+  // the epoch's wall time; with telemetry off they read zero, and the
+  // estimates are the same either way.
+  const auto run = [](bool telemetry) {
+    obs::SetTelemetryEnabled(telemetry);
+    FactoredFilterConfig c = SmallConfig();
+    c.compression.mode = CompressionMode::kUnseenEpochs;
+    c.compression.compress_after_epochs = 5;
+    FactoredParticleFilter filter(MakeLineWorld(), c);
+    ConeSensorModel sensor;
+    Rng rng(41);
+    const Vec3 object{1.5, 3.0, 0.0};
+    for (int t = 0; t < 60; ++t) {
+      // Up the aisle and back, so probes meet entries of both legs.
+      const double y = t < 30 ? 0.1 * t : 0.1 * (60 - t);
+      std::vector<TagId> tags;
+      if (rng.Bernoulli(sensor.ProbReadAt(Pose({0.0, y, 0.0}, 0.0), object))) {
+        tags.push_back(1000);
+      }
+      const uint64_t start = MonotonicNanos();
+      filter.ObserveEpoch(MakeEpoch(t, y, tags));
+      const double wall = static_cast<double>(MonotonicNanos() - start) * 1e-9;
+      const auto& stages = filter.last_epoch_stages();
+      const double parts[] = {stages.weight, stages.reader_resample,
+                              stages.remap_replay, stages.compress};
+      double sum = 0.0;
+      for (double part : parts) {
+        if (telemetry) {
+          EXPECT_GE(part, 0.0) << "epoch " << t;
+        } else {
+          EXPECT_EQ(part, 0.0) << "epoch " << t;
+        }
+        sum += part;
+      }
+      EXPECT_LE(sum, wall + 1e-9) << "epoch " << t;
+    }
+    obs::SetTelemetryEnabled(true);
+    return filter.EstimateObject(1000)->mean;
+  };
+  EXPECT_EQ(run(true), run(false));
 }
 
 TEST(FactoredFilterTest, SpatialIndexVariantTracksLikeFullProcessing) {

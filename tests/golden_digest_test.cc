@@ -78,6 +78,10 @@ struct Scenario {
   /// What the run must reach to cover what it pins: the compressed and
   /// hibernated tiers, or (with compression off) the remap history cap.
   bool sweeps_history_cap = false;
+  /// First epoch of a pass over ground the reader has covered (0: none).
+  /// From there on, sensing boxes merge into the index entries the earlier
+  /// pass made, so the pass adds none.
+  size_t revisit_from = 0;
 };
 
 /// Settings shared by the scenarios: compression of objects unprocessed for
@@ -146,6 +150,39 @@ Scenario WarehouseScenario() {
                           options);
   };
   s.config = BaseConfig(21);
+  return s;
+}
+
+/// WarehouseScenario's layout scanned in two rounds: the robot comes back
+/// down the aisle over the ground of its first pass (its motion model
+/// predicts no drift, so it serves both directions). The return pass's
+/// sensing boxes merge into the first pass's index entries, not only into
+/// the newest one, and it reads again tags that hibernated in between.
+Scenario RevisitScenario() {
+  WarehouseConfig wc;
+  wc.num_shelves = 2;
+  wc.objects_per_shelf = 15;
+  wc.shelf_tags_per_shelf = 2;
+  auto layout = BuildWarehouse(wc);
+  EXPECT_TRUE(layout.ok());
+  RobotConfig robot;
+  robot.rounds = 2;
+  TraceGenerator gen(layout.value(), robot, {}, ConeSensorModel(), 8);
+  const SimulatedTrace trace = gen.Generate();
+  Scenario s;
+  s.epochs = trace.ObservationsOnly();
+  for (const ObjectPlacement& o : layout.value().objects) {
+    s.tags.push_back(o.tag);
+  }
+  s.make_model = [layout = layout.value()] {
+    ExperimentModelOptions options;
+    options.motion.delta = {};
+    options.motion.sigma = {0.02, 0.05, 0.0};
+    return MakeWorldModel(layout, std::make_unique<ConeSensorModel>(),
+                          options);
+  };
+  s.config = BaseConfig(21);
+  s.revisit_from = s.epochs.size() / 2;
   return s;
 }
 
@@ -224,7 +261,12 @@ uint64_t RunDigest(const Scenario& s, int num_threads,
   size_t cap_sweeps = 0;
   size_t restored_with_pending = 0;
   size_t most_restored = 0;
-  for (const SyncedEpoch& epoch : s.epochs) {
+  size_t first_pass_entries = 0;
+  for (size_t e = 0; e < s.epochs.size(); ++e) {
+    const SyncedEpoch& epoch = s.epochs[e];
+    if (e == s.revisit_from) {
+      first_pass_entries = filter.sensing_index().num_entries();
+    }
     engine.value()->ProcessEpoch(epoch);
     reached_compressed |= filter.NumCompressedObjects() > 0;
     const size_t now = filter.pending_remaps();
@@ -261,6 +303,11 @@ uint64_t RunDigest(const Scenario& s, int num_threads,
     EXPECT_GT(filter.NumHibernatedObjects(), 0u);
   }
   EXPECT_GT(filter.remap_resolves(), 0u);
+  if (s.revisit_from > 0) {
+    // The pass over covered ground adds no index entry.
+    EXPECT_GT(first_pass_entries, 0u);
+    EXPECT_EQ(filter.sensing_index().num_entries(), first_pass_entries);
+  }
   // A good share of the restores must carry pending remaps, or the round
   // trip proves little about them.
   if (read_every_epoch) {
@@ -364,6 +411,27 @@ TEST(GoldenDigestTest, ReadsAndSnapshotRoundTripsDoNotPerturb) {
     EXPECT_EQ(unclipped_digest, kLabUnclippedGolden)
         << "threads=" << threads << " digest=0x" << std::hex
         << unclipped_digest;
+  }
+}
+
+// Recorded when a sensing box began to merge into the nearest index entry
+// within reach, not only into the newest one (the previous rule reads
+// 0xcd67ecea045316db here: its return pass makes a second entry for every
+// stretch of the aisle, and Case-2 probes meet those boxes instead).
+constexpr uint64_t kRevisitGolden = 0xaee316f66c782de1ULL;
+
+TEST(GoldenDigestTest, RevisitedAisle) {
+  // The return pass merges into the first pass's entries; the digest holds
+  // at one thread and at four, and with a save/load after every epoch, so
+  // restored entries take later merges exactly as the running index does.
+  const Scenario s = RevisitScenario();
+  for (int threads : {1, 4}) {
+    for (bool read_every_epoch : {false, true}) {
+      const uint64_t digest = RunDigest(s, threads, read_every_epoch);
+      EXPECT_EQ(digest, kRevisitGolden)
+          << "threads=" << threads << " read_every_epoch=" << read_every_epoch
+          << " digest=0x" << std::hex << digest;
+    }
   }
 }
 

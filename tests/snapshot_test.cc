@@ -354,6 +354,42 @@ TEST(SnapshotTest, LoadsV6Snapshots) {
   ExpectSameEstimates(from_v6, from_v7);
 }
 
+TEST(SnapshotTest, RestoresARevisitingFilterVerbatim) {
+  // Recorded by the release whose index merged a box only into its newest
+  // entry, from Config()'s filter over 80 epochs: the reader scans 4 ft up
+  // the aisle at 0.1 ft an epoch and comes back over the same ground, tags
+  // 1000 and 1001 (at y = 1 and 3 ft) read through the cone with Rng(10)
+  // as in Drive(). The return leg's entries lie within merge reach of the
+  // first leg's: re-inserting them would fold them together. They are restored as
+  // saved instead, so the filter re-saves byte for byte, and boxes that come
+  // after the restore merge into the restored entries.
+  const std::string bytes = Fixture("snapshot_v7_revisit.bin");
+  ASSERT_EQ(bytes.size(), 5772u);
+  ASSERT_EQ(Crc32(bytes.data(), bytes.size()), 0x7CDE79D2u);
+  ASSERT_EQ(VersionOf(bytes), 7u);
+
+  std::stringstream in(bytes);
+  FactoredParticleFilter restored(MakeLineWorld(), Config());
+  ASSERT_TRUE(LoadFilterSnapshot(in, &restored).ok());
+  EXPECT_EQ(restored.current_step(), 80);
+  EXPECT_EQ(Resave(restored), bytes);
+
+  const SensingRegionIndex& index = restored.sensing_index();
+  SensingRegionIndex reinserted;
+  index.ForEachEntry(
+      [&reinserted](const Aabb& box, const std::vector<uint32_t>& slots) {
+        reinserted.Insert(box, slots);
+      });
+  const size_t entries = index.num_entries();
+  EXPECT_LT(reinserted.num_entries(), entries);
+
+  // A third leg over the same ground adds no entry.
+  for (int t = 80; t < 110; ++t) {
+    restored.ObserveEpoch(MakeEpoch(t, 0.1 * (t - 80), {1000}));
+  }
+  EXPECT_EQ(index.num_entries(), entries);
+}
+
 /// Where the first particle block with particles starts in a v6 or v7
 /// snapshot: the offset of its first run's length varint, found by walking
 /// the readers and the object states before it.
