@@ -10,18 +10,30 @@
 //                       seed's engine default: factored + spatial index),
 //   elastic           — budgets resize in [min, num] with posterior spread,
 //   elastic+hibernate — plus the idle-tag hibernation tier.
+// The three filters loiter side by side in kLoiterRepetitions interleaved
+// repetitions: each row runs its share of the loiter epochs in turn, and
+// the speed gate takes the median of the per-repetition ratios. Host drift
+// then hits the rows of a repetition alike, and one disturbed repetition
+// cannot decide the gate. Timing the rows one after another compared two
+// moments of the host: on a shared 4-vCPU host the fixed row alone read
+// 69-125 epochs/s from run to run. Shorter turns cost the rows their warm
+// caches: turns of 8 epochs read the ratio ~8% below whole-loiter turns.
 //
 // Gates (exit 1 on violation — wired into CI like bench_queries):
-//   * loiter epochs/sec of elastic+hibernate >= 5x fixed;
+//   * loiter epochs/sec of elastic+hibernate >= 5x fixed (the median of
+//     the repetitions' ratios);
 //   * mean XY error on the active tags within 5% (+0.05 ft noise floor)
 //     of the fixed-budget baseline;
 //   * the idle tail actually hibernates;
-//   * the elastic rows hold < 0.3x the fixed row's capacity (the periodic
-//     shrink sweep must reclaim what shrunk budgets stranded).
+//   * the elastic rows hold < 0.3x the fixed row's particle storage, both
+//     at the end and at the peak of the priming sweep (sampled after every
+//     epoch): storage follows the budgets down as they shrink, not later.
 // Results land in BENCH_elastic.json.
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "bench_util.h"
 #include "model/spherical_sensor.h"
@@ -37,6 +49,8 @@ namespace {
 constexpr double kPrimeReadThreshold = 0.1;
 constexpr double kPrimeStepFeet = 3.0;
 constexpr double kLoiterStepFeet = 2.0;
+/// Interleaved repetitions of the loiter phase (see the header).
+constexpr int kLoiterRepetitions = 3;
 
 SphericalSensorParams TrueSensorParams() {
   SphericalSensorParams p;
@@ -121,87 +135,126 @@ struct RunResult {
   size_t compressed_objects = 0;
   size_t hibernated_objects = 0;
   double memory_mb = 0.0;
+  double peak_memory_mb = 0.0;  ///< Largest after any priming epoch.
 };
 
-RunResult RunConfig(const Scenario& s, bool elastic, bool hibernate,
-                    int loiter_epochs) {
-  ExperimentModelOptions options;
-  options.motion.delta = {};
-  options.motion.sigma = {0.05, 0.15, 0.0};
+double ToMb(size_t bytes) { return bytes / (1024.0 * 1024.0); }
 
-  FactoredFilterConfig config;
-  config.num_reader_particles = 60;
-  config.num_object_particles = 1000;
-  config.seed = 71;
-  if (elastic) config.min_object_particles = 50;
-  if (hibernate) {
-    // The horizon sits above the loiter's ~55-epoch revisit period: tags
-    // the reader keeps coming back to stay awake, only the genuinely idle
-    // tail parks. Revivals restart at the elastic floor rather than the
-    // paper's 10 — duplicating 10 ancestors up to a 50-particle budget
-    // costs diversity exactly where the posterior was just a summary.
-    config.compression.hibernate_after_epochs = 60;
-    config.num_decompress_particles = 50;
-  }
+/// One configuration's filter and its place in the scenario. Its loiter
+/// stream (reader path and read rolls) is its own, so interleaving rows
+/// leaves each row's readings identical to running it alone.
+class ConfigRun {
+ public:
+  ConfigRun(const Scenario& s, bool elastic, bool hibernate)
+      : s_(s),
+        true_sensor_(TrueSensorParams()),
+        filter_(MakeWorldModel(s.layout,
+                               std::make_unique<SphericalSensorModel>(
+                                   TrueSensorParams()),
+                               ModelOptions()),
+                FilterConfig(elastic, hibernate)) {}
 
-  SphericalSensorModel true_sensor(TrueSensorParams());
-  FactoredParticleFilter filter(
-      MakeWorldModel(s.layout,
-                     std::make_unique<SphericalSensorModel>(TrueSensorParams()),
-                     options),
-      config);
-  int64_t step = 0;
-
-  // Priming sweep: one deterministic inventory pass over the whole site so
-  // every tag is tracked (identical for all configurations; untimed).
-  const double extent = s.layout.TotalYExtent();
-  for (double y = 0.0; y <= extent; y += kPrimeStepFeet, ++step) {
-    filter.ObserveEpoch(
-        EpochAt(step, y, ReadingsAt(s, true_sensor, y, nullptr)));
-  }
-
-  // Steady state: loiter over the active span — this is the measured phase.
-  Rng rng(99);
-  const uint64_t updates_before = filter.particle_updates();
-  Stopwatch watch;
-  double y = 0.0;
-  double direction = 1.0;
-  for (int k = 0; k < loiter_epochs; ++k, ++step) {
-    y += kLoiterStepFeet * direction;
-    if (y > s.active_span) {
-      y = s.active_span;
-      direction = -1.0;
-    } else if (y < 0.0) {
-      y = 0.0;
-      direction = 1.0;
+  /// Priming sweep: one deterministic inventory pass over the whole site so
+  /// every tag is tracked (identical for all configurations; untimed).
+  /// Samples the filter's particle storage after every epoch.
+  void Prime() {
+    const double extent = s_.layout.TotalYExtent();
+    for (double y = 0.0; y <= extent; y += kPrimeStepFeet, ++step_) {
+      filter_.ObserveEpoch(
+          EpochAt(step_, y, ReadingsAt(s_, true_sensor_, y, nullptr)));
+      peak_bytes_ = std::max(peak_bytes_, filter_.ApproxMemoryBytes());
     }
-    filter.ObserveEpoch(EpochAt(step, y, ReadingsAt(s, true_sensor, y, &rng)));
+    updates_before_loiter_ = filter_.particle_updates();
   }
-  RunResult result;
-  result.loiter_seconds = watch.ElapsedSeconds();
-  result.epochs_per_sec =
-      result.loiter_seconds > 0 ? loiter_epochs / result.loiter_seconds : 0.0;
-  result.particles_per_sec =
-      result.loiter_seconds > 0
-          ? static_cast<double>(filter.particle_updates() - updates_before) /
-                result.loiter_seconds
-          : 0.0;
 
-  ErrorStats err;
-  for (TagId tag : s.active_tags) {
-    const auto est = filter.EstimateObject(tag);
-    if (!est.has_value()) continue;
-    err.Add(est->mean, s.truth.at(tag));
+  /// Steady state: `epochs` more epochs loitering over the active span —
+  /// the measured phase. Returns their wall time.
+  double Loiter(int epochs) {
+    Stopwatch watch;
+    for (int k = 0; k < epochs; ++k, ++step_) {
+      y_ += kLoiterStepFeet * direction_;
+      if (y_ > s_.active_span) {
+        y_ = s_.active_span;
+        direction_ = -1.0;
+      } else if (y_ < 0.0) {
+        y_ = 0.0;
+        direction_ = 1.0;
+      }
+      filter_.ObserveEpoch(
+          EpochAt(step_, y_, ReadingsAt(s_, true_sensor_, y_, &rng_)));
+    }
+    const double seconds = watch.ElapsedSeconds();
+    loiter_seconds_ += seconds;
+    loiter_epochs_ += epochs;
+    return seconds;
   }
-  result.mean_xy_active = err.MeanXY();
-  result.active_evaluated = err.count();
-  result.tracked = filter.NumTrackedObjects();
-  result.active_objects = filter.NumActiveObjects();
-  result.compressed_objects = filter.NumCompressedObjects();
-  result.hibernated_objects = filter.NumHibernatedObjects();
-  result.memory_mb = filter.ApproxMemoryBytes() / (1024.0 * 1024.0);
-  return result;
-}
+
+  RunResult Result() const {
+    RunResult result;
+    result.loiter_seconds = loiter_seconds_;
+    result.epochs_per_sec =
+        loiter_seconds_ > 0 ? loiter_epochs_ / loiter_seconds_ : 0.0;
+    result.particles_per_sec =
+        loiter_seconds_ > 0
+            ? static_cast<double>(filter_.particle_updates() -
+                                  updates_before_loiter_) /
+                  loiter_seconds_
+            : 0.0;
+    ErrorStats err;
+    for (TagId tag : s_.active_tags) {
+      const auto est = filter_.EstimateObject(tag);
+      if (!est.has_value()) continue;
+      err.Add(est->mean, s_.truth.at(tag));
+    }
+    result.mean_xy_active = err.MeanXY();
+    result.active_evaluated = err.count();
+    result.tracked = filter_.NumTrackedObjects();
+    result.active_objects = filter_.NumActiveObjects();
+    result.compressed_objects = filter_.NumCompressedObjects();
+    result.hibernated_objects = filter_.NumHibernatedObjects();
+    result.memory_mb = ToMb(filter_.ApproxMemoryBytes());
+    result.peak_memory_mb = ToMb(peak_bytes_);
+    return result;
+  }
+
+ private:
+  static ExperimentModelOptions ModelOptions() {
+    ExperimentModelOptions options;
+    options.motion.delta = {};
+    options.motion.sigma = {0.05, 0.15, 0.0};
+    return options;
+  }
+
+  static FactoredFilterConfig FilterConfig(bool elastic, bool hibernate) {
+    FactoredFilterConfig config;
+    config.num_reader_particles = 60;
+    config.num_object_particles = 1000;
+    config.seed = 71;
+    if (elastic) config.min_object_particles = 50;
+    if (hibernate) {
+      // The horizon sits above the loiter's ~55-epoch revisit period: tags
+      // the reader keeps coming back to stay awake, only the genuinely idle
+      // tail parks. Revivals restart at the elastic floor rather than the
+      // paper's 10 — duplicating 10 ancestors up to a 50-particle budget
+      // costs diversity exactly where the posterior was just a summary.
+      config.compression.hibernate_after_epochs = 60;
+      config.num_decompress_particles = 50;
+    }
+    return config;
+  }
+
+  const Scenario& s_;
+  SphericalSensorModel true_sensor_;
+  FactoredParticleFilter filter_;
+  int64_t step_ = 0;
+  size_t peak_bytes_ = 0;
+  uint64_t updates_before_loiter_ = 0;
+  Rng rng_{99};
+  double y_ = 0.0;
+  double direction_ = 1.0;
+  double loiter_seconds_ = 0.0;
+  int loiter_epochs_ = 0;
+};
 
 }  // namespace
 }  // namespace rfid
@@ -224,7 +277,7 @@ int main() {
 
   TableWriter table({"configuration", "epochs_per_sec", "particles_per_sec",
                      "mean_xy_active_ft", "active", "compressed",
-                     "hibernated", "memory_mb"});
+                     "hibernated", "memory_mb", "peak_memory_mb"});
   bench::BenchJson json("elastic");
 
   struct Config {
@@ -237,10 +290,26 @@ int main() {
       {"elastic", true, false},
       {"elastic+hibernate", true, true},
   };
+  std::vector<std::unique_ptr<ConfigRun>> runs;
+  for (const Config& c : configs) {
+    runs.push_back(
+        std::make_unique<ConfigRun>(scenario, c.elastic, c.hibernate));
+    runs.back()->Prime();
+  }
+  // Every row runs the same epochs in a repetition, so the ratio of its
+  // times is the ratio of its epochs/sec.
+  std::vector<double> speedups;
+  for (int rep = 0; rep < kLoiterRepetitions; ++rep) {
+    const int epochs = loiter_epochs * (rep + 1) / kLoiterRepetitions -
+                       loiter_epochs * rep / kLoiterRepetitions;
+    const double fixed_s = runs[0]->Loiter(epochs);
+    runs[1]->Loiter(epochs);
+    const double hibernate_s = runs[2]->Loiter(epochs);
+    speedups.push_back(hibernate_s > 0 ? fixed_s / hibernate_s : 0.0);
+  }
   RunResult results[3];
   for (int i = 0; i < 3; ++i) {
-    results[i] = RunConfig(scenario, configs[i].elastic, configs[i].hibernate,
-                           loiter_epochs);
+    results[i] = runs[i]->Result();
     const RunResult& r = results[i];
     (void)table.AddRow({configs[i].name, FormatDouble(r.epochs_per_sec, 1),
                         FormatDouble(r.particles_per_sec, 0),
@@ -248,7 +317,8 @@ int main() {
                         std::to_string(r.active_objects),
                         std::to_string(r.compressed_objects),
                         std::to_string(r.hibernated_objects),
-                        FormatDouble(r.memory_mb, 1)});
+                        FormatDouble(r.memory_mb, 1),
+                        FormatDouble(r.peak_memory_mb, 1)});
     json.BeginRow();
     json.Add("configuration", configs[i].name);
     json.Add("tags", static_cast<int>(scenario.layout.objects.size()));
@@ -263,31 +333,42 @@ int main() {
     json.Add("compressed_objects", r.compressed_objects);
     json.Add("hibernated_objects", r.hibernated_objects);
     json.Add("memory_mb", r.memory_mb);
+    json.Add("peak_memory_mb", r.peak_memory_mb);
   }
   bench::PrintTable(table);
 
-  const double speedup =
-      results[0].epochs_per_sec > 0
-          ? results[2].epochs_per_sec / results[0].epochs_per_sec
-          : 0.0;
+  std::vector<double> sorted = speedups;
+  std::sort(sorted.begin(), sorted.end());
+  const double speedup = sorted[sorted.size() / 2];
   const double accuracy_limit = results[0].mean_xy_active * 1.05 + 0.05;
-  // Elastic budgets shrink particle *counts*, but vector capacity stays at
-  // the high-water mark unless the off-hot-path reclaim sweep trims it —
-  // the elastic row used to hold ~20x its live particles in dead capacity.
-  // ApproxMemoryBytes reports capacity, so the gate asserts the sweep ran.
-  const double reclaim_limit = results[0].memory_mb * 0.3;
+  // Elastic budgets save memory only if storage follows the count.
+  // ApproxMemoryBytes reports capacity, and every resample sizes an
+  // object's storage to its new count, so the elastic rows must hold a
+  // fraction of the fixed row's storage at the end and at the priming
+  // sweep's peak — the moment the whole site was freshly initialized at
+  // the full budget and most objects were shrinking.
+  const double memory_limit = results[0].memory_mb * 0.3;
+  const double peak_limit = results[0].peak_memory_mb * 0.3;
   json.BeginRow();
   json.Add("configuration", "gates");
   json.Add("speedup_vs_fixed", speedup);
+  for (size_t rep = 0; rep < speedups.size(); ++rep) {
+    json.Add("speedup_repetition_" + std::to_string(rep), speedups[rep]);
+  }
   json.Add("accuracy_limit_ft", accuracy_limit);
   json.Add("accuracy_ft", results[2].mean_xy_active);
-  json.Add("reclaim_limit_mb", reclaim_limit);
+  json.Add("memory_limit_mb", memory_limit);
   json.Add("elastic_memory_mb", results[1].memory_mb);
+  json.Add("peak_limit_mb", peak_limit);
+  json.Add("elastic_peak_memory_mb", results[1].peak_memory_mb);
   bench::WriteBenchJson(json, "elastic");
 
-  std::printf("elastic+hibernate vs fixed: %.1fx epochs/sec "
-              "(gate >= 5x), mean XY %.3f vs limit %.3f ft\n",
-              speedup, results[2].mean_xy_active, accuracy_limit);
+  std::printf("elastic+hibernate vs fixed: %.1fx epochs/sec, the median of "
+              "repetitions",
+              speedup);
+  for (double r : speedups) std::printf(" %.2fx", r);
+  std::printf(" (gate >= 5x); mean XY %.3f vs limit %.3f ft\n",
+              results[2].mean_xy_active, accuracy_limit);
   bool ok = true;
   if (speedup < 5.0) {
     std::fprintf(stderr,
@@ -307,11 +388,18 @@ int main() {
     ok = false;
   }
   for (int i = 1; i < 3; ++i) {
-    if (results[i].memory_mb > reclaim_limit) {
+    if (results[i].memory_mb > memory_limit) {
       std::fprintf(stderr,
-                   "GATE FAILED: %s holds %.1f MB of capacity (> %.1f MB); "
-                   "the shrink sweep did not reclaim shrunk budgets\n",
-                   configs[i].name, results[i].memory_mb, reclaim_limit);
+                   "GATE FAILED: %s holds %.1f MB of particle storage at the "
+                   "end (> %.1f MB, 0.3x fixed)\n",
+                   configs[i].name, results[i].memory_mb, memory_limit);
+      ok = false;
+    }
+    if (results[i].peak_memory_mb > peak_limit) {
+      std::fprintf(stderr,
+                   "GATE FAILED: %s peaks at %.1f MB of particle storage "
+                   "while priming (> %.1f MB, 0.3x fixed)\n",
+                   configs[i].name, results[i].peak_memory_mb, peak_limit);
       ok = false;
     }
   }

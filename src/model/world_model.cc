@@ -57,15 +57,14 @@ bool WorldModel::IsShelfTag(TagId tag, Vec3* location) const {
   return true;
 }
 
-std::vector<const ShelfTag*> WorldModel::ShelfTagsNear(
-    const Vec3& position) const {
-  std::vector<const ShelfTag*> out;
+void WorldModel::ShelfTagsNear(const Vec3& position,
+                               std::vector<const ShelfTag*>* out) const {
+  out->clear();
   const double range = sensor_->MaxRange();
   const double range_sq = range * range;
   for (const ShelfTag& s : shelf_tags_) {
-    if ((s.location - position).NormSq() <= range_sq) out.push_back(&s);
+    if ((s.location - position).NormSq() <= range_sq) out->push_back(&s);
   }
-  return out;
 }
 
 }  // namespace rfid

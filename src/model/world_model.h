@@ -56,9 +56,11 @@ class WorldModel {
   /// Canonical entry for a shelf tag, or nullptr if `tag` is an object tag.
   const ShelfTag* FindShelfTag(TagId tag) const;
 
-  /// Shelf tags within `sensor().MaxRange()` of `position`. Used to restrict
-  /// the reader-weighting product to tags that carry information.
-  std::vector<const ShelfTag*> ShelfTagsNear(const Vec3& position) const;
+  /// Replaces `*out` with the shelf tags within `sensor().MaxRange()` of
+  /// `position`, reusing its storage. Used to restrict the reader-weighting
+  /// product to tags that carry information.
+  void ShelfTagsNear(const Vec3& position,
+                     std::vector<const ShelfTag*>* out) const;
 
  private:
   void RebuildShelfTagIndex();

@@ -33,7 +33,7 @@ struct EpochStageTimings {
   double weight = 0.0;       // reader+object weighting phases
   double resample = 0.0;     // reader resampling
   double remap = 0.0;        // lazy-remap replay inside attachment sync
-  double compress = 0.0;     // index + compression + hibernation + reclaim
+  double compress = 0.0;     // index + compression + hibernation
   double emit = 0.0;         // emitter OnEpoch
   double dispatch = 0.0;     // bus dispatch of the epoch's events
   uint32_t readings = 0;     // readings consumed by the epoch

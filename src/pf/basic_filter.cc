@@ -95,8 +95,8 @@ void BasicParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
   // missed. Processing *all* objects every epoch is exactly what makes the
   // basic filter unscalable.
   const ReaderEstimate reader_mean = EstimateReader();
-  const std::vector<const ShelfTag*> nearby_shelves =
-      model_.ShelfTagsNear(reader_mean.mean);
+  std::vector<const ShelfTag*> nearby_shelves;
+  model_.ShelfTagsNear(reader_mean.mean, &nearby_shelves);
   std::unordered_set<TagId> observed_shelf_ids;
   for (const ShelfTag* s : observed_shelves) observed_shelf_ids.insert(s->tag);
 

@@ -45,11 +45,6 @@ constexpr double kHibernateNegEvidenceProb = 0.5;
 constexpr double kReinitKeepFraction = 0.75;
 constexpr double kReinitFullFraction = 2.0;
 
-/// Every this-many epochs, trim the particle-vector capacity of objects
-/// whose elastic budget left them far below their old high-water
-/// allocation; the sweep is off the hot path.
-constexpr int64_t kShrinkIntervalEpochs = 64;
-
 /// Salt separating the reader-repoint streams from the update streams.
 constexpr uint64_t kRepointSalt = 0x5bd1e995u;
 
@@ -231,10 +226,18 @@ void FactoredParticleFilter::WeightReaders(
   // plausibly see; gather them once around a reference position.
   const Vec3 ref = epoch.has_location ? epoch.reported_location
                                       : EstimateReader().mean;
-  const std::vector<const ShelfTag*> nearby = model_.ShelfTagsNear(ref);
-  if (observed_shelves.empty() && nearby.empty()) return;
-  std::unordered_set<TagId> observed_ids;
-  for (const ShelfTag* s : observed_shelves) observed_ids.insert(s->tag);
+  // The nearby shelf tags that stayed silent, in the model's order.
+  std::vector<const ShelfTag*>& silent = scratch_silent_shelves_;
+  model_.ShelfTagsNear(ref, &silent);
+  silent.erase(std::remove_if(silent.begin(), silent.end(),
+                              [&observed_shelves](const ShelfTag* s) {
+                                for (const ShelfTag* o : observed_shelves) {
+                                  if (o->tag == s->tag) return true;
+                                }
+                                return false;
+                              }),
+               silent.end());
+  if (observed_shelves.empty() && silent.empty()) return;
 
   scratch_log_weights_.resize(readers_.size());
   for (size_t j = 0; j < readers_.size(); ++j) {
@@ -243,8 +246,7 @@ void FactoredParticleFilter::WeightReaders(
     for (const ShelfTag* s : observed_shelves) {
       lw += SafeLog(model_.sensor().ProbReadAt(pose, s->location));
     }
-    for (const ShelfTag* s : nearby) {
-      if (observed_ids.count(s->tag)) continue;
+    for (const ShelfTag* s : silent) {
       lw += SafeLog(1.0 - model_.sensor().ProbReadAt(pose, s->location));
     }
     scratch_log_weights_[j] = lw;
@@ -318,8 +320,7 @@ const std::vector<uint32_t>& FactoredParticleFilter::SampleAttachments(
 void FactoredParticleFilter::InitializeObjectParticles(ObjectState* state,
                                                        int count) {
   const std::vector<uint32_t>& attachments = SampleAttachments(count);
-  state->particles.clear();
-  state->particles.reserve(count);
+  state->particles.Reset(count);
   const double uniform = 1.0 / count;
   for (int k = 0; k < count; ++k) {
     const uint32_t reader_idx = attachments[k];
@@ -400,8 +401,7 @@ void FactoredParticleFilter::DecompressObject(ObjectState* state,
   const GaussianBelief belief = *state->compressed;
   const int count = config_.num_decompress_particles;
   const std::vector<uint32_t>& attachments = SampleAttachments(count);
-  state->particles.clear();
-  state->particles.reserve(count);
+  state->particles.Reset(count);
   const double uniform = 1.0 / count;
   for (int k = 0; k < count; ++k) {
     state->particles.PushBack(belief.Sample(rng_), attachments[k], uniform);
@@ -617,8 +617,10 @@ bool FactoredParticleFilter::UpdateObject(ObjectState* state, bool observed,
     const size_t count = resize ? target : n;
     ResampleAncestors(particles.weights(), n, count, config_.resample_scheme,
                       rng, &scratch->ancestors);
-    // Gather into the lane's scratch set, then swap the storage in;
-    // reader_idx pointers are preserved by the gather.
+    // Gather into the lane's scratch set, sized exactly to the count, then
+    // swap the storage in: the object's old arrays become the scratch, which
+    // the next gather reuses when its count matches (every gather under a
+    // fixed budget). reader_idx pointers are preserved by the gather.
     scratch->gathered.GatherFrom(particles, scratch->ancestors,
                                  1.0 / static_cast<double>(count));
     std::swap(particles, scratch->gathered);
@@ -670,13 +672,14 @@ void FactoredParticleFilter::ResampleReaders(
                     num_readers, config_.resample_scheme, rng_,
                     &scratch_ancestors_);
 
-  std::vector<ReaderParticle> next(num_readers);
+  std::vector<ReaderParticle>& next = scratch_readers_;
+  next.resize(num_readers);
   const double uniform = 1.0 / static_cast<double>(num_readers);
   for (size_t j = 0; j < num_readers; ++j) {
     next[j].pose = readers_[scratch_ancestors_[j]].pose;
     next[j].weight = uniform;
   }
-  readers_ = std::move(next);
+  readers_.swap(next);
 
   // Every active object particle must be remapped to a surviving copy of its
   // reader. Particles whose reader died are re-pointed to a random survivor:
@@ -802,23 +805,6 @@ void FactoredParticleFilter::DispatchObjectUpdates(
                            });
 }
 
-void FactoredParticleFilter::RunCapacityReclaim() {
-  if ((step_ + 1) % kShrinkIntervalEpochs != 0) return;
-  // Objects that settled at a small elastic budget (or compressed away their
-  // particles before the compression path existed to shrink them) keep their
-  // high-water vector capacity forever; release it when at least half the
-  // allocation — and enough of it to matter — is dead. Content-preserving
-  // and RNG-free, so estimates are untouched.
-  constexpr size_t kMinReclaimParticles = 64;
-  for (ObjectState& s : states_) {
-    const size_t n = s.particles.size();
-    const size_t cap = s.particles.CapacityParticles();
-    if (cap >= n + kMinReclaimParticles && cap >= 2 * n) {
-      s.particles.ShrinkToFit();
-    }
-  }
-}
-
 GaussianBelief FactoredParticleFilter::FitBelief(
     const ObjectState& state, std::vector<WeightedPoint>* points) const {
   points->clear();
@@ -871,8 +857,7 @@ void FactoredParticleFilter::RunCompression() {
     if (!selected_set.count(candidates[i].slot)) continue;
     ObjectState& state = states_[candidates[i].slot];
     state.compressed = fits[i];
-    state.particles.clear();
-    state.particles.ShrinkToFit();
+    state.particles.Reset(0);
   }
 }
 
@@ -897,8 +882,7 @@ void FactoredParticleFilter::RunHibernation() {
     ObjectState& state = states_[slot];
     if (!state.IsCompressed()) {
       state.compressed = FitBelief(state, &points);
-      state.particles.clear();
-      state.particles.ShrinkToFit();
+      state.particles.Reset(0);
     }
     state.hibernated = true;
     if (config_.use_spatial_index) {
@@ -924,8 +908,10 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
     PropagateReaders(epoch);
   }
 
-  std::vector<const ShelfTag*> observed_shelves;
-  std::vector<TagId> observed_objects;
+  std::vector<const ShelfTag*>& observed_shelves = scratch_observed_shelves_;
+  std::vector<TagId>& observed_objects = scratch_observed_objects_;
+  observed_shelves.clear();
+  observed_objects.clear();
   for (TagId tag : epoch.tags) {
     if (const ShelfTag* shelf = model_.FindShelfTag(tag)) {
       observed_shelves.push_back(shelf);
@@ -944,14 +930,18 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
       model_.sensor().SensingBounds(Pose(reader_ref, reader_est.heading));
 
   // --- Determine the processed object set (Fig. 4) -------------------------
-  // Case 1: objects read this epoch.
-  std::vector<uint32_t> case1;
-  std::unordered_set<uint32_t> case1_set;
-  for (TagId tag : observed_objects) {
-    const uint32_t slot = GetOrCreateSlot(tag);
-    case1.push_back(slot);
-    case1_set.insert(slot);
+  // Case 1: objects read this epoch, stamped in the per-slot mask that the
+  // Case-2 sweep tests membership against.
+  std::vector<uint32_t>& case1 = scratch_case1_;
+  case1.clear();
+  if (++case1_epoch_ == 0) {
+    // Stamp wrap-around: old stamps could alias the new id; reset them.
+    std::fill(case1_stamp_.begin(), case1_stamp_.end(), 0u);
+    case1_epoch_ = 1;
   }
+  for (TagId tag : observed_objects) case1.push_back(GetOrCreateSlot(tag));
+  case1_stamp_.resize(states_.size(), 0u);
+  for (uint32_t slot : case1) case1_stamp_[slot] = case1_epoch_;
 
   // Case 2: objects not read now but recorded near the current location.
   // Probed through the filter-owned scratch (epoch-stamped seen mask + hit
@@ -1020,7 +1010,7 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
   std::vector<uint32_t>& case2_updates = scratch_case2_updates_;
   case2_updates.clear();
   for (uint32_t slot : case2) {
-    if (case1_set.count(slot)) continue;
+    if (case1_stamp_[slot] == case1_epoch_) continue;
     ObjectState& state = states_[slot];
     if (state.IsCompressed()) {
       // Revive only when the miss is informative at the object's belief.
@@ -1044,8 +1034,8 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
   // draws from its own (seed, slot, step) stream.
   SyncReaderAttachments(case2_updates);
   DispatchObjectUpdates(case2_updates);
-  std::vector<uint32_t> processed = case1;
-  processed.reserve(case1.size() + case2_updates.size());
+  std::vector<uint32_t>& processed = scratch_processed_;
+  processed.assign(case1.begin(), case1.end());
   for (uint32_t slot : case2_updates) {
     states_[slot].last_processed_step = step_;
     processed.push_back(slot);
@@ -1076,8 +1066,8 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
     // Record only objects that actually have a particle within the sensing
     // box (Fig. 4(b)); otherwise Case-2 objects would be dragged along the
     // reader path forever and never leave scope.
-    std::vector<uint32_t> in_box;
-    in_box.reserve(processed.size());
+    std::vector<uint32_t>& in_box = scratch_in_box_;
+    in_box.clear();
     for (uint32_t slot : processed) {
       const ObjectState& state = states_[slot];
       if (!state.IsCompressed() &&
@@ -1093,7 +1083,6 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
   // deeper tier collapses whatever has been unread long enough.
   RunCompression();
   RunHibernation();
-  RunCapacityReclaim();
   // Records this epoch's syncs left unneeded go now, so the filter never
   // holds (or saves) a remap no slot still needs.
   PruneRemapHistory();

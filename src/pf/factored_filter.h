@@ -17,8 +17,8 @@
 //    collapse to a Gaussian and are revived with a small particle count when
 //    read again;
 //  * elastic budgets (min_object_particles): per-object particle counts
-//    resize with posterior spread, so a settled tag costs a fraction of an
-//    ambiguous one;
+//    resize with posterior spread, in storage sized to the count, so a
+//    settled tag costs a fraction of an ambiguous one;
 //  * hibernation (compression.hibernate_after_epochs): tags unread for long
 //    enough collapse to a Gaussian summary and leave the epoch sweep
 //    entirely, reviving on the next read or strong negative evidence —
@@ -83,8 +83,9 @@ struct FactoredFilterConfig {
   /// a fresh/ambiguous state keeps the full budget. Resizing rides the
   /// existing resample machinery (a systematic resample to the target count
   /// from the slot's private RNG stream), so estimates stay deterministic at
-  /// a fixed seed and at any thread count. 0 disables elastic budgets (every
-  /// object keeps num_object_particles, the seed behavior).
+  /// a fixed seed and at any thread count; its gather allocates exactly the
+  /// new count, so memory follows the budget at once. 0 disables elastic
+  /// budgets (every object keeps num_object_particles, the seed behavior).
   int min_object_particles = 0;
 
   ResampleScheme resample_scheme = ResampleScheme::kSystematic;
@@ -260,7 +261,9 @@ class FactoredParticleFilter final : public InferenceFilter {
   struct UpdateScratch {
     std::vector<double> probs;        ///< Batched likelihoods.
     std::vector<uint32_t> ancestors;  ///< Resampling output.
-    ParticleSoa gathered;             ///< Resampling gather target.
+    /// Resampling gather target; between gathers it holds the arrays the
+    /// last gather swapped out of an object.
+    ParticleSoa gathered;
   };
 
   void InitializeReaders(const SyncedEpoch& epoch);
@@ -331,11 +334,6 @@ class FactoredParticleFilter final : public InferenceFilter {
   /// Fans UpdateObject over the Case-2 slots in cost-balanced chunks
   /// claimed by work stealing.
   void DispatchObjectUpdates(const std::vector<uint32_t>& slots);
-
-  /// Off-hot-path capacity reclaim, every few dozen epochs: releases the
-  /// high-water vector capacity of objects whose elastic budget has settled
-  /// far below it.
-  void RunCapacityReclaim();
 
   /// Fits the current Gaussian to an object's particles (weights combined
   /// with reader weights, i.e. the true marginal), leaving those weighted
@@ -425,6 +423,21 @@ class FactoredParticleFilter final : public InferenceFilter {
   std::vector<uint32_t> scratch_case2_;
   std::vector<uint32_t> scratch_case2_updates_;
   std::vector<size_t> scratch_chunk_starts_;  ///< DispatchObjectUpdates.
+  std::vector<ReaderParticle> scratch_readers_;  ///< ResampleReaders.
+  std::vector<const ShelfTag*> scratch_silent_shelves_;  ///< WeightReaders.
+  // ObserveEpoch's per-epoch sets: the tags read, split into shelf tags and
+  // objects; the Case-1 slots; every slot processed; the processed slots
+  // recorded in the sensing index.
+  std::vector<const ShelfTag*> scratch_observed_shelves_;
+  std::vector<TagId> scratch_observed_objects_;
+  std::vector<uint32_t> scratch_case1_;
+  std::vector<uint32_t> scratch_processed_;
+  std::vector<uint32_t> scratch_in_box_;
+  /// Case-1 membership mask, epoch-stamped as in
+  /// SensingRegionIndex::ProbeScratch: slot s was read this epoch iff
+  /// case1_stamp_[s] == case1_epoch_, so no per-epoch set is built.
+  std::vector<uint32_t> case1_stamp_;
+  uint32_t case1_epoch_ = 0;
 };
 
 }  // namespace rfid

@@ -40,30 +40,23 @@ void MinMax(const std::vector<ParticleCoord>& v, double* out_min,
   *out_max = hi;
 }
 
+/// Empties `v` with capacity exactly `n`: a vector with no storage reserves
+/// exactly what it is asked for (libstdc++ and libc++ alike).
+template <typename T>
+void ResetExact(std::vector<T>* v, size_t n) {
+  if (v->capacity() != n) std::vector<T>().swap(*v);
+  v->clear();
+  v->reserve(n);
+}
+
 }  // namespace
 
-void ParticleSoa::clear() {
-  x_.clear();
-  y_.clear();
-  z_.clear();
-  reader_idx_.clear();
-  weight_.clear();
-}
-
-void ParticleSoa::reserve(size_t n) {
-  x_.reserve(n);
-  y_.reserve(n);
-  z_.reserve(n);
-  reader_idx_.reserve(n);
-  weight_.reserve(n);
-}
-
-void ParticleSoa::ShrinkToFit() {
-  x_.shrink_to_fit();
-  y_.shrink_to_fit();
-  z_.shrink_to_fit();
-  reader_idx_.shrink_to_fit();
-  weight_.shrink_to_fit();
+void ParticleSoa::Reset(size_t capacity) {
+  ResetExact(&x_, capacity);
+  ResetExact(&y_, capacity);
+  ResetExact(&z_, capacity);
+  ResetExact(&reader_idx_, capacity);
+  ResetExact(&weight_, capacity);
 }
 
 void ParticleSoa::PushBack(const Vec3& position, uint32_t reader_idx,
@@ -93,8 +86,7 @@ Aabb ParticleSoa::ComputeBounds() const {
 void ParticleSoa::GatherFrom(const ParticleSoa& src,
                              const std::vector<uint32_t>& ancestors,
                              double uniform_weight) {
-  clear();
-  reserve(ancestors.size());
+  Reset(ancestors.size());
   for (uint32_t a : ancestors) {
     x_.push_back(src.x_[a]);
     y_.push_back(src.y_[a]);

@@ -67,15 +67,13 @@ class ParticleSoa {
   size_t size() const { return x_.size(); }
   bool empty() const { return x_.empty(); }
 
-  void clear();
-  void reserve(size_t n);
-  /// Trims each component vector's capacity to its size, preserving the
-  /// contents. Used both to release all storage when a compressed object
-  /// drops its particles and, on non-empty sets, by the off-hot-path
-  /// capacity-reclaim sweep for objects parked at the elastic floor.
-  void ShrinkToFit();
+  /// Empties the set and leaves its arrays room for exactly `capacity`
+  /// particles: it reuses them when that is already their capacity, else
+  /// releases them and reserves exactly. Reset(0) frees all storage.
+  void Reset(size_t capacity);
   /// Particle capacity of the component arrays (what ApproxMemoryBytes is
-  /// proportional to; the reclaim sweep compares this against size()).
+  /// proportional to). The filter sizes every set through Reset, so an
+  /// object's capacity equals its size() after every epoch.
   size_t CapacityParticles() const { return x_.capacity(); }
 
   /// Appends a particle; the position rounds to ParticleCoord width.
@@ -117,8 +115,10 @@ class ParticleSoa {
   Aabb ComputeBounds() const;
 
   /// Replaces this set with `src`'s particles at the given ancestor indices,
-  /// all at weight `uniform_weight` (the resampling gather). `src` may not
-  /// alias `this`.
+  /// all at weight `uniform_weight` (the resampling gather), in storage of
+  /// exactly ancestors.size() (see Reset): a fixed-budget gather reuses the
+  /// target's arrays, an elastic resize allocates the new count. `src` may
+  /// not alias `this`.
   void GatherFrom(const ParticleSoa& src,
                   const std::vector<uint32_t>& ancestors,
                   double uniform_weight);

@@ -334,7 +334,7 @@ Status ReadParticles(std::istream& is, uint32_t version, uint64_t reader_count,
   if (!ReadCount(is, &count, index_bytes + sizeof(double))) {
     return Truncated();
   }
-  particles->reserve(count);
+  particles->Reset(count);
   if (version == 6) {
     return ReadParticleRunsAt<double>(is, index_bytes, count, reader_count,
                                       particles);

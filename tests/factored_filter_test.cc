@@ -515,6 +515,62 @@ TEST(FactoredFilterTest, MemoryShrinksWithCompression) {
   EXPECT_LT(with.ApproxMemoryBytes(), without.ApproxMemoryBytes());
 }
 
+TEST(FactoredFilterTest, ElasticStorageHoldsExactlyTheParticles) {
+  // Elastic budgets shrink as a posterior settles and regrow on a full
+  // re-initialization, also under a shed budget that re-initializes an
+  // object below the count it holds. After every epoch, each object's
+  // particle storage must hold exactly its particles, at one lane and at
+  // two: no resample leaves the lane scratch's old capacity behind.
+  ConeSensorModel sensor;
+  const TagId kMover = 1000;
+  const Vec3 kStill{1.5, 8.0, 0.0};
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << threads << " thread(s)");
+    FactoredFilterConfig c = SmallConfig();
+    c.min_object_particles = 40;
+    c.num_threads = threads;
+    FactoredParticleFilter filter(MakeLineWorld(), c);
+    Rng rng(17);
+    int64_t step = 0;
+    size_t last = 0;
+    size_t shrinks = 0;
+    size_t regrowths = 0;
+    // The mover sits at y = 2, moves to y = 14 while the reader is away,
+    // and moves back under a quarter budget; a second tag stays at y = 8.
+    auto sweep = [&](double from, double to, const Vec3& mover) {
+      const double dy = from < to ? 0.25 : -0.25;
+      for (double y = from; dy > 0 ? y <= to : y >= to; y += dy) {
+        const Pose pose({0.0, y, 0.0}, 0.0);
+        std::vector<TagId> tags;
+        if (rng.Bernoulli(sensor.ProbReadAt(pose, mover))) {
+          tags.push_back(kMover);
+        }
+        if (rng.Bernoulli(sensor.ProbReadAt(pose, kStill))) {
+          tags.push_back(1001);
+        }
+        filter.ObserveEpoch(MakeEpoch(step++, y, tags));
+        for (const auto& state : filter.object_states()) {
+          ASSERT_EQ(state.particles.CapacityParticles(),
+                    state.particles.size())
+              << "tag " << state.tag << " at step " << step - 1;
+        }
+        const auto* mover_state = filter.FindObject(kMover);
+        if (mover_state == nullptr) continue;
+        const size_t n = mover_state->particles.size();
+        if (last > 0 && n < last) ++shrinks;
+        if (last > 0 && n > last) ++regrowths;
+        last = n;
+      }
+    };
+    sweep(0.0, 4.0, {1.5, 2.0, 0.0});
+    sweep(4.0, 16.0, {1.5, 14.0, 0.0});
+    filter.SetLoadShed(0.25, 1.0);
+    sweep(16.0, 0.0, {1.5, 2.0, 0.0});
+    EXPECT_GT(shrinks, 0u);
+    EXPECT_GT(regrowths, 0u);
+  }
+}
+
 TEST(FactoredFilterTest, ShelfTagEvidenceCorrectsSystematicBias) {
   WorldModel model = MakeLineWorld(1e-4, {0.0, 0.8, 0.0}, {0.05, 0.05, 0.0});
   FactoredFilterConfig c = SmallConfig();

@@ -143,10 +143,11 @@ TEST_P(FilterPropertyTest, MemoryAccountingPositiveAndBounded) {
   const size_t bytes = filter.ApproxMemoryBytes();
   EXPECT_GT(bytes, 0u);
   // Upper bound: every tracked object fully particled plus reader storage.
+  // Particle storage is sized to the count, so no dead capacity is allowed.
   const size_t upper =
       filter.NumTrackedObjects() *
           (sizeof(FactoredParticleFilter::ObjectState) +
-           2 * static_cast<size_t>(GetParam().object_particles) *
+           static_cast<size_t>(GetParam().object_particles) *
                sizeof(FactoredParticleFilter::ObjectParticle)) +
       2 * static_cast<size_t>(GetParam().reader_particles) *
           sizeof(FactoredParticleFilter::ReaderParticle) +

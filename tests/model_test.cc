@@ -481,11 +481,13 @@ TEST(WorldModelTest, FindShelfTagReturnsCanonicalPointer) {
 TEST(WorldModelTest, ShelfTagsNearFiltersByRange) {
   const WorldModel m = MakeTestModel();
   // Cone max range is 4.5 ft; from y=2 only the first shelf tag is in range.
-  const auto near = m.ShelfTagsNear({0.0, 2.0, 0.0});
+  std::vector<const ShelfTag*> near;
+  m.ShelfTagsNear({0.0, 2.0, 0.0}, &near);
   ASSERT_EQ(near.size(), 1u);
   EXPECT_EQ(near[0]->tag, 1u);
-  // From the middle, both are within 4.5 ft.
-  EXPECT_EQ(m.ShelfTagsNear({1.5, 5.0, 0.0}).size(), 2u);
+  // From the middle, both are within 4.5 ft (the old contents are replaced).
+  m.ShelfTagsNear({1.5, 5.0, 0.0}, &near);
+  EXPECT_EQ(near.size(), 2u);
 }
 
 TEST(WorldModelTest, CopyIsDeep) {

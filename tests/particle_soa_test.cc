@@ -115,6 +115,41 @@ TEST(ParticleSoaTest, GatherFromPreservesReaderPointers) {
   for (const auto& p : dst) EXPECT_DOUBLE_EQ(p.weight, 0.25);
 }
 
+TEST(ParticleSoaTest, GatherFromLeavesExactCapacity) {
+  // Whatever the target held before, a gather leaves the same contents in
+  // storage of exactly ancestors.size() particles; a target already of that
+  // capacity keeps its arrays (a fixed-budget resample allocates nothing).
+  ParticleSoa src;
+  for (uint32_t k = 0; k < 10; ++k) {
+    src.PushBack({0.5 * k, 1.0 + k, 0.25}, 100 + k, 0.1);
+  }
+  const std::vector<uint32_t> ancestors = {9, 3, 3, 0, 7, 7, 7};
+  ParticleSoa expected;
+  expected.GatherFrom(src, ancestors, 1.0 / 7.0);
+  ASSERT_EQ(expected.CapacityParticles(), ancestors.size());
+
+  for (const size_t capacity : {size_t{0}, size_t{3}, size_t{7}, size_t{40}}) {
+    SCOPED_TRACE(testing::Message() << "target capacity " << capacity);
+    ParticleSoa dst;
+    dst.Reset(capacity);
+    for (size_t k = 0; k < capacity; ++k) dst.PushBack({9, 9, 9}, 1, 1.0);
+    ASSERT_EQ(dst.CapacityParticles(), capacity);
+    const ParticleCoord* before = dst.xs();
+    dst.GatherFrom(src, ancestors, 1.0 / 7.0);
+    EXPECT_EQ(dst.CapacityParticles(), ancestors.size());
+    EXPECT_EQ(dst.ApproxMemoryBytes(), 24 * ancestors.size());
+    if (capacity == ancestors.size()) {
+      EXPECT_EQ(dst.xs(), before);
+    }
+    ASSERT_EQ(dst.size(), expected.size());
+    for (size_t k = 0; k < dst.size(); ++k) {
+      EXPECT_EQ(dst.PositionAt(k), expected.PositionAt(k));
+      EXPECT_EQ(dst.ReaderIdxAt(k), expected.ReaderIdxAt(k));
+      EXPECT_EQ(dst.WeightAt(k), expected.WeightAt(k));
+    }
+  }
+}
+
 TEST(ParticleSoaTest, PositionsRoundOnceAndStoreBackExactly) {
   // PushBack and SetPosition round to ParticleCoord; a position read back
   // with PositionAt (widened exactly) stores back bit for bit, which keeps
@@ -144,22 +179,31 @@ TEST(ParticleSoaTest, ApproxMemoryIs24BytesPerParticle) {
   // grow by half.
   ParticleSoa soa;
   for (size_t n : {1, 7, 1000}) {
-    soa.clear();
-    soa.ShrinkToFit();
-    soa.reserve(n);
+    soa.Reset(n);
     for (size_t k = 0; k < n; ++k) soa.PushBack({1, 2, 3}, 0, 1.0);
     ASSERT_EQ(soa.CapacityParticles(), n);
     EXPECT_EQ(soa.ApproxMemoryBytes(), 24 * n) << n << " particles";
   }
 }
 
-TEST(ParticleSoaTest, ClearAndShrinkReleaseMemory) {
+TEST(ParticleSoaTest, ResetSizesStorageExactly) {
   ParticleSoa soa;
   for (int i = 0; i < 1000; ++i) soa.PushBack({0, 0, 0}, 0, 0.001);
   EXPECT_GT(soa.ApproxMemoryBytes(), 0u);
-  soa.clear();
+  // Smaller and larger requests both land on exactly the asked capacity.
+  soa.Reset(300);
   EXPECT_TRUE(soa.empty());
-  soa.ShrinkToFit();
+  EXPECT_EQ(soa.CapacityParticles(), 300u);
+  soa.Reset(2000);
+  EXPECT_EQ(soa.CapacityParticles(), 2000u);
+  // The same capacity keeps the arrays.
+  for (int i = 0; i < 5; ++i) soa.PushBack({0, 0, 0}, 0, 0.2);
+  const double* before = soa.weights();
+  soa.Reset(2000);
+  EXPECT_TRUE(soa.empty());
+  EXPECT_EQ(soa.weights(), before);
+  // Reset(0) frees everything.
+  soa.Reset(0);
   EXPECT_EQ(soa.ApproxMemoryBytes(), 0u);
 }
 
