@@ -75,7 +75,7 @@ class Counter {
   Cell cells_[kMetricShards];
 };
 
-/// Last-writer-wins gauge (occupancy, shed level, ...). Stored as the bit
+/// Last-writer-wins gauge (queue occupancy, ...). Stored as the bit
 /// pattern of a double in one atomic cell.
 class Gauge {
  public:

@@ -36,13 +36,14 @@ std::vector<uint32_t> CompressionPolicy::SelectForCompression(
 }
 
 std::vector<uint32_t> CompressionPolicy::SelectForHibernation(
-    int64_t now, const std::vector<HibernationCandidate>& candidates,
-    int64_t after_epochs) const {
+    int64_t now, const std::vector<HibernationCandidate>& candidates) const {
   std::vector<uint32_t> out;
   if (!hibernation_enabled()) return out;
   for (const auto& c : candidates) {
     if (c.last_observed_step < 0) continue;
-    if (now - c.last_observed_step >= after_epochs) out.push_back(c.slot);
+    if (now - c.last_observed_step >= config_.hibernate_after_epochs) {
+      out.push_back(c.slot);
+    }
   }
   return out;
 }

@@ -81,14 +81,11 @@ class CompressionPolicy {
   std::vector<uint32_t> SelectForCompression(
       int64_t now, const std::vector<CompressionCandidate>& candidates) const;
 
-  /// Slots whose tag has been unread for at least `after_epochs` epochs at
-  /// `now`. The threshold is a parameter rather than read from the config
-  /// because the serving layer's load-shedding governor shortens it under
-  /// pressure (see FactoredParticleFilter::SetLoadShed); never-observed
-  /// candidates (last_observed_step < 0) are skipped.
+  /// Slots whose tag has been unread for at least hibernate_after_epochs
+  /// epochs at `now`; never-observed candidates (last_observed_step < 0) are
+  /// skipped.
   std::vector<uint32_t> SelectForHibernation(
-      int64_t now, const std::vector<HibernationCandidate>& candidates,
-      int64_t after_epochs) const;
+      int64_t now, const std::vector<HibernationCandidate>& candidates) const;
 
  private:
   CompressionPolicyConfig config_;

@@ -337,23 +337,8 @@ void FactoredParticleFilter::InitializeObjectParticles(ObjectState* state,
   state->reader_gen = reader_gen_;
 }
 
-int FactoredParticleFilter::EffectiveFullBudget() const {
-  const int full = static_cast<int>(
-      std::lround(config_.num_object_particles * budget_scale_));
-  const int floor_count =
-      config_.min_object_particles > 0 ? config_.min_object_particles : 1;
-  return std::max(floor_count, full);
-}
-
-int64_t FactoredParticleFilter::EffectiveHibernateAfter() const {
-  const auto after = static_cast<int64_t>(std::llround(
-      static_cast<double>(compression_.config().hibernate_after_epochs) *
-      hibernate_scale_));
-  return std::max<int64_t>(1, after);
-}
-
 int FactoredParticleFilter::ElasticTarget(double spread) const {
-  const int full = EffectiveFullBudget();
+  const int full = config_.num_object_particles;
   const int low = std::min(config_.min_object_particles, full);
   const double frac =
       std::min(1.0, std::max(0.0, spread / elastic_spread_full_));
@@ -382,12 +367,6 @@ size_t FactoredParticleFilter::ElasticTargetForParticles(
                      std::max(0.0, sy - my * my) +
                      std::max(0.0, sz - mz * mz);
   return static_cast<size_t>(ElasticTarget(std::sqrt(var)));
-}
-
-void FactoredParticleFilter::SetLoadShed(double budget_scale,
-                                         double hibernate_scale) {
-  budget_scale_ = std::min(1.0, std::max(1e-3, budget_scale));
-  hibernate_scale_ = std::min(1.0, std::max(1e-3, hibernate_scale));
 }
 
 void FactoredParticleFilter::DecompressObject(ObjectState* state,
@@ -425,9 +404,9 @@ void FactoredParticleFilter::MaybeReinitialize(ObjectState* state,
     // Far away: the object clearly moved; discard all old particles
     // ("we create new particles ... at a location far away"). A full
     // re-initialization is maximal uncertainty, so it always gets the full
-    // (shed-scaled) budget; the elastic resize shrinks it back as the
-    // posterior re-concentrates.
-    InitializeObjectParticles(state, EffectiveFullBudget());
+    // budget; the elastic resize shrinks it back as the posterior
+    // re-concentrates.
+    InitializeObjectParticles(state, config_.num_object_particles);
     return;
   }
   // Intermediate distance: ambiguous between local shuffling and a short
@@ -863,7 +842,6 @@ void FactoredParticleFilter::RunCompression() {
 
 void FactoredParticleFilter::RunHibernation() {
   if (!compression_.hibernation_enabled()) return;
-  const int64_t after = EffectiveHibernateAfter();
   std::vector<HibernationCandidate> candidates;
   for (uint32_t slot = 0; slot < states_.size(); ++slot) {
     const ObjectState& state = states_[slot];
@@ -875,7 +853,7 @@ void FactoredParticleFilter::RunHibernation() {
         {slot, std::max(state.last_observed_step, state.last_revived_step)});
   }
   const std::vector<uint32_t> selected =
-      compression_.SelectForHibernation(step_, candidates, after);
+      compression_.SelectForHibernation(step_, candidates);
   SyncReaderAttachments(selected);  // The fits read the attachments.
   std::vector<WeightedPoint> points;
   for (uint32_t slot : selected) {
@@ -971,7 +949,7 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
     const bool brand_new =
         state.particles.empty() && !state.IsCompressed();
     if (brand_new) {
-      InitializeObjectParticles(&state, EffectiveFullBudget());
+      InitializeObjectParticles(&state, config_.num_object_particles);
     } else if (state.IsCompressed()) {
       DecompressObject(&state, slot);
     } else if (state.last_observed_step >= 0) {

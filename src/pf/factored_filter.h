@@ -209,18 +209,6 @@ class FactoredParticleFilter final : public InferenceFilter {
   /// Bytes used by particle and belief storage (excludes index internals).
   size_t ApproxMemoryBytes() const;
 
-  /// Runtime degradation knobs for the serving layer's load-shedding
-  /// governor. `budget_scale` scales the full per-object budget (floored at
-  /// min_object_particles, or 1 when elastic budgets are off);
-  /// `hibernate_scale` scales compression.hibernate_after_epochs (floored
-  /// at one epoch), so pressured sites park idle tags sooner. Both clamp to
-  /// (0, 1]; (1.0, 1.0) — the default — restores configured behavior, and
-  /// with the governor disabled the knobs are never touched, keeping
-  /// estimates bit-identical to a filter without this interface. Values
-  /// apply from the next epoch.
-  void SetLoadShed(double budget_scale, double hibernate_scale);
-  double budget_scale() const { return budget_scale_; }
-  double hibernate_scale() const { return hibernate_scale_; }
   int64_t current_step() const { return step_; }
   const WorldModel& model() const { return model_; }
   /// Cumulative count of particle weightings performed (throughput metric).
@@ -342,17 +330,13 @@ class FactoredParticleFilter final : public InferenceFilter {
                            std::vector<WeightedPoint>* points) const;
 
   void RunCompression();
-  /// Collapses tags unread for EffectiveHibernateAfter() epochs into the
+  /// Collapses tags unread for hibernate_after_epochs epochs into the
   /// hibernation tier (from the active tier through a fresh Gaussian fit,
   /// from the compressed tier by marking the existing summary).
   void RunHibernation();
 
-  /// Full per-object budget with the governor's shed scale applied.
-  int EffectiveFullBudget() const;
-  /// Hibernation threshold with the governor's shed scale applied.
-  int64_t EffectiveHibernateAfter() const;
   /// Spread-implied elastic particle count in
-  /// [min_object_particles, EffectiveFullBudget()].
+  /// [min_object_particles, num_object_particles].
   int ElasticTarget(double spread) const;
   /// Same, computed from a particle set with normalized weights (the
   /// far-field resample path; the in-field path fuses the spread pass into
@@ -368,9 +352,6 @@ class FactoredParticleFilter final : public InferenceFilter {
   /// Posterior spread at which an object earns the full elastic budget: the
   /// sensor's max range (1 for a sensor without a finite one).
   double elastic_spread_full_ = 0.0;
-  /// Governor knobs (SetLoadShed); 1.0 = configured behavior.
-  double budget_scale_ = 1.0;
-  double hibernate_scale_ = 1.0;
 
   std::vector<ReaderParticle> readers_;
   bool readers_initialized_ = false;

@@ -3,13 +3,11 @@
 #include <algorithm>
 
 #include "util/fault.h"
-#include "util/stopwatch.h"
 
 namespace rfid {
 
-IngestQueue::IngestQueue(size_t capacity, double rate_tau_seconds)
-    : capacity_(std::max<size_t>(1, capacity)),
-      arrival_rate_(rate_tau_seconds) {}
+IngestQueue::IngestQueue(size_t capacity)
+    : capacity_(std::max<size_t>(1, capacity)) {}
 
 void IngestQueue::BindMetrics(obs::MetricsRegistry* registry, int shard) {
   if (registry == nullptr) return;
@@ -28,7 +26,6 @@ void IngestQueue::BindMetrics(obs::MetricsRegistry* registry, int shard) {
 void IngestQueue::NoteAccepted() {
   ++stats_.pushed;
   stats_.high_water = std::max<uint64_t>(stats_.high_water, items_.size());
-  arrival_rate_.Observe(MonotonicSeconds(), 1);
   if (occupancy_ != nullptr) {
     occupancy_->Set(static_cast<double>(items_.size()));
   }
@@ -114,16 +111,9 @@ size_t IngestQueue::size() const {
   return items_.size();
 }
 
-double IngestQueue::ArrivalRatePerSec() const {
-  MutexLock lock(mu_);
-  return arrival_rate_.RatePerSec(MonotonicSeconds());
-}
-
 IngestQueueStats IngestQueue::Stats() const {
   MutexLock lock(mu_);
-  IngestQueueStats stats = stats_;
-  stats.arrival_rate_per_sec = arrival_rate_.RatePerSec(MonotonicSeconds());
-  return stats;
+  return stats_;
 }
 
 }  // namespace rfid

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "serve/load_governor.h"
 #include "serve/record.h"
 #include "util/thread_annotations.h"
 
@@ -39,13 +38,11 @@ struct IngestQueueStats {
   /// Pushes dropped by the kQueueEnqueue fault point (chaos testing only;
   /// always 0 without an installed injector).
   uint64_t injected_drops = 0;
-  /// EWMA arrival rate at the last stats snapshot (events/sec).
-  double arrival_rate_per_sec = 0.0;
 };
 
 class IngestQueue {
  public:
-  explicit IngestQueue(size_t capacity, double rate_tau_seconds = 1.0);
+  explicit IngestQueue(size_t capacity);
 
   /// Wires this queue's telemetry into `registry` as shard `shard`: an
   /// enqueue-latency histogram (lock wait + blocking time), an occupancy
@@ -69,13 +66,7 @@ class IngestQueue {
   void Reopen();
 
   size_t size() const;
-  size_t capacity() const { return capacity_; }
   IngestQueueStats Stats() const;
-
-  /// EWMA arrival rate (events/sec), decayed to now. Fed by every accepted
-  /// push; the load governor folds this into its pressure signal when
-  /// rate_full_per_sec is configured.
-  double ArrivalRatePerSec() const;
 
  private:
   /// Counts one accepted push and publishes occupancy.
@@ -86,7 +77,6 @@ class IngestQueue {
   CondVar not_full_;
   std::deque<ServeRecord> items_ RFID_GUARDED_BY(mu_);
   IngestQueueStats stats_ RFID_GUARDED_BY(mu_);
-  ArrivalRateEwma arrival_rate_ RFID_GUARDED_BY(mu_);
   bool closed_ RFID_GUARDED_BY(mu_) = false;
   // --- Telemetry handles: written once by BindMetrics before any traffic,
   // then read-only (each points at sharded-atomic metric cells, so the

@@ -57,10 +57,6 @@ inline std::string JsonEscape(const std::string& s) {
 struct ShardStatsSnapshot {
   int shard = 0;
   IngestQueueStats queue;
-  /// Load-shedding governor state for this shard (0 = normal / disabled).
-  int shed_level = 0;
-  uint64_t shed_escalations = 0;
-  uint64_t shed_deescalations = 0;
   std::vector<SitePipelineStats> sites;
 };
 
@@ -97,13 +93,8 @@ struct ServerStatsSnapshot {
     }
     return total;
   }
-  uint64_t TotalRecordsShed() const {
-    uint64_t total = 0;
-    for (const auto& shard : shards) {
-      for (const auto& site : shard.sites) total += site.records_shed;
-    }
-    return total;
-  }
+  /// Always 0 (nothing sheds records); e2e_bench's failure accounting adds it.
+  uint64_t TotalRecordsShed() const { return 0; }
   size_t TotalHibernatedObjects() const {
     size_t total = 0;
     for (const auto& shard : shards) {
@@ -145,14 +136,6 @@ struct ServerStatsSnapshot {
       out += ", \"high_water\": " + std::to_string(shard.queue.high_water);
       out += ", \"injected_drops\": " +
              std::to_string(shard.queue.injected_drops);
-      out += ", \"arrival_rate_per_sec\": " +
-             (std::isfinite(shard.queue.arrival_rate_per_sec)
-                  ? std::to_string(shard.queue.arrival_rate_per_sec)
-                  : std::string("null"));
-      out += "}, \"shed\": {\"level\": " + std::to_string(shard.shed_level);
-      out += ", \"escalations\": " + std::to_string(shard.shed_escalations);
-      out += ", \"deescalations\": " +
-             std::to_string(shard.shed_deescalations);
       out += "}, \"sites\": [";
       for (size_t i = 0; i < shard.sites.size(); ++i) {
         const SitePipelineStats& site = shard.sites[i];
@@ -162,7 +145,6 @@ struct ServerStatsSnapshot {
                std::to_string(site.records_processed);
         out += ", \"records_dropped_late\": " +
                std::to_string(site.records_dropped_late);
-        out += ", \"records_shed\": " + std::to_string(site.records_shed);
         out += ", \"events_dispatched\": " +
                std::to_string(site.events_dispatched);
         out += ", \"scan_completes\": " + std::to_string(site.scan_completes);
@@ -178,7 +160,6 @@ struct ServerStatsSnapshot {
                std::to_string(site.records_dropped_parked);
         out += ", \"parked\": " + std::string(site.parked ? "true" : "false");
         out += ", \"park_reason\": \"" + JsonEscape(site.park_reason) + "\"}";
-        out += ", \"shed_level\": " + std::to_string(site.shed_level);
         out += ", \"objects\": {\"active\": " +
                std::to_string(site.active_objects);
         out += ", \"compressed\": " + std::to_string(site.compressed_objects);
@@ -216,7 +197,6 @@ struct ServerStatsSnapshot {
     out += ", \"total_records_processed\": " +
            std::to_string(TotalRecordsProcessed());
     out += ", \"total_dropped_late\": " + std::to_string(TotalDroppedLate());
-    out += ", \"total_records_shed\": " + std::to_string(TotalRecordsShed());
     out += ", \"total_hibernated_objects\": " +
            std::to_string(TotalHibernatedObjects());
     out += ", \"total_events_dispatched\": " +

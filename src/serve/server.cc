@@ -46,9 +46,6 @@ Status ValidateConfig(const ServeConfig& config, size_t num_sites) {
                              std::to_string(pin.shard));
     }
   }
-  if (config.load_shed.enabled) {
-    RFID_RETURN_NOT_OK(ValidateLoadShedConfig(config.load_shed));
-  }
   if (config.recovery.max_restarts < 0) {
     return Status::Invalid("recovery.max_restarts must be non-negative");
   }
@@ -92,21 +89,8 @@ StreamingServer::StreamingServer(
   shards_.resize(static_cast<size_t>(config_.num_shards));
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = shards_[s];
-    shard.queue = std::make_unique<IngestQueue>(
-        config_.queue_capacity, config_.load_shed.rate_tau_seconds);
+    shard.queue = std::make_unique<IngestQueue>(config_.queue_capacity);
     shard.queue->BindMetrics(metrics_.get(), static_cast<int>(s));
-    if (config_.load_shed.enabled) {
-      shard.governor = std::make_unique<LoadShedGovernor>(config_.load_shed);
-      const std::string shard_label = "shard=\"" + std::to_string(s) + "\"";
-      shard.shed_level_g =
-          metrics_->GetGauge("rfid_shed_level", shard_label);
-      shard.shed_escalations_c = metrics_->GetCounter(
-          "rfid_shed_transitions_total",
-          shard_label + ",direction=\"escalate\"");
-      shard.shed_deescalations_c = metrics_->GetCounter(
-          "rfid_shed_transitions_total",
-          shard_label + ",direction=\"deescalate\"");
-    }
   }
   site_work_.resize(pipelines_.size());
   ready_.reserve(pipelines_.size());
@@ -196,8 +180,7 @@ size_t StreamingServer::PumpOnce() {
   obs::LatencyTimer sweep_timer(pump_sweep_h_);
   obs::TraceSpan sweep_span("pump_sweep", "server");
   // Serial phase, on this thread, shard by shard: what a shard owns — its
-  // governor cadence (one Update per shard per sweep, before the pop) and
-  // its queue — never leaves the pumping thread.
+  // queue and its pop scratch — never leaves the pumping thread.
   ready_.clear();
   size_t total = 0;
   for (Shard& shard : shards_) total += PopShard(shard);
@@ -213,31 +196,6 @@ size_t StreamingServer::PumpOnce() {
 }
 
 size_t StreamingServer::PopShard(Shard& shard) {
-  if (shard.governor != nullptr) {
-    // Occupancy is sampled before the drain so a sweep that empties the
-    // queue still sees the pressure that built up while it was away; the
-    // arrival-rate EWMA catches bursts the pump absorbs without letting
-    // occupancy rise.
-    const double occupancy = static_cast<double>(shard.queue->size()) /
-                             static_cast<double>(shard.queue->capacity());
-    const LoadShedDecision decision =
-        shard.governor->Update(occupancy, shard.queue->ArrivalRatePerSec());
-    for (SitePipeline* site : shard.sites) site->ApplyLoadShed(decision);
-    // Mirror the governor's monotonic transition totals into the registry
-    // as deltas; the gauge tracks the current rung. Telemetry only —
-    // Stats() keeps reading the governor directly.
-    shard.shed_level_g->Set(static_cast<double>(decision.level));
-    const uint64_t esc = shard.governor->escalations();
-    if (esc > shard.shed_escalations_seen) {
-      shard.shed_escalations_c->Add(esc - shard.shed_escalations_seen);
-      shard.shed_escalations_seen = esc;
-    }
-    const uint64_t deesc = shard.governor->deescalations();
-    if (deesc > shard.shed_deescalations_seen) {
-      shard.shed_deescalations_c->Add(deesc - shard.shed_deescalations_seen);
-      shard.shed_deescalations_seen = deesc;
-    }
-  }
   const size_t n = shard.queue->PopBatch(&shard.batch, config_.pump_batch);
   for (size_t i = 0; i < n; ++i) {
     const ServeRecord& record = shard.batch[i];
@@ -534,11 +492,6 @@ ServerStatsSnapshot StreamingServer::StatsLocked() const {
     ShardStatsSnapshot shard_stats;
     shard_stats.shard = static_cast<int>(s);
     shard_stats.queue = shards_[s].queue->Stats();
-    if (shards_[s].governor != nullptr) {
-      shard_stats.shed_level = static_cast<int>(shards_[s].governor->level());
-      shard_stats.shed_escalations = shards_[s].governor->escalations();
-      shard_stats.shed_deescalations = shards_[s].governor->deescalations();
-    }
     for (const SitePipeline* pipeline : shards_[s].sites) {
       SitePipelineStats site_stats = pipeline->Stats();
       const SiteHealth& health = health_.find(pipeline->site())->second;

@@ -10,7 +10,7 @@
 //        |               |               |             backpressure
 //        +---------------+---------------+
 //                        |
-//        pump, serial:   governor update + PopBatch per shard;
+//        pump, serial:   PopBatch per shard;
 //                        each record joins its site's list
 //                        |
 //        pump, parallel: ThreadPool::ParallelForDynamic over the
@@ -55,7 +55,6 @@
 
 #include "obs/metrics.h"
 #include "serve/ingest_queue.h"
-#include "serve/load_governor.h"
 #include "serve/record.h"
 #include "serve/serve_stats.h"
 #include "serve/shard_router.h"
@@ -91,12 +90,6 @@ struct ServeConfig {
   /// Template for every site's engine. Seeds are decorrelated per site
   /// (seed ^ splitmix64(site)); the filter must be the factored one.
   EngineConfig engine;
-
-  /// Load-shedding governor (one instance per shard, watching that shard's
-  /// queue occupancy before every pump sweep; decisions apply to all of the
-  /// shard's sites). Disabled by default — when disabled, per-site output
-  /// is bit-identical to a server without the governor.
-  LoadShedConfig load_shed;
 
   /// Per-site slow-epoch flight recorder tuning (ring sizes, EWMA slow
   /// threshold); applied to every site's pipeline.
@@ -252,17 +245,6 @@ class StreamingServer {
     /// it from any thread to reject unknown sites).
     std::unordered_map<SiteId, SiteWork*> site_lookup;
     std::vector<ServeRecord> batch;    ///< Pop scratch, reused per pump.
-    /// Degradation ladder for this shard's queue (nullptr when disabled).
-    std::unique_ptr<LoadShedGovernor> governor;
-    // --- Governor telemetry (touched only in the sweep's serial phase, so
-    // plain fields suffice; nullptr when the governor is disabled) ---
-    obs::Gauge* shed_level_g = nullptr;
-    obs::Counter* shed_escalations_c = nullptr;
-    obs::Counter* shed_deescalations_c = nullptr;
-    /// Governor transition totals already mirrored into the counters (the
-    /// governor keeps its own monotonic totals; the counters get deltas).
-    uint64_t shed_escalations_seen = 0;
-    uint64_t shed_deescalations_seen = 0;
   };
 
   StreamingServer(std::vector<std::unique_ptr<SitePipeline>> pipelines,
@@ -272,9 +254,9 @@ class StreamingServer {
   /// One sweep over all shards; caller holds pump_mu_. Returns records
   /// popped.
   size_t PumpOnce() RFID_REQUIRES(pump_mu_);
-  /// The sweep's serial phase for one shard: governor update and load-shed
-  /// decision, then the pop, each record joining its site's list (and the
-  /// site joining ready_ with its first record). Returns records popped.
+  /// The sweep's serial phase for one shard: the pop, each record joining
+  /// its site's list (and the site joining ready_ with its first record).
+  /// Returns records popped.
   size_t PopShard(Shard& shard) RFID_REQUIRES(pump_mu_);
   /// Snapshot assembly; caller holds pump_mu_ (Stats() takes it, while
   /// DumpDiagnostics reuses this under its own hold — re-locking would

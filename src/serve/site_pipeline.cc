@@ -22,10 +22,13 @@ using serialize::WriteFramedSection;
 using serialize::WritePod;
 
 constexpr char kMagic[8] = {'R', 'F', 'I', 'D', 'S', 'I', 'T', 'E'};
-// v2 adds the shed counter and the scan-boundary bookkeeping
-// (records_shed_, scan_completes_, last_epoch_time_/epochs_since_scan_) so
-// a restored pipeline stamps scan-complete events with the same time the
-// uninterrupted run would have.
+// v2 adds a shed counter and the scan-boundary bookkeeping
+// (scan_completes_, last_epoch_time_/epochs_since_scan_) so a restored
+// pipeline stamps scan-complete events with the same time the
+// uninterrupted run would have. Nothing sheds records any more; the shed
+// counter's 8-byte header slot stays, reserved: written as 0, and a
+// nonzero value is rejected on load, so every accepted checkpoint re-saves
+// to the same bytes.
 // v3 reframes the checkpoint as CRC32-checked sections (header,
 // synchronizer, emitter, engine stats, filter snapshot — see
 // util/serialize.h) and adds the quarantine counter to the header. Torn or
@@ -82,7 +85,6 @@ SitePipeline::SitePipeline(SiteId site, const SitePipelineConfig& config,
       reg.GetHistogram("rfid_stage_seconds", "stage=\"dispatch\"");
   records_c_ = reg.GetCounter("rfid_records_processed_total");
   events_c_ = reg.GetCounter("rfid_events_dispatched_total");
-  shed_c_ = reg.GetCounter("rfid_records_shed_total");
   quarantined_c_ = reg.GetCounter("rfid_records_quarantined_total");
   slow_epochs_c_ = reg.GetCounter("rfid_slow_epochs_total");
 }
@@ -272,11 +274,6 @@ void SitePipeline::OnRecord(const ServeRecord& record, SubscriptionBus* bus) {
     Quarantine(record, reject);
     return;
   }
-  if (shed_.shed_records) {
-    ++records_shed_;
-    shed_c_->Add();
-    return;
-  }
   // Time the synchronizer work (admission + watermark poll) separately from
   // epoch processing; it accumulates until the next closed epoch, which
   // reports it as its `synchronize` stage.
@@ -308,23 +305,16 @@ void SitePipeline::Flush(SubscriptionBus* bus) {
   }
 }
 
-void SitePipeline::ApplyLoadShed(const LoadShedDecision& decision) {
-  shed_ = decision;
-  filter_->SetLoadShed(decision.budget_scale, decision.hibernate_scale);
-}
-
 SitePipelineStats SitePipeline::Stats() const {
   SitePipelineStats stats;
   stats.site = site_;
   stats.records_processed = records_processed_;
   stats.records_dropped_late = sync_.dropped_late_records();
-  stats.records_shed = records_shed_;
   stats.events_dispatched = events_dispatched_;
   stats.scan_completes = scan_completes_;
   stats.records_quarantined = records_quarantined_;
   stats.slow_epochs = slow_epochs_;
   stats.dead_letter_size = dead_letters_.size();
-  stats.shed_level = static_cast<int>(shed_.level);
   stats.watermark = sync_.watermark();
   stats.engine = engine_->stats();
   stats.active_objects = filter_->NumActiveObjects();
@@ -347,7 +337,7 @@ Status SitePipeline::SaveCheckpoint(std::ostream& os) const {
     WritePod(header, site_);
     WritePod(header, records_processed_);
     WritePod(header, events_dispatched_);
-    WritePod(header, records_shed_);
+    WritePod(header, uint64_t{0});  // Reserved slot (see kVersion).
     WritePod(header, scan_completes_);
     WritePod(header, records_quarantined_);
     WritePod(header, last_epoch_time_);
@@ -411,7 +401,7 @@ Status SitePipeline::LoadCheckpoint(std::istream& is) {
   RFID_RETURN_NOT_OK(ReadSiteCheckpointHeader(is, &version));
   SiteId site = 0;
   uint64_t records_processed = 0, events_dispatched = 0;
-  uint64_t records_shed = 0, scan_completes = 0;
+  uint64_t reserved = 0, scan_completes = 0;
   uint64_t records_quarantined = 0;
   double last_epoch_time = 0.0;
   bool epochs_since_scan = false;
@@ -430,12 +420,18 @@ Status SitePipeline::LoadCheckpoint(std::istream& is) {
   RFID_RETURN_NOT_OK(ReadFramedSection(is, [&](std::istream& header) {
     if (!ReadPod(header, &site) || !ReadPod(header, &records_processed) ||
         !ReadPod(header, &events_dispatched) ||
-        !ReadPod(header, &records_shed) ||
+        !ReadPod(header, &reserved) ||
         !ReadPod(header, &scan_completes) ||
         !ReadPod(header, &records_quarantined) ||
         !ReadPod(header, &last_epoch_time) ||
         !ReadBool(header, &epochs_since_scan)) {
       return Status::IOError("truncated site checkpoint header section");
+    }
+    if (reserved != 0) {
+      return Status::Invalid(
+          "site checkpoint header's reserved slot (the former shed count, "
+          "after events_dispatched) must be 0, read " +
+          std::to_string(reserved));
     }
     return Status::OK();
   }));
@@ -483,7 +479,6 @@ Status SitePipeline::LoadCheckpoint(std::istream& is) {
   engine_->RestoreStats(stats);
   records_processed_ = records_processed;
   events_dispatched_ = events_dispatched;
-  records_shed_ = records_shed;
   scan_completes_ = scan_completes;
   records_quarantined_ = records_quarantined;
   last_epoch_time_ = last_epoch_time;

@@ -27,7 +27,6 @@
 #include "core/engine.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "serve/load_governor.h"
 #include "serve/record.h"
 #include "serve/subscription_bus.h"
 #include "stream/synchronizer.h"
@@ -97,8 +96,6 @@ struct SitePipelineStats {
   SiteId site = 0;
   uint64_t records_processed = 0;
   uint64_t records_dropped_late = 0;
-  /// Records dropped by the load-shedding governor (kShed rung).
-  uint64_t records_shed = 0;
   uint64_t events_dispatched = 0;
   /// Scan-complete flushes dispatched (kOnScanComplete emitter policy).
   uint64_t scan_completes = 0;
@@ -109,8 +106,6 @@ struct SitePipelineStats {
   uint64_t slow_epochs = 0;
   /// Dead-letter entries currently retained (<= dead_letter_capacity).
   size_t dead_letter_size = 0;
-  /// Current LoadShedLevel (as int, 0 = normal).
-  int shed_level = 0;
   // --- Site health, filled in by the StreamingServer (the pipeline itself
   // has no notion of failure handling; see server.h) ---
   uint64_t pipeline_failures = 0;
@@ -137,8 +132,7 @@ class SitePipeline {
   SiteId site() const { return site_; }
 
   /// Feeds one record; runs the engine over every epoch the watermark
-  /// closed and dispatches fresh events to `bus`. Under a kShed governor
-  /// decision the record is dropped and counted instead. Malformed records
+  /// closed and dispatches fresh events to `bus`. Malformed records
   /// (non-finite timestamps, unknown kinds) and records hit by the
   /// kRecordDecode fault point are quarantined to the dead-letter ring —
   /// one bad record can never abort the pump sweep. May throw (engine
@@ -165,11 +159,6 @@ class SitePipeline {
   /// the last closed epoch), which is what makes that policy observable
   /// through the serving path at all.
   void Flush(SubscriptionBus* bus);
-
-  /// Applies a load-shedding decision (see load_governor.h): forwards the
-  /// budget/hibernation scales to the factored filter and arms/disarms
-  /// record shedding. Called by the server before each pump sweep.
-  void ApplyLoadShed(const LoadShedDecision& decision);
 
   SitePipelineStats Stats() const;
   const RfidInferenceEngine& engine() const { return *engine_; }
@@ -207,11 +196,9 @@ class SitePipeline {
   std::vector<LocationEvent> event_scratch_;
   uint64_t records_processed_ = 0;
   uint64_t events_dispatched_ = 0;
-  uint64_t records_shed_ = 0;
   uint64_t scan_completes_ = 0;
   uint64_t records_quarantined_ = 0;
   std::deque<DeadLetterEntry> dead_letters_;
-  LoadShedDecision shed_;  ///< Latest governor decision (default: normal).
   /// Time of the newest closed epoch — the timestamp scan-complete events
   /// carry. Part of the checkpoint (event times must replay identically).
   double last_epoch_time_ = 0.0;
@@ -243,7 +230,6 @@ class SitePipeline {
   obs::Histogram* stage_dispatch_h_ = nullptr;
   obs::Counter* records_c_ = nullptr;
   obs::Counter* events_c_ = nullptr;
-  obs::Counter* shed_c_ = nullptr;
   obs::Counter* quarantined_c_ = nullptr;
   obs::Counter* slow_epochs_c_ = nullptr;
 };

@@ -11,8 +11,9 @@
 //    the revived estimate lands where the always-full-budget run does;
 //  * on the lab trace, elastic + hibernation match the full-budget
 //    baseline's accuracy to a few percent;
-//  * the load-shed knobs scale budgets and the hibernation horizon, and
-//    resetting them restores configured behavior.
+//  * the sensing index skips entries whose slots are all hibernated, which
+//    also skips the negative-evidence revive roll: a parked tag that moved
+//    stays frozen where it was until it is read again, then re-converges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,15 +47,15 @@ FactoredFilterConfig ElasticConfig() {
 }
 
 /// Reader oscillates around y = `center` for `epochs` steps, reading tags
-/// by their true read probability; `rng` drives the readings so interleaved
-/// phases stay reproducible.
+/// by their true read probability (tag A at `obj_a`); `rng` drives the
+/// readings so interleaved phases stay reproducible.
 void Loiter(FactoredParticleFilter* filter, ConeSensorModel* sensor, Rng* rng,
-            double center, int epochs, int* step) {
+            double center, int epochs, int* step, const Vec3& obj_a = kObjA) {
   for (int i = 0; i < epochs; ++i, ++(*step)) {
     const double y = center + 0.3 * std::sin(0.4 * i);
     const Pose pose({0.0, y, 0.0}, 0.0);
     std::vector<TagId> tags;
-    if (rng->Bernoulli(sensor->ProbReadAt(pose, kObjA))) tags.push_back(kTagA);
+    if (rng->Bernoulli(sensor->ProbReadAt(pose, obj_a))) tags.push_back(kTagA);
     if (rng->Bernoulli(sensor->ProbReadAt(pose, kObjB))) tags.push_back(kTagB);
     filter->ObserveEpoch(MakeEpoch(*step, y, tags));
   }
@@ -251,37 +252,76 @@ TEST(ElasticBudgetTest, HibernatedTagIsSkippedByTheSweep) {
   EXPECT_GT(filter.particle_updates(), updates_at_hibernate);
 }
 
-TEST(ElasticBudgetTest, LoadShedScalesBudgetsAndRestores) {
-  // Elastic off isolates the shed scale: with fixed budgets the particle
-  // count is exactly what initialization chose.
+/// One run of the moved-while-parked scenario: A is learned at y = 2 and
+/// hibernates while the reader works near B; A then moves to y = 5 and the
+/// reader parks at A's old spot for 30 epochs. `frozen` reports whether A
+/// stayed hibernated with its summary unchanged bit for bit through the
+/// parked phase, and `strong_miss` whether the parked reader's read
+/// probability at the summary mean reached the hibernated revive gate
+/// (0.5), i.e. whether a probe of A's index entry would have revived it.
+/// Then the reader loiters at y = 5 and A is read again.
+struct MovedWhileParked {
+  std::unique_ptr<FactoredParticleFilter> filter;
+  bool frozen = false;
+  bool strong_miss = false;
+};
+
+MovedWhileParked RunMovedWhileParked(int num_threads) {
   FactoredFilterConfig config = ElasticConfig();
-  config.min_object_particles = 0;
-  FactoredParticleFilter filter(MakeLineWorld(), config);
-
-  // Shed active: a brand-new tag is initialized at the scaled budget.
-  filter.SetLoadShed(/*budget_scale=*/0.25, /*hibernate_scale=*/1.0);
-  filter.ObserveEpoch(MakeEpoch(0, kObjA.y, {kTagA}));
-  const auto* shed_state = filter.FindObject(kTagA);
-  ASSERT_NE(shed_state, nullptr);
-  EXPECT_EQ(shed_state->particles.size(), 50u);
-
-  // Back to normal: the next fresh tag gets the configured budget again.
-  filter.SetLoadShed(1.0, 1.0);
-  filter.ObserveEpoch(MakeEpoch(1, kObjB.y, {kTagB}));
-  const auto* normal_state = filter.FindObject(kTagB);
-  ASSERT_NE(normal_state, nullptr);
-  EXPECT_EQ(normal_state->particles.size(), 200u);
+  config.compression.hibernate_after_epochs = 12;
+  config.num_threads = num_threads;
+  MovedWhileParked run;
+  run.filter = std::make_unique<FactoredParticleFilter>(MakeLineWorld(),
+                                                        config);
+  FactoredParticleFilter& filter = *run.filter;
+  ConeSensorModel sensor;
+  Rng rng(21);
+  int step = 0;
+  Loiter(&filter, &sensor, &rng, kObjA.y, 30, &step);
+  Loiter(&filter, &sensor, &rng, kObjB.y, 40, &step);
+  const auto parked = filter.EstimateObject(kTagA);
+  if (!filter.FindObject(kTagA)->hibernated || !parked.has_value()) {
+    return run;
+  }
+  const Vec3 moved{1.5, 5.0, 0.0};
+  run.strong_miss = sensor.ProbReadAt(Pose({0.0, kObjA.y, 0.0}, 0.0),
+                                      parked->mean) >= 0.5;
+  Loiter(&filter, &sensor, &rng, kObjA.y, 30, &step, moved);
+  const auto still = filter.EstimateObject(kTagA);
+  run.frozen = filter.FindObject(kTagA)->hibernated && still.has_value() &&
+               still->mean == parked->mean &&
+               still->variance == parked->variance;
+  Loiter(&filter, &sensor, &rng, moved.y, 30, &step, moved);
+  return run;
 }
 
-TEST(ElasticBudgetTest, LoadShedFloorsAtMinObjectParticles) {
-  // With elastic budgets on, min_object_particles floors the shed scale: the
-  // governor may thin budgets, never starve them.
-  FactoredParticleFilter filter(MakeLineWorld(), ElasticConfig());
-  filter.SetLoadShed(/*budget_scale=*/0.01, /*hibernate_scale=*/1.0);
-  filter.ObserveEpoch(MakeEpoch(0, kObjA.y, {kTagA}));
-  const auto* state = filter.FindObject(kTagA);
+TEST(ElasticBudgetTest, AllHibernatedEntrySkipFreezesAMovedTagUntilRead) {
+  const MovedWhileParked serial = RunMovedWhileParked(1);
+  // The miss at A's old spot is strong evidence, yet the probe skips the
+  // entry (every slot in it is hibernated), so the revive roll never runs:
+  // that is the skip's cost, and the tag stays frozen where it was.
+  EXPECT_TRUE(serial.strong_miss);
+  EXPECT_TRUE(serial.frozen);
+  // Read again at its new spot, A revives through Case 1 and re-converges.
+  const auto* state = serial.filter->FindObject(kTagA);
   ASSERT_NE(state, nullptr);
-  EXPECT_EQ(state->particles.size(), 40u);
+  EXPECT_FALSE(state->hibernated);
+  const auto estimate = serial.filter->EstimateObject(kTagA);
+  ASSERT_TRUE(estimate.has_value());
+  EXPECT_LT(estimate->mean.DistanceXYTo({1.5, 5.0, 0.0}), 1.0);
+
+  const MovedWhileParked parallel = RunMovedWhileParked(4);
+  EXPECT_EQ(parallel.strong_miss, serial.strong_miss);
+  EXPECT_EQ(parallel.frozen, serial.frozen);
+  EXPECT_EQ(parallel.filter->particle_updates(),
+            serial.filter->particle_updates());
+  for (const TagId tag : {kTagA, kTagB}) {
+    const auto a = serial.filter->EstimateObject(tag);
+    const auto b = parallel.filter->EstimateObject(tag);
+    ASSERT_TRUE(a.has_value() && b.has_value()) << "tag " << tag;
+    EXPECT_EQ(a->mean, b->mean) << "tag " << tag;
+    EXPECT_EQ(a->variance, b->variance) << "tag " << tag;
+  }
 }
 
 TEST(ElasticBudgetTest, HibernationPolicySelectsOnlyStaleTags) {
@@ -296,16 +336,11 @@ TEST(ElasticBudgetTest, HibernationPolicySelectsOnlyStaleTags) {
       {2, 50},   // long stale
       {3, -1},   // never observed
   };
-  const auto selected = policy.SelectForHibernation(100, candidates, 10);
+  const auto selected = policy.SelectForHibernation(100, candidates);
   EXPECT_EQ(selected, (std::vector<uint32_t>{1, 2}));
 
-  // The horizon parameter (the governor's shortened value) wins over the
-  // configured one.
-  const auto aggressive = policy.SelectForHibernation(101, candidates, 1);
-  EXPECT_EQ(aggressive, (std::vector<uint32_t>{0, 1, 2}));
-
   const CompressionPolicy disabled((CompressionPolicyConfig()));
-  EXPECT_TRUE(disabled.SelectForHibernation(100, candidates, 10).empty());
+  EXPECT_TRUE(disabled.SelectForHibernation(100, candidates).empty());
 }
 
 }  // namespace

@@ -517,10 +517,9 @@ TEST(FactoredFilterTest, MemoryShrinksWithCompression) {
 
 TEST(FactoredFilterTest, ElasticStorageHoldsExactlyTheParticles) {
   // Elastic budgets shrink as a posterior settles and regrow on a full
-  // re-initialization, also under a shed budget that re-initializes an
-  // object below the count it holds. After every epoch, each object's
-  // particle storage must hold exactly its particles, at one lane and at
-  // two: no resample leaves the lane scratch's old capacity behind.
+  // re-initialization. After every epoch, each object's particle storage
+  // must hold exactly its particles, at one lane and at two: no resample
+  // leaves the lane scratch's old capacity behind.
   ConeSensorModel sensor;
   const TagId kMover = 1000;
   const Vec3 kStill{1.5, 8.0, 0.0};
@@ -536,7 +535,7 @@ TEST(FactoredFilterTest, ElasticStorageHoldsExactlyTheParticles) {
     size_t shrinks = 0;
     size_t regrowths = 0;
     // The mover sits at y = 2, moves to y = 14 while the reader is away,
-    // and moves back under a quarter budget; a second tag stays at y = 8.
+    // and moves back; a second tag stays at y = 8.
     auto sweep = [&](double from, double to, const Vec3& mover) {
       const double dy = from < to ? 0.25 : -0.25;
       for (double y = from; dy > 0 ? y <= to : y >= to; y += dy) {
@@ -564,7 +563,6 @@ TEST(FactoredFilterTest, ElasticStorageHoldsExactlyTheParticles) {
     };
     sweep(0.0, 4.0, {1.5, 2.0, 0.0});
     sweep(4.0, 16.0, {1.5, 14.0, 0.0});
-    filter.SetLoadShed(0.25, 1.0);
     sweep(16.0, 0.0, {1.5, 2.0, 0.0});
     EXPECT_GT(shrinks, 0u);
     EXPECT_GT(regrowths, 0u);

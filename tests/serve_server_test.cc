@@ -1,12 +1,15 @@
 // StreamingServer: end-to-end multi-site serving, determinism of per-site
-// event streams across threading modes, backpressure accounting, and a
-// concurrency stress aimed at the ThreadSanitizer CI job.
+// event streams across threading modes, backpressure accounting, per-site
+// counts against the metrics registry, and a concurrency stress aimed at
+// the ThreadSanitizer CI job.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -525,6 +528,135 @@ TEST(StreamingServerTest, DropModeCountsRejections) {
   ASSERT_EQ(stats.shards.size(), 1u);
   EXPECT_EQ(stats.shards[0].queue.rejected_full, 6u);
   EXPECT_EQ(stats.shards[0].queue.high_water, 4u);
+  // A full drop-mode queue loses only the records TryPush refused.
+  EXPECT_EQ(stats.TotalRecordsProcessed(), accepted);
+}
+
+/// Three small sites' records interleaved round-robin (each site's own
+/// order kept), with one malformed reading for site 2 a third of the way in.
+std::vector<ServeRecord> ThreeSiteStream(
+    const std::vector<SiteTraffic>& sites) {
+  std::vector<ServeRecord> stream;
+  size_t longest = 0;
+  for (const SiteTraffic& site : sites) {
+    longest = std::max(longest, site.records.size());
+  }
+  for (size_t r = 0; r < longest; ++r) {
+    for (const SiteTraffic& site : sites) {
+      if (r < site.records.size()) stream.push_back(site.records[r]);
+    }
+  }
+  stream.insert(stream.begin() + static_cast<std::ptrdiff_t>(stream.size() / 3),
+                ServeRecord::Reading(2, {std::nan(""), 7}));
+  return stream;
+}
+
+std::unique_ptr<StreamingServer> MakeThreeSiteServer(
+    const std::vector<SiteTraffic>& sites, int num_threads) {
+  std::vector<SiteSpec> specs;
+  for (const SiteTraffic& traffic : sites) {
+    specs.push_back({traffic.records.front().site, SiteModel(traffic)});
+  }
+  ServeConfig config = SmallServeConfig(2, num_threads);
+  config.queue_capacity = 8192;
+  auto server = StreamingServer::Create(std::move(specs), config);
+  EXPECT_TRUE(server.ok());
+  return std::move(server).value();
+}
+
+/// Each per-site count StatsJson sums beside the registry counter that
+/// counts the same thing.
+struct CounterPairs {
+  uint64_t processed_stats = 0, processed_metric = 0;
+  uint64_t events_stats = 0, events_metric = 0;
+  uint64_t quarantined_stats = 0, quarantined_metric = 0;
+};
+
+CounterPairs ReadCounterPairs(const StreamingServer& server) {
+  const ServerStatsSnapshot stats = server.Stats();
+  obs::MetricsRegistry& registry = server.metrics();
+  CounterPairs pairs;
+  pairs.processed_stats = stats.TotalRecordsProcessed();
+  pairs.processed_metric =
+      registry.GetCounter("rfid_records_processed_total")->Value();
+  pairs.events_stats = stats.TotalEventsDispatched();
+  pairs.events_metric =
+      registry.GetCounter("rfid_events_dispatched_total")->Value();
+  for (const ShardStatsSnapshot& shard : stats.shards) {
+    for (const SitePipelineStats& site : shard.sites) {
+      pairs.quarantined_stats += site.records_quarantined;
+    }
+  }
+  pairs.quarantined_metric =
+      registry.GetCounter("rfid_records_quarantined_total")->Value();
+  return pairs;
+}
+
+TEST(StreamingServerTest, SiteCountersMatchTheRegistryUntilARestore) {
+  std::vector<SiteTraffic> sites;
+  for (SiteId site = 1; site <= 3; ++site) {
+    sites.push_back(MakeSiteTraffic(site, 360 + site));
+  }
+  const std::vector<ServeRecord> stream = ThreeSiteStream(sites);
+
+  // One uninterrupted server: the snapshot's per-site sums and the
+  // registry's counters count the same records and events at any width.
+  CounterPairs uninterrupted;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("num_threads " + std::to_string(threads));
+    auto server = MakeThreeSiteServer(sites, threads);
+    for (size_t i = 0; i < stream.size(); ++i) {
+      ASSERT_TRUE(server->Ingest(stream[i]));
+      if (i % 64 == 63) server->Pump();
+    }
+    server->Pump();
+    server->Flush();
+    uninterrupted = ReadCounterPairs(*server);
+    EXPECT_GT(uninterrupted.processed_stats, 0u);
+    EXPECT_GT(uninterrupted.events_stats, 0u);
+    EXPECT_EQ(uninterrupted.processed_stats, uninterrupted.processed_metric);
+    EXPECT_EQ(uninterrupted.events_stats, uninterrupted.events_metric);
+    EXPECT_EQ(uninterrupted.quarantined_stats, 1u);
+    EXPECT_EQ(uninterrupted.quarantined_metric, 1u);
+  }
+
+  // Checkpoint mid-stream, restore into a fresh server and feed the rest.
+  // The per-site counts come back from the checkpoint, while the new
+  // server's registry counts only what that process did: StatsJson reads
+  // checkpointed + new, the registry reads new.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("serve_counter_pairs_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  const size_t cut = stream.size() / 2;
+  CounterPairs at_checkpoint;
+  {
+    auto server = MakeThreeSiteServer(sites, 1);
+    for (size_t i = 0; i < cut; ++i) ASSERT_TRUE(server->Ingest(stream[i]));
+    ASSERT_TRUE(server->Checkpoint(dir.string()).ok());
+    at_checkpoint = ReadCounterPairs(*server);
+  }
+  auto restored = MakeThreeSiteServer(sites, 1);
+  ASSERT_TRUE(restored->Restore(dir.string()).ok());
+  for (size_t i = cut; i < stream.size(); ++i) {
+    ASSERT_TRUE(restored->Ingest(stream[i]));
+  }
+  restored->Pump();
+  restored->Flush();
+  const CounterPairs after = ReadCounterPairs(*restored);
+  std::filesystem::remove_all(dir);
+
+  EXPECT_GT(at_checkpoint.processed_stats, 0u);
+  EXPECT_GT(after.processed_metric, 0u);
+  EXPECT_EQ(after.processed_stats,
+            at_checkpoint.processed_stats + after.processed_metric);
+  EXPECT_EQ(after.events_stats,
+            at_checkpoint.events_stats + after.events_metric);
+  EXPECT_EQ(after.quarantined_stats, 1u);  // Before the cut, checkpointed.
+  EXPECT_EQ(after.quarantined_metric, 0u);
+  // The restored totals are the uninterrupted run's.
+  EXPECT_EQ(after.processed_stats, uninterrupted.processed_stats);
+  EXPECT_EQ(after.events_stats, uninterrupted.events_stats);
 }
 
 TEST(StreamingServerTest, RecordsIngestedBeforeStartAreProcessed) {
