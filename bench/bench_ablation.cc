@@ -56,7 +56,6 @@ double Run(TableWriter* table, const Scenario& scenario,
   config.factored.num_reader_particles = 100;
   config.factored.num_object_particles = 600;
   config.factored.seed = 61;
-  config.factored.compression.mode = CompressionMode::kUnseenEpochs;
   config.factored.compression.compress_after_epochs = 8;
   tweak(&config.factored);
   auto engine = RfidInferenceEngine::Create(

@@ -18,12 +18,20 @@
 // factorized filter is at least as accurate at a tenth of its time per
 // reading or less; wherever both run, the spatial index moves the
 // factorized error by at most 0.01 ft; and every factored variant meets the
-// 0.5 ft accuracy requirement.
+// 0.5 ft accuracy requirement. §IV-D's compression, which no end-to-end
+// workload turns on, has two more: at every count it adds at most 0.10 ft
+// to the index variant's error (0.017-0.077 ft when the gate was added,
+// most at 2,000 objects), and from 500 objects on, the filter's particle
+// and belief memory at the end of the run is at most 0.05x the index
+// variant's (0.023, 0.020 and 0.020 at 500, 1,000 and 2,000 objects:
+// 11.62 -> 0.26, 23.24 -> 0.47 and 46.48 -> 0.94 MiB). Below 500 objects
+// the share read 0.10-0.49, so no memory bound is set there.
 #include <cmath>
 #include <utility>
 #include <vector>
 
 #include "bench_util.h"
+#include "pf/factored_filter.h"
 #include "sim/trace.h"
 
 namespace rfid {
@@ -36,10 +44,18 @@ constexpr double kIndexErrorToleranceFt = 0.01;
 /// The factorized filter's time per reading is at most this share of the
 /// basic filter's (0.1 vs 3.8-5.8 ms when the gate was added).
 constexpr double kMaxFactoredTimeShare = 0.1;
+/// Largest error compression may add to the index variant's (ft).
+constexpr double kCompressionErrorToleranceFt = 0.10;
+/// Compression's end-of-run memory is at most this share of the index
+/// variant's, from kCompressionMemoryMinObjects objects on.
+constexpr double kMaxCompressedMemoryShare = 0.05;
+constexpr int kCompressionMemoryMinObjects = 500;
 
 struct VariantResult {
   double error = -1.0;  ///< -1: not run (beyond the variant's wall).
   double ms_per_reading = -1.0;
+  /// The factored filter's ApproxMemoryBytes at the end of the run (MiB).
+  double memory_mb = -1.0;
 
   bool ran() const { return error >= 0.0; }
 };
@@ -74,6 +90,14 @@ int CheckPaperResults(const std::vector<CountResult>& results) {
       check(r.objects, "|factorized+index - factorized| error (ft)",
             std::abs(r.fact_idx.error - r.fact.error),
             kIndexErrorToleranceFt);
+    }
+    check(r.objects, "compress - index error (ft)",
+          r.fact_idx_comp.error - r.fact_idx.error,
+          kCompressionErrorToleranceFt);
+    if (r.objects >= kCompressionMemoryMinObjects) {
+      check(r.objects, "compress memory (MiB) <= index memory x 0.05",
+            r.fact_idx_comp.memory_mb,
+            kMaxCompressedMemoryShare * r.fact_idx.memory_mb);
     }
     const std::pair<const char*, const VariantResult*> factored[] = {
         {"factorized error (ft)", &r.fact},
@@ -123,7 +147,6 @@ VariantResult RunVariant(const WarehouseLayout& layout,
   config.factored.seed = 31;
   config.factored.use_spatial_index = index;
   if (compression) {
-    config.factored.compression.mode = CompressionMode::kUnseenEpochs;
     config.factored.compression.compress_after_epochs = 8;
   }
   auto engine = RfidInferenceEngine::Create(
@@ -134,6 +157,10 @@ VariantResult RunVariant(const WarehouseLayout& layout,
   VariantResult result;
   result.error = eval.errors.MeanXY();
   result.ms_per_reading = eval.engine_stats.MillisPerReading();
+  if (const auto* filter = dynamic_cast<const FactoredParticleFilter*>(
+          &engine.value()->filter())) {
+    result.memory_mb = filter->ApproxMemoryBytes() / (1024.0 * 1024.0);
+  }
   return result;
 }
 

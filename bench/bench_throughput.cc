@@ -54,7 +54,6 @@ FactoredRunResult RunFactored(const WarehouseLayout& layout,
   config.factored.seed = 51;
   config.factored.num_threads = threads;
   if (compression) {
-    config.factored.compression.mode = CompressionMode::kUnseenEpochs;
     config.factored.compression.compress_after_epochs = 8;
   }
   auto engine = RfidInferenceEngine::Create(

@@ -53,8 +53,10 @@ Status ValidateConfig(const EngineConfig& config) {
         f.num_decompress_particles <= 0) {
       return Status::Invalid("factored particle counts must be positive");
     }
-    if (f.compression.mode != CompressionMode::kDisabled &&
-        !f.use_spatial_index) {
+    if (f.compression.compress_after_epochs < 0) {
+      return Status::Invalid("compress_after_epochs must be non-negative");
+    }
+    if (f.compression.compress_after_epochs > 0 && !f.use_spatial_index) {
       return Status::Invalid(
           "belief compression requires the spatial index (a filter without "
           "the index reprocesses every object each epoch and would "
@@ -72,7 +74,7 @@ Status ValidateConfig(const EngineConfig& config) {
       return Status::Invalid("factored.num_threads must be >= 1");
     }
   }
-  if (config.emitter.delay_seconds < 0) {
+  if (!(config.emitter.delay_seconds >= 0)) {
     return Status::Invalid("emitter.delay_seconds must be non-negative");
   }
   return Status::OK();

@@ -65,7 +65,6 @@ void GaussianBelief::Factorize() {
   const double l22 =
       std::sqrt(std::max(c5 - l20 * l20 - l21 * l21, kCovarianceFloor));
   chol_ = {l00, l10, l11, l20, l21, l22};
-  log_det_ = 2.0 * (std::log(l00) + std::log(l11) + std::log(l22));
 }
 
 Vec3 GaussianBelief::Sample(Rng& rng) const {
@@ -75,32 +74,6 @@ Vec3 GaussianBelief::Sample(Rng& rng) const {
   return {mean_.x + chol_[0] * z0,
           mean_.y + chol_[1] * z0 + chol_[2] * z1,
           mean_.z + chol_[3] * z0 + chol_[4] * z1 + chol_[5] * z2};
-}
-
-double GaussianBelief::LogPdf(const Vec3& p) const {
-  // Solve L y = (p - mean) by forward substitution; quadratic form = |y|^2.
-  const Vec3 d = p - mean_;
-  const double y0 = d.x / chol_[0];
-  const double y1 = (d.y - chol_[1] * y0) / chol_[2];
-  const double y2 = (d.z - chol_[3] * y0 - chol_[4] * y1) / chol_[5];
-  const double quad = y0 * y0 + y1 * y1 + y2 * y2;
-  return -0.5 * (quad + log_det_ + 3.0 * std::log(2.0 * M_PI));
-}
-
-double GaussianBelief::Entropy() const {
-  return 0.5 * (3.0 * (1.0 + std::log(2.0 * M_PI)) + log_det_);
-}
-
-double GaussianBelief::CompressionErrorFrom(
-    const std::vector<WeightedPoint>& points) const {
-  double total = 0.0;
-  for (const auto& p : points) total += p.weight;
-  if (total <= 0.0 || points.empty()) return 0.0;
-  double sq_err = 0.0;
-  for (const auto& p : points) {
-    sq_err += (p.weight / total) * (p.position - mean_).NormSq();
-  }
-  return sq_err;
 }
 
 }  // namespace rfid

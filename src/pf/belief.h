@@ -3,7 +3,7 @@
 // A weighted particle set over an object's location is compressed into a
 // 3-D Gaussian (9 stored numbers: mean + symmetric covariance). The KL
 // divergence KL(p_hat || q) is minimized by the weighted sample mean and
-// covariance; the residual KL measures how much compression loses.
+// covariance.
 #pragma once
 
 #include <array>
@@ -39,19 +39,6 @@ class GaussianBelief {
   /// Draws one sample (uses the cached Cholesky factor).
   Vec3 Sample(Rng& rng) const;
 
-  /// Log density at `p` (with the regularized covariance).
-  double LogPdf(const Vec3& p) const;
-
-  /// Differential entropy 0.5 * ln((2*pi*e)^3 |Sigma|).
-  double Entropy() const;
-
-  /// Compression error in the paper's sense of the KL divergence (§IV-D):
-  /// "the KL amounts essentially to a weighted average of the squared
-  /// distance between mu and the particles", i.e. the expected squared error
-  /// (in sq feet) incurred by replacing the particle set with this Gaussian.
-  /// Used by the KL-ranked / thresholded compression policies.
-  double CompressionErrorFrom(const std::vector<WeightedPoint>& points) const;
-
  private:
   void Factorize();
 
@@ -60,7 +47,6 @@ class GaussianBelief {
   // Lower-triangular Cholesky factor L (L * L^T = cov + reg), row-major
   // [l00, l10, l11, l20, l21, l22].
   std::array<double, 6> chol_ = {0, 0, 0, 0, 0, 0};
-  double log_det_ = 0.0;  ///< log |cov + reg|.
 };
 
 }  // namespace rfid

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "util/stopwatch.h"
@@ -97,7 +96,6 @@ FactoredParticleFilter::FactoredParticleFilter(
       config_(config),
       initializer_(config.init, &model_.sensor(),
                    &model_.object_model().shelves()),
-      compression_(config.compression),
       rng_(config.seed),
       pool_(config.num_threads) {
   // A belief as wide as the read range is maximally uncertain for this
@@ -784,82 +782,73 @@ void FactoredParticleFilter::DispatchObjectUpdates(
                            });
 }
 
-GaussianBelief FactoredParticleFilter::FitBelief(
-    const ObjectState& state, std::vector<WeightedPoint>* points) const {
-  points->clear();
-  points->reserve(state.particles.size());
+GaussianBelief FactoredParticleFilter::FitBelief(const ObjectState& state) {
+  // Each weight is an object weight times a reader weight, both finite:
+  // NormalizeForEss and NormalizeLogWeights leave weights in [0, 1]
+  // (uniform unless their total, or largest log weight, is finite),
+  // resamples reset them to uniform, and the snapshot loader admits only
+  // finite non-negative ones, which its writer saves normalized. So the fit
+  // of finite positions is finite, and every slot a tier selects collapses.
+  std::vector<WeightedPoint>& points = scratch_points_;
+  points.clear();
+  points.reserve(state.particles.size());
   for (size_t k = 0; k < state.particles.size(); ++k) {
-    points->push_back(
+    points.push_back(
         {state.particles.PositionAt(k),
          state.particles.WeightAt(k) *
              readers_[state.particles.ReaderIdxAt(k)].weight});
   }
-  return GaussianBelief::Fit(*points);
+  return GaussianBelief::Fit(points);
 }
 
 void FactoredParticleFilter::RunCompression() {
-  if (!compression_.enabled()) return;
-  std::vector<uint32_t> fit_slots;
+  const int64_t after = config_.compression.compress_after_epochs;
+  if (after <= 0) return;
+  std::vector<uint32_t>& slots = scratch_collapse_;
+  slots.clear();
   for (uint32_t slot = 0; slot < states_.size(); ++slot) {
     const ObjectState& state = states_[slot];
-    if (state.IsCompressed() || state.particles.size() < 2) continue;
-    // Cheap pre-filter for the unseen-epochs mode: skip in-scope objects
-    // before paying for a Gaussian fit.
-    if (compression_.config().mode == CompressionMode::kUnseenEpochs &&
-        step_ - state.last_processed_step <
-            compression_.config().compress_after_epochs) {
-      continue;
+    if (!state.IsCompressed() && state.particles.size() >= 2 &&
+        step_ - state.last_processed_step >= after) {
+      slots.push_back(slot);
     }
-    fit_slots.push_back(slot);
   }
   // The fits marginalize over reader weights through the attachments, so
   // pending remaps are resolved first. Compression targets exactly the
   // slots the epoch sweep has not touched — the ones most likely to lag.
-  SyncReaderAttachments(fit_slots);
-  std::vector<CompressionCandidate> candidates;
-  std::vector<GaussianBelief> fits;
-  std::vector<WeightedPoint> points;
-  for (uint32_t slot : fit_slots) {
-    const ObjectState& state = states_[slot];
-    const GaussianBelief fit = FitBelief(state, &points);
-    CompressionCandidate c;
-    c.slot = slot;
-    c.last_processed_step = state.last_processed_step;
-    c.kl = fit.CompressionErrorFrom(points);
-    candidates.push_back(c);
-    fits.push_back(fit);
-  }
-  const std::vector<uint32_t> selected =
-      compression_.SelectForCompression(step_, candidates);
-  std::unordered_set<uint32_t> selected_set(selected.begin(), selected.end());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (!selected_set.count(candidates[i].slot)) continue;
-    ObjectState& state = states_[candidates[i].slot];
-    state.compressed = fits[i];
+  SyncReaderAttachments(slots);
+  for (uint32_t slot : slots) {
+    ObjectState& state = states_[slot];
+    state.compressed = FitBelief(state);
     state.particles.Reset(0);
   }
 }
 
 void FactoredParticleFilter::RunHibernation() {
-  if (!compression_.hibernation_enabled()) return;
-  std::vector<HibernationCandidate> candidates;
+  const int64_t after = config_.compression.hibernate_after_epochs;
+  if (after <= 0) return;
+  std::vector<uint32_t>& slots = scratch_collapse_;
+  slots.clear();
   for (uint32_t slot = 0; slot < states_.size(); ++slot) {
     const ObjectState& state = states_[slot];
-    if (state.hibernated) continue;
     // An active object with no particles yet (created but never initialized)
     // has nothing to summarize; it stays where it is until its first read.
-    if (!state.IsCompressed() && state.particles.empty()) continue;
-    candidates.push_back(
-        {slot, std::max(state.last_observed_step, state.last_revived_step)});
+    if (state.hibernated ||
+        (!state.IsCompressed() && state.particles.empty())) {
+      continue;
+    }
+    // Hibernation keys on the last read or revival, not the last
+    // processing: negative-evidence touches keep an object processed but
+    // say nothing about whether anyone still cares where it is.
+    const int64_t last_seen =
+        std::max(state.last_observed_step, state.last_revived_step);
+    if (last_seen >= 0 && step_ - last_seen >= after) slots.push_back(slot);
   }
-  const std::vector<uint32_t> selected =
-      compression_.SelectForHibernation(step_, candidates);
-  SyncReaderAttachments(selected);  // The fits read the attachments.
-  std::vector<WeightedPoint> points;
-  for (uint32_t slot : selected) {
+  SyncReaderAttachments(slots);  // The fits read the attachments.
+  for (uint32_t slot : slots) {
     ObjectState& state = states_[slot];
     if (!state.IsCompressed()) {
-      state.compressed = FitBelief(state, &points);
+      state.compressed = FitBelief(state);
       state.particles.Reset(0);
     }
     state.hibernated = true;
@@ -1057,7 +1046,7 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
   }
 
   // --- Belief compression + hibernation -------------------------------------
-  // Compression first (it needs the particles for its KL fits), then the
+  // Compression first (it needs the particles for its fits), then the
   // deeper tier collapses whatever has been unread long enough.
   RunCompression();
   RunHibernation();

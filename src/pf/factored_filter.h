@@ -13,9 +13,9 @@
 //  * spatial indexing (use_spatial_index, §IV-C): only objects read now
 //    (Case 1) or recorded near the current reader location before (Case 2)
 //    are processed;
-//  * belief compression (compression.mode, §IV-D): objects out of scope
-//    collapse to a Gaussian and are revived with a small particle count when
-//    read again;
+//  * belief compression (compression.compress_after_epochs, §IV-D): objects
+//    no epoch has processed for that many epochs collapse to a Gaussian and
+//    are revived with a small particle count when read again;
 //  * elastic budgets (min_object_particles): per-object particle counts
 //    resize with posterior spread, in storage sized to the count, so a
 //    settled tag costs a fraction of an ambiguous one;
@@ -42,6 +42,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -53,7 +54,6 @@
 #include "model/world_model.h"
 #include "pf/belief.h"
 #include "pf/composite_remap.h"
-#include "pf/compression_policy.h"
 #include "pf/filter.h"
 #include "pf/initializer.h"
 #include "pf/particle_soa.h"
@@ -67,6 +67,25 @@ class FactoredParticleFilter;
 Status SaveFilterSnapshot(const FactoredParticleFilter& filter,
                           std::ostream& os);
 Status LoadFilterSnapshot(std::istream& is, FactoredParticleFilter* filter);
+
+/// The belief tiers below a particle set. Each threshold counts epochs of
+/// the filter's step; 0 (the default) turns its tier off.
+struct CompressionPolicyConfig {
+  /// §IV-D compression, the paper's unseen-epochs policy: an object no
+  /// epoch has processed (Case 1 or Case 2) for this many epochs collapses
+  /// to its KL-optimal Gaussian. Needs the spatial index, without which
+  /// every object is processed every epoch.
+  int64_t compress_after_epochs = 0;
+  /// Idle-tag hibernation: an object whose tag has not been *read* for this
+  /// many epochs collapses to a Gaussian summary and leaves the epoch sweep
+  /// entirely — no negative-evidence updates, no compression re-fits —
+  /// until it is read again or negative evidence at its summary mean is
+  /// strong. Works with compression off (an active object fits its
+  /// Gaussian at collapse time). Compression trades accuracy for memory,
+  /// hibernation responsiveness for epoch cost, so this horizon should lie
+  /// well above the compression threshold.
+  int64_t hibernate_after_epochs = 0;
+};
 
 struct FactoredFilterConfig {
   int num_reader_particles = 100;
@@ -94,7 +113,7 @@ struct FactoredFilterConfig {
 
   bool use_spatial_index = true;
 
-  CompressionPolicyConfig compression;  ///< Disabled by default.
+  CompressionPolicyConfig compression;  ///< Both tiers off by default.
 
   /// Exponent on the object-support term in reader resampling (§IV-B).
   /// 1.0 reproduces the paper's "favor reader particles associated with good
@@ -324,11 +343,11 @@ class FactoredParticleFilter final : public InferenceFilter {
   void DispatchObjectUpdates(const std::vector<uint32_t>& slots);
 
   /// Fits the current Gaussian to an object's particles (weights combined
-  /// with reader weights, i.e. the true marginal), leaving those weighted
-  /// points in `points` for the caller's compression error.
-  GaussianBelief FitBelief(const ObjectState& state,
-                           std::vector<WeightedPoint>* points) const;
+  /// with reader weights, i.e. the true marginal), through scratch_points_.
+  GaussianBelief FitBelief(const ObjectState& state);
 
+  /// Collapses active objects unprocessed for compress_after_epochs epochs
+  /// into their Gaussian fits.
   void RunCompression();
   /// Collapses tags unread for hibernate_after_epochs epochs into the
   /// hibernation tier (from the active tier through a fresh Gaussian fit,
@@ -346,7 +365,6 @@ class FactoredParticleFilter final : public InferenceFilter {
   WorldModel model_;
   FactoredFilterConfig config_;
   ParticleInitializer initializer_;
-  CompressionPolicy compression_;
   Rng rng_;
 
   /// Posterior spread at which an object earns the full elastic budget: the
@@ -414,6 +432,10 @@ class FactoredParticleFilter final : public InferenceFilter {
   std::vector<uint32_t> scratch_case1_;
   std::vector<uint32_t> scratch_processed_;
   std::vector<uint32_t> scratch_in_box_;
+  /// The slots RunCompression or RunHibernation collapses this epoch, and
+  /// the weighted points of the fit FitBelief is making.
+  std::vector<uint32_t> scratch_collapse_;
+  std::vector<WeightedPoint> scratch_points_;
   /// Case-1 membership mask, epoch-stamped as in
   /// SensingRegionIndex::ProbeScratch: slot s was read this epoch iff
   /// case1_stamp_[s] == case1_epoch_, so no per-epoch set is built.

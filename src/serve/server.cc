@@ -13,6 +13,8 @@ namespace rfid {
 
 namespace {
 
+/// The server's own settings. The per-site ones (epoch length, lateness,
+/// engine) are SitePipeline::Create's to check; Create returns its status.
 Status ValidateConfig(const ServeConfig& config, size_t num_sites) {
   if (num_sites == 0) return Status::Invalid("server needs at least one site");
   if (config.num_shards < 1) {
@@ -26,17 +28,6 @@ Status ValidateConfig(const ServeConfig& config, size_t num_sites) {
   }
   if (config.pump_batch == 0) {
     return Status::Invalid("pump_batch must be positive");
-  }
-  if (config.epoch_seconds <= 0) {
-    return Status::Invalid("epoch_seconds must be positive");
-  }
-  if (config.max_lateness_seconds < 0) {
-    return Status::Invalid("max_lateness_seconds must be non-negative");
-  }
-  if (config.engine.filter != EngineConfig::FilterKind::kFactored) {
-    return Status::Invalid(
-        "serving requires the factored filter (checkpointing serializes "
-        "factored belief state)");
   }
   for (const auto& pin : config.shard_pins) {
     if (pin.shard < 0 || pin.shard >= config.num_shards) {
@@ -119,7 +110,6 @@ Result<std::unique_ptr<StreamingServer>> StreamingServer::Create(
   pipeline_config.epoch_seconds = config.epoch_seconds;
   pipeline_config.max_lateness_seconds = config.max_lateness_seconds;
   pipeline_config.dead_letter_capacity = config.recovery.dead_letter_capacity;
-  pipeline_config.scan_boundary = config.scan_boundary;
   pipeline_config.engine = config.engine;
   pipeline_config.flight = config.flight;
   pipeline_config.metrics = metrics.get();

@@ -81,12 +81,6 @@ struct ServeConfig {
   /// Out-of-order admission slack per site stream (see synchronizer.h).
   double max_lateness_seconds = 2.0;
 
-  /// Mid-stream scan-boundary detection for every site (reader returns to
-  /// origin, or idle-gap timeout), so the kOnScanComplete emitter policy
-  /// works on endless streams instead of only at Flush(). See
-  /// site_pipeline.h.
-  ScanBoundaryConfig scan_boundary;
-
   /// Template for every site's engine. Seeds are decorrelated per site
   /// (seed ^ splitmix64(site)); the filter must be the factored one.
   EngineConfig engine;

@@ -1,5 +1,6 @@
 #include "serve/site_pipeline.h"
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <istream>
@@ -35,16 +36,19 @@ constexpr char kMagic[8] = {'R', 'F', 'I', 'D', 'S', 'I', 'T', 'E'};
 // bit-rotted checkpoints now fail section verification before any state is
 // parsed, which is what the generation manifest's save-verify-advance
 // protocol (serve/checkpoint.cc) relies on.
-// v4 inserts the scan-boundary detector section (origin/departed/idle
-// bookkeeping) between the header and the synchronizer, so a pipeline
-// restored mid-scan closes that scan exactly where the uninterrupted run
-// would have.
+// v4 inserts a section between the header and the synchronizer that held
+// a mid-stream scan-boundary detector's state. The detector is gone (the
+// end of the stream is the one scan boundary); its section stays,
+// reserved: kReservedSectionBytes zeros, the bytes the detector wrote
+// whenever it was off. A nonzero byte is rejected on load, so every
+// accepted checkpoint re-saves to the same bytes.
 //
-// Version window: one back. v3 still loads (the detector state defaults to
-// "fresh scan", which is what a v3 writer's state implied); v2 and older
-// are rejected with an error naming the oldest loadable version.
+// Version window: one back. v3 still loads (it has no reserved section);
+// v2 and older are rejected with an error naming the oldest loadable
+// version.
 constexpr uint32_t kVersion = 4;
 constexpr uint32_t kMinVersion = 3;
+constexpr size_t kReservedSectionBytes = 35;
 
 SynchronizerConfig MakeSyncConfig(const SitePipelineConfig& config) {
   SynchronizerConfig sc;
@@ -91,31 +95,23 @@ SitePipeline::SitePipeline(SiteId site, const SitePipelineConfig& config,
 
 Result<std::unique_ptr<SitePipeline>> SitePipeline::Create(
     SiteId site, WorldModel model, const SitePipelineConfig& config) {
-  if (config.epoch_seconds <= 0) {
-    return Status::Invalid("epoch_seconds must be positive");
+  // A NaN epoch length drops every record as late; an infinite one, or a
+  // NaN lateness bound, admits records but closes no epoch before Flush(),
+  // so an endless stream's pending epochs grow without bound.
+  if (!(std::isfinite(config.epoch_seconds) && config.epoch_seconds > 0)) {
+    return Status::Invalid("epoch_seconds must be finite and positive");
   }
-  if (config.max_lateness_seconds < 0) {
-    // The synchronizer would clamp it to 0, silently giving zero-tolerance
-    // dropping instead of the bound the operator asked for.
-    return Status::Invalid("max_lateness_seconds must be non-negative");
+  if (!(std::isfinite(config.max_lateness_seconds) &&
+        config.max_lateness_seconds >= 0)) {
+    // The synchronizer would clamp a negative bound to 0, silently giving
+    // zero-tolerance dropping instead of the bound the operator asked for.
+    return Status::Invalid(
+        "max_lateness_seconds must be finite and non-negative");
   }
   if (config.engine.filter != EngineConfig::FilterKind::kFactored) {
     return Status::Invalid(
         "serving pipelines require the factored filter (checkpointing "
         "serializes factored belief state)");
-  }
-  if (config.scan_boundary.mode == ScanBoundaryConfig::Mode::kReaderReturn) {
-    if (config.scan_boundary.origin_radius <= 0 ||
-        config.scan_boundary.depart_radius <
-            config.scan_boundary.origin_radius) {
-      return Status::Invalid(
-          "scan_boundary reader-return radii must satisfy 0 < origin_radius "
-          "<= depart_radius");
-    }
-  }
-  if (config.scan_boundary.mode == ScanBoundaryConfig::Mode::kIdleGap &&
-      config.scan_boundary.idle_gap_seconds <= 0) {
-    return Status::Invalid("scan_boundary.idle_gap_seconds must be positive");
   }
   auto engine = RfidInferenceEngine::Create(std::move(model), config.engine);
   if (!engine.ok()) return engine.status();
@@ -150,7 +146,6 @@ void SitePipeline::ProcessEpochs(std::vector<SyncedEpoch> epochs,
       events_dispatched_ += event_count;
       events_c_->Add(event_count);
     }
-    MaybeFireScanBoundary(epoch, bus);
     if (telemetry) {
       RecordEpochTelemetry(epoch, start_ns, dispatch_ns, event_count);
     }
@@ -190,55 +185,6 @@ void SitePipeline::RecordEpochTelemetry(const SyncedEpoch& epoch,
     ++slow_epochs_;
     slow_epochs_c_->Add();
   }
-}
-
-void SitePipeline::FireScanComplete(SubscriptionBus* bus) {
-  event_scratch_ = engine_->NotifyScanComplete(last_epoch_time_);
-  if (!event_scratch_.empty()) {
-    if (bus != nullptr) bus->Dispatch(site_, event_scratch_);
-    events_dispatched_ += event_scratch_.size();
-    events_c_->Add(event_scratch_.size());
-  }
-  ++scan_completes_;
-  epochs_since_scan_ = false;
-  // Reset the detector: the next scan's origin is the next reported
-  // location, and the idle clock restarts at the next reading.
-  scan_origin_valid_ = false;
-  scan_departed_ = false;
-  activity_since_scan_ = false;
-}
-
-void SitePipeline::MaybeFireScanBoundary(const SyncedEpoch& epoch,
-                                         SubscriptionBus* bus) {
-  const ScanBoundaryConfig& sb = config_.scan_boundary;
-  if (sb.mode == ScanBoundaryConfig::Mode::kOnFlushOnly) return;
-  // Mirror Flush(): scan completion is only an observable concept under the
-  // kOnScanComplete emitter policy.
-  if (config_.engine.emitter.policy != EmitPolicy::kOnScanComplete) return;
-  bool fire = false;
-  if (sb.mode == ScanBoundaryConfig::Mode::kReaderReturn) {
-    if (epoch.has_location) {
-      if (!scan_origin_valid_) {
-        scan_origin_ = epoch.reported_location;
-        scan_origin_valid_ = true;
-      }
-      const double d = (epoch.reported_location - scan_origin_).Norm();
-      if (d >= sb.depart_radius) {
-        scan_departed_ = true;
-      } else if (scan_departed_ && d <= sb.origin_radius) {
-        fire = epochs_since_scan_;
-      }
-    }
-  } else {  // kIdleGap
-    if (!epoch.tags.empty()) {
-      last_activity_time_ = epoch.time;
-      activity_since_scan_ = true;
-    } else if (activity_since_scan_ &&
-               epoch.time - last_activity_time_ >= sb.idle_gap_seconds) {
-      fire = epochs_since_scan_;
-    }
-  }
-  if (fire) FireScanComplete(bus);
 }
 
 void SitePipeline::Quarantine(const ServeRecord& record, const char* reason) {
@@ -294,15 +240,22 @@ void SitePipeline::OnRecord(const ServeRecord& record, SubscriptionBus* bus) {
 
 void SitePipeline::Flush(SubscriptionBus* bus) {
   ProcessEpochs(sync_.Finish(), bus);
-  if (config_.engine.emitter.policy == EmitPolicy::kOnScanComplete &&
-      epochs_since_scan_) {
-    // The stream end is always a scan boundary (regardless of the
-    // mid-stream detector mode). Without this call the kOnScanComplete
-    // policy was dead through the serving path: nothing ever told the
-    // engine a scan finished, so subscriptions saw zero events while
-    // offline runs of the same trace emitted.
-    FireScanComplete(bus);
+  // The stream end is the scan boundary. Without it the kOnScanComplete
+  // policy was dead through the serving path: nothing ever told the engine
+  // a scan finished, so subscriptions saw zero events while offline runs of
+  // the same trace emitted.
+  if (config_.engine.emitter.policy != EmitPolicy::kOnScanComplete ||
+      !epochs_since_scan_) {
+    return;
   }
+  event_scratch_ = engine_->NotifyScanComplete(last_epoch_time_);
+  if (!event_scratch_.empty()) {
+    if (bus != nullptr) bus->Dispatch(site_, event_scratch_);
+    events_dispatched_ += event_scratch_.size();
+    events_c_->Add(event_scratch_.size());
+  }
+  ++scan_completes_;
+  epochs_since_scan_ = false;
 }
 
 SitePipelineStats SitePipeline::Stats() const {
@@ -326,8 +279,8 @@ SitePipelineStats SitePipeline::Stats() const {
 
 Status SitePipeline::SaveCheckpoint(std::ostream& os) const {
   // v4 layout: magic + version, then six CRC-framed sections in fixed
-  // order — header/counters, scan-boundary detector, synchronizer, emitter,
-  // engine stats, filter snapshot. Each section is verifiable before it is
+  // order — header/counters, reserved, synchronizer, emitter, engine
+  // stats, filter snapshot. Each section is verifiable before it is
   // committed, and each streams straight into `os` (which must be seekable):
   // the filter snapshot, by far the largest, nests its own framed body
   // inside the last section without a staging copy.
@@ -343,14 +296,8 @@ Status SitePipeline::SaveCheckpoint(std::ostream& os) const {
     WritePod(header, last_epoch_time_);
     WritePod(header, static_cast<uint8_t>(epochs_since_scan_ ? 1 : 0));
   }));
-  RFID_RETURN_NOT_OK(WriteFramedSection(os, [this](std::ostream& detector) {
-    WritePod(detector, static_cast<uint8_t>(scan_origin_valid_ ? 1 : 0));
-    WritePod(detector, scan_origin_.x);
-    WritePod(detector, scan_origin_.y);
-    WritePod(detector, scan_origin_.z);
-    WritePod(detector, static_cast<uint8_t>(scan_departed_ ? 1 : 0));
-    WritePod(detector, static_cast<uint8_t>(activity_since_scan_ ? 1 : 0));
-    WritePod(detector, last_activity_time_);
+  RFID_RETURN_NOT_OK(WriteFramedSection(os, [](std::ostream& reserved) {
+    WritePod(reserved, std::array<uint8_t, kReservedSectionBytes>{});
   }));
   RFID_RETURN_NOT_OK(WriteFramedSection(
       os, [this](std::ostream& sync) { sync_.SaveState(sync); }));
@@ -405,12 +352,6 @@ Status SitePipeline::LoadCheckpoint(std::istream& is) {
   uint64_t records_quarantined = 0;
   double last_epoch_time = 0.0;
   bool epochs_since_scan = false;
-  // Detector defaults = "fresh scan": exactly what a v3 writer (which had
-  // no mid-stream detector) implied.
-  bool scan_origin_valid = false, scan_departed = false;
-  bool activity_since_scan = false;
-  Vec3 scan_origin;
-  double last_activity_time = 0.0;
   StreamSynchronizer sync(MakeSyncConfig(config_));
   EventEmitter emitter(config_.engine.emitter);
   EngineStats stats;
@@ -441,15 +382,18 @@ Status SitePipeline::LoadCheckpoint(std::istream& is) {
                            std::to_string(site_));
   }
   if (version >= 4) {
-    RFID_RETURN_NOT_OK(ReadFramedSection(is, [&](std::istream& detector) {
-      if (!ReadBool(detector, &scan_origin_valid) ||
-          !ReadPod(detector, &scan_origin.x) ||
-          !ReadPod(detector, &scan_origin.y) ||
-          !ReadPod(detector, &scan_origin.z) ||
-          !ReadBool(detector, &scan_departed) ||
-          !ReadBool(detector, &activity_since_scan) ||
-          !ReadPod(detector, &last_activity_time)) {
-        return Status::IOError("truncated site checkpoint detector section");
+    RFID_RETURN_NOT_OK(ReadFramedSection(is, [](std::istream& section) {
+      std::array<uint8_t, kReservedSectionBytes> bytes{};
+      if (!ReadPod(section, &bytes)) {
+        return Status::IOError("truncated site checkpoint reserved section");
+      }
+      for (size_t i = 0; i < bytes.size(); ++i) {
+        if (bytes[i] != 0) {
+          return Status::Invalid(
+              "site checkpoint's reserved section (the former scan-boundary "
+              "detector state, after the header) must be all zeros, read " +
+              std::to_string(bytes[i]) + " at byte " + std::to_string(i));
+        }
       }
       return Status::OK();
     }));
@@ -483,11 +427,6 @@ Status SitePipeline::LoadCheckpoint(std::istream& is) {
   records_quarantined_ = records_quarantined;
   last_epoch_time_ = last_epoch_time;
   epochs_since_scan_ = epochs_since_scan;
-  scan_origin_valid_ = scan_origin_valid;
-  scan_origin_ = scan_origin;
-  scan_departed_ = scan_departed;
-  activity_since_scan_ = activity_since_scan;
-  last_activity_time_ = last_activity_time;
   return Status::OK();
 }
 

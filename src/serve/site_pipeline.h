@@ -18,6 +18,10 @@
 // the emitter's scope/work-list state, and the engine counters. Restoring
 // into a freshly built pipeline with the same config and feeding the same
 // remaining records reproduces the uninterrupted run's events bit for bit.
+// The v4 layout keeps two reserved areas, written as zeros and rejected on
+// load when not: an 8-byte slot in the header section and the whole
+// 35-byte second section, which held a mid-stream scan-boundary detector's
+// state (see kVersion in site_pipeline.cc).
 #pragma once
 
 #include <deque>
@@ -34,31 +38,6 @@
 
 namespace rfid {
 
-/// Mid-stream scan-boundary detection for the kOnScanComplete emitter
-/// policy. By default the only scan boundary the serving path knows is
-/// Flush() — the end of the stream — which makes the policy useless on an
-/// endless stream: nothing ever tells the engine a scan finished. The
-/// detector closes scans while records keep flowing, from the stream's own
-/// signals (record-time, never wall-clock — replays and restores stay
-/// deterministic). Flush() still fires the tail scan either way.
-struct ScanBoundaryConfig {
-  enum class Mode {
-    kOnFlushOnly,   ///< Seed behavior: Flush() is the only boundary.
-    kReaderReturn,  ///< Reader reported back near where the scan started.
-    kIdleGap,       ///< No tag readings for idle_gap_seconds of record time.
-  };
-  Mode mode = Mode::kOnFlushOnly;
-  /// kReaderReturn: a scan completes when the reader, having first left,
-  /// reports within this distance (feet) of the scan's first location.
-  double origin_radius = 3.0;
-  /// kReaderReturn hysteresis: the reader must first travel at least this
-  /// far from the origin before a return can fire (jitter around the dock
-  /// must not close a scan that never started moving).
-  double depart_radius = 6.0;
-  /// kIdleGap: record-time gap with no tag readings that ends a scan.
-  double idle_gap_seconds = 10.0;
-};
-
 struct SitePipelineConfig {
   double epoch_seconds = 1.0;
   /// Out-of-order admission slack; records older than the site's newest
@@ -69,9 +48,6 @@ struct SitePipelineConfig {
   /// Most recent quarantined records retained for inspection (the ring is
   /// diagnostic state: counted forever, contents bounded, not checkpointed).
   size_t dead_letter_capacity = 32;
-  /// Mid-stream scan completion (only observable with the kOnScanComplete
-  /// emitter policy; inert otherwise).
-  ScanBoundaryConfig scan_boundary;
   EngineConfig engine;
   /// Slow-epoch flight recorder tuning (ring sizes, EWMA slow threshold).
   obs::FlightRecorder::Config flight;
@@ -173,13 +149,6 @@ class SitePipeline {
                std::unique_ptr<RfidInferenceEngine> engine);
 
   void ProcessEpochs(std::vector<SyncedEpoch> epochs, SubscriptionBus* bus);
-  /// Feeds one closed epoch to the scan-boundary detector and, when it
-  /// declares the scan complete, dispatches the engine's scan-complete
-  /// events (exactly what Flush() does at stream end).
-  void MaybeFireScanBoundary(const SyncedEpoch& epoch, SubscriptionBus* bus);
-  /// Dispatches NotifyScanComplete events and resets the per-scan state
-  /// (shared tail of Flush() and the mid-stream detector).
-  void FireScanComplete(SubscriptionBus* bus);
   void Quarantine(const ServeRecord& record, const char* reason);
   /// Feeds one processed epoch's stage split into the histograms and the
   /// flight recorder (telemetry on only).
@@ -205,14 +174,6 @@ class SitePipeline {
   /// True once epochs closed since the last scan-complete flush, so a
   /// repeated Flush() cannot re-emit the same scan.
   bool epochs_since_scan_ = false;
-  // --- Scan-boundary detector state (checkpointed: a restored pipeline
-  // must close the in-flight scan exactly where the uninterrupted run
-  // would have) ---
-  bool scan_origin_valid_ = false;  ///< kReaderReturn: origin captured.
-  Vec3 scan_origin_;                ///< First reported location of the scan.
-  bool scan_departed_ = false;      ///< Cleared depart_radius since origin.
-  bool activity_since_scan_ = false;  ///< kIdleGap: any readings this scan.
-  double last_activity_time_ = 0.0;   ///< Time of the newest reading epoch.
   // --- Telemetry (handles resolved once in the ctor; all writes are
   // relaxed stores — see obs/metrics.h). None of it is checkpointed. ---
   std::unique_ptr<obs::FlightRecorder> flight_;

@@ -1,10 +1,9 @@
-// Tests for Gaussian belief compression (§IV-D) and compression policies.
+// Tests for Gaussian belief compression (§IV-D).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "pf/belief.h"
-#include "pf/compression_policy.h"
 
 namespace rfid {
 namespace {
@@ -93,79 +92,6 @@ TEST(GaussianBeliefTest, FitThenSampleRoundTrip) {
   EXPECT_NEAR(std::sqrt(sum_yy / kN), 2.0, 0.05);
 }
 
-// --------------------------------------------------------------- LogPdf ---
-
-TEST(GaussianBeliefTest, LogPdfMatchesIsotropicClosedForm) {
-  const std::array<double, 6> cov = {1.0, 0.0, 0.0, 1.0, 0.0, 1.0};
-  const GaussianBelief g({0, 0, 0}, cov);
-  const Vec3 p{1.0, 1.0, 1.0};
-  const double expected = -0.5 * 3.0 - 1.5 * std::log(2 * M_PI);
-  EXPECT_NEAR(g.LogPdf(p), expected, 1e-4);
-  EXPECT_NEAR(g.LogPdf({0, 0, 0}), -1.5 * std::log(2 * M_PI), 1e-4);
-}
-
-TEST(GaussianBeliefTest, LogPdfDecaysFromMean) {
-  const GaussianBelief g({0, 0, 0}, {1, 0, 0, 1, 0, 1});
-  EXPECT_GT(g.LogPdf({0.1, 0, 0}), g.LogPdf({2, 0, 0}));
-}
-
-TEST(GaussianBeliefTest, EntropyMatchesClosedForm) {
-  const GaussianBelief g({0, 0, 0}, {1, 0, 0, 1, 0, 1});
-  const double expected = 1.5 * (1.0 + std::log(2 * M_PI));
-  EXPECT_NEAR(g.Entropy(), expected, 1e-4);
-}
-
-TEST(GaussianBeliefTest, EntropyGrowsWithVariance) {
-  const GaussianBelief small({0, 0, 0}, {0.1, 0, 0, 0.1, 0, 0.1});
-  const GaussianBelief large({0, 0, 0}, {10, 0, 0, 10, 0, 10});
-  EXPECT_LT(small.Entropy(), large.Entropy());
-}
-
-// ------------------------------------------------------------------- KL ---
-
-TEST(GaussianBeliefTest, CompressionErrorEqualsCovarianceTrace) {
-  // With the KL-optimal fit (mean = weighted mean), the expected squared
-  // error is exactly trace(Sigma).
-  const auto pts = GaussianCloud({0, 0, 0}, {1.0, 1.0, 0.5}, 20000, 5);
-  const GaussianBelief g = GaussianBelief::Fit(pts);
-  const Vec3 v = g.DiagonalVariance();
-  EXPECT_NEAR(g.CompressionErrorFrom(pts), v.x + v.y + v.z, 1e-9);
-}
-
-TEST(GaussianBeliefTest, CompressionErrorSmallForStabilizedParticles) {
-  // A particle cloud that has stabilized to a small region (the situation
-  // in which SIV-D compresses) has a tiny expected squared error.
-  const auto pts = GaussianCloud({2, 3, 0}, {0.05, 0.05, 0.0}, 2000, 6);
-  const GaussianBelief g = GaussianBelief::Fit(pts);
-  EXPECT_LT(g.CompressionErrorFrom(pts), 0.01);
-}
-
-TEST(GaussianBeliefTest, CompressionErrorLargeForBimodalParticles) {
-  // Bimodal particles (e.g. the half-reinit state of SIV-A) lose a lot when
-  // collapsed to one Gaussian.
-  std::vector<WeightedPoint> pts;
-  Rng rng(6);
-  for (int i = 0; i < 1000; ++i) {
-    const double cx = (i % 2 == 0) ? -5.0 : 5.0;
-    pts.push_back({{cx + rng.Gaussian(0.0, 0.1), rng.Gaussian(0.0, 0.1), 0.0},
-                   1.0});
-  }
-  const GaussianBelief g = GaussianBelief::Fit(pts);
-  EXPECT_GT(g.CompressionErrorFrom(pts), 20.0);
-}
-
-TEST(GaussianBeliefTest, CompressionErrorNonNegativeAndWeightAware) {
-  auto pts = GaussianCloud({1, 1, 0}, {0.2, 0.4, 0.0}, 500, 8);
-  const GaussianBelief g = GaussianBelief::Fit(pts);
-  EXPECT_GE(g.CompressionErrorFrom(pts), 0.0);
-  // Zeroing the weight of far-away points reduces the error.
-  auto weighted = pts;
-  for (auto& p : weighted) {
-    if ((p.position - g.mean()).Norm() > 0.5) p.weight = 0.0;
-  }
-  EXPECT_LT(g.CompressionErrorFrom(weighted), g.CompressionErrorFrom(pts));
-}
-
 TEST(GaussianBeliefTest, PlanarParticlesFactorizeViaRegularization) {
   // z variance is exactly zero; the covariance floor must keep Cholesky and
   // sampling finite.
@@ -175,71 +101,6 @@ TEST(GaussianBeliefTest, PlanarParticlesFactorizeViaRegularization) {
   const Vec3 s = g.Sample(rng);
   EXPECT_TRUE(std::isfinite(s.z));
   EXPECT_NEAR(s.z, 0.0, 0.01);
-  EXPECT_TRUE(std::isfinite(g.LogPdf({0, 0, 0})));
-}
-
-// --------------------------------------------------- CompressionPolicy ----
-
-TEST(CompressionPolicyTest, DisabledSelectsNothing) {
-  CompressionPolicyConfig c;
-  c.mode = CompressionMode::kDisabled;
-  const CompressionPolicy policy(c);
-  EXPECT_FALSE(policy.enabled());
-  EXPECT_TRUE(policy.SelectForCompression(100, {{0, 0, 0.0}}).empty());
-}
-
-TEST(CompressionPolicyTest, UnseenEpochsSelectsStaleObjects) {
-  CompressionPolicyConfig c;
-  c.mode = CompressionMode::kUnseenEpochs;
-  c.compress_after_epochs = 5;
-  const CompressionPolicy policy(c);
-  const std::vector<CompressionCandidate> cands = {
-      {0, 98, 0.0},  // Processed 2 epochs ago: keep.
-      {1, 90, 0.0},  // 10 epochs ago: compress.
-      {2, 95, 0.0},  // Exactly at threshold: compress.
-  };
-  const auto selected = policy.SelectForCompression(100, cands);
-  ASSERT_EQ(selected.size(), 2u);
-  EXPECT_EQ(selected[0], 1u);
-  EXPECT_EQ(selected[1], 2u);
-}
-
-TEST(CompressionPolicyTest, KlThresholdBlocksBadCompressions) {
-  CompressionPolicyConfig c;
-  c.mode = CompressionMode::kUnseenEpochs;
-  c.compress_after_epochs = 1;
-  c.kl_threshold = 0.5;
-  const CompressionPolicy policy(c);
-  const std::vector<CompressionCandidate> cands = {
-      {0, 0, 0.1},  // Good fit: compress.
-      {1, 0, 2.0},  // Bimodal: keep particles.
-  };
-  const auto selected = policy.SelectForCompression(100, cands);
-  ASSERT_EQ(selected.size(), 1u);
-  EXPECT_EQ(selected[0], 0u);
-}
-
-TEST(CompressionPolicyTest, KlRankedKeepsBudget) {
-  CompressionPolicyConfig c;
-  c.mode = CompressionMode::kKlRanked;
-  c.max_active_objects = 2;
-  const CompressionPolicy policy(c);
-  const std::vector<CompressionCandidate> cands = {
-      {0, 0, 0.5}, {1, 0, 0.1}, {2, 0, 0.9}, {3, 0, 0.2}};
-  // 4 active, budget 2 -> compress the 2 lowest-KL: slots 1 and 3.
-  const auto selected = policy.SelectForCompression(10, cands);
-  ASSERT_EQ(selected.size(), 2u);
-  EXPECT_EQ(selected[0], 1u);
-  EXPECT_EQ(selected[1], 3u);
-}
-
-TEST(CompressionPolicyTest, KlRankedNoExcessNoCompression) {
-  CompressionPolicyConfig c;
-  c.mode = CompressionMode::kKlRanked;
-  c.max_active_objects = 10;
-  const CompressionPolicy policy(c);
-  EXPECT_TRUE(policy.SelectForCompression(10, {{0, 0, 0.1}, {1, 0, 0.2}})
-                  .empty());
 }
 
 }  // namespace

@@ -111,7 +111,6 @@ std::unique_ptr<FactoredParticleFilter> RunLabElastic(
   config.init.half_angle = M_PI;
   if (elastic) config.min_object_particles = 32;
   if (hibernate) {
-    config.compression.mode = CompressionMode::kUnseenEpochs;
     config.compression.compress_after_epochs = 6;
     config.compression.hibernate_after_epochs = 25;
   }
@@ -322,25 +321,6 @@ TEST(ElasticBudgetTest, AllHibernatedEntrySkipFreezesAMovedTagUntilRead) {
     EXPECT_EQ(a->mean, b->mean) << "tag " << tag;
     EXPECT_EQ(a->variance, b->variance) << "tag " << tag;
   }
-}
-
-TEST(ElasticBudgetTest, HibernationPolicySelectsOnlyStaleTags) {
-  CompressionPolicyConfig config;
-  config.hibernate_after_epochs = 10;
-  const CompressionPolicy policy(config);
-  EXPECT_TRUE(policy.hibernation_enabled());
-
-  const std::vector<HibernationCandidate> candidates = {
-      {0, 100},  // fresh
-      {1, 90},   // exactly at the horizon
-      {2, 50},   // long stale
-      {3, -1},   // never observed
-  };
-  const auto selected = policy.SelectForHibernation(100, candidates);
-  EXPECT_EQ(selected, (std::vector<uint32_t>{1, 2}));
-
-  const CompressionPolicy disabled((CompressionPolicyConfig()));
-  EXPECT_TRUE(disabled.SelectForHibernation(100, candidates).empty());
 }
 
 }  // namespace

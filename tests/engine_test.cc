@@ -36,10 +36,20 @@ TEST(EngineTest, CreateValidatesParticleCounts) {
 TEST(EngineTest, CreateRejectsCompressionWithoutIndex) {
   EngineConfig c = SmallEngineConfig();
   c.factored.use_spatial_index = false;
-  c.factored.compression.mode = CompressionMode::kUnseenEpochs;
-  const auto engine = RfidInferenceEngine::Create(MakeLineWorld(), c);
+  c.factored.compression.compress_after_epochs = 8;
+  auto engine = RfidInferenceEngine::Create(MakeLineWorld(), c);
   EXPECT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+
+  // A negative threshold is rejected with the index on too; 0 is off.
+  c = SmallEngineConfig();
+  c.factored.compression.compress_after_epochs = -1;
+  engine = RfidInferenceEngine::Create(MakeLineWorld(), c);
+  EXPECT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+  c.factored.compression.compress_after_epochs = 0;
+  c.factored.use_spatial_index = false;
+  EXPECT_TRUE(RfidInferenceEngine::Create(MakeLineWorld(), c).ok());
 }
 
 TEST(EngineTest, CreateRejectsInitializationConesThatBreakCheckpoints) {
@@ -80,9 +90,12 @@ TEST(EngineTest, CreateRejectsInitializationConesThatBreakCheckpoints) {
 }
 
 TEST(EngineTest, CreateRejectsNegativeDelay) {
-  EngineConfig c = SmallEngineConfig();
-  c.emitter.delay_seconds = -1.0;
-  EXPECT_FALSE(RfidInferenceEngine::Create(MakeLineWorld(), c).ok());
+  // A NaN delay would emit at once, with no warning.
+  for (double bad : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    EngineConfig c = SmallEngineConfig();
+    c.emitter.delay_seconds = bad;
+    EXPECT_FALSE(RfidInferenceEngine::Create(MakeLineWorld(), c).ok()) << bad;
+  }
 }
 
 TEST(EngineTest, ProcessesEpochsAndCountsStats) {

@@ -3,9 +3,11 @@
 // decompression cycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 
 #include "model/reader_frame.h"
 #include "obs/metrics.h"
@@ -139,7 +141,6 @@ TEST(FactoredFilterTest, StagesSplitTheEpochWithoutChangingIt) {
   const auto run = [](bool telemetry) {
     obs::SetTelemetryEnabled(telemetry);
     FactoredFilterConfig c = SmallConfig();
-    c.compression.mode = CompressionMode::kUnseenEpochs;
     c.compression.compress_after_epochs = 5;
     FactoredParticleFilter filter(MakeLineWorld(), c);
     ConeSensorModel sensor;
@@ -443,24 +444,73 @@ TEST(FactoredFilterTest, ReinitBandsAroundTheHalfBand) {
 FactoredFilterConfig CompressionConfig() {
   FactoredFilterConfig c = SmallConfig();
   c.use_spatial_index = true;
-  c.compression.mode = CompressionMode::kUnseenEpochs;
   c.compression.compress_after_epochs = 5;
   return c;
 }
 
 TEST(FactoredFilterTest, ObjectCompressesAfterLeavingScope) {
-  FactoredParticleFilter filter(MakeLineWorld(), CompressionConfig());
-  RunPass(&filter, {1.5, 2.0, 0.0}, 1000, 40, 59);
-  // Keep scanning far past the object so it goes unprocessed (sensing boxes
-  // stop overlapping the recorded ones once the reader is ~2 ranges away).
-  for (int t = 40; t < 160; ++t) {
-    filter.ObserveEpoch(MakeEpoch(t, 0.1 * t, {}));
+  // Each tier collapses the object in the epoch that finds it idle for
+  // exactly the tier's threshold — unprocessed for compression, unread for
+  // hibernation — and not one epoch sooner; a threshold of 0 never does.
+  for (const bool hibernate : {false, true}) {
+    for (const int64_t after : {int64_t{5}, int64_t{0}}) {
+      SCOPED_TRACE(std::string(hibernate ? "hibernate" : "compress") +
+                   " after " + std::to_string(after));
+      FactoredFilterConfig c = CompressionConfig();
+      c.compression.compress_after_epochs = hibernate ? 0 : after;
+      c.compression.hibernate_after_epochs = hibernate ? after : 0;
+      FactoredParticleFilter filter(MakeLineWorld(), c);
+      // RunPass's 40 epochs, then scanning on far past the object so it
+      // goes unprocessed (sensing boxes stop overlapping the recorded ones
+      // once the reader is ~2 ranges away).
+      ConeSensorModel sensor;
+      Rng rng(59);
+      const Vec3 object{1.5, 2.0, 0.0};
+      int64_t longest_idle = 0;
+      int collapses = 0;
+      bool one_short = false, collapsed = false;
+      for (int t = 0; t < 160; ++t) {
+        const double y = 0.1 * t;
+        std::vector<TagId> tags;
+        if (t < 40 && rng.Bernoulli(sensor.ProbReadAt(
+                          Pose({0.0, y, 0.0}, 0.0), object))) {
+          tags.push_back(1000);
+        }
+        filter.ObserveEpoch(MakeEpoch(t, y, tags));
+        const auto* state = filter.FindObject(1000);
+        if (state == nullptr) continue;
+        const int64_t idle =
+            t - (hibernate ? std::max(state->last_observed_step,
+                                      state->last_revived_step)
+                           : state->last_processed_step);
+        if (state->IsCompressed() && !collapsed) {
+          ++collapses;
+          EXPECT_EQ(idle, after) << "epoch " << t;
+        } else if (!state->IsCompressed()) {
+          if (after > 0) {
+            EXPECT_LT(idle, after) << "epoch " << t;
+          }
+          one_short |= idle == after - 1;
+          longest_idle = std::max(longest_idle, idle);
+        }
+        collapsed = state->IsCompressed();
+      }
+      if (after == 0) {
+        EXPECT_EQ(collapses, 0);
+        EXPECT_GT(longest_idle, 50);
+        EXPECT_EQ(filter.NumActiveObjects(), 1u);
+        continue;
+      }
+      EXPECT_GT(collapses, 0);
+      EXPECT_TRUE(one_short);
+      const auto* state = filter.FindObject(1000);
+      EXPECT_TRUE(state->IsCompressed());
+      EXPECT_EQ(state->hibernated, hibernate);
+      EXPECT_EQ(filter.NumCompressedObjects(), hibernate ? 0u : 1u);
+      EXPECT_EQ(filter.NumHibernatedObjects(), hibernate ? 1u : 0u);
+      EXPECT_EQ(filter.NumActiveObjects(), 0u);
+    }
   }
-  const auto* state = filter.FindObject(1000);
-  ASSERT_NE(state, nullptr);
-  EXPECT_TRUE(state->IsCompressed());
-  EXPECT_EQ(filter.NumCompressedObjects(), 1u);
-  EXPECT_EQ(filter.NumActiveObjects(), 0u);
 }
 
 TEST(FactoredFilterTest, CompressedEstimateStaysNearTruth) {

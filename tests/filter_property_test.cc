@@ -34,7 +34,6 @@ class FilterPropertyTest : public ::testing::TestWithParam<PropertyParam> {
     c.num_object_particles = p.object_particles;
     c.use_spatial_index = p.use_index;
     if (p.use_compression) {
-      c.compression.mode = CompressionMode::kUnseenEpochs;
       c.compression.compress_after_epochs = 5;
     }
     c.reader_support_weight = p.support_weight;

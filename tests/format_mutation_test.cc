@@ -206,7 +206,6 @@ FactoredFilterConfig FilterConfig() {
   c.num_reader_particles = 12;
   c.num_object_particles = 24;
   c.min_object_particles = 8;
-  c.compression.mode = CompressionMode::kUnseenEpochs;
   c.compression.compress_after_epochs = 5;
   c.compression.hibernate_after_epochs = 20;
   c.seed = 5;
@@ -637,7 +636,6 @@ SitePipelineConfig PipelineConfig() {
   config.max_lateness_seconds = 2.0;  // Keeps epochs pending in the sync.
   config.engine.factored = FilterConfig();
   config.engine.emitter.delay_seconds = 3.0;
-  config.scan_boundary.mode = ScanBoundaryConfig::Mode::kReaderReturn;
   return config;
 }
 

@@ -93,7 +93,6 @@ FactoredFilterConfig BaseConfig(uint64_t seed) {
   config.num_object_particles = 200;
   config.seed = seed;
   config.init.half_angle = M_PI;
-  config.compression.mode = CompressionMode::kUnseenEpochs;
   config.compression.compress_after_epochs = 6;
   config.compression.hibernate_after_epochs = 120;
   return config;

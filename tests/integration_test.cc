@@ -112,7 +112,6 @@ TEST(IntegrationTest, AllFactoredVariantsReachSimilarAccuracy) {
     EngineConfig c = FastConfig();
     c.factored.use_spatial_index = index;
     if (compression) {
-      c.factored.compression.mode = CompressionMode::kUnseenEpochs;
       c.factored.compression.compress_after_epochs = 8;
     }
     auto engine = RfidInferenceEngine::Create(

@@ -38,7 +38,6 @@ std::unique_ptr<FactoredParticleFilter> RunLabTrace(const LabDeployment& lab,
   config.num_threads = num_threads;
   config.init.half_angle = M_PI;
   if (compression) {
-    config.compression.mode = CompressionMode::kUnseenEpochs;
     config.compression.compress_after_epochs = 6;
   }
 
@@ -187,7 +186,6 @@ TEST(ParallelDeterminismTest, EngineEventStreamIdenticalAcrossSchedules) {
     c.factored.seed = 42;
     c.factored.num_threads = threads;
     c.factored.init.half_angle = M_PI;
-    c.factored.compression.mode = CompressionMode::kUnseenEpochs;
     c.factored.compression.compress_after_epochs = 6;
     c.emitter.delay_seconds = 2.0;
     auto engine = RfidInferenceEngine::Create(

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
@@ -249,8 +250,8 @@ std::string WithVersion(std::string bytes, uint32_t version) {
 }
 
 /// Converts current-format (v4) site-checkpoint bytes into the legacy v3
-/// layout: removes the scan-boundary detector section (the second CRC-framed
-/// section, which v4 inserted) and patches the version. The other sections
+/// layout: removes the reserved section (the second CRC-framed section,
+/// which v4 inserted for a scan-boundary detector) and patches the version. The other sections
 /// are byte-identical between the two versions, so this is what real v3
 /// files on disk look like.
 std::string DownconvertToV3(const std::string& v4_bytes) {
@@ -265,7 +266,7 @@ std::string DownconvertToV3(const std::string& v4_bytes) {
     std::memcpy(&length, v4_bytes.data() + pos, sizeof(length));
     const size_t frame_size =
         sizeof(uint64_t) + sizeof(uint32_t) + static_cast<size_t>(length);
-    if (section != 1) {  // Section 1 is the v4 detector — drop it whole.
+    if (section != 1) {  // Section 1 is v4's reserved one — drop it whole.
       out += v4_bytes.substr(pos, frame_size);
     }
     pos += frame_size;
@@ -275,7 +276,7 @@ std::string DownconvertToV3(const std::string& v4_bytes) {
 }
 
 TEST_F(ServeCheckpointTest, LoadsLegacyV3Checkpoints) {
-  // v3 site checkpoints (the previous release's layout, no detector
+  // v3 site checkpoints (the previous release's layout, no reserved
   // section) must restore into today's pipeline — upgrading the binary
   // cannot force a cold start. The v3 bytes replace the generation a real
   // Checkpoint() wrote, so they load through the manifest like any other.
@@ -301,25 +302,35 @@ TEST_F(ServeCheckpointTest, LoadsLegacyV3Checkpoints) {
   EXPECT_EQ(stats.records_quarantined, 0u);
 }
 
+/// `bytes` with `edit(payload, length)` applied to framed section
+/// `section`'s payload and that section's CRC re-sealed, so only the
+/// loader's own checks can refuse the result.
+template <typename Edit>
+std::string WithEditedSection(std::string bytes, int section, Edit edit) {
+  size_t pos = 8 + sizeof(uint32_t);
+  uint64_t length = 0;
+  for (int i = 0;; ++i) {
+    std::memcpy(&length, bytes.data() + pos, sizeof(length));
+    if (i == section) break;
+    pos += sizeof(uint64_t) + sizeof(uint32_t) + length;
+  }
+  const size_t payload = pos + sizeof(uint64_t) + sizeof(uint32_t);
+  edit(&bytes[payload], length);
+  const uint32_t crc = Crc32(bytes.data() + payload, length);
+  std::memcpy(&bytes[pos + sizeof(uint64_t)], &crc, sizeof(crc));
+  return bytes;
+}
+
 /// Checkpoint bytes with the one wall-clock field — the engine's
 /// processing_seconds, the last 8 bytes of the stats section (the fifth
 /// framed section) — zeroed and that section's CRC re-sealed, so the rest
 /// can be compared across runs.
 std::string WithoutWallClock(std::string bytes) {
-  size_t pos = 8 + sizeof(uint32_t);
-  for (int section = 0; section < 5; ++section) {
-    uint64_t length = 0;
-    std::memcpy(&length, bytes.data() + pos, sizeof(length));
-    const size_t payload = pos + sizeof(uint64_t) + sizeof(uint32_t);
-    if (section == 4) {
-      std::memset(&bytes[payload + length - sizeof(double)], 0,
-                  sizeof(double));
-      const uint32_t crc = Crc32(bytes.data() + payload, length);
-      std::memcpy(&bytes[pos + sizeof(uint64_t)], &crc, sizeof(crc));
-    }
-    pos = payload + length;
-  }
-  return bytes;
+  return WithEditedSection(std::move(bytes), 4,
+                           [](char* payload, uint64_t length) {
+                             std::memset(payload + length - sizeof(double), 0,
+                                         sizeof(double));
+                           });
 }
 
 TEST_F(ServeCheckpointTest, StreamingWriterReproducesPinnedBytes) {
@@ -424,6 +435,50 @@ TEST_F(ServeCheckpointTest, LoadsCheckpointsWithV6Snapshots) {
   }
   ASSERT_GT(from_v6_events.events.size(), 0u);
   ExpectBitIdentical(from_v6_events.events, from_v7_events.events);
+}
+
+TEST_F(ServeCheckpointTest, RejectsNonzeroReservedBytes) {
+  // The v4 layout keeps two reserved areas, written as zeros: the header
+  // section's 8-byte slot after events_dispatched (a shed count once) and
+  // the whole 35-byte second section (a scan-boundary detector's state
+  // once). A nonzero byte in either, under a valid CRC, fails the restore
+  // as invalid, naming the area, at its first and its last byte.
+  LabConfig lc;
+  lc.seed = 505;
+  lc.tags_per_row = 10;
+  const auto lab = BuildLabDeployment(lc);
+  ASSERT_TRUE(lab.ok());
+  CheckpointLabPrefix(lab.value(), 60, Dir());
+  const std::string gen1 = SiteGenerationPath(Dir(), kSite, 1);
+  const std::string bytes = Slurp(gen1);
+  ASSERT_FALSE(bytes.empty());
+  constexpr size_t kSlot = sizeof(SiteId) + 2 * sizeof(uint64_t);
+  const struct {
+    int section;
+    size_t offset;
+    const char* name;
+  } kReserved[] = {{0, kSlot, "header's reserved slot"},
+                   {0, kSlot + sizeof(uint64_t) - 1, "header's reserved slot"},
+                   {1, 0, "reserved section"},
+                   {1, 34, "reserved section"}};
+  for (const auto& r : kReserved) {
+    SCOPED_TRACE(std::string(r.name) + " byte " + std::to_string(r.offset));
+    Overwrite(gen1, WithEditedSection(bytes, r.section,
+                                      [&r](char* payload, uint64_t) {
+                                        payload[r.offset] = 1;
+                                      }));
+    auto server = MakeLabServer(lab.value());
+    ASSERT_TRUE(server.ok());
+    const Status status = server.value()->Restore(Dir());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.message();
+    EXPECT_NE(status.message().find(r.name), std::string::npos)
+        << status.message();
+  }
+  // Re-sealing unchanged bytes changes nothing: they restore.
+  Overwrite(gen1, WithEditedSection(bytes, 1, [](char*, uint64_t) {}));
+  auto server = MakeLabServer(lab.value());
+  ASSERT_TRUE(server.ok());
+  EXPECT_TRUE(server.value()->Restore(Dir()).ok());
 }
 
 TEST_F(ServeCheckpointTest, RejectsCheckpointsWithSnapshotsBeforeV6) {

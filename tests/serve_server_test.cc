@@ -11,12 +11,14 @@
 #include <cmath>
 #include <cstddef>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
@@ -162,6 +164,14 @@ TEST(StreamingServerTest, InlineTwoSitesServeEventsAndStats) {
   EXPECT_EQ(server.value()->FindSite(99), nullptr);
 }
 
+/// The integer following `key` in `text` (a JSON field or a Prometheus
+/// sample line), or -1 when `key` is absent.
+long long ValueAfter(const std::string& text, const std::string& key) {
+  const size_t at = text.find(key);
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + key.size()));
+}
+
 TEST(StreamingServerTest, ScanCompleteSubscriptionsEmitOnFlush) {
   // Regression: the serving path never called NotifyScanComplete, so a
   // kOnScanComplete emitter policy produced zero events through the bus —
@@ -206,6 +216,28 @@ TEST(StreamingServerTest, ScanCompleteSubscriptionsEmitOnFlush) {
   for (const LocationEvent& event : log.events[1]) {
     EXPECT_GE(event.time + 1e-9, std::floor(last_time));
   }
+  // Every one of those events left through the scan-complete flush, and
+  // the stats surface and the Prometheus counter count them alike.
+  const long long dispatched =
+      ValueAfter(server.value()->StatsJson(), "\"events_dispatched\": ");
+  EXPECT_EQ(dispatched, static_cast<long long>(log.events[1].size()));
+  EXPECT_EQ(ValueAfter(server.value()->MetricsPrometheus(),
+                       "\nrfid_events_dispatched_total "),
+            dispatched);
+
+  // Under the after-delay policy the stream end is no scan boundary.
+  std::vector<SiteSpec> delay_specs;
+  delay_specs.push_back({1, SiteModel(site1)});
+  auto delay_server =
+      StreamingServer::Create(std::move(delay_specs), SmallServeConfig(1, 1));
+  ASSERT_TRUE(delay_server.ok());
+  for (const ServeRecord& record : site1.records) {
+    ASSERT_TRUE(delay_server.value()->Ingest(record));
+  }
+  delay_server.value()->Pump();
+  delay_server.value()->Flush();
+  EXPECT_EQ(delay_server.value()->FindSite(1)->Stats().scan_completes, 0u);
+  EXPECT_GT(delay_server.value()->Stats().TotalEventsDispatched(), 0u);
 }
 
 TEST(StreamingServerTest, ThreadedRunMatchesInlineRunBitwise) {
@@ -499,6 +531,36 @@ TEST(StreamingServerTest, UnknownSiteAndBadConfigRejected) {
   std::vector<SiteSpec> specs3;
   specs3.push_back({1, SiteModel(site1)});
   EXPECT_FALSE(StreamingServer::Create(std::move(specs3), basic).ok());
+
+  // Epoch length and lateness bound, checked once, by the site pipeline,
+  // whose status the server returns. A NaN epoch length drops every record
+  // as late; an infinite one or a NaN bound closes no epoch before Flush().
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<double, double> kBadTiming[] = {
+      {0.0, 2.0}, {-1.0, 2.0}, {nan, 2.0}, {inf, 2.0},
+      {1.0, -1.0}, {1.0, nan}, {1.0, inf}};
+  for (const auto& [epoch_seconds, lateness] : kBadTiming) {
+    SCOPED_TRACE("epoch_seconds " + std::to_string(epoch_seconds) +
+                 ", max_lateness_seconds " + std::to_string(lateness));
+    SitePipelineConfig site_config;
+    site_config.epoch_seconds = epoch_seconds;
+    site_config.max_lateness_seconds = lateness;
+    site_config.engine = SmallServeConfig(1, 1).engine;
+    const auto pipeline =
+        SitePipeline::Create(1, SiteModel(site1), site_config);
+    ASSERT_FALSE(pipeline.ok());
+    EXPECT_EQ(pipeline.status().code(), StatusCode::kInvalidArgument);
+
+    ServeConfig timing = SmallServeConfig(1, 1);
+    timing.epoch_seconds = epoch_seconds;
+    timing.max_lateness_seconds = lateness;
+    std::vector<SiteSpec> timing_specs;
+    timing_specs.push_back({1, SiteModel(site1)});
+    const auto server_status =
+        StreamingServer::Create(std::move(timing_specs), timing).status();
+    EXPECT_EQ(server_status.code(), StatusCode::kInvalidArgument);
+  }
 
   std::vector<SiteSpec> dup;
   dup.push_back({1, SiteModel(site1)});

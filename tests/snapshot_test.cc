@@ -23,7 +23,6 @@ FactoredFilterConfig Config() {
   FactoredFilterConfig c;
   c.num_reader_particles = 40;
   c.num_object_particles = 150;
-  c.compression.mode = CompressionMode::kUnseenEpochs;
   c.compression.compress_after_epochs = 5;
   c.seed = 9;
   return c;
@@ -507,7 +506,7 @@ TEST(SnapshotTest, LoadsASingleAncestorRecordBehindOlderOnes) {
   // rewriting the newest of two or more pending records to copy one
   // reader) must load, re-save to the same bytes and resolve.
   FactoredFilterConfig config = Config();
-  config.compression.mode = CompressionMode::kDisabled;
+  config.compression.compress_after_epochs = 0;
   FactoredParticleFilter original(MakeLineWorld(), config);
   ConeSensorModel sensor;
   Rng rng(10);
