@@ -405,24 +405,52 @@ Status StreamingServer::Checkpoint(const std::string& dir) {
 // RFID_VERIFY_ALLOW(lock-hold-io): quiescent-cut restore — pump_mu_ is held across the load so the replayed state is not raced by the pump
 Status StreamingServer::Restore(const std::string& dir) {
   MutexLock lock(pump_mu_);
-  for (auto& pipeline : pipelines_) {
+  // Each site decodes on a pump lane, one site per chunk as in PumpOnce, so
+  // the decoded beliefs spread over the lanes' malloc arenas, which the
+  // sweeps reuse, instead of all landing in this thread's. A lane touches
+  // only its site's pipeline and its own slot; what the bus and health_
+  // need happens below, on this thread, in pipeline order.
+  struct SiteLoad {
+    Status status;
     CheckpointLoadReport report;
-    {
-      obs::LatencyTimer load_timer(checkpoint_load_h_);
-      RFID_RETURN_NOT_OK(
-          LoadSiteCheckpoint(dir, pipeline->site(), pipeline.get(), &report));
+  };
+  std::vector<SiteLoad> loads(pipelines_.size());
+  pool_.ParallelForDynamic(
+      pipelines_.size(), /*chunk_size=*/1, [&](size_t i, int) {
+        SitePipeline* pipeline = pipelines_[i].get();
+        obs::LatencyTimer load_timer(checkpoint_load_h_);
+        // An exception must not leave a pool lane (it would end the
+        // process); it fails this site's load instead.
+        try {
+          loads[i].status = LoadSiteCheckpoint(dir, pipeline->site(),
+                                               pipeline, &loads[i].report);
+        } catch (const std::exception& e) {
+          loads[i].status = Status::Internal(
+              "restoring site " + std::to_string(pipeline->site()) +
+              " threw: " + e.what());
+        }
+      });
+  // Every site is attempted even when one fails, as in Checkpoint; a site
+  // whose load failed keeps its state (LoadCheckpoint commits only on
+  // success).
+  Status first_error = Status::OK();
+  for (size_t i = 0; i < pipelines_.size(); ++i) {
+    if (!loads[i].status.ok()) {
+      if (first_error.ok()) first_error = loads[i].status;
+      continue;
     }
-    if (report.used_fallback) checkpoint_fallback_loads_c_->Add();
+    if (loads[i].report.used_fallback) checkpoint_fallback_loads_c_->Add();
+    const SiteId site = pipelines_[i]->site();
     // Drop operator state the bus accumulated for this site (live
     // subscriptions survive a restore; their per-site operators must not —
     // they reflect events past or divergent from the checkpoint cut).
-    bus_.ResetSiteState(pipeline->site());
-    SiteHealth& health = health_.find(pipeline->site())->second;
+    bus_.ResetSiteState(site);
+    SiteHealth& health = health_.find(site)->second;
     health.parked = false;
     health.park_reason.clear();
   }
-  last_checkpoint_dir_ = dir;
-  return Status::OK();
+  if (first_error.ok()) last_checkpoint_dir_ = dir;
+  return first_error;
 }
 
 // RFID_VERIFY_ALLOW(lock-hold-io): revival replays the site checkpoint under pump_mu_ so the revived pipeline rejoins at a consistent cut

@@ -170,10 +170,14 @@ class StreamingServer {
   /// For a clean cut, quiesce producers first.
   Status Checkpoint(const std::string& dir);
   /// Restores every site from `dir` (current generation, falling back one).
-  /// Safe on a freshly created server (same site specs and config) before
-  /// any ingest, and on a live one: per-site operator state on the bus is
-  /// reset so live subscriptions re-register cleanly against the restored
-  /// stream.
+  /// Sites load on the pump lanes, one site per chunk as in a pump sweep.
+  /// Every site is attempted even when one fails, and the first failure in
+  /// site order is returned: a site whose load failed keeps its state, the
+  /// others are restored, and `dir` becomes the auto-recovery source only
+  /// when every site loaded. Safe on a freshly created server (same site
+  /// specs and config) before any ingest, and on a live one: each restored
+  /// site's operator state on the bus is reset so live subscriptions
+  /// re-register cleanly against the restored stream.
   Status Restore(const std::string& dir);
 
   ServerStatsSnapshot Stats() const;

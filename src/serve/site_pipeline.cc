@@ -213,6 +213,19 @@ void SitePipeline::OnRecord(const ServeRecord& record, SubscriptionBus* bus) {
     reject = "unknown record kind";
   } else if (!std::isfinite(record.Time())) {
     reject = "non-finite timestamp";
+  } else if (record.kind == ServeRecord::Kind::kLocation &&
+             !(std::isfinite(record.location.location.x) &&
+               std::isfinite(record.location.location.y) &&
+               std::isfinite(record.location.location.z))) {
+    // It would reach the reader particles, and no checkpoint of the site
+    // could be written again (the snapshot rejects a non-finite particle).
+    reject = "non-finite location";
+  } else if (record.kind == ServeRecord::Kind::kLocation &&
+             record.location.has_heading &&
+             !std::isfinite(record.location.heading)) {
+    // Summed into the synchronizer's pending epoch, whose checkpoint
+    // section would then fail to load.
+    reject = "non-finite heading";
   } else if (MaybeInjectFault(FaultPoint::kRecordDecode, site_)) {
     reject = "fault injection: record decode";
   }

@@ -109,10 +109,11 @@ class SitePipeline {
 
   /// Feeds one record; runs the engine over every epoch the watermark
   /// closed and dispatches fresh events to `bus`. Malformed records
-  /// (non-finite timestamps, unknown kinds) and records hit by the
-  /// kRecordDecode fault point are quarantined to the dead-letter ring —
-  /// one bad record can never abort the pump sweep. May throw (engine
-  /// faults, kPipelineStep injection); the server isolates that.
+  /// (unknown kinds; non-finite timestamps, locations or headings) and
+  /// records hit by the kRecordDecode fault point are quarantined to the
+  /// dead-letter ring — one bad record can never abort the pump sweep.
+  /// May throw (engine faults, kPipelineStep injection); the server
+  /// isolates that.
   void OnRecord(const ServeRecord& record, SubscriptionBus* bus);
 
   /// Most recent quarantined records, oldest first (bounded ring).

@@ -58,36 +58,11 @@ void ColocationTracker::GridRemove(int64_t cell, TagId tag) {
 
 int ColocationTracker::JointOf(const PairKey& key,
                                const PairEntry& entry) const {
-  if (!entry.active) return entry.joint_frozen;
-  int joint = entry.joint_frozen;
   const auto a = last_.find(key.a);
-  if (a != last_.end()) joint += a->second.events - entry.base_a;
+  if (a == last_.end()) return entry.joint;
   const auto b = last_.find(key.b);
-  if (b != last_.end()) joint += b->second.events - entry.base_b;
-  return joint;
-}
-
-void ColocationTracker::FoldPairsOf(TagId tag, const TagState& state) {
-  // Partner lists mirror the active-pair graph exactly (both sides updated
-  // at activation and at fold), so every listed pair is active here.
-  for (TagId partner : state.partners) {
-    auto pit = pairs_.find(MakeKey(tag, partner));
-    if (pit == pairs_.end() || !pit->second.active) continue;
-    pit->second.joint_frozen = JointOf(pit->first, pit->second);
-    pit->second.active = false;
-    pit->second.base_a = 0;
-    pit->second.base_b = 0;
-    auto oit = last_.find(partner);
-    if (oit == last_.end()) continue;
-    auto& back_refs = oit->second.partners;
-    for (size_t i = 0; i < back_refs.size(); ++i) {
-      if (back_refs[i] == tag) {
-        back_refs[i] = back_refs.back();
-        back_refs.pop_back();
-        break;
-      }
-    }
-  }
+  if (b == last_.end()) return entry.joint;
+  return entry.joint + a->second.events + b->second.events;
 }
 
 void ColocationTracker::EvictStale(double now) {
@@ -97,7 +72,14 @@ void ColocationTracker::EvictStale(double now) {
     expiry_.pop_front();
     auto it = last_.find(tag);
     if (it == last_.end() || it->second.time != time) continue;  // Superseded.
-    FoldPairsOf(tag, it->second);
+    // Its pairs with every other fresh tag are active: freeze their counts.
+    // RFID_VERIFY_ALLOW(ordered-emit): per-partner counter updates commute; no event or byte order derives from this scan
+    for (const auto& [other, other_state] : last_) {
+      if (other == tag) continue;
+      const auto pit = pairs_.find(MakeKey(other, tag));
+      if (pit == pairs_.end()) continue;  // Unreachable; defensive.
+      pit->second.joint += it->second.events + other_state.events;
+    }
     GridRemove(it->second.cell, tag);
     last_.erase(it);
     ++evicted_tags_;
@@ -122,8 +104,8 @@ void ColocationTracker::DecayPairs(double now) {
   // RFID_VERIFY_ALLOW(ordered-emit): the nth_element comparator below tie-breaks on the pair key, so the evicted set is independent of hash order
   for (auto it = pairs_.begin(); it != pairs_.end();) {
     const PairEntry& entry = it->second;
-    if (entry.active) {
-      ++it;
+    if (last_.count(it->first.a) != 0 && last_.count(it->first.b) != 0) {
+      ++it;  // Active: both tags are fresh.
       continue;
     }
     if (config_.pair_ttl_seconds > 0 &&
@@ -160,23 +142,18 @@ void ColocationTracker::Process(const LocationEvent& event) {
   if (self == last_.end()) {
     // The tag (re)joins the fresh set: activate a pair with every fresh tag.
     // This event itself counts as one joint observation with each of them —
-    // the zero self-baseline plus the session-counter increment below make
-    // the implicit joint arithmetic land on exactly that.
+    // this tag's zero session counter at activation plus the increment
+    // below make the implicit joint arithmetic land on exactly that.
     TagState state;
     state.time = now;
     state.location = event.location;
     // RFID_VERIFY_ALLOW(ordered-emit): per-partner counter updates commute; no event or byte order derives from this scan
-    for (auto& [other, other_state] : last_) {
-      const PairKey key = MakeKey(other, event.tag);
-      PairEntry& entry = pairs_[key];
-      entry.active = true;  // Cannot already be active: this tag was stale.
-      entry.base_a = key.a == event.tag ? 0 : other_state.events;
-      entry.base_b = key.b == event.tag ? 0 : other_state.events;
+    for (const auto& [other, other_state] : last_) {
+      PairEntry& entry = pairs_[MakeKey(other, event.tag)];
+      entry.joint -= other_state.events;
       entry.last_update = now;
-      other_state.partners.push_back(event.tag);
-      state.partners.push_back(other);
     }
-    self = last_.emplace(event.tag, std::move(state)).first;
+    self = last_.emplace(event.tag, state).first;
     if (config_.max_pairs > 0 && pairs_.size() > config_.max_pairs) {
       DecayPairs(now);
     }
@@ -274,10 +251,6 @@ OperatorStats ColocationTracker::Stats() const {
       grid_.size() * (sizeof(int64_t) + sizeof(std::vector<TagId>) +
                       2 * sizeof(void*)) +
       expiry_.size() * sizeof(std::pair<double, TagId>);
-  // RFID_VERIFY_ALLOW(ordered-emit): integer byte-count accumulation commutes; iteration order cannot reach the emitted stats
-  for (const auto& [tag, state] : last_) {
-    bytes += state.partners.capacity() * sizeof(TagId);
-  }
   // RFID_VERIFY_ALLOW(ordered-emit): integer byte-count accumulation commutes; iteration order cannot reach the emitted stats
   for (const auto& [cell, tags] : grid_) {
     bytes += tags.capacity() * sizeof(TagId);

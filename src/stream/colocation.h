@@ -21,13 +21,14 @@
 //    report, so an event only visits tags in neighboring cells (O(local
 //    density), not O(tags)).
 //  * Joint counts are not maintained by touching every fresh pair per event.
-//    A pair is *activated* when its two tags first become simultaneously
-//    fresh; while active, "joint" grows implicitly with the two tags'
-//    per-session event counters, and the pairwise baselines are folded into
-//    a frozen count when either tag is evicted. Per event this is O(1) plus
-//    the grid neighborhood, with an O(fresh) scan only when a tag (re)joins
-//    the fresh set. The counts are exactly those of the naive per-event
-//    pairwise scan (see tests/colocation_equiv_test.cc).
+//    A pair is *active* exactly while both of its tags are fresh, so its
+//    activity is read off `last_`, not stored. While active, "joint" grows
+//    implicitly with the two tags' per-session event counters: the entry
+//    holds its frozen count minus both counters at activation, and adding
+//    the counters back freezes it when either tag is evicted. Per event this
+//    is O(1) plus the grid neighborhood, with an O(fresh) scan only when a
+//    tag joins or leaves the fresh set. The counts are exactly those of the
+//    naive per-event pairwise scan (see tests/colocation_equiv_test.cc).
 //  * `pairs_` can be soft-capped: when it outgrows `max_pairs`, inactive
 //    pairs are decayed — TTL-expired ones first, then never-co-located ones
 //    oldest first, then the stalest of the rest. Pairs between currently
@@ -116,15 +117,11 @@ class ColocationTracker {
     }
   };
   struct PairEntry {
-    /// Joint observations folded in from completed freshness sessions.
-    int joint_frozen = 0;
+    /// Joint observations of completed freshness sessions; while the pair
+    /// is active, minus both tags' session event counters at activation, so
+    /// that joint = this + events(key.a) + events(key.b).
+    int joint = 0;
     int colocated = 0;
-    /// While active, joint = joint_frozen + (events of key.a since base_a)
-    /// + (events of key.b since base_b); bases snapshot the tags' session
-    /// event counters at (re)activation.
-    int base_a = 0;
-    int base_b = 0;
-    bool active = false;
     double last_update = 0.0;
   };
   struct TagState {
@@ -132,9 +129,6 @@ class ColocationTracker {
     Vec3 location;      ///< Last report location.
     int64_t cell = 0;   ///< Packed grid cell of `location`.
     int events = 0;     ///< Events this freshness session.
-    /// Tags this one activated pairs with; may hold entries whose pair has
-    /// since deactivated (skipped and dropped when this tag is evicted).
-    std::vector<TagId> partners;
   };
 
   static PairKey MakeKey(TagId x, TagId y) {
@@ -145,7 +139,6 @@ class ColocationTracker {
   void GridInsert(int64_t cell, TagId tag);
   void GridRemove(int64_t cell, TagId tag);
   void EvictStale(double now);
-  void FoldPairsOf(TagId tag, const TagState& state);
   void DecayPairs(double now);
   int JointOf(const PairKey& key, const PairEntry& entry) const;
 

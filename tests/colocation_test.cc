@@ -2,6 +2,11 @@
 // of the paper's §VII future work on inter-object relationships.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <tuple>
+#include <vector>
+
 #include "stream/colocation.h"
 
 namespace rfid {
@@ -205,6 +210,103 @@ TEST(ColocationTest, DecayPrefersNeverColocatedPairs) {
   const auto stats = tracker.PairStats(500, 501);
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->colocated_observations, 2);
+}
+
+TEST(ColocationTest, LivePairsSurviveDecayExactly) {
+  // The cap sits below the live cohorts' pair count, so a sweep runs
+  // whenever a tag joins the fresh set and can never get back under the
+  // cap. Each one must still keep
+  // every pair of two fresh tags, with exactly the statistics an uncapped
+  // tracker holds. Cohorts of 8 tags overlap in time (up to 16 fresh tags,
+  // 120 live pairs); within a cohort some pairs sit within the radius and
+  // some do not, and no tag returns once it is stale.
+  ColocationConfig config;
+  config.time_slack_seconds = 2.0;
+  config.colocation_radius_feet = 1.5;
+  config.max_pairs = 12;
+  ColocationConfig uncapped_config = config;
+  uncapped_config.max_pairs = 0;
+
+  std::vector<LocationEvent> events;
+  for (int cohort = 0; cohort < 12; ++cohort) {
+    for (int k = 0; k < 8; ++k) {
+      for (int j = 0; j < 4; ++j) {
+        events.push_back(Ev(3.0 * cohort + 0.25 * k + j,
+                            static_cast<TagId>(100 * cohort + k),
+                            10.0 * cohort + 0.8 * (k % 4),
+                            0.8 * (k / 4) + 0.3 * ((j + k) % 3)));
+      }
+    }
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const LocationEvent& x, const LocationEvent& y) {
+                     return std::tie(x.time, x.tag) < std::tie(y.time, y.tag);
+                   });
+
+  ColocationTracker capped(config);
+  ColocationTracker uncapped(uncapped_config);
+  std::map<TagId, double> last_report;
+  size_t sweeps = 0, most_live_pairs = 0;
+  uint64_t decayed_before = 0;
+  for (const LocationEvent& event : events) {
+    capped.Process(event);
+    uncapped.Process(event);
+    last_report[event.tag] = event.time;
+    // Both trackers evict the same tags, so the capped one's extra
+    // evictions are its decayed pairs.
+    const uint64_t decayed = capped.Stats().evicted - uncapped.Stats().evicted;
+    if (decayed > decayed_before) ++sweeps;
+    decayed_before = decayed;
+
+    std::vector<TagId> fresh;
+    for (const auto& [tag, time] : last_report) {
+      if (event.time - time <= config.time_slack_seconds) fresh.push_back(tag);
+    }
+    ASSERT_EQ(capped.num_tracked_tags(), fresh.size()) << "t=" << event.time;
+    most_live_pairs = std::max(most_live_pairs,
+                               fresh.size() * (fresh.size() - 1) / 2);
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      for (size_t j = i + 1; j < fresh.size(); ++j) {
+        const auto got = capped.PairStats(fresh[i], fresh[j]);
+        const auto want = uncapped.PairStats(fresh[i], fresh[j]);
+        ASSERT_TRUE(got.has_value() && want.has_value())
+            << "live pair " << fresh[i] << "," << fresh[j] << " at t="
+            << event.time;
+        EXPECT_EQ(got->joint_observations, want->joint_observations);
+        EXPECT_EQ(got->colocated_observations, want->colocated_observations);
+      }
+    }
+  }
+  EXPECT_GT(sweeps, 10u);
+  EXPECT_GT(most_live_pairs, config.max_pairs);
+  EXPECT_LT(capped.num_pairs(), uncapped.num_pairs());
+}
+
+TEST(ColocationTest, BytesEstimateCountsOnlyWhatIsHeld) {
+  // Two trackers that end holding the same shape — one fresh tag alone in
+  // its grid cell, 36 frozen pairs, two expiry entries — report the same
+  // bytes, although in `a` the surviving tag was once fresh beside the 8
+  // others and in `b` it never met anyone.
+  ColocationConfig config;
+  config.time_slack_seconds = 5.0;
+  ColocationTracker a(config);
+  a.Process(Ev(0.0, 1, 0.0, 0.0));
+  for (TagId tag = 2; tag <= 9; ++tag) a.Process(Ev(0.0, tag, 50.0, 50.0));
+  a.Process(Ev(4.0, 1, 0.0, 0.0));
+  a.Process(Ev(6.0, 1, 0.0, 0.0));  // Evicts tags 2..9.
+
+  ColocationTracker b(config);
+  for (TagId tag = 2; tag <= 10; ++tag) b.Process(Ev(0.0, tag, 50.0, 50.0));
+  b.Process(Ev(6.0, 1, 0.0, 0.0));  // Evicts tags 2..10.
+  b.Process(Ev(7.0, 1, 0.0, 0.0));
+
+  ASSERT_EQ(a.num_tracked_tags(), 1u);
+  ASSERT_EQ(b.num_tracked_tags(), 1u);
+  ASSERT_EQ(a.num_pairs(), 36u);
+  ASSERT_EQ(b.num_pairs(), 36u);
+  EXPECT_EQ(a.Stats().entries, b.Stats().entries);
+  EXPECT_GT(a.Stats().bytes_estimate, 0u);
+  EXPECT_EQ(a.Stats().bytes_estimate, b.Stats().bytes_estimate);
 }
 
 }  // namespace

@@ -10,11 +10,16 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -24,6 +29,7 @@
 #include "serve/checkpoint.h"
 #include "serve/server.h"
 #include "sim/lab.h"
+#include "test_util.h"
 #include "util/crc32.h"
 
 namespace rfid {
@@ -796,6 +802,346 @@ TEST_F(ServeCheckpointTest, RestoreWithLiveSubscriptionsResetsOperatorState) {
           static_cast<long>(updates_before_replay),
       live_updates.events.end());
   ExpectBitIdentical(replayed, control_updates.events);
+}
+
+/// A reader walking the line world's aisle (x = 0) at the motion model's
+/// 0.1 ft per 1-s epoch, as one site's raw serve records: each epoch's
+/// location report, then a reading of every shelf tag and of every object
+/// (tagged 1000, 1001, ... on the shelf at x = 2 and the given y) within
+/// 1.5 ft of the reader along the aisle.
+std::vector<ServeRecord> LineScanRecords(SiteId site, int epochs,
+                                         const std::vector<double>& object_ys) {
+  std::vector<std::pair<TagId, double>> tags = {{1, 2.5}, {2, 7.5}};
+  for (size_t i = 0; i < object_ys.size(); ++i) {
+    tags.emplace_back(static_cast<TagId>(1000 + i), object_ys[i]);
+  }
+  std::vector<ServeRecord> records;
+  for (int t = 0; t < epochs; ++t) {
+    const double time = t;
+    const double y = 0.1 * t;
+    ReaderLocationReport report;
+    report.time = time;
+    report.location = {0.0, y, 0.0};
+    records.push_back(ServeRecord::Location(site, report));
+    for (const auto& [tag, tag_y] : tags) {
+      if (std::abs(tag_y - y) <= 1.5) {
+        records.push_back(ServeRecord::Reading(site, {time, tag}));
+      }
+    }
+  }
+  return records;
+}
+
+Result<std::unique_ptr<StreamingServer>> MakeLineServer(
+    const std::vector<SiteId>& sites, int num_threads) {
+  ServeConfig config;
+  config.num_shards = 2;
+  config.num_threads = num_threads;
+  config.epoch_seconds = 1.0;
+  config.max_lateness_seconds = 2.0;
+  config.engine.factored.num_reader_particles = 30;
+  config.engine.factored.num_object_particles = 100;
+  config.engine.factored.seed = 23;
+  // Every tracked tag each epoch: an event stream compares every epoch's
+  // estimates, not one report per tag.
+  config.engine.emitter.policy = EmitPolicy::kEveryEpoch;
+  std::vector<SiteSpec> specs;
+  for (SiteId site : sites) {
+    specs.push_back({site, testing_util::MakeLineWorld()});
+  }
+  return StreamingServer::Create(std::move(specs), config);
+}
+
+/// Ingests `records` in order, pumping often enough that no shard queue
+/// fills (inline mode: a full queue would block the only thread).
+void Feed(StreamingServer* server, const std::vector<ServeRecord>& records) {
+  for (size_t i = 0; i < records.size(); ++i) {
+    ASSERT_TRUE(server->Ingest(records[i]));
+    if (i % 128 == 127) server->Pump();
+  }
+  server->Pump();
+}
+
+/// Thread-safe per-site event log (callbacks fire on pump lanes).
+struct SiteEventLog {
+  std::mutex mu;
+  std::map<SiteId, std::vector<LocationEvent>> events;
+
+  SubscriptionBus::EventCallback Callback() {
+    return [this](SiteId site, const LocationEvent& event) {
+      std::lock_guard<std::mutex> lock(mu);
+      events[site].push_back(event);
+    };
+  }
+};
+
+void ExpectBitIdenticalPerSite(
+    const std::map<SiteId, std::vector<LocationEvent>>& a,
+    const std::map<SiteId, std::vector<LocationEvent>>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (const auto& [site, events] : a) {
+    const auto it = b.find(site);
+    ASSERT_NE(it, b.end()) << "site " << site;
+    SCOPED_TRACE("site " + std::to_string(site));
+    ExpectBitIdentical(events, it->second);
+  }
+}
+
+/// A site's observable state, compared bit for bit.
+struct SiteState {
+  uint64_t records_processed = 0;
+  uint64_t events_dispatched = 0;
+  uint64_t epochs_processed = 0;
+  double watermark = 0.0;
+  std::vector<Vec3> means;  ///< Objects 1000.. in tag order.
+
+  bool operator==(const SiteState& o) const {
+    return records_processed == o.records_processed &&
+           events_dispatched == o.events_dispatched &&
+           epochs_processed == o.epochs_processed &&
+           watermark == o.watermark && means == o.means;
+  }
+};
+
+SiteState StateOf(const StreamingServer& server, SiteId site,
+                  size_t num_objects) {
+  const SitePipeline* pipeline = server.FindSite(site);
+  EXPECT_NE(pipeline, nullptr);
+  SiteState state;
+  if (pipeline == nullptr) return state;
+  const SitePipelineStats stats = pipeline->Stats();
+  state.records_processed = stats.records_processed;
+  state.events_dispatched = stats.events_dispatched;
+  state.epochs_processed = stats.engine.epochs_processed;
+  state.watermark = stats.watermark;
+  for (size_t i = 0; i < num_objects; ++i) {
+    const auto estimate =
+        pipeline->engine().EstimateObject(static_cast<TagId>(1000 + i));
+    state.means.push_back(estimate ? estimate->mean : Vec3{});
+  }
+  return state;
+}
+
+std::set<SiteId> OperatorSites(StreamingServer& server) {
+  std::set<SiteId> sites;
+  for (const BusOperatorStats& row : server.bus().OperatorStatsSnapshot()) {
+    sites.insert(row.site);
+  }
+  return sites;
+}
+
+/// Everything the Restore contract run observes at one pool width.
+struct RestoreContractRun {
+  std::map<SiteId, std::vector<LocationEvent>> reference_tail;
+  std::map<SiteId, std::vector<LocationEvent>> restored_tail;
+  std::map<SiteId, std::vector<LocationEvent>> partial_tail;
+  std::string partial_error;
+  std::string two_failures_error;
+  SiteState corrupt_site_before;
+  SiteState corrupt_site_after;
+  std::set<SiteId> operators_after_partial;
+};
+
+constexpr int kScanEpochs = 40;
+constexpr double kScanCutTime = 20.0;
+constexpr size_t kScanObjects = 4;
+const std::vector<SiteId> kContractSites = {11, 12, 13, 14};
+constexpr SiteId kCorruptSite = 12;   ///< Second in pipeline order.
+constexpr SiteId kCorruptLater = 14;  ///< Last in pipeline order.
+
+void FlipByteNearEnd(const std::string& path) {
+  std::string bytes = Slurp(path);
+  ASSERT_GT(bytes.size(), 64u);
+  bytes[bytes.size() - 32] ^= 0x5A;  // Inside the filter snapshot section.
+  Overwrite(path, bytes);
+}
+
+void RunRestoreContract(int num_threads, const std::string& dir,
+                        RestoreContractRun* out) {
+  std::vector<ServeRecord> prefix, suffix;
+  for (SiteId site : kContractSites) {
+    std::vector<double> ys;
+    for (size_t k = 0; k < kScanObjects; ++k) {
+      ys.push_back(1.0 + 0.6 * static_cast<double>(k) +
+                   0.1 * static_cast<double>(site % 3));
+    }
+    for (const ServeRecord& r : LineScanRecords(site, kScanEpochs, ys)) {
+      (r.Time() < kScanCutTime ? prefix : suffix).push_back(r);
+    }
+  }
+
+  // Never restored: checkpoint mid-stream, keep serving.
+  {
+    auto server = MakeLineServer(kContractSites, num_threads);
+    ASSERT_TRUE(server.ok());
+    SiteEventLog log;
+    server.value()->bus().SubscribeEvents(log.Callback());
+    Feed(server.value().get(), prefix);
+    ASSERT_TRUE(server.value()->Checkpoint(dir).ok());
+    std::map<SiteId, size_t> at_cut;
+    for (const auto& [site, events] : log.events) at_cut[site] = events.size();
+    Feed(server.value().get(), suffix);
+    server.value()->Flush();
+    for (const auto& [site, events] : log.events) {
+      out->reference_tail[site].assign(
+          events.begin() + static_cast<long>(at_cut[site]), events.end());
+      ASSERT_FALSE(out->reference_tail[site].empty()) << "site " << site;
+    }
+    ASSERT_EQ(out->reference_tail.size(), kContractSites.size());
+  }
+
+  auto server = MakeLineServer(kContractSites, num_threads);
+  ASSERT_TRUE(server.ok());
+  StreamingServer& live = *server.value();
+  live.bus().SubscribeColocation(ColocationConfig{});
+  {
+    SiteEventLog log;
+    const auto sub = live.bus().SubscribeEvents(log.Callback());
+    ASSERT_TRUE(live.Restore(dir).ok());
+    Feed(&live, suffix);
+    live.Flush();
+    live.bus().Unsubscribe(sub);
+    out->restored_tail = log.events;
+  }
+  ASSERT_EQ(OperatorSites(live),
+            std::set<SiteId>(kContractSites.begin(), kContractSites.end()));
+
+  // The corrupt site's only generation: no fallback.
+  FlipByteNearEnd(SiteGenerationPath(dir, kCorruptSite, 1));
+  out->corrupt_site_before = StateOf(live, kCorruptSite, kScanObjects);
+  const Status partial = live.Restore(dir);
+  EXPECT_FALSE(partial.ok());
+  out->partial_error = partial.message();
+  out->corrupt_site_after = StateOf(live, kCorruptSite, kScanObjects);
+  out->operators_after_partial = OperatorSites(live);
+
+  // The sites that loaded replay the tail exactly as the reference did.
+  {
+    SiteEventLog log;
+    const auto sub = live.bus().SubscribeEvents(log.Callback());
+    Feed(&live, suffix);
+    live.Flush();
+    live.bus().Unsubscribe(sub);
+    out->partial_tail = log.events;
+    out->partial_tail.erase(kCorruptSite);
+  }
+
+  // Two failures: the first in pipeline order is returned, whichever lane
+  // finished first.
+  FlipByteNearEnd(SiteGenerationPath(dir, kCorruptLater, 1));
+  const Status two = live.Restore(dir);
+  EXPECT_FALSE(two.ok());
+  out->two_failures_error = two.message();
+}
+
+TEST_F(ServeCheckpointTest, RestoreLoadsOnThePumpLanesAndAttemptsEverySite) {
+  std::map<int, RestoreContractRun> runs;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("num_threads " + std::to_string(threads));
+    const std::string dir = Dir() + "_w" + std::to_string(threads);
+    std::filesystem::remove_all(dir);  // Generation 1 must be the only one.
+    RestoreContractRun& run = runs[threads];
+    RunRestoreContract(threads, dir, &run);
+    std::filesystem::remove_all(dir);
+    if (HasFatalFailure()) return;
+
+    ExpectBitIdenticalPerSite(run.reference_tail, run.restored_tail);
+
+    const std::string corrupt_path =
+        SiteGenerationPath(dir, kCorruptSite, 1);
+    EXPECT_NE(run.partial_error.find(corrupt_path), std::string::npos)
+        << run.partial_error;
+    EXPECT_TRUE(run.corrupt_site_before == run.corrupt_site_after)
+        << "the site whose load failed must keep its pre-call state";
+    EXPECT_GT(run.corrupt_site_before.epochs_processed, 0u);
+    // Every site that loaded had its bus operator state reset; the failed
+    // one kept its instance.
+    EXPECT_EQ(run.operators_after_partial, std::set<SiteId>{kCorruptSite});
+    std::map<SiteId, std::vector<LocationEvent>> reference_others =
+        run.reference_tail;
+    reference_others.erase(kCorruptSite);
+    ExpectBitIdenticalPerSite(reference_others, run.partial_tail);
+    EXPECT_NE(run.two_failures_error.find(corrupt_path), std::string::npos)
+        << run.two_failures_error;
+  }
+
+  // Identical at both widths (paths differ only in the directory suffix).
+  const RestoreContractRun& one = runs[1];
+  const RestoreContractRun& four = runs[4];
+  ExpectBitIdenticalPerSite(one.reference_tail, four.reference_tail);
+  ExpectBitIdenticalPerSite(one.partial_tail, four.partial_tail);
+  EXPECT_TRUE(one.corrupt_site_before == four.corrupt_site_before);
+  EXPECT_TRUE(one.corrupt_site_after == four.corrupt_site_after);
+  EXPECT_EQ(one.operators_after_partial, four.operators_after_partial);
+  const auto without_dir = [](std::string message, const std::string& dir) {
+    for (size_t at; (at = message.find(dir)) != std::string::npos;) {
+      message.erase(at, dir.size());
+    }
+    return message;
+  };
+  EXPECT_EQ(without_dir(one.partial_error, Dir() + "_w1"),
+            without_dir(four.partial_error, Dir() + "_w4"));
+  EXPECT_EQ(without_dir(one.two_failures_error, Dir() + "_w1"),
+            without_dir(four.two_failures_error, Dir() + "_w4"));
+}
+
+/// A line-world scan with `bad` slipped in after the location report of the
+/// epoch it falls in: the record is quarantined with `reason`, the
+/// estimates stay finite and the site still checkpoints and restores.
+void ExpectQuarantinedAndCheckpointable(const ReaderLocationReport& bad,
+                                        const char* reason,
+                                        const std::string& dir) {
+  std::vector<ServeRecord> records =
+      LineScanRecords(kSite, kScanEpochs, {1.0, 1.6, 2.2});
+  const auto at = std::find_if(
+      records.begin(), records.end(), [&bad](const ServeRecord& r) {
+        return r.Time() > bad.time;
+      });
+  records.insert(at, ServeRecord::Location(kSite, bad));
+
+  auto server = MakeLineServer({kSite}, 1);
+  ASSERT_TRUE(server.ok());
+  Feed(server.value().get(), records);
+  const SitePipeline* site = server.value()->FindSite(kSite);
+  ASSERT_NE(site, nullptr);
+  EXPECT_EQ(site->Stats().records_quarantined, 1u);
+  ASSERT_EQ(site->DeadLetters().size(), 1u);
+  EXPECT_STREQ(site->DeadLetters().front().reason, reason);
+  for (TagId tag : {1000u, 1001u, 1002u}) {
+    const auto estimate = site->engine().EstimateObject(tag);
+    ASSERT_TRUE(estimate.has_value()) << "tag " << tag;
+    EXPECT_TRUE(std::isfinite(estimate->mean.x) &&
+                std::isfinite(estimate->mean.y) &&
+                std::isfinite(estimate->mean.z))
+        << "tag " << tag;
+  }
+
+  ASSERT_TRUE(server.value()->Checkpoint(dir).ok());
+  auto restored = MakeLineServer({kSite}, 1);
+  ASSERT_TRUE(restored.ok());
+  const Status status = restored.value()->Restore(dir);
+  ASSERT_TRUE(status.ok()) << status.message();
+  EXPECT_EQ(restored.value()->FindSite(kSite)->Stats().records_quarantined,
+            1u);
+}
+
+TEST_F(ServeCheckpointTest, QuarantinesNonFiniteLocations) {
+  // Mid-stream, so an admitted NaN would reach the reader particles.
+  ReaderLocationReport bad;
+  bad.time = 10.5;
+  bad.location = {0.0, std::nan(""), 0.0};
+  ExpectQuarantinedAndCheckpointable(bad, "non-finite location", Dir());
+}
+
+TEST_F(ServeCheckpointTest, QuarantinesNonFiniteHeadings) {
+  // In the last epochs, so an admitted NaN would still be pending in the
+  // synchronizer when the checkpoint is taken.
+  ReaderLocationReport bad;
+  bad.time = kScanEpochs - 1.5;
+  bad.location = {0.0, 0.1 * (kScanEpochs - 2), 0.0};
+  bad.has_heading = true;
+  bad.heading = std::numeric_limits<double>::infinity();
+  ExpectQuarantinedAndCheckpointable(bad, "non-finite heading", Dir());
 }
 
 }  // namespace
